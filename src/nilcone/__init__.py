@@ -16,7 +16,7 @@ from .errors import (ConsistencyError, DiagnosticError, InputError,
 from .rootdata import (Root, RootSystem, Subsystem, VirtualCharacter, Weight,
                        WeylElement, build_root_system, decompose_character,
                        full_subsystem, kostant_partition, make_dominant,
-                       pairing, weight, weyl_dimension, weyl_elements)
+                       weight, weyl_dimension, weyl_elements)
 from .realform import (CartanDecomposition, EqualRankInvolution, KRootDatum,
                        cartan_decomposition, k_root_datum,
                        principal_presentation, standard_form_catalog)

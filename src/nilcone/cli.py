@@ -12,7 +12,6 @@ timings are only included when --timings is passed.
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -23,22 +22,13 @@ from . import grading as gr
 from . import oracle as oc
 from . import series as se
 from .errors import DiagnosticError, InputError, OutOfScopeError
-from .realform import (EqualRankInvolution, principal_presentation,
+from .realform import (parse_form_config, principal_presentation,
                        standard_form_catalog)
-from .rootdata import Weight, build_root_system, weight_to_json
+from .rootdata import Weight, weight_to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
-
-CACHE_ENV = "NILCONE_CACHE_DIR"
-
-
-def _cache_dir(args):
-    if getattr(args, "no_cache", False):
-        return None
-    return os.environ.get(CACHE_ENV) or os.path.join(
-        os.path.expanduser("~"), ".cache", "nilcone")
 
 
 def _parse_ints(text):
@@ -50,13 +40,11 @@ def _parse_ints(text):
 
 def _resolve_form(args):
     if getattr(args, "form", None):
-        rs, eps = standard_form_catalog(args.form)
+        rs, eps = parse_form_config({"form": args.form})
         return args.form, rs, eps
     if getattr(args, "type", None):
-        rs = build_root_system(args.type, args.rank)
-        eps = EqualRankInvolution(_parse_ints(args.epsilon))
-        if len(eps.epsilon) != rs.rank:
-            raise InputError("epsilon length != rank")
+        rs, eps = parse_form_config({"type": args.type, "rank": args.rank,
+                                     "epsilon": _parse_ints(args.epsilon)})
         return "%s%d:%s" % (args.type, args.rank, args.epsilon), rs, eps
     raise InputError("specify --form or --type/--rank/--epsilon")
 
@@ -450,13 +438,9 @@ def cmd_verify(args):
 
 def run(config, timings=False):
     """Execute a JobConfig dict: validate, run selected checks, return the report."""
-    if "form" not in config and "type" not in config:
-        raise InputError("config needs a form or an explicit (type, rank, epsilon)")
-    if "form" in config:
-        form = config["form"]
-        standard_form_catalog(form)  # validation
-    else:
+    if "form" not in config:
         raise InputError("pipeline runs need a named catalog form")
+    form = config["form"]
     checks = config.get("checks", "all")
     if checks == "all" or checks == ["all"]:
         checks = ALL_CHECKS
@@ -502,7 +486,6 @@ def build_parser():
         p.add_argument("--rank", type=int)
         p.add_argument("--epsilon", help="comma-separated +-1 per simple root")
         p.add_argument("--json-out", dest="json_out", help="also write JSON here")
-        p.add_argument("--no-cache", dest="no_cache", action="store_true")
 
     p = sub.add_parser("grade", help="graded decomposition and parabolic weights")
     add_form_args(p)
@@ -564,14 +547,12 @@ def build_parser():
     p.add_argument("--checks", help="comma-separated subset of: %s" % ",".join(ALL_CHECKS))
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json-out", dest="json_out")
-    p.add_argument("--no-cache", dest="no_cache", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("run", help="execute a JSON job config")
     p.add_argument("--config", required=True)
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json-out", dest="json_out")
-    p.add_argument("--no-cache", dest="no_cache", action="store_true")
     p.set_defaults(fn=cmd_run)
 
     return parser
@@ -580,8 +561,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .rootdata import set_default_weyl_cache_dir
-    set_default_weyl_cache_dir(_cache_dir(args))
     try:
         return args.fn(args)
     except (InputError, OutOfScopeError) as exc:
@@ -591,8 +570,6 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "partial": repr(exc.partial)}),
               file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        set_default_weyl_cache_dir(None)
 
 
 if __name__ == "__main__":

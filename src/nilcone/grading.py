@@ -2,7 +2,7 @@
 
 A grading element assigns every root the degree sum(c_i * h_i).  The
 nonnegative part is a parabolic q = l + u; intersecting with the +-1 root
-signs of the involution gives u \cap p and u \cap k, whose weight sums
+signs of the involution gives u cap p and u cap k, whose weight sums
 2rho(u cap p) and 2rho(u cap k) drive everything downstream, in particular
 the canonical-bundle weight 2rho(u cap p) - 2rho(u cap k).
 

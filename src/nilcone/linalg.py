@@ -60,10 +60,6 @@ def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def is_zero_matrix(a):
     return all(not x for row in a for x in row)
 

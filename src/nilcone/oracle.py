@@ -775,20 +775,28 @@ def coordinate_ring_dims(real, x, k_max, seed, max_batches=30):
 def not_in_closure_certificate(real, x_ref, x_other, max_deg, seed):
     """True certifies x_other outside the closure of K.x_ref.
 
-    Saturates the evaluation rank on the reference orbit, then checks whether
+    Saturates the evaluation rank on the reference orbit (one incremental
+    tracker per degree, as in coordinate_ring_dims), then checks whether
     adding points of the other orbit raises it: a raise exhibits a polynomial
     vanishing on the reference orbit but not on the other one.  False is
     evidence only (no separating polynomial up to max_deg was found).
     """
     rng = random.Random("%s-closure" % (seed,))
-    ref = [real.p_coords(x_ref)]
+    degrees = range(1, max_deg + 1)
+    trackers = {d: la.IncrementalRank(len(_monomials(real.p_dim, d))) for d in degrees}
+
+    def feed(points):
+        for d in degrees:
+            for row in _eval_rows(points, real.p_dim, d):
+                trackers[d].add(row)
+
     other = [real.p_coords(x_other)] + sample_orbit_points(real, x_other, 4, rng)
+    feed([real.p_coords(x_ref)])
     prev = None
     stable = 0
     for _ in range(10):
-        ref.extend(sample_orbit_points(real, x_ref, 12, rng))
-        ranks = [la.rank(_eval_rows(ref, real.p_dim, d))
-                 for d in range(1, max_deg + 1)]
+        feed(sample_orbit_points(real, x_ref, 12, rng))
+        ranks = [trackers[d].rank for d in degrees]
         if ranks == prev:
             stable += 1
             if stable >= 2:
@@ -796,11 +804,10 @@ def not_in_closure_certificate(real, x_ref, x_other, max_deg, seed):
         else:
             stable = 0
         prev = ranks
-    for d in range(1, max_deg + 1):
-        base = la.rank(_eval_rows(ref, real.p_dim, d))
-        joint = la.rank(_eval_rows(ref + other, real.p_dim, d))
-        if joint > base:
-            return True
+    for d in degrees:
+        for row in _eval_rows(other, real.p_dim, d):
+            if trackers[d].add(row):
+                return True
     return False
 
 

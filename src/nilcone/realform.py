@@ -4,7 +4,7 @@ theta acts trivially on the Cartan subalgebra, so the whole involution is
 a choice of sign per simple root; the sign of any root is the product over
 its simple coordinates.  +1 roots span k, -1 roots span p.  The positive
 system of K is inherited from the ambient positive roots, which realizes a
-theta-stable Borel with B \cap K Borel in K.
+theta-stable Borel with B cap K Borel in K.
 """
 
 import re
@@ -85,10 +85,6 @@ def k_root_datum(cd):
     except InputError as exc:  # should be impossible: inherited positives are valid
         raise ConsistencyError("inherited K positive system invalid: %s" % exc) from exc
     return kd
-
-
-def k_root_datum_for(rs, eps):
-    return k_root_datum(cartan_decomposition(rs, eps))
 
 
 def _normalize_name(name):

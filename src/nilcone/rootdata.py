@@ -15,9 +15,6 @@ root c under the i-th simple coroot is the i-th entry of cartan . c.
 All arithmetic is exact.
 """
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -282,10 +279,6 @@ def build_root_system(type_label, rank):
     return _ROOT_SYSTEM_CACHE[key]
 
 
-def pairing(rs, lam, alpha):
-    return rs.pairing(lam, alpha)
-
-
 # ---------------------------------------------------------------------------
 # Subsystems and their Weyl groups
 # ---------------------------------------------------------------------------
@@ -399,90 +392,36 @@ def make_dominant(sub, lam):
     return WeylElement(tuple(word)), mu - sub.rho, False
 
 
-_UNSET = object()
-_DEFAULT_CACHE_DIR = None
 _MATERIALIZE_LIMIT = 10 ** 6
 
 
-def set_default_weyl_cache_dir(path):
-    """Process-wide default for the Weyl word cache (None disables it)."""
-    global _DEFAULT_CACHE_DIR
-    _DEFAULT_CACHE_DIR = path
-
-
-def weyl_elements(sub, cache_dir=_UNSET):
-    """All Weyl group elements of the subsystem as reduced words.
+def weyl_elements(sub):
+    """All Weyl group elements of the subsystem as reduced words, sorted by
+    (length, word).
 
     BFS over simple reflections, deduplicated by the action on rho_sub.
-    Optionally persisted to a small JSON cache keyed by (type, rank,
-    subsystem); a corrupt cache file is ignored and rebuilt.  Groups with
-    more than 10^6 elements are never materialized.
+    Each frontier element carries its image of rho_sub, so the candidate
+    s_i w costs one simple reflection of the parent's image (Casselman,
+    "Computation in Coxeter groups I", Electron. J. Combin. 2002).  Groups
+    with more than 10^6 elements are never materialized.
     """
-    if cache_dir is _UNSET:
-        cache_dir = _DEFAULT_CACHE_DIR
-    cached = _load_weyl_cache(sub, cache_dir)
-    if cached is not None:
-        return cached
-    seen = {sub.rho.fw: WeylElement(())}
-    frontier = [WeylElement(())]
+    identity = WeylElement(())
+    seen = {sub.rho.fw: identity}
+    frontier = [(identity, sub.rho)]
     while frontier:
         nxt = []
-        for w in frontier:
+        for w, img in frontier:
             for i in range(sub.rank):
-                cand = WeylElement((i,) + w.word)
-                img = sub.apply(cand, sub.rho).fw
-                if img not in seen:
-                    seen[img] = cand
-                    nxt.append(cand)
+                cand_img = sub.reflect_simple(img, i)
+                if cand_img.fw not in seen:
+                    cand = WeylElement((i,) + w.word)
+                    seen[cand_img.fw] = cand
+                    nxt.append((cand, cand_img))
         if len(seen) > _MATERIALIZE_LIMIT:
             raise ConsistencyError("refusing to materialize a Weyl group of "
                                    "more than 10^6 elements")
-        frontier = sorted(nxt, key=lambda w: w.word)
-    out = sorted(seen.values(), key=lambda w: (w.length, w.word))
-    _save_weyl_cache(sub, cache_dir, out)
-    return out
-
-
-_WEYL_CACHE_VERSION = 1
-
-
-def _weyl_cache_path(sub, cache_dir):
-    sig = "-".join("_".join(str(c) for c in r.coords) for r in sub.positive_roots)
-    name = "weyl_%s%d_%s.json" % (sub.rs.type_label, sub.rs.rank, sig or "empty")
-    return os.path.join(cache_dir, name)
-
-
-def _load_weyl_cache(sub, cache_dir):
-    if cache_dir is None:
-        return None
-    path = _weyl_cache_path(sub, cache_dir)
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if data.get("version") != _WEYL_CACHE_VERSION:
-            return None
-        words = [WeylElement(tuple(w)) for w in data["words"]]
-        # sanity: words must act within the subsystem rank
-        if any(i >= sub.rank for w in words for i in w.word):
-            return None
-        return words
-    except (OSError, ValueError, KeyError, TypeError):
-        return None  # corrupt or missing cache: rebuild, never trust
-
-
-def _save_weyl_cache(sub, cache_dir, words):
-    if cache_dir is None:
-        return
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        path = _weyl_cache_path(sub, cache_dir)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"version": _WEYL_CACHE_VERSION,
-                       "words": [list(w.word) for w in words]}, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # caching is best-effort
+        frontier = sorted(nxt, key=lambda pair: pair[0].word)
+    return sorted(seen.values(), key=lambda w: (w.length, w.word))
 
 
 # ---------------------------------------------------------------------------

@@ -158,16 +158,16 @@ def test_hilbert_csv_export(tmp_path, capsys):
     assert csv_path.read_text() == "k,dim\n0,1\n1,4\n2,9\n3,16\n"
 
 
-def test_no_cache_and_cached_agree(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+def test_verify_writes_nothing_to_home(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     argv = ["verify", "--form", "su(1,1)", "--seed", "7",
             "--checks", "grading,theta,canonical,blattner"]
     code1, out1, _ = _run(capsys, *argv)
-    assert list(tmp_path.iterdir())  # the Weyl cache was written
-    code2, out2, _ = _run(capsys, *argv)          # cached
-    code3, out3, _ = _run(capsys, *argv, "--no-cache")
-    assert code1 == code2 == code3 == 0
-    assert out1 == out2 == out3
+    code2, out2, _ = _run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert not list(tmp_path.iterdir())
 
 
 def test_run_config_with_explicit_grading_and_weight(tmp_path, capsys):

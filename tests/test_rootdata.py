@@ -1,4 +1,3 @@
-import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,6 +6,8 @@ import pytest
 
 from nilcone import rootdata as rd
 from nilcone.errors import ConsistencyError, InputError
+from nilcone.grading import grade
+from nilcone.realform import standard_form_catalog
 
 F = Fraction
 
@@ -132,10 +133,22 @@ def test_weyl_element_length_is_inversions():
 
 
 def test_weyl_group_orders():
-    orders = {("A", 2): 6, ("C", 2): 8, ("G2", 2): 12, ("A", 3): 24}
+    orders = {("A", 2): 6, ("C", 2): 8, ("G2", 2): 12, ("A", 3): 24,
+              ("B", 3): 48, ("D", 4): 192}
     for (label, rank), order in orders.items():
         rs = rd.build_root_system(label, rank)
         assert len(rd.weyl_elements(rd.full_subsystem(rs))) == order
+    # W_K of su(4,4) is S_4 x S_4
+    rs, eps = standard_form_catalog("su(4,4)")
+    kd = grade(rs, eps, (0, 0, 0, 2, 0, 0, 0)).k_root_datum()
+    assert len(rd.weyl_elements(kd)) == 576
+
+
+def test_weyl_elements_c2_words():
+    # sorted by (length, word); each word is the first BFS hit of its element
+    sub = rd.full_subsystem(rd.build_root_system("C", 2))
+    assert [w.word for w in rd.weyl_elements(sub)] == [
+        (), (0,), (1,), (0, 1), (1, 0), (0, 1, 0), (1, 0, 1), (1, 0, 1, 0)]
 
 
 def test_weyl_element_recoverable_from_chamber():
@@ -284,7 +297,7 @@ def test_kostant_rejects_nonpositive_generators():
         rd.kostant_partition(a2, rd.weight(0, 0), [rd.weight(0, 0)])
 
 
-# -- JSON and cache ----------------------------------------------------------------
+# -- JSON --------------------------------------------------------------------------
 
 def test_weight_json_roundtrip():
     rs = rd.build_root_system("A", 2)
@@ -299,19 +312,3 @@ def test_weight_json_roundtrip():
     with pytest.raises(InputError):
         rd.weight_from_json({"basis": "banana", "coords": [1]})
 
-
-def test_weyl_cache_roundtrip_and_corruption(tmp_path):
-    rs = rd.build_root_system("C", 2)
-    sub = rd.full_subsystem(rs)
-    first = rd.weyl_elements(sub, cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    again = rd.weyl_elements(sub, cache_dir=str(tmp_path))
-    assert [w.word for w in again] == [w.word for w in first]
-    files[0].write_text("{ not json")
-    rebuilt = rd.weyl_elements(sub, cache_dir=str(tmp_path))
-    assert [w.word for w in rebuilt] == [w.word for w in first]
-    # wrong version is also ignored
-    files[0].write_text(json.dumps({"version": 99, "words": [[0]]}))
-    rebuilt = rd.weyl_elements(sub, cache_dir=str(tmp_path))
-    assert [w.word for w in rebuilt] == [w.word for w in first]
