@@ -1,14 +1,19 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense linear algebra over the rationals, and rank mod a word-size prime.
 
 Matrices are lists of lists of Fraction, vectors are lists of Fraction.
-No floating point anywhere; every rank/nullspace answer is a certificate,
-not an estimate.  Sizes stay small (ambient Lie algebras up to ~40 dims),
-so plain fraction-free-ish Gaussian elimination is plenty.
+No floating point anywhere.  rref, rank, nullspace, solve and Span are
+exact over Q; sizes stay small (ambient Lie algebras up to ~40 dims), so
+plain Gaussian elimination is plenty.  IncrementalRank works mod PRIME: its
+rank is a certified lower bound on the rank over Q of the rows it was given,
+not the rank itself, and callers that need more re-rank over Q with rank.
 """
 
+from bisect import insort
 from fractions import Fraction
 
 F = Fraction
+
+PRIME = 2 ** 61 - 1
 
 
 def frac_matrix(rows):
@@ -138,28 +143,56 @@ def solve(rows, rhs):
     return x
 
 
+def residue(x):
+    """x mod PRIME for an int or a Fraction.
+
+    A denominator divisible by PRIME has no inverse mod PRIME: it raises
+    ZeroDivisionError rather than giving a wrong residue.
+    """
+    if x.denominator == 1:
+        return x.numerator % PRIME
+    d = x.denominator % PRIME
+    if not d:
+        raise ZeroDivisionError("denominator %d is divisible by PRIME" % x.denominator)
+    return x.numerator * pow(d, -1, PRIME) % PRIME
+
+
 class IncrementalRank:
-    """Row rank maintained under row insertions (forward elimination only)."""
+    """Row rank mod PRIME maintained under row insertions (forward elimination).
+
+    Rows are vectors of ints and Fractions.  A rank mod PRIME never exceeds
+    the rank over Q, so rank is a certified lower bound on it; add and raises
+    can miss a rise over Q (a row that is dependent only mod PRIME) and, once
+    rank falls short of the rank over Q, report one that is not there.
+    """
 
     def __init__(self, width):
         self.width = width
-        self._rows = []  # (pivot, row) with row[pivot] == 1
+        self._rows = []  # (pivot, row[pivot:]) sorted by pivot, row[pivot] == 1
+
+    def _reduce(self, row):
+        v = [residue(x) for x in row]
+        # Entries stay unreduced during the sweep (each step adds < PRIME**2);
+        # a stored row is zero left of its pivot, so only the tail changes.
+        for pivot, r in self._rows:
+            f = v[pivot] % PRIME
+            if f:
+                v[pivot:] = [x - f * y for x, y in zip(v[pivot:], r)]
+        return [x % PRIME for x in v]
 
     def add(self, row):
-        """Insert a row; returns True when it increased the rank."""
-        v = list(map(F, row))
-        for pivot, r in self._rows:
-            if v[pivot]:
-                f = v[pivot]
-                v = [x - f * y for x, y in zip(v, r)]
-        for c in range(self.width):
-            if v[c]:
-                inv = v[c]
-                v = [x / inv for x in v]
-                self._rows.append((c, v))
-                self._rows.sort(key=lambda pr: pr[0])
+        """Insert a row; returns True when it increased the rank mod PRIME."""
+        v = self._reduce(row)
+        for c, x in enumerate(v):
+            if x:
+                inv = pow(x, -1, PRIME)
+                insort(self._rows, (c, [y * inv % PRIME for y in v[c:]]))
                 return True
         return False
+
+    def raises(self, row):
+        """Whether add(row) would increase the rank mod PRIME; changes nothing."""
+        return any(self._reduce(row))
 
     @property
     def rank(self):

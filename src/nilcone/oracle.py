@@ -5,8 +5,9 @@ a basis of g, the involution as an entrywise sign mask (conjugation by a
 diagonal fourth root of unity, which acts rationally even when the element
 itself is imaginary), and the diagonal Cartan.  Everything downstream is
 exact nullspace / rank arithmetic: Jacobson-Morozov triples, orbit and cone
-dimensions, density checks, and Hilbert functions of orbit closures by
-evaluation rank at sampled rational orbit points.
+dimensions and density checks.  Hilbert functions of orbit closures come from
+evaluation ranks mod la.PRIME at sampled rational orbit points, lower bounds
+that are re-ranked over Q wherever a bound is not enough.
 
 Randomness is always driven by an explicit seed and every probabilistic
 certificate (genericity, rank stabilization) is reproducible from it.
@@ -696,16 +697,25 @@ def _random_group_factor(real, rng):
     return g, gi
 
 
+def _random_group_element(real, rng):
+    """A random word (g, g^-1) of two to five unipotent and torus factors."""
+    g = la.identity(real.msize)
+    gi = la.identity(real.msize)
+    for _ in range(rng.randint(2, 5)):
+        f, fi = _random_group_factor(real, rng)
+        g = la.mat_mul(g, f)
+        gi = la.mat_mul(fi, gi)
+    return g, gi
+
+
 def sample_orbit_points(real, x, count, rng):
-    """Rational points Ad(g) x with g random words in unipotents and the torus."""
+    """Rational points Ad(g) x with g random words in unipotents and the torus.
+
+    The words, and so the draws from rng, do not depend on x.
+    """
     pts = []
     for _ in range(count):
-        g = la.identity(real.msize)
-        gi = la.identity(real.msize)
-        for _ in range(rng.randint(2, 5)):
-            f, fi = _random_group_factor(real, rng)
-            g = la.mat_mul(g, f)
-            gi = la.mat_mul(fi, gi)
+        g, gi = _random_group_element(real, rng)
         pt = la.mat_mul(g, la.mat_mul(x, gi))
         pc = real.p_coords(pt)
         if pc is None:
@@ -718,53 +728,84 @@ def _monomials(nvars, deg):
     return list(combinations_with_replacement(range(nvars), deg))
 
 
-def _eval_rows(points, nvars, deg):
-    mons = _monomials(nvars, deg)
+def _monomial_steps(nvars, k_max):
+    """For degrees 1..k_max, each monomial m (in _monomials order) as the pair
+    (index of m[:-1] among the monomials of one degree less, m[-1])."""
+    steps = []
+    index = {(): 0}
+    for d in range(1, k_max + 1):
+        mons = _monomials(nvars, d)
+        steps.append([(index[m[:-1]], m[-1]) for m in mons])
+        index = {m: j for j, m in enumerate(mons)}
+    return steps
+
+
+def _eval_rows(pt, steps):
+    """Values of the monomials at pt, one row per degree of steps.
+
+    pt holds Fractions for exact rows or residues mod la.PRIME for modular
+    ones; each degree multiplies the previous degree's values by one
+    coordinate.
+    """
     rows = []
-    for pt in points:
-        row = []
-        for mon in mons:
-            val = F(1)
-            for i in mon:
-                val *= pt[i]
-            row.append(val)
-        rows.append(row)
+    prev = [1]
+    for step in steps:
+        prev = [prev[j] * pt[i] for j, i in step]
+        rows.append(prev)
     return rows
 
 
-def coordinate_ring_dims(real, x, k_max, seed, max_batches=30):
-    """Hilbert function of the orbit closure by evaluation rank, degrees 0..k_max.
+def _residues(pt):
+    return [la.residue(c) for c in pt]
 
-    Points are added in batches until every degree's rank is unchanged for
-    two consecutive batches; elimination state is kept incrementally so each
-    new point costs one row reduction per degree.
+
+def _exact_rows(points, steps, deg):
+    """The degree-deg evaluation rows at points, over Q."""
+    return [_eval_rows(pt, steps[:deg])[-1] for pt in points]
+
+
+def coordinate_ring_dims(real, x, k_max, seed, upper=None, max_batches=30):
+    """Lower bounds on the Hilbert function of the orbit closure, degrees 0..k_max.
+
+    The value in degree d is the rank mod la.PRIME of the degree-d monomials
+    evaluated at sampled orbit points.  It is at most their rank over Q, which
+    is at most the Hilbert function of the closure in degree d, and equals it
+    once the sample is large enough.  Points are added in batches until every
+    degree's rank is unchanged for two consecutive batches; elimination state
+    is kept incrementally so each new point costs one row reduction per
+    degree.  When upper is given (the Hilbert series of the normalization,
+    which bounds the closure's from above), every degree whose bound falls
+    short of upper is re-ranked exactly over Q at the same points.
     """
     rng = random.Random("%s-coordring" % (seed,))
     if la.is_zero_matrix(x):
         return [1] + [0] * k_max
-    trackers = {d: la.IncrementalRank(len(_monomials(real.p_dim, d)))
-                for d in range(1, k_max + 1)}
-    seen = set()
+    steps = _monomial_steps(real.p_dim, k_max)
+    trackers = [la.IncrementalRank(len(step)) for step in steps]
+    fed = {}  # distinct points in the order fed; the values are unused
 
     def feed(points):
         for pt in points:
             key = tuple(pt)
-            if key in seen:
+            if key in fed:
                 continue
-            seen.add(key)
-            for d in range(1, k_max + 1):
-                trackers[d].add(_eval_rows([pt], real.p_dim, d)[0])
+            fed[key] = None
+            for tracker, row in zip(trackers, _eval_rows(_residues(pt), steps)):
+                tracker.add(row)
 
     feed([real.p_coords(x)])
     dims_prev = None
     stable = 0
-    batch = max(8, (len(_monomials(real.p_dim, k_max)) + 7) // 8)
+    batch = max(8, (len(steps[-1]) + 7) // 8)
     for _ in range(max_batches):
         feed(sample_orbit_points(real, x, batch, rng))
-        dims = [1] + [trackers[d].rank for d in range(1, k_max + 1)]
+        dims = [1] + [tracker.rank for tracker in trackers]
         if dims == dims_prev:
             stable += 1
             if stable >= 2:
+                for d in range(1, k_max + 1):
+                    if upper is not None and dims[d] < upper[d]:
+                        dims[d] = la.rank(_exact_rows(fed, steps, d))
                 return dims
         else:
             stable = 0
@@ -772,41 +813,76 @@ def coordinate_ring_dims(real, x, k_max, seed, max_batches=30):
     raise DiagnosticError("evaluation ranks did not stabilize", partial=dims_prev)
 
 
-def not_in_closure_certificate(real, x_ref, x_other, max_deg, seed):
-    """True certifies x_other outside the closure of K.x_ref.
+_CLOSURE_CANDIDATE_WORDS = 4
 
-    Saturates the evaluation rank on the reference orbit (one incremental
-    tracker per degree, as in coordinate_ring_dims), then checks whether
-    adding points of the other orbit raises it: a raise exhibits a polynomial
-    vanishing on the reference orbit but not on the other one.  False is
-    evidence only (no separating polynomial up to max_deg was found).
+
+class ClosureReference:
+    """Evaluation ranks mod la.PRIME saturated on sampled points of K.x_ref.
+
+    Built once per reference orbit and shared by every closure test against
+    it.  Its points are the ones a test's "<seed>-closure" stream yields after
+    the candidate's group words; those words do not depend on the candidate
+    (see sample_orbit_points), so neither does the reference.
     """
-    rng = random.Random("%s-closure" % (seed,))
-    degrees = range(1, max_deg + 1)
-    trackers = {d: la.IncrementalRank(len(_monomials(real.p_dim, d))) for d in degrees}
 
-    def feed(points):
-        for d in degrees:
-            for row in _eval_rows(points, real.p_dim, d):
-                trackers[d].add(row)
+    def __init__(self, real, x_ref, max_deg, seed):
+        self.real = real
+        self.seed = seed
+        self.steps = _monomial_steps(real.p_dim, max_deg)
+        self.trackers = [la.IncrementalRank(len(step)) for step in self.steps]
+        self.points = []
+        self._bases = {}  # degree -> row basis over Q of the points' rows
+        rng = random.Random("%s-closure" % (seed,))
+        for _ in range(_CLOSURE_CANDIDATE_WORDS):
+            _random_group_element(real, rng)
+        self._feed([real.p_coords(x_ref)])
+        prev = None
+        stable = 0
+        for _ in range(10):
+            self._feed(sample_orbit_points(real, x_ref, 12, rng))
+            ranks = [tracker.rank for tracker in self.trackers]
+            if ranks == prev:
+                stable += 1
+                if stable >= 2:
+                    break
+            else:
+                stable = 0
+            prev = ranks
 
-    other = [real.p_coords(x_other)] + sample_orbit_points(real, x_other, 4, rng)
-    feed([real.p_coords(x_ref)])
-    prev = None
-    stable = 0
-    for _ in range(10):
-        feed(sample_orbit_points(real, x_ref, 12, rng))
-        ranks = [trackers[d].rank for d in degrees]
-        if ranks == prev:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-        prev = ranks
-    for d in degrees:
-        for row in _eval_rows(other, real.p_dim, d):
-            if trackers[d].add(row):
+    def _feed(self, points):
+        self.points += points
+        for pt in points:
+            for tracker, row in zip(self.trackers, _eval_rows(_residues(pt), self.steps)):
+                tracker.add(row)
+
+    def raises_over_q(self, pt, deg):
+        """Whether pt's degree-deg row raises the rank over Q of the points'."""
+        if deg not in self._bases:
+            red, pivots = la.rref(_exact_rows(self.points, self.steps, deg))
+            self._bases[deg] = red[:len(pivots)]
+        basis = self._bases[deg]
+        return la.rank(basis + _exact_rows([pt], self.steps, deg)) > len(basis)
+
+
+def not_in_closure_certificate(ref, x_other):
+    """Whether a polynomial separates the sampled points of K.x_ref from x_other.
+
+    True means a polynomial of degree at most ref's max_deg vanishes at every
+    sampled point of the reference orbit but not at some point of K.x_other:
+    found as a rank rise mod la.PRIME and confirmed by a rank over Q at the
+    same points.  It certifies x_other outside the closure of K.x_ref only
+    once the sampled rank has saturated, so that the polynomials vanishing on
+    the sample are those vanishing on the orbit.  False is evidence only (no
+    separating polynomial up to max_deg was found).
+    """
+    real = ref.real
+    rng = random.Random("%s-closure" % (ref.seed,))
+    other = [real.p_coords(x_other)] + sample_orbit_points(
+        real, x_other, _CLOSURE_CANDIDATE_WORDS, rng)
+    rows = [_eval_rows(_residues(pt), ref.steps) for pt in other]
+    for deg, tracker in enumerate(ref.trackers, 1):
+        for pt, pt_rows in zip(other, rows):
+            if tracker.raises(pt_rows[deg - 1]) and ref.raises_over_q(pt, deg):
                 return True
     return False
 
@@ -933,15 +1009,16 @@ def qct_evidence(real, seed, n_samples=14, closure_deg=2):
         samples.append(random_nilpotent(real, rng))
     dims = [orbit_dimension(real, s) for s in samples]
     reps = [principal]
+    refs = []  # refs[i] saturates reps[i], built when a candidate first meets it
     for s, d in zip(samples[1:], dims[1:]):
         if d != cone_dim:
             continue
-        new = True
-        for r in reps:
-            if not not_in_closure_certificate(real, r, s, closure_deg, seed):
-                new = False
+        for i, r in enumerate(reps):
+            if i == len(refs):
+                refs.append(ClosureReference(real, r, closure_deg, seed))
+            if not not_in_closure_certificate(refs[i], s):
                 break
-        if new:
+        else:
             reps.append(s)
     return {
         "degenerate": False,

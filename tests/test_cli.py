@@ -1,6 +1,9 @@
 import json
+import time
 
 from nilcone import cli
+from nilcone import oracle as oc
+from nilcone.errors import DiagnosticError
 
 
 def _run(capsys, *argv):
@@ -205,3 +208,41 @@ def test_run_config_with_odd_grading_is_input_error(tmp_path, capsys):
     code, _, err = _run(capsys, "run", "--config", str(cfg_path))
     assert code == 2
     assert "odd orbit" in json.loads(err)["error"]
+
+
+def test_budget_exhausted_check_is_inconclusive(monkeypatch):
+    def stalls(*args, **kwargs):
+        raise DiagnosticError("evaluation ranks did not stabilize", partial=[1, 4, 9])
+
+    monkeypatch.setattr(oc, "coordinate_ring_dims", stalls)
+    report = cli.verify_form("su(2,1)", kmax=3, checks=("grading", "hilbert"))
+    verdicts = {c["check"]: c for c in report["checks"]}
+    assert verdicts["grading"]["verdict"] == "PASS"
+    assert verdicts["hilbert"]["verdict"] == "INCONCLUSIVE"
+    assert verdicts["hilbert"]["detail"] == {
+        "error": "evaluation ranks did not stabilize", "partial": [1, 4, 9]}
+    assert report["verdict"] == "INCONCLUSIVE"
+    assert cli._exit_code(report) == 2
+
+    # FAIL > INCONCLUSIVE > HYPOTHESIS-UNMET
+    unmet = cli.verify_form("su(2,1)", kmax=3, checks=("vanishing", "hilbert"),
+                            lam_list=[-1, 0])
+    assert [c["verdict"] for c in unmet["checks"]] == ["HYPOTHESIS-UNMET",
+                                                       "INCONCLUSIVE"]
+    assert unmet["verdict"] == "INCONCLUSIVE"
+    monkeypatch.setattr(oc, "verify_grading_dims", lambda *args: (False, {}))
+    failed = cli.verify_form("su(2,1)", kmax=3, checks=("grading", "hilbert"))
+    assert failed["verdict"] == "FAIL" and cli._exit_code(failed) == 1
+
+
+def test_qct_evidence_is_billed_to_qct(monkeypatch):
+    def slow_evidence(real, seed):
+        time.sleep(0.2)
+        return {"degenerate": True, "seed": seed}
+
+    monkeypatch.setattr(oc, "qct_evidence", slow_evidence)
+    report = cli.verify_form("su(1,1)", checks=("components", "qct"), timings=True)
+    seconds = {c["check"]: c["seconds"] for c in report["checks"]}
+    assert seconds["qct"] >= 0.2 > seconds["components"]
+    untimed = cli.verify_form("su(1,1)", checks=("components", "qct"))
+    assert all("seconds" not in c for c in untimed["checks"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nilcone import cli
 from nilcone import grading as gr
 from nilcone import linalg as la
 from nilcone import oracle as oc
@@ -209,9 +210,47 @@ def test_closure_membership_certificates():
     real = oc.realize("su(1,1)")
     e12 = real.root_vector(real.rs.simple_roots[0])
     e21 = real.root_vector(-real.rs.simple_roots[0])
-    assert oc.not_in_closure_certificate(real, e12, e21, 2, 7)
+    ref = oc.ClosureReference(real, e12, 2, 7)
+    assert oc.not_in_closure_certificate(ref, e21)
     doubled = la.mat_scale(2, e12)
-    assert not oc.not_in_closure_certificate(real, e12, doubled, 2, 7)
+    assert not oc.not_in_closure_certificate(ref, doubled)
+
+
+class _DeficientRank(la.IncrementalRank):
+    """One less than the true rank, and every probed row taken for a raise:
+    a reduction mod p that lost a pivot, seen from outside."""
+
+    @property
+    def rank(self):
+        return super().rank - 1
+
+    def raises(self, row):
+        return True
+
+
+def test_exact_fallback_survives_a_deficient_tracker(monkeypatch):
+    monkeypatch.setattr(la, "IncrementalRank", _DeficientRank)
+    real = oc.realize("su(2,1)")
+    _, x = oc.pinned_principal(real, (2, 2))
+    assert oc.coordinate_ring_dims(real, x, 3, 7) == [1, 3, 8, 15]  # the fault bites
+
+    def hilbert(form):
+        report = cli.verify_form(form, kmax=3, checks=("hilbert",))
+        return report["checks"][0]
+
+    su21 = hilbert("su(2,1)")
+    assert su21["verdict"] == "PASS"
+    assert su21["detail"]["oracle"] == su21["detail"]["series"] == [1, 4, 9, 16]
+    sp4 = hilbert("sp(4,R)")
+    assert sp4["verdict"] == "EVIDENCE"
+    assert sp4["detail"]["oracle"] == [1, 6, 19, 44] != sp4["detail"]["series"]
+
+    real11 = oc.realize("su(1,1)")
+    e12 = real11.root_vector(real11.rs.simple_roots[0])
+    e21 = real11.root_vector(-real11.rs.simple_roots[0])
+    ref = oc.ClosureReference(real11, e12, 2, 7)
+    assert not oc.not_in_closure_certificate(ref, la.mat_scale(2, e12))
+    assert oc.not_in_closure_certificate(ref, e21)
 
 
 # -- aggregated evidence -----------------------------------------------------------
