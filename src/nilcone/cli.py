@@ -243,9 +243,12 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
     Uses an explicit grading H when supplied, else the principal-aligned
     presentation when one is pinned for the form, else the best confirmed
     grading found by the even-grading search.  lam_list, when given,
-    replaces the sampled weight box of the vanishing check.
+    replaces the sampled weight box of the vanishing check; it must list
+    rank integers (fundamental-weight coordinates), since only an integral
+    weight defines a line bundle, and is rejected before any check runs.
     """
     rs, catalog_eps = standard_form_catalog(form)
+    lam_given = None if lam_list is None else _integral_weight(lam_list, rs.rank)
     if H is not None:
         eps = catalog_eps
         h_values = tuple(int(x) for x in H)
@@ -338,8 +341,8 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         }
 
     def check_vanishing():
-        if lam_list is not None:
-            lams = [Weight(tuple(Fraction(c) for c in lam_list))]
+        if lam_given is not None:
+            lams = [lam_given]
         else:
             lams = _qk_dominant_box(rs, pd, kd, bound=2)
         worst = "PASS"
@@ -417,6 +420,22 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         "checks": results,
         "verdict": overall,
     }
+
+
+def _integral_weight(coords, rank):
+    """The weight with the given fundamental-weight coordinates, which must
+    be rank integers (ints or strings such as "3")."""
+    try:
+        fw = tuple(Fraction(c) for c in coords)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError("malformed lambda %r" % (coords,)) from exc
+    if len(fw) != rank:
+        raise InputError("lambda needs %d coordinates, got %d" % (rank, len(fw)))
+    if any(c.denominator != 1 for c in fw):
+        raise InputError("lambda %s is not integral: O(lambda) needs integer "
+                         "fundamental-weight coordinates"
+                         % [str(c) for c in fw])
+    return Weight(fw)
 
 
 def _qk_dominant_box(rs, pd, kd, bound=2):

@@ -8,15 +8,21 @@ Classical types A, B, C, D and G2 in the Bourbaki simple-root ordering:
     D_n : alpha_i = e_i - e_{i+1} (i < n), alpha_n = e_{n-1}+e_n
     G2  : alpha_1 short, alpha_2 long
 
-Roots are stored in simple-root coordinates (integers), weights in
-fundamental-weight coordinates (exact rationals).  The Cartan matrix
-convention is cartan[i][j] = <alpha_j, alpha_i^vee>, so the degree of a
-root c under the i-th simple coroot is the i-th entry of cartan . c.
-All arithmetic is exact.
+Roots are stored in simple-root coordinates (integers).  A weight is stored
+as the int tuple ``d2`` of twice its fundamental-weight coordinates: the
+weights met here are half-integral at worst (rho_K of su(2,1) is), so
+doubling keeps every coordinate an integer.  ``Weight.fw`` reads the exact
+rationals back.  The Cartan matrix convention is
+cartan[i][j] = <alpha_j, alpha_i^vee>, so the degree of a root c under the
+i-th simple coroot is the i-th entry of cartan . c.  Coroots lie in the
+coroot lattice, so every pairing, reflection, dominance test, Weyl
+enumeration and Weyl dimension runs on ints; root coordinates of a weight
+are an integer adjugate of the Cartan matrix and one exact division.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg, sub as minus
 
 from .errors import ConsistencyError, InputError
 
@@ -49,36 +55,100 @@ class Root:
         return sum(self.coords)
 
 
-@dataclass(frozen=True)
 class Weight:
-    """A weight in fundamental-weight coordinates (exact rationals)."""
+    """A weight, stored as d2: the int tuple of twice its fundamental-weight
+    coordinates.
 
-    fw: tuple
+    Weight(fw) takes the fundamental-weight coordinates (ints or Fractions)
+    and raises InputError unless each is a multiple of 1/2.  Immutable and
+    hashable; equal weights have equal d2.
+    """
+
+    __slots__ = ("d2",)
+
+    def __init__(self, fw):
+        d2 = []
+        for c in fw:
+            c2 = 2 * F(c)
+            if c2.denominator != 1:
+                raise InputError("weight coordinate %s is not a multiple of 1/2" % (c,))
+            d2.append(c2.numerator)
+        object.__setattr__(self, "d2", tuple(d2))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Weight is immutable")
+
+    @property
+    def fw(self):
+        """Fundamental-weight coordinates, as exact rationals."""
+        return tuple(F(x, 2) for x in self.d2)
+
+    def __eq__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.d2 == other.d2
+
+    def __hash__(self):
+        return hash(self.d2)
+
+    def __repr__(self):
+        return "Weight(fw=[%s])" % ", ".join(str(c) for c in self.fw)
+
+    def __reduce__(self):  # pickle and copy, which would set d2 by setattr
+        return _weight_of, (self.d2,)
 
     def __add__(self, other):
-        return Weight(tuple(a + b for a, b in zip(self.fw, other.fw)))
+        return _weight_of(tuple(map(add, self.d2, other.d2)))
 
     def __sub__(self, other):
-        return Weight(tuple(a - b for a, b in zip(self.fw, other.fw)))
+        return _weight_of(tuple(map(minus, self.d2, other.d2)))
 
     def __neg__(self):
-        return Weight(tuple(-a for a in self.fw))
+        return _weight_of(tuple(map(neg, self.d2)))
 
     def scale(self, c):
         c = F(c)
-        return Weight(tuple(c * a for a in self.fw))
+        return Weight(tuple(F(x, 2) * c for x in self.d2))
 
     @property
     def is_zero(self):
-        return not any(self.fw)
+        return not any(self.d2)
+
+    @property
+    def is_integral(self):
+        """True when every fundamental-weight coordinate is an integer."""
+        return not any(x % 2 for x in self.d2)
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _weight_of(d2):
+    """The Weight with doubled coordinates d2 (an int tuple), unchecked."""
+    w = _new(Weight)
+    _set(w, "d2", d2)
+    return w
 
 
 def weight(*coords):
-    return Weight(tuple(F(c) for c in coords))
+    return Weight(coords)
 
 
 def zero_weight(rank):
-    return Weight((F(0),) * rank)
+    return _weight_of((0,) * rank)
+
+
+def require_integral(lam):
+    """Raise InputError unless lam has integer fundamental-weight coordinates.
+
+    Only such weights are characters of the torus, so only they define a
+    line bundle O(lam).
+    """
+    if not lam.is_integral:
+        raise InputError("weight (%s) is not integral: O(lambda) needs integer "
+                         "fundamental-weight coordinates"
+                         % ", ".join(str(c) for c in lam.fw))
 
 
 def _cartan_data(type_label, rank):
@@ -116,20 +186,26 @@ def _cartan_data(type_label, rank):
     return [tuple(row) for row in a], tuple(d)
 
 
-def _invert(matrix):
+def _adjugate(matrix):
+    """(adj, det) of an integer matrix: matrix^-1 = adj / det, adj integral."""
     n = len(matrix)
-    aug = [[F(matrix[i][j]) for j in range(n)] + [F(1) if j == i else F(0) for j in range(n)]
-           for i in range(n)]
+    aug = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    det = F(1)
     for c in range(n):
         piv = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[piv] = aug[piv], aug[c]
+        if piv != c:
+            aug[c], aug[piv] = aug[piv], aug[c]
+            det = -det
         inv = aug[c][c]
+        det *= inv
         aug[c] = [x / inv for x in aug[c]]
         for i in range(n):
             if i != c and aug[i][c]:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [tuple(row[n:]) for row in aug]
+    # det and det * inverse are integers for an integer matrix
+    return [tuple(int(det * x) for x in row[n:]) for row in aug], int(det)
 
 
 class RootSystem:
@@ -148,10 +224,12 @@ class RootSystem:
         self.type_label = type_label
         self.rank = rank
         self.cartan_matrix, self._d = _cartan_data(type_label, rank)
-        self._cartan_inv = _invert(self.cartan_matrix)
-        # Gram matrix of the simple roots: (a_i, a_j) = d_i * cartan[i][j].
-        self._gram = [tuple(self._d[i] * self.cartan_matrix[i][j] for j in range(rank))
-                      for i in range(rank)]
+        # root coordinates of lam are (adj . lam.d2) / (2 det)
+        self._adj, det = _adjugate(self.cartan_matrix)
+        self._root_den = 2 * det
+        # twice the Gram matrix of the simple roots: 2 (a_i, a_j) = 2 d_i cartan[i][j]
+        self._gram2 = [tuple(int(2 * self._d[i]) * a for a in self.cartan_matrix[i])
+                       for i in range(rank)]
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = self.positive_roots[: rank]
         expected = _POSITIVE_COUNTS[type_label](rank)
@@ -210,62 +288,64 @@ class RootSystem:
 
     def root_fw(self, root):
         """Fundamental-weight coordinates of a root (fw_i = <root, a_i^vee>)."""
-        return Weight(tuple(F(sum(self.cartan_matrix[i][j] * root.coords[j]
-                                  for j in range(self.rank)))
-                            for i in range(self.rank)))
+        return _weight_of(tuple(2 * x for x in self._fw_of_root(root)))
+
+    def _fw_of_root(self, root):
+        """The fw coordinates of a root, as an int tuple (not doubled)."""
+        c = root.coords
+        return tuple(sum(map(mul, row, c)) for row in self.cartan_matrix)
+
+    def _root_num(self, lam):
+        """Root coordinates of lam times 2 det(cartan), as an int tuple."""
+        d2 = lam.d2
+        return tuple(sum(map(mul, row, d2)) for row in self._adj)
 
     def root_coords_of_weight(self, lam):
         """Exact rational coordinates of a weight over the simple roots."""
-        return tuple(sum(self._cartan_inv[i][j] * lam.fw[j] for j in range(self.rank))
-                     for i in range(self.rank))
+        den = self._root_den
+        return tuple(F(x, den) for x in self._root_num(lam))
 
     def weight_from_root_coords(self, coords):
-        return Weight(tuple(F(sum(self.cartan_matrix[i][j] * F(coords[j])
-                                  for j in range(self.rank)))
-                            for i in range(self.rank)))
+        coords = [F(c) for c in coords]
+        return Weight(tuple(sum(map(mul, row, coords)) for row in self.cartan_matrix))
 
     def bilinear(self, lam, mu):
         """The W-invariant form, normalized by (a_i, a_i) = 2 d_i."""
-        r1 = self.root_coords_of_weight(lam)
-        r2 = self.root_coords_of_weight(mu)
-        total = F(0)
-        for i in range(self.rank):
-            if r1[i]:
-                for j in range(self.rank):
-                    if r2[j]:
-                        total += r1[i] * self._gram[i][j] * r2[j]
-        return total
+        r1 = self._root_num(lam)
+        r2 = self._root_num(mu)
+        total = sum(x * sum(map(mul, row, r2)) for x, row in zip(r1, self._gram2) if x)
+        return F(total, 2 * self._root_den ** 2)
 
     def coroot_vector(self, root):
-        """Vector v with <lam, root^vee> = sum v_i lam.fw[i]."""
+        """Int vector v with <lam, root^vee> = sum v_i lam.fw[i].
+
+        Coroots lie in the coroot lattice, so v is integral and
+        2 <lam, root^vee> = sum v_i lam.d2[i] is an integer.
+        """
         if root.coords in self._coroot_cache:
             return self._coroot_cache[root.coords]
         c = root.coords
-        norm_half = F(0)
-        for i in range(self.rank):
-            if c[i]:
-                for j in range(self.rank):
-                    if c[j]:
-                        norm_half += c[i] * self._gram[i][j] * c[j]
-        norm_half /= 2
-        v = tuple(F(c[j]) * self._d[j] / norm_half for j in range(self.rank))
+        # v_j = c_j d_j / ((c, c) / 2), with 2 (c, c) = c . gram2 . c
+        norm2 = sum(x * sum(map(mul, row, c)) for x, row in zip(c, self._gram2))
+        v = []
+        for j in range(self.rank):
+            q, r = divmod(4 * c[j] * self._d[j], norm2)
+            if r:
+                raise ConsistencyError("coroot of %r is not integral" % (root,))
+            v.append(int(q))
+        v = tuple(v)
         self._coroot_cache[root.coords] = v
         return v
 
     def pairing(self, lam, root):
-        """<lam, root^vee>, exact (integer on the weight lattice)."""
+        """<lam, root^vee>, exact (an int whenever it is integral)."""
         if not self.is_root(root):
             raise InputError("not a root of %s%d: %r" % (self.type_label, self.rank, root))
-        v = self.coroot_vector(root)
-        val = sum(a * b for a, b in zip(v, lam.fw))
-        return int(val) if val.denominator == 1 else val
-
-    def reflect(self, lam, root):
-        val = sum(a * b for a, b in zip(self.coroot_vector(root), lam.fw))
-        return lam - self.root_fw(root).scale(val)
+        v2 = sum(map(mul, self.coroot_vector(root), lam.d2))
+        return v2 // 2 if v2 % 2 == 0 else F(v2, 2)
 
     def rho(self):
-        return Weight((F(1),) * self.rank)
+        return _weight_of((2,) * self.rank)
 
 
 _ROOT_SYSTEM_CACHE = {}
@@ -322,46 +402,56 @@ class Subsystem:
             for b in self.positive_roots:
                 sums.add(tuple(x + y for x, y in zip(a.coords, b.coords)))
         self.simple_roots = tuple(r for r in self.positive_roots if r.coords not in sums)
-        half = F(1, 2)
-        rho = zero_weight(rs.rank)
+        # 2 rho_sub is the sum of the positive roots, so rho_sub.d2 is that sum in fw
+        rho2 = (0,) * rs.rank
         for r in self.positive_roots:
-            rho = rho + rs.root_fw(r)
-        self.rho = rho.scale(half)
+            rho2 = tuple(map(add, rho2, rs._fw_of_root(r)))
+        self.rho = _weight_of(rho2)
+        # int coroot vectors (see RootSystem.coroot_vector) and fw of the roots
         self._simple_coroots = tuple(rs.coroot_vector(b) for b in self.simple_roots)
-        self._simple_fw = tuple(rs.root_fw(b) for b in self.simple_roots)
+        self._simple_fw = tuple(rs._fw_of_root(b) for b in self.simple_roots)
+        self._coroots = tuple(rs.coroot_vector(r) for r in self.positive_roots)
 
     @property
     def rank(self):
         return len(self.simple_roots)
 
-    def simple_pairing(self, lam, i):
-        return sum(a * b for a, b in zip(self._simple_coroots[i], lam.fw))
-
-    def reflect_simple(self, lam, i):
-        val = self.simple_pairing(lam, i)
-        return lam - self._simple_fw[i].scale(val)
+    def _reflect2(self, d2, i):
+        """The i-th simple reflection of doubled coordinates d2."""
+        p = sum(map(mul, self._simple_coroots[i], d2))
+        return tuple(x - p * a for x, a in zip(d2, self._simple_fw[i]))
 
     def is_dominant(self, lam):
-        return all(self.simple_pairing(lam, i) >= 0 for i in range(self.rank))
+        d2 = lam.d2
+        return all(sum(map(mul, v, d2)) >= 0 for v in self._simple_coroots)
 
-    def dominant_representative(self, lam):
-        """The unique dominant weight in the Weyl orbit of lam."""
-        cur = lam
+    def _to_dominant(self, d2):
+        """Reflect doubled coordinates d2 into the dominant chamber.
+
+        Returns the simple reflections applied, in order, and the image.
+        """
+        word = []
         moved = True
         while moved:
             moved = False
-            for i in range(self.rank):
-                if self.simple_pairing(cur, i) < 0:
-                    cur = self.reflect_simple(cur, i)
+            for i, v in enumerate(self._simple_coroots):
+                p = sum(map(mul, v, d2))
+                if p < 0:
+                    d2 = tuple(x - p * a for x, a in zip(d2, self._simple_fw[i]))
+                    word.append(i)
                     moved = True
-        return cur
+        return word, d2
+
+    def dominant_representative(self, lam):
+        """The unique dominant weight in the Weyl orbit of lam."""
+        return _weight_of(self._to_dominant(lam.d2)[1])
 
     def apply(self, w, lam):
         """Action of a WeylElement: s_{w[0]} s_{w[1]} ... applied to lam."""
-        cur = lam
+        d2 = lam.d2
         for i in reversed(w.word):
-            cur = self.reflect_simple(cur, i)
-        return cur
+            d2 = self._reflect2(d2, i)
+        return _weight_of(d2)
 
 
 def full_subsystem(rs):
@@ -375,21 +465,12 @@ def make_dominant(sub, lam):
     singular is True.  Otherwise w is the unique element with
     w(lam + rho_sub) strictly dominant and lam_dom = w(lam+rho) - rho.
     """
-    mu = lam + sub.rho
-    word = []
-    moved = True
-    while moved:
-        moved = False
-        for i in range(sub.rank):
-            v = sub.simple_pairing(mu, i)
-            if v < 0:
-                mu = sub.reflect_simple(mu, i)
-                word.append(i)
-                moved = True
-    if any(sub.simple_pairing(mu, i) == 0 for i in range(sub.rank)):
+    rho2 = sub.rho.d2
+    word, mu = sub._to_dominant(tuple(map(add, lam.d2, rho2)))
+    if any(sum(map(mul, v, mu)) == 0 for v in sub._simple_coroots):
         return WeylElement(tuple(word)), None, True
     word.reverse()  # recorded right-to-left; apply() composes left on top
-    return WeylElement(tuple(word)), mu - sub.rho, False
+    return WeylElement(tuple(word)), _weight_of(tuple(map(minus, mu, rho2))), False
 
 
 _MATERIALIZE_LIMIT = 10 ** 6
@@ -406,16 +487,16 @@ def weyl_elements(sub):
     with more than 10^6 elements are never materialized.
     """
     identity = WeylElement(())
-    seen = {sub.rho.fw: identity}
-    frontier = [(identity, sub.rho)]
+    seen = {sub.rho.d2: identity}
+    frontier = [(identity, sub.rho.d2)]
     while frontier:
         nxt = []
         for w, img in frontier:
             for i in range(sub.rank):
-                cand_img = sub.reflect_simple(img, i)
-                if cand_img.fw not in seen:
+                cand_img = sub._reflect2(img, i)
+                if cand_img not in seen:
                     cand = WeylElement((i,) + w.word)
-                    seen[cand_img.fw] = cand
+                    seen[cand_img] = cand
                     nxt.append((cand, cand_img))
         if len(seen) > _MATERIALIZE_LIMIT:
             raise ConsistencyError("refusing to materialize a Weyl group of "
@@ -443,7 +524,7 @@ class VirtualCharacter:
         return cls({lam: mult})
 
     def items(self):
-        return sorted(self._terms.items(), key=lambda kv: kv[0].fw)
+        return sorted(self._terms.items(), key=lambda kv: kv[0].d2)
 
     def mult(self, lam):
         return self._terms.get(lam, 0)
@@ -498,33 +579,33 @@ def weyl_dimension(sub, lam):
     """Weyl dimension formula for the subsystem, evaluated exactly."""
     if not sub.is_dominant(lam):
         raise InputError("weight %r is not dominant for the subsystem" % (lam,))
-    num = F(1)
-    den = F(1)
-    shifted = lam + sub.rho
-    for r in sub.positive_roots:
-        v = sub.rs.coroot_vector(r)
-        num *= sum(a * b for a, b in zip(v, shifted.fw))
-        den *= sum(a * b for a, b in zip(v, sub.rho.fw))
-    val = num / den
-    if val.denominator != 1 or val <= 0:
-        raise ConsistencyError("Weyl dimension came out as %r" % (val,))
-    return int(val)
+    # doubled pairings: the factor 2 per root cancels in num / den
+    rho2 = sub.rho.d2
+    shifted = tuple(map(add, lam.d2, rho2))
+    num = den = 1
+    for v in sub._coroots:
+        num *= sum(map(mul, v, shifted))
+        den *= sum(map(mul, v, rho2))
+    val, rem = divmod(num, den)
+    if rem or val <= 0:
+        raise ConsistencyError("Weyl dimension came out as %s" % (F(num, den),))
+    return val
 
 
 def weyl_orbit(sub, lam):
     """The Weyl orbit of a weight, as a list."""
-    seen = {lam.fw}
-    frontier = [lam]
+    seen = {lam.d2}
+    frontier = [lam.d2]
     while frontier:
         nxt = []
         for w in frontier:
             for i in range(sub.rank):
-                r = sub.reflect_simple(w, i)
-                if r.fw not in seen:
-                    seen.add(r.fw)
+                r = sub._reflect2(w, i)
+                if r not in seen:
+                    seen.add(r)
                     nxt.append(r)
         frontier = nxt
-    return [Weight(t) for t in sorted(seen)]
+    return [_weight_of(t) for t in sorted(seen)]
 
 
 def freudenthal_multiplicities(sub, lam):
@@ -538,38 +619,38 @@ def freudenthal_multiplicities(sub, lam):
     rs = sub.rs
     norm_lam = rs.bilinear(lam, lam)
     # collect dominant candidates lam - (sum of positive subsystem roots)
-    candidates = {lam.fw}
+    candidates = {lam}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
             for r in sub.positive_roots:
                 nu = mu - rs.root_fw(r)
-                if nu.fw in candidates:
+                if nu in candidates:
                     continue
                 if rs.bilinear(nu, nu) > norm_lam:
                     continue
-                candidates.add(nu.fw)
+                candidates.add(nu)
                 nxt.append(nu)
         frontier = nxt
-    dominants = [Weight(t) for t in candidates if sub.is_dominant(Weight(t))]
+    dominants = [mu for mu in candidates if sub.is_dominant(mu)]
     # height relative to the subsystem orders the recursion
     def depth(mu):
         return rs.bilinear(lam - mu, sub.rho.scale(2))
 
-    dominants.sort(key=lambda mu: (depth(mu), mu.fw))
+    dominants.sort(key=lambda mu: (depth(mu), mu.d2))
     mults = {}
     table = {}
 
     def mult_of(nu):
         d = sub.dominant_representative(nu)
-        return table.get(d.fw, 0)
+        return table.get(d, 0)
 
     shifted_lam = lam + sub.rho
     denom_base = rs.bilinear(shifted_lam, shifted_lam)
     for mu in dominants:
         if mu == lam:
-            table[mu.fw] = 1
+            table[mu] = 1
             mults[mu] = 1
             continue
         total = F(0)
@@ -592,7 +673,7 @@ def freudenthal_multiplicities(sub, lam):
         if val.denominator != 1 or val < 0:
             raise ConsistencyError("Freudenthal produced %r at %r" % (val, mu))
         if val:
-            table[mu.fw] = int(val)
+            table[mu] = int(val)
             mults[mu] = int(val)
     return mults
 
@@ -631,7 +712,7 @@ def decompose_character(sub, weights):
         guard += 1
         if guard > 10000:
             raise ConsistencyError("decomposition did not terminate")
-        top = max(remaining, key=lambda w: (height(w), w.fw))
+        top = max(remaining, key=lambda w: (height(w), w.d2))
         if not sub.is_dominant(top):
             raise ConsistencyError("maximal weight %r is not dominant; input is "
                                    "not Weyl-invariant" % (top,))
@@ -657,18 +738,19 @@ def kostant_partition(rs, mu, gens):
     root coordinates (true for the positive-root multisets this package
     feeds in); that makes the count finite and the recursion terminate.
     """
+    # root coordinates scaled by the same positive integer 2 det(cartan), so
+    # the recursion runs on ints and floor(h / gh) is unchanged
     gen_coords = []
     for g in gens:
-        rc = rs.root_coords_of_weight(g)
+        rc = rs._root_num(g)
         h = sum(rc)
         if h <= 0:
             raise InputError("kostant_partition needs generators of positive height")
         gen_coords.append((rc, h))
-    target = rs.root_coords_of_weight(mu)
     memo = {}
 
     def count(t, i):
-        if all(x == 0 for x in t):
+        if not any(t):
             return 1
         if i == len(gen_coords):
             return 0
@@ -680,15 +762,14 @@ def kostant_partition(rs, mu, gens):
             return memo[key]
         g, gh = gen_coords[i]
         total = 0
-        kmax = int(h // gh)
         cur = t
-        for k in range(kmax + 1):
+        for _ in range(h // gh + 1):
             total += count(cur, i + 1)
-            cur = tuple(x - y for x, y in zip(cur, g))
+            cur = tuple(map(minus, cur, g))
         memo[key] = total
         return total
 
-    return count(tuple(F(x) for x in target), 0)
+    return count(rs._root_num(mu), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,24 @@ that convention the k = 0 piece of the untwisted series is the trivial
 character and the degree-k dimensions reproduce the coordinate ring of the
 normalized orbit closure.
 
+Sym^0..Sym^N(u cap p) is built once per series as Counters (weight ->
+multiplicity), each generator extending degree k from degree k - 1, so the
+Bott step runs once per distinct weight of each degree, not once per
+monomial.
+
 Higher-cohomology vanishing is verified through its falsifiable consequence:
 every graded Euler characteristic must have nonnegative multiplicities.
+Twists must be integral weights: only those define a line bundle O(lam).
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 from .bott import euler_of_weights
 from .errors import InputError
 from .grading import is_QK_dominant, parabolic
-from .rootdata import (VirtualCharacter, kostant_partition, weyl_elements,
-                       zero_weight)
+from .rootdata import (VirtualCharacter, kostant_partition, require_integral,
+                       weyl_elements, zero_weight)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -38,31 +44,37 @@ class GradedCharacterSeries:
         return [c.dimension(kd) for c in self.chi]
 
 
+def sym_powers(weights, N, rank):
+    """T-weights of Sym^0..Sym^N of a space with the given weight list, as
+    Counters (weight -> multiplicity); Sym^0 is the zero weight of rank.
+
+    For each weight g in turn, degree k gains g + (degree k - 1), taken in
+    increasing k so that degree k - 1 already holds the powers of g.
+    """
+    sym = [Counter({zero_weight(rank): 1})] + [Counter() for _ in range(N)]
+    for g in weights:
+        for k in range(1, N + 1):
+            cur = sym[k]
+            for nu, m in sym[k - 1].items():
+                cur[nu + g] += m
+    return sym[:N + 1]
+
+
 def sym_weights(weights, k):
-    """T-weights of Sym^k of a space with the given weight multiset."""
+    """T-weights of Sym^k of a space with the given weight multiset, listed
+    with multiplicity."""
     if k < 0:
         raise InputError("negative symmetric power")
-    if k == 0:
-        rank = len(weights[0].fw) if weights else 0
-        return [zero_weight(rank)]
-    out = []
-    for combo in combinations_with_replacement(range(len(weights)), k):
-        total = weights[combo[0]]
-        for i in combo[1:]:
-            total = total + weights[i]
-        out.append(total)
-    return out
+    rank = len(weights[0].d2) if weights else 0
+    return list(sym_powers(weights, k, rank)[k].elements())
 
 
 def euler_series(lam, gd, kd, N, form=""):
     """chi_k = dual(Euler(Sym^k(u cap p) + lam)) for k = 0..N."""
-    ups = gd.u_cap_p_weights()
+    require_integral(lam)
     chi = []
-    for k in range(N + 1):
-        if k == 0:
-            shifted = [lam]
-        else:
-            shifted = [nu + lam for nu in sym_weights(ups, k)]
+    for sym in sym_powers(gd.u_cap_p_weights(), N, gd.rs.rank):
+        shifted = Counter({nu + lam: m for nu, m in sym.items()})
         chi.append(euler_of_weights(shifted, kd).dual(kd))
     return GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values, form=form)
 
@@ -84,8 +96,10 @@ def verify_vanishing(lam, gd, kd, N, form=""):
     """Nonnegativity of every multiplicity in every chi_k, k <= N.
 
     Refuses (HYPOTHESIS-UNMET) when lam is not Q cap K dominant, since
-    nothing is asserted outside that cone.
+    nothing is asserted outside that cone.  A non-integral lam defines no
+    line bundle and raises InputError.
     """
+    require_integral(lam)
     pd = parabolic(gd)
     if not is_QK_dominant(lam, pd, kd):
         return VanishingReport(status=HYPOTHESIS_UNMET, lam=lam, N=N)
@@ -124,10 +138,11 @@ def components_split(gds, kd, N):
     per = [euler_series(zero_weight(gd.rs.rank), gd, kd, N) for gd in gds]
     total = []
     for k in range(N + 1):
-        chi = VirtualCharacter()
+        terms = Counter()
         for s in per:
-            chi = chi + s.chi[k]
-        total.append(chi)
+            for w, m in s.chi[k].items():
+                terms[w] += m
+        total.append(VirtualCharacter(terms))
     dims = [c.dimension(kd) for c in total]
     return ComponentsResult(per_component=per, total_chi=total, total_dims=dims)
 
@@ -145,6 +160,7 @@ def blattner_multiplicity(mu, lam, gd, kd):
     """
     if not kd.is_dominant(mu):
         raise InputError("mu must be K-dominant")
+    require_integral(lam)
     rs = gd.rs
     ups = gd.u_cap_p_weights()
     mu_star = kd.dominant_representative(-mu)
@@ -189,7 +205,7 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
         k_far = max(k_far, k_mu)
     ext = euler_series(lam, gd, kd, k_far, form=form) if k_far > max_degree else base
     mismatches = []
-    for mu in sorted(mus, key=lambda w: w.fw):
+    for mu in sorted(mus, key=lambda w: w.d2):
         cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
         alternating = blattner_multiplicity(mu, lam, gd, kd)
         if cumulative != alternating:

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 from nilcone import bott
 from nilcone import realform as rf
 from nilcone import rootdata as rd
+from nilcone.errors import InputError
 
 F = Fraction
 
@@ -32,6 +36,25 @@ def test_h1_of_minus_three():
     res = bott.line_cohomology(rd.weight(-3), kd)
     assert list(res.per_degree) == [1]
     assert res.total_dimension(kd) == 2
+
+
+def test_non_integral_weight_has_no_line_bundle():
+    rs, kd = _a1()
+    with pytest.raises(InputError):
+        bott.line_cohomology(rd.Weight((F(1, 2),)), kd)
+
+
+def test_euler_of_multiset_is_sum_over_singletons():
+    rng = random.Random(41)
+    for rs, kd in _systems_rank_le_3():
+        pool = [rd.Weight(tuple(F(rng.randint(-5, 5)) for _ in range(rs.rank)))
+                for _ in range(6)]
+        weights = [rng.choice(pool) for _ in range(15)]
+        total = rd.VirtualCharacter()
+        for lam in weights:
+            total = total + bott.euler_of_weights([lam], kd)
+        assert bott.euler_of_weights(weights, kd) == total
+        assert bott.euler_of_weights(Counter(weights), kd) == total
 
 
 def test_euler_examples():

@@ -1,9 +1,11 @@
 import json
 import time
 
+import pytest
+
 from nilcone import cli
 from nilcone import oracle as oc
-from nilcone.errors import DiagnosticError
+from nilcone.errors import DiagnosticError, InputError
 
 
 def _run(capsys, *argv):
@@ -184,6 +186,22 @@ def test_run_config_with_explicit_grading_and_weight(tmp_path, capsys):
     assert payload["verdict"] == "PASS"
     canonical = [c for c in payload["checks"] if c["check"] == "canonical"][0]
     assert canonical["detail"]["combinatorial"]["coords"] == [0, 0]
+
+
+def test_non_integral_lambda_is_input_error(tmp_path, capsys):
+    # no line bundle O(lambda) exists, so no check may run and call it PASS
+    for lam in (["1/3", "0"], ["1/2", 0], [0], ["x", 0]):
+        with pytest.raises(InputError):
+            cli.verify_form("su(2,1)", N=3, lam_list=lam, checks=("vanishing",))
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"form": "su(2,1)", "lambda": ["1/3", 0],
+                                    "checks": ["vanishing"], "N": 3}))
+    code, out, err = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == cli.EXIT_INPUT
+    assert out == "" and "not integral" in json.loads(err)["error"]
+    report = cli.verify_form("su(2,1)", N=3, lam_list=["1", "0"],
+                             checks=("vanishing",))
+    assert report["checks"][0]["verdict"] == "PASS"
 
 
 def test_verify_su21_full_pipeline(capsys):

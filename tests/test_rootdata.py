@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -96,6 +98,28 @@ def test_pairing_linear():
             assert c2.pairing(lam + mu, r) == c2.pairing(lam, r) + c2.pairing(mu, r)
 
 
+def test_pairing_is_an_int_when_integral():
+    c2 = rd.build_root_system("C", 2)
+    for r in c2.positive_roots:
+        assert type(c2.pairing(rd.weight(1, -2), r)) is int
+    assert c2.pairing(rd.Weight((F(1, 2), F(0))), c2.simple_roots[0]) == F(1, 2)
+
+
+def test_weight_doubled_coordinates():
+    lam = rd.Weight((F(1, 2), F(-3, 2), F(2)))
+    assert lam.d2 == (1, -3, 4)
+    assert lam.fw == (F(1, 2), F(-3, 2), F(2))
+    assert rd.Weight(lam.fw) == lam and not lam.is_integral
+    assert rd.Weight((1, -2)) == rd.Weight((F(1), F(-2)))
+    assert hash(rd.Weight((1, -2))) == hash(rd.Weight((F(1), F(-2))))
+    assert rd.Weight((1, -2)).is_integral
+    with pytest.raises(InputError):
+        rd.Weight((F(1, 3),))
+    with pytest.raises(AttributeError):
+        lam.d2 = (0, 0, 0)
+    assert pickle.loads(pickle.dumps(lam)) == copy.deepcopy(lam) == lam
+
+
 def test_weight_roundtrip():
     rng = random.Random(11)
     for label, rank in [("A", 2), ("B", 3), ("C", 2), ("D", 4), ("G2", 2)]:
@@ -117,6 +141,53 @@ def test_make_dominant_a1_examples():
     assert (w.length, dom, singular) == (0, rd.weight(3), False)
     w, dom, singular = rd.make_dominant(sub, rd.weight(-3))
     assert (w.length, dom, singular) == (1, rd.weight(1), False)
+
+
+def _naive_make_dominant(rs, sub, lam):
+    """The Bott step in Fraction fw coordinates, from the Cartan matrix alone."""
+    n = rs.rank
+    cartan, d = rs.cartan_matrix, rs._d
+
+    def root_fw(c):
+        return [sum(F(cartan[i][j] * c[j]) for j in range(n)) for i in range(n)]
+
+    def pairing(mu, c):
+        # <mu, beta^vee> = 2 (mu, beta) / (beta, beta), (mu, alpha_j) = d_j mu_j
+        norm = sum(c[i] * d[i] * cartan[i][j] * c[j] for i in range(n) for j in range(n))
+        return 2 * sum(c[j] * d[j] * mu[j] for j in range(n)) / norm
+
+    rho = [F(0)] * n
+    for r in sub.positive_roots:
+        rho = [a + b / 2 for a, b in zip(rho, root_fw(r.coords))]
+    simple = [b.coords for b in sub.simple_roots]
+    mu = [a + b for a, b in zip(lam.fw, rho)]
+    word = []
+    moved = True
+    while moved:
+        moved = False
+        for i, c in enumerate(simple):
+            p = pairing(mu, c)
+            if p < 0:
+                mu = [a - p * b for a, b in zip(mu, root_fw(c))]
+                word.append(i)
+                moved = True
+    if any(pairing(mu, c) == 0 for c in simple):
+        return tuple(word), None, True
+    return tuple(reversed(word)), tuple(a - b for a, b in zip(mu, rho)), False
+
+
+def test_make_dominant_matches_naive_fraction_regularization():
+    rng = random.Random(43)
+    systems = [rd.full_subsystem(rd.build_root_system(label, rank))
+               for label, rank in [("A", 1), ("A", 2), ("A", 3), ("C", 2), ("G2", 2)]]
+    rs, eps = standard_form_catalog("su(2,1)")
+    systems.append(grade(rs, eps, (0, 0)).k_root_datum())
+    for sub in systems:
+        for _ in range(40):
+            lam = rd.Weight(tuple(F(rng.randint(-12, 12), 2) for _ in range(sub.rs.rank)))
+            w, dom, singular = rd.make_dominant(sub, lam)
+            got = (w.word, dom.fw if dom is not None else None, singular)
+            assert got == _naive_make_dominant(sub.rs, sub, lam)
 
 
 def test_weyl_element_length_is_inversions():

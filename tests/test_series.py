@@ -1,5 +1,9 @@
-import pytest
+import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
+
+import pytest
 
 from nilcone import grading as gr
 from nilcone import realform as rf
@@ -27,6 +31,46 @@ def test_sym_weights_examples():
     assert se.sym_weights([], 2) == []
     with pytest.raises(InputError):
         se.sym_weights([a], -1)
+
+
+def test_sym_powers_match_combinations():
+    # seeded weight lists with repeats and half-integral coordinates
+    rng = random.Random(37)
+    for _ in range(12):
+        rank = rng.randint(1, 3)
+        pool = [rd.Weight(tuple(F(rng.randint(-4, 4), rng.choice((1, 2)))
+                                for _ in range(rank)))
+                for _ in range(rng.randint(1, 3))]
+        weights = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        N = rng.randint(0, 4)
+        powers = se.sym_powers(weights, N, rank)
+        assert len(powers) == N + 1
+        for k, got in enumerate(powers):
+            want = Counter()
+            for combo in combinations_with_replacement(weights, k):
+                total = rd.zero_weight(rank)
+                for w in combo:
+                    total = total + w
+                want[total] += 1
+            assert got == want
+            assert Counter(se.sym_weights(weights, k)) == want
+
+
+def test_sym_powers_without_generators():
+    # Sym^0 of the zero space is one zero weight of the ambient rank
+    assert se.sym_powers([], 3, 2) == [Counter({rd.weight(0, 0): 1}),
+                                       Counter(), Counter(), Counter()]
+
+
+def test_non_integral_twist_is_input_error():
+    rs, gd, kd = _context("su(2,1)", (2, 2))
+    half = rd.Weight((F(1, 2), F(0)))
+    with pytest.raises(InputError):
+        se.verify_vanishing(half, gd, kd, 2)
+    with pytest.raises(InputError):
+        se.euler_series(half, gd, kd, 2)
+    with pytest.raises(InputError):
+        se.blattner_multiplicity(rd.weight(0, 0), half, gd, kd)
 
 
 def test_euler_series_su11_line():
