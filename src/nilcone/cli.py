@@ -25,7 +25,7 @@ from . import series as se
 from .errors import DiagnosticError, InputError, OutOfScopeError
 from .realform import (parse_form_config, principal_presentation,
                        standard_form_catalog)
-from .rootdata import Weight, weight_to_json
+from .rootdata import Root, Weight, weight_to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -236,22 +236,55 @@ ALL_CHECKS = ("grading", "theta", "dense", "canonical", "vanishing",
               "hilbert", "blattner", "components", "qct")
 
 
+def parse_checks(value):
+    """The checks selected by "all", a comma-separated string or a list of
+    names; an unknown name or an empty selection is an InputError."""
+    names = value.split(",") if isinstance(value, str) else value
+    try:
+        names = [name.strip() for name in names]
+    except (TypeError, AttributeError) as exc:
+        raise InputError("checks must be \"all\", a comma-separated string or "
+                         "a list of names, got %r" % (value,)) from exc
+    if names == ["all"]:
+        return ALL_CHECKS
+    unknown = [name for name in names if name not in ALL_CHECKS]
+    if unknown or not names:
+        raise InputError("checks %r: choose from %s or all"
+                         % (value, ",".join(ALL_CHECKS)))
+    return tuple(names)
+
+
+def _as_int(value, what):
+    """value as an int: an int, or a string of one (never a truncated float)."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError("%s must be an integer, got %r" % (what, value))
+
+
 def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
                 H=None, lam_list=None):
     """Run every check for a named form and assemble a report.
 
-    Uses an explicit grading H when supplied, else the principal-aligned
-    presentation when one is pinned for the form, else the best confirmed
-    grading found by the even-grading search.  lam_list, when given,
-    replaces the sampled weight box of the vanishing check; it must list
-    rank integers (fundamental-weight coordinates), since only an integral
-    weight defines a line bundle, and is rejected before any check runs.
+    checks is anything parse_checks accepts.  Uses an explicit grading H
+    when supplied, else the principal-aligned presentation when one is
+    pinned for the form, else the best confirmed grading found by the
+    even-grading search.  lam_list, when given, replaces the sampled weight
+    box of the vanishing check; it must list rank integers
+    (fundamental-weight coordinates), since only an integral weight defines
+    a line bundle.  Malformed input is rejected before any check runs.
     """
+    checks = parse_checks(checks)
     rs, catalog_eps = standard_form_catalog(form)
     lam_given = None if lam_list is None else _integral_weight(lam_list, rs.rank)
     if H is not None:
         eps = catalog_eps
-        h_values = tuple(int(x) for x in H)
+        if not isinstance(H, (list, tuple)):
+            raise InputError("H must be a list of integers or \"search\", got %r"
+                             % (H,))
+        h_values = tuple(_as_int(x, "H entry") for x in H)
         presentation = "config"
     else:
         try:
@@ -318,7 +351,6 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         for a in roots:
             for b in roots:
                 s = tuple(x + y for x, y in zip(a.coords, b.coords))
-                from .rootdata import Root
                 if rs.is_root(Root(s)):
                     if eps.sign(Root(s)) != eps.sign(a) * eps.sign(b):
                         return "FAIL", {"pair": [list(a.coords), list(b.coords)]}
@@ -470,28 +502,24 @@ def _exit_code(report):
 
 def cmd_verify(args):
     report = verify_form(args.form, N=args.N, seed=args.seed, kmax=args.kmax,
-                         checks=tuple(args.checks.split(",")) if args.checks else ALL_CHECKS,
-                         timings=args.timings)
+                         checks=args.checks, timings=args.timings)
     _emit(args, report)
     return _exit_code(report)
 
 
 def run(config, timings=False):
     """Execute a JobConfig dict: validate, run selected checks, return the report."""
-    if "form" not in config:
+    if not isinstance(config, dict) or "form" not in config:
         raise InputError("pipeline runs need a named catalog form")
     form = config["form"]
-    checks = config.get("checks", "all")
-    if checks == "all" or checks == ["all"]:
-        checks = ALL_CHECKS
     h_conf = config.get("H")
     if h_conf == "search":
         h_conf = None
     report = verify_form(form,
-                         N=int(config.get("N", 6)),
-                         seed=int(config.get("seed", 7)),
-                         kmax=int(config.get("kmax", 3)),
-                         checks=tuple(checks),
+                         N=_as_int(config.get("N", 6), "N"),
+                         seed=_as_int(config.get("seed", 7), "seed"),
+                         kmax=_as_int(config.get("kmax", 3), "kmax"),
+                         checks=config.get("checks", "all"),
                          timings=timings,
                          H=h_conf,
                          lam_list=config.get("lambda"))
@@ -503,8 +531,11 @@ def run(config, timings=False):
 
 
 def cmd_run(args):
-    with open(args.config) as fh:
-        config = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError("cannot read config %s: %s" % (args.config, exc)) from exc
     report = run(config, timings=args.timings)
     _emit(args, report)
     return _exit_code(report)
@@ -584,7 +615,8 @@ def build_parser():
     p.add_argument("--N", type=int, default=6)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--checks", help="comma-separated subset of: %s" % ",".join(ALL_CHECKS))
+    p.add_argument("--checks", default="all",
+                   help="all, or a comma-separated subset of: %s" % ",".join(ALL_CHECKS))
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json-out", dest="json_out")
     p.set_defaults(fn=cmd_verify)
@@ -607,7 +639,7 @@ def main(argv=None):
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     except DiagnosticError as exc:
-        print(json.dumps({"error": str(exc), "partial": repr(exc.partial)}),
+        print(json.dumps({"error": str(exc), "partial": _json_data(exc.partial)}),
               file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,13 +1,16 @@
 """Independent ground truth from exact rational matrix models.
 
 Each catalog form gets a concrete realization of (g, theta) inside gl(n,Q):
-a basis of g, the involution as an entrywise sign mask (conjugation by a
+a basis of g made of the diagonal Cartan matrices and one root vector per
+root, and the involution as an entrywise sign mask (conjugation by a
 diagonal fourth root of unity, which acts rationally even when the element
-itself is imaginary), and the diagonal Cartan.  Everything downstream is
-exact nullspace / rank arithmetic: Jacobson-Morozov triples, orbit and cone
-dimensions and density checks.  Hilbert functions of orbit closures come from
-evaluation ranks mod la.PRIME at sampled rational orbit points, lower bounds
-that are re-ranked over Q wherever a bound is not enough.
+itself is imaginary).  That basis is an eigenbasis of theta and of ad H for
+every diagonal H, so k, p and each graded piece are sets of basis indices,
+read off the basis rather than solved for.  Jacobson-Morozov triples, orbit
+and cone dimensions and density checks are exact solves and ranks over Q.
+Hilbert functions of orbit closures come from evaluation ranks mod la.PRIME
+at sampled rational orbit points, lower bounds that are re-ranked over Q
+wherever a bound is not enough.
 
 Randomness is always driven by an explicit seed and every probabilistic
 certificate (genericity, rank stabilization) is reproducible from it.
@@ -140,6 +143,8 @@ class ClassicalRealization:
         raise ConsistencyError("unknown family %s" % self.family)
 
     def _build_theta(self):
+        """The sign mask of theta, and the basis matrices it fixes (k_index)
+        and negates (p_index): the basis is an eigenbasis of theta."""
         size = self.msize
         tau = self._tau
         self._mask = [[None] * size for _ in range(size)]
@@ -149,23 +154,19 @@ class ClassicalRealization:
                 if diff % 2:
                     raise ConsistencyError("involution mask not real")
                 self._mask[a][b] = 1 if diff == 0 else -1
-        theta_cols = [self.coords(self.theta(m)) for m in self.basis]
-        self._theta_mat = [list(row) for row in zip(*theta_cols)]
-        ident = la.identity(self.dim)
-        self.k_basis = la.nullspace(la.mat_sub(self._theta_mat, ident))
-        self.p_basis = la.nullspace(la.mat_add(self._theta_mat, ident))
-        self.k_dim = len(self.k_basis)
-        self.p_dim = len(self.p_basis)
-        self._p_span = la.Span(self.p_basis) if self.p_basis else None
-        self._k_span = la.Span(self.k_basis) if self.k_basis else None
+        self.k_index, self.p_index = [], []
+        for i, m in enumerate(self.basis):
+            if self.in_k(m):
+                self.k_index.append(i)
+            elif self.in_p(m):
+                self.p_index.append(i)
+            else:
+                raise ConsistencyError("theta neither fixes nor negates a basis matrix")
+        self.k_dim = len(self.k_index)
+        self.p_dim = len(self.p_index)
 
     def _validate(self):
-        # theta is an involution and preserves g
-        for m in self.basis:
-            tm = self.theta(self.theta(m))
-            if not la.mat_eq(tm, m):
-                raise ConsistencyError("theta squared is not the identity")
-        # brackets close in g
+        # brackets close in g (theta, +-1 on every basis matrix, preserves g)
         for a in self.basis:
             for b in self.basis:
                 if self.coords(la.commutator(a, b)) is None:
@@ -210,7 +211,18 @@ class ClassicalRealization:
         return la.mat_eq(self.theta(m), m)
 
     def p_coords(self, m):
-        return self._p_span.coords(self.coords(m))
+        """The p entries of coords(m), or None unless m is in p."""
+        c = self.coords(m)
+        if c is None or any(c[i] for i in self.k_index):
+            return None
+        return [c[i] for i in self.p_index]
+
+    def from_p_coords(self, vec):
+        """The element of p whose p_coords are vec."""
+        full = [F(0)] * self.dim
+        for i, c in zip(self.p_index, vec):
+            full[i] = c
+        return self.from_coords(full)
 
     def root_vector(self, root):
         return self._root_mats[root.coords]
@@ -416,19 +428,13 @@ def ks_normalize(real, triple):
     if not la.mat_eq(la.commutator(hk, triple.X), la.mat_scale(2, triple.X)):
         raise ConsistencyError("k-part of H lost the [H, X] = 2X relation")
     adx = real.ad_matrix(triple.X)
-    adhk = real.ad_matrix(hk)
-    hk_c = real.coords(hk)
-    p_cols = [list(col) for col in zip(*real.p_basis)]  # dim x p_dim
-    top = la.mat_mul(adx, p_cols)
-    bottom = la.mat_mul(la.mat_add(adhk, la.mat_scale(2, la.identity(real.dim))), p_cols)
-    stacked = top + bottom
-    rhs = list(hk_c) + [F(0)] * real.dim
+    shifted = la.mat_add(real.ad_matrix(hk), la.mat_scale(2, la.identity(real.dim)))
+    stacked = [[row[j] for j in real.p_index] for row in adx + shifted]
+    rhs = list(real.coords(hk)) + [F(0)] * real.dim
     c = la.solve(stacked, rhs)
     if c is None:
         raise ConsistencyError("no Y in p completes the normalized triple")
-    yc = [sum(real.p_basis[j][i] * c[j] for j in range(real.p_dim))
-          for i in range(real.dim)]
-    out = SL2Triple(H=hk, X=triple.X, Y=real.from_coords(yc))
+    out = SL2Triple(H=hk, X=triple.X, Y=real.from_p_coords(c))
     if not out.normalized_identities_hold(real):
         raise ConsistencyError("normalized triple fails an identity")
     return out
@@ -438,41 +444,36 @@ def ks_normalize(real, triple):
 # Gradings, orbits, cone dimensions
 # ---------------------------------------------------------------------------
 
-def _eigen_layer(real, adh, deg, side=None):
-    """Basis of the ad H eigenspace at deg, optionally intersected with k or p."""
-    shift = la.mat_sub(adh, la.mat_scale(deg, la.identity(real.dim)))
-    rows = list(shift)
-    if side == "k":
-        rows = rows + list(la.mat_sub(real._theta_mat, la.identity(real.dim)))
-    elif side == "p":
-        rows = rows + list(la.mat_add(real._theta_mat, la.identity(real.dim)))
-    return la.nullspace(rows)
+def ad_layers(real, h):
+    """{degree: (k indices, p indices)} of the basis under ad h, degrees ascending.
+
+    h must be diagonal.  Then [h, m] = (h_aa - h_bb) m at each entry (a, b)
+    of a basis matrix m, so m has degree d when every entry it has shares
+    one value d, which must be an integer; otherwise InputError.
+    """
+    n = real.msize
+    if any(h[a][b] for a in range(n) for b in range(n) if a != b):
+        raise InputError("H is not diagonal")
+    degree = []
+    for m in real.basis:
+        found = {h[a][a] - h[b][b] for a in range(n) for b in range(n) if m[a][b]}
+        d = found.pop()
+        if found or F(d).denominator != 1:
+            raise InputError("ad H does not act on the basis with integer degrees")
+        degree.append(int(d))
+    return {d: ([i for i in real.k_index if degree[i] == d],
+                [i for i in real.p_index if degree[i] == d])
+            for d in sorted(set(degree))}
 
 
 def ad_grading_dims(real, h):
-    """Exact (dim k_i, dim p_i) per ad H eigenvalue i.
+    """Exact (dim k_i, dim p_i) per ad H eigenvalue i, read off ad_layers."""
+    return {d: (len(k), len(p)) for d, (k, p) in ad_layers(real, h).items()}
 
-    Scans integer eigenvalues up to a Gershgorin bound and insists the
-    eigenspace dimensions sum to dim g; a deficit means ad H is not
-    semisimple with integer spectrum, i.e. a wrong H.
-    """
-    adh = real.ad_matrix(h)
-    bound = 0
-    for row in adh:
-        s = sum(abs(x) for x in row)
-        bound = max(bound, s)
-    bound = int(bound) + 1
-    layers = {}
-    total = 0
-    for d in range(-bound, bound + 1):
-        kdim = len(_eigen_layer(real, adh, d, "k"))
-        pdim = len(_eigen_layer(real, adh, d, "p"))
-        if kdim or pdim:
-            layers[d] = (kdim, pdim)
-            total += kdim + pdim
-    if total != real.dim:
-        raise InputError("ad H is not semisimple with integer eigenvalues")
-    return layers
+
+def _columns(mat, index):
+    """The columns of mat at index, each as a list."""
+    return [[row[j] for row in mat] for j in index]
 
 
 def orbit_dimension(real, x):
@@ -481,12 +482,7 @@ def orbit_dimension(real, x):
         raise InputError("orbit_dimension expects x in p")
     if la.is_zero_matrix(x):
         return 0
-    adx = real.ad_matrix(x)
-    cols = []
-    for v in real.k_basis:
-        cols.append([sum(adx[i][j] * v[j] for j in range(real.dim))
-                     for i in range(real.dim)])
-    return la.rank(cols)
+    return la.rank(_columns(real.ad_matrix(x), real.k_index))
 
 
 def dense_orbit_check(real, h, x):
@@ -496,33 +492,18 @@ def dense_orbit_check(real, h, x):
     and bracketing x with the positive-degree part of k spans the
     degree >= 3 part of p.
     """
-    adh = real.ad_matrix(h)
-    p2 = _eigen_layer(real, adh, 2, "p")
-    if p2:
-        sp2 = la.Span(p2)
-        if sp2.coords(real.coords(x)) is None:
-            raise InputError("x is not in the degree-2 part of p")
-    elif not la.is_zero_matrix(x):
+    layers = ad_layers(real, h)
+    _, p2 = layers.get(2, ([], []))
+    xc = real.coords(x)
+    if xc is None or any(c for i, c in enumerate(xc) if i not in p2):
         raise InputError("x is not in the degree-2 part of p")
-    k0 = _eigen_layer(real, adh, 0, "k")
     adx = real.ad_matrix(x)
-
-    def image(vectors):
-        return [[sum(adx[i][j] * v[j] for j in range(real.dim))
-                 for i in range(real.dim)] for v in vectors]
-
-    rank_k0 = la.rank(image(k0)) if k0 else 0
-    if rank_k0 != len(p2):
+    k0, _ = layers.get(0, ([], []))
+    if la.rank(_columns(adx, k0)) != len(p2):
         return False
-    bound = int(max(sum(abs(e) for e in row) for row in adh)) + 1
-    uk = []
-    p_high = []
-    for d in range(1, bound + 1):
-        uk.extend(_eigen_layer(real, adh, d, "k"))
-        if d >= 3:
-            p_high.extend(_eigen_layer(real, adh, d, "p"))
-    rank_uk = la.rank(image(uk)) if uk else 0
-    return rank_uk == len(p_high)
+    uk = [i for d, (k, _) in layers.items() if d >= 1 for i in k]
+    p_high = [i for d, (_, p) in layers.items() if d >= 3 for i in p]
+    return la.rank(_columns(adx, uk)) == len(p_high)
 
 
 def nilcone_dimension(real, seed):
@@ -537,20 +518,12 @@ def nilcone_dimension(real, seed):
         return 0
     found = []
     for _ in range(80):
-        coeffs = [F(rng.randint(-4, 4)) for _ in range(real.p_dim)]
-        s = real.from_coords([sum(real.p_basis[j][i] * coeffs[j]
-                                  for j in range(real.p_dim))
-                              for i in range(real.dim)])
+        s = real.from_p_coords([F(rng.randint(-4, 4)) for _ in range(real.p_dim)])
         if la.is_zero_matrix(s):
             continue
         if not _squarefree_minpoly(real, s):
             continue
-        ads = real.ad_matrix(s)
-        cols = []
-        for v in real.p_basis:
-            cols.append([sum(ads[i][j] * v[j] for j in range(real.dim))
-                         for i in range(real.dim)])
-        cent = real.p_dim - la.rank(cols)
+        cent = real.p_dim - la.rank(_columns(real.ad_matrix(s), real.p_index))
         found.append(cent)
         if len(found) >= 3:
             return real.p_dim - min(found)
@@ -894,35 +867,20 @@ def not_in_closure_certificate(ref, x_other):
 def canonical_weight_from_matrices(real, h):
     """Torus weight of the top exterior power of (u cap p) + (u cap k)*.
 
-    Computed purely from traces of the Cartan action on the positive ad H
-    eigenspaces; independent of the root-sum bookkeeping it cross-checks.
+    Computed purely from the Cartan action on the basis matrices of positive
+    ad H degree, read off the diagonal of ad t; independent of the root-sum
+    bookkeeping it cross-checks.
     """
-    adh = real.ad_matrix(h)
-    bound = int(max(sum(abs(e) for e in row) for row in adh)) + 1
-    up, uk = [], []
-    for d in range(1, bound + 1):
-        up.extend(_eigen_layer(real, adh, d, "p"))
-        uk.extend(_eigen_layer(real, adh, d, "k"))
+    layers = ad_layers(real, h)
+    up = [i for d, (_, p) in layers.items() if d > 0 for i in p]
+    uk = [i for d, (k, _) in layers.items() if d > 0 for i in k]
     values = []
     for t in real.cartan_mats:
         adt = real.ad_matrix(t)
-        values.append(_trace_on(adt, up) - _trace_on(adt, uk))
+        if any(adt[i][j] for i in range(real.dim) for j in range(real.dim) if i != j):
+            raise ConsistencyError("ad of a Cartan matrix is not diagonal on the basis")
+        values.append(sum(adt[i][i] for i in up) - sum(adt[i][i] for i in uk))
     return real.weight_from_cartan_functional(values)
-
-
-def _trace_on(admat, vectors):
-    if not vectors:
-        return F(0)
-    span = la.Span(vectors)
-    total = F(0)
-    dim = len(admat)
-    for j, v in enumerate(vectors):
-        img = [sum(admat[i][m] * v[m] for m in range(dim)) for i in range(dim)]
-        c = span.coords(img)
-        if c is None:
-            raise ConsistencyError("Cartan action left the graded piece")
-        total += c[j]
-    return total
 
 
 def verify_grading_dims(real, h, gd):
@@ -990,9 +948,10 @@ def even_grading_orbit_dims(real, seed=0, max_h=2):
         if not hit.confirmed:
             continue
         h = real.cartan_element_from_h(hit.H.h_values)
-        adh = real.ad_matrix(h)
-        p2 = _eigen_layer(real, adh, 2, "p")
-        x = real.from_coords([sum(v[i] for v in p2) for i in range(real.dim)])
+        _, p2 = ad_layers(real, h).get(2, ([], []))
+        x = la.zeros(real.msize, real.msize)
+        for i in p2:
+            x = la.mat_add(x, real.basis[i])
         out.append((hit.H.h_values, orbit_dimension(real, x)))
     return out
 

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -264,3 +265,51 @@ def test_qct_evidence_is_billed_to_qct(monkeypatch):
     assert seconds["qct"] >= 0.2 > seconds["components"]
     untimed = cli.verify_form("su(1,1)", checks=("components", "qct"))
     assert all("seconds" not in c for c in untimed["checks"])
+
+
+def test_checks_are_parsed_for_verify_and_run(tmp_path, capsys):
+    code, out, err = _run(capsys, "verify", "--form", "su(1,1)", "--checks", "vanish")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "vanish" in json.loads(err)["error"]
+    report = cli.run({"form": "su(1,1)", "checks": "hilbert"})
+    assert [c["check"] for c in report["checks"]] == ["hilbert"]
+    report = cli.run({"form": "su(1,1)", "checks": "grading, theta"})
+    assert [c["check"] for c in report["checks"]] == ["grading", "theta"]
+    for checks in ([], "", ["grading", "vanish"], ["all", "theta"], 3, [None]):
+        with pytest.raises(InputError):
+            cli.run({"form": "su(1,1)", "checks": checks})
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"form": "su(1,1)", "checks": []}))
+    code, out, err = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert cli.parse_checks("all") == cli.parse_checks(["all"]) == cli.ALL_CHECKS
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"form": "su(1,1)", "H": ["two"]}),
+    json.dumps({"form": "su(1,1)", "H": 2}),
+    json.dumps({"form": "su(1,1)", "N": "six"}),
+    json.dumps({"form": "su(1,1)", "seed": [7]}),
+    json.dumps({"form": "su(1,1)", "kmax": 2.5}),
+    json.dumps({"form": "su(1,1)", "N": True}),
+    json.dumps(["su(1,1)"]),
+    '{"form": "su(1,1)", "N": ',
+])
+def test_malformed_run_config_is_input_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(text)
+    code, out, err = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "error" in json.loads(err)
+
+
+def test_stalled_search_reports_partial_as_json(monkeypatch, capsys):
+    def stalls(real, seed):
+        raise DiagnosticError("principal search stalled",
+                              partial=[[Fraction(1, 2), Fraction(0)], (1, 2)])
+
+    monkeypatch.setattr(oc, "principal_nilpotent_search", stalls)
+    code, out, err = _run(capsys, "oracle", "triple", "--form", "su(1,1)")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert json.loads(err) == {"error": "principal search stalled",
+                               "partial": [["1/2", "0"], [1, 2]]}

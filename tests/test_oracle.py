@@ -43,6 +43,22 @@ def test_su11_model_is_two_by_two():
     assert real.in_p(e12)
 
 
+def test_p_coords_are_the_p_entries_of_coords():
+    real = oc.realize("su(2,1)")
+    assert (len(real.k_index), len(real.p_index)) == (4, 4)
+    compact = real.root_vector(rd.Root((1, 1)))
+    assert real.in_k(compact) and real.p_coords(compact) is None
+    assert real.p_coords(real.cartan_mats[0]) is None
+    assert real.p_coords(la.identity(3)) is None  # not in g
+    x = la.mat_add(real.root_vector(real.rs.simple_roots[0]),
+                   la.mat_scale(3, real.root_vector(real.rs.simple_roots[1])))
+    c = real.coords(x)
+    assert real.p_coords(x) == [c[i] for i in real.p_index]
+    assert la.mat_eq(real.from_p_coords(real.p_coords(x)), x)
+    mixed = la.mat_add(x, compact)
+    assert real.coords(mixed) is not None and real.p_coords(mixed) is None
+
+
 def test_theta_is_involutive_automorphism():
     real = oc.realize("sp(4,R)")
     rng = random.Random(2)
@@ -123,13 +139,27 @@ def test_ad_grading_dims_rejects_non_integral():
         oc.ad_grading_dims(real, h)
 
 
+def test_ad_grading_dims_rejects_a_nilpotent():
+    real = oc.realize("su(1,1)")
+    e12 = real.root_vector(real.rs.simple_roots[0])  # not semisimple
+    with pytest.raises(InputError):
+        oc.ad_grading_dims(real, e12)
+
+
 def test_ad_grading_matches_combinatorial_grading():
-    for name, h in [("su(1,1)", (2,)), ("su(2,1)", (2, 2))]:
+    cases = [(oc.realize("su(1,1)"), (2,)), (oc.realize("su(2,1)"), (2, 2))]
+    # every confirmed hit of the even-grading search
+    for name in ("sp(4,R)", "su(2,2)", "su(3,1)", "so*(6)", "sp(6,R)"):
         real = oc.realize(name)
+        hits = [hit for hit in gr.search_even_gradings(
+            real.rs, real.eps, confirm=oc.dense_confirmer(real, 7)) if hit.confirmed]
+        assert hits, name
+        cases += [(real, hit.H.h_values) for hit in hits]
+    for real, h in cases:
         gd = gr.grade(real.rs, real.eps, h)
         hm = real.cartan_element_from_h(h)
         ok, detail = oc.verify_grading_dims(real, hm, gd)
-        assert ok, detail
+        assert ok, (real.name, h, detail)
 
 
 def test_orbit_dimension_values():
@@ -316,12 +346,10 @@ def test_centralizer_contained_in_parabolic():
         real = oc.realize(form)
         h_mat, x_mat = oc.pinned_principal(real, h)
         adx = real.ad_matrix(x_mat)
-        adh = real.ad_matrix(h_mat)
         centralizer = la.nullspace(adx)
-        bound = int(max(sum(abs(e) for e in row) for row in adh)) + 1
-        nonneg = []
-        for d in range(0, bound + 1):
-            nonneg.extend(oc._eigen_layer(real, adh, d))
+        identity = la.identity(real.dim)
+        nonneg = [identity[i] for d, (k, p) in oc.ad_layers(real, h_mat).items()
+                  if d >= 0 for i in k + p]
         span = la.Span(nonneg)
         for v in centralizer:
             assert span.contains(v)
