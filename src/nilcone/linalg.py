@@ -1,15 +1,18 @@
 """Dense linear algebra over the rationals, and rank mod a word-size prime.
 
 Matrices are lists of lists of Fraction, vectors are lists of Fraction.
-No floating point anywhere.  rref, rank, nullspace, solve and Span are
-exact over Q; sizes stay small (ambient Lie algebras up to ~40 dims), so
-plain Gaussian elimination is plenty.  IncrementalRank works mod PRIME: its
-rank is a certified lower bound on the rank over Q of the rows it was given,
-not the rank itself, and callers that need more re-rank over Q with rank.
+No floating point anywhere.  rref, rank, nullspace, solve, EchelonBasis and
+Span are exact over Q: rref clears each row of denominators and content and
+eliminates over primitive integer rows, so no Fraction arithmetic runs
+inside the elimination.  IncrementalRank works mod PRIME: its rank is a
+certified lower bound on the rank over Q of the rows it was given, not the
+rank itself, and callers that need more re-rank over Q with rank or test
+single rows against an EchelonBasis.
 """
 
 from bisect import insort
 from fractions import Fraction
+from math import gcd, lcm
 
 F = Fraction
 
@@ -77,34 +80,70 @@ def flatten(a):
     return [x for row in a for x in row]
 
 
+def primitive(row):
+    """row scaled by a positive rational to coprime integers; zero stays zero.
+
+    Entries are ints or Fractions.
+    """
+    den = lcm(*[x.denominator for x in row])
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _cancel(row, prow, c, start=0):
+    """The primitive integer row a*row - b*prow whose column c is 0.
+
+    Both rows are integer; the entries of both before start are 0.
+    """
+    g = gcd(prow[c], row[c])
+    a, b = prow[c] // g, row[c] // g
+    tail = [a * x - b * y for x, y in zip(row[start:], prow[start:])]
+    g = gcd(*tail)
+    if g > 1:
+        tail = [x // g for x in tail]
+    return row[:start] + tail
+
+
 def rref(rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns)."""
-    m = [list(map(F, row)) for row in rows]
-    if not m:
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+
+    The rows are cleared of denominators and content, and eliminated as
+    primitive integer rows: forward over the rows that are still zero left
+    of the column, then back over the pivot rows.  Each row is divided by
+    its pivot once, at the end.  The RREF is unique, so it is the one
+    Fraction Gauss-Jordan gives; its rows are Fractions.
+    """
+    if not rows:
         return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots = []
-    r = 0
+    nrows, ncols = len(rows), len(rows[0])
+    live = [row for row in map(primitive, rows) if any(row)]
+    prows, pivots = [], []
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                piv = i
-                break
-        if piv is None:
+        j = next((j for j, row in enumerate(live) if row[c]), None)
+        if j is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        prow = live.pop(j)
+        rest = []
+        for row in live:
+            if row[c]:
+                row = _cancel(row, prow, c, c)
+                if not any(row):
+                    continue
+            rest.append(row)
+        live = rest
+        prows.append(prow)
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if not live:
             break
-    return m, pivots
+    for k in range(len(prows) - 1, 0, -1):
+        c = pivots[k]
+        for j in range(k):
+            if prows[j][c]:
+                prows[j] = _cancel(prows[j], prows[k], c, pivots[j])
+    out = [[F(x, row[c]) for x in row] for row, c in zip(prows, pivots)]
+    out += [[F(0)] * ncols for _ in range(nrows - len(pivots))]
+    return out, pivots
 
 
 def rank(rows):
@@ -155,6 +194,30 @@ def residue(x):
     if not d:
         raise ZeroDivisionError("denominator %d is divisible by PRIME" % x.denominator)
     return x.numerator * pow(d, -1, PRIME) % PRIME
+
+
+class EchelonBasis:
+    """Row basis over Q of a fixed family of rows, for exact membership tests.
+
+    Built by one rref; raises(row) then reduces only that row against the
+    basis rows, instead of eliminating the family and the row together.
+    """
+
+    def __init__(self, rows):
+        red, pivots = rref(rows)
+        self._rows = [(c, primitive(row)) for row, c in zip(red, pivots)]
+
+    @property
+    def rank(self):
+        return len(self._rows)
+
+    def raises(self, row):
+        """Whether appending row raises the rank over Q."""
+        v = primitive(row)
+        for c, prow in self._rows:
+            if v[c]:
+                v = _cancel(v, prow, c)
+        return any(v)
 
 
 class IncrementalRank:

@@ -6,11 +6,13 @@ root, and the involution as an entrywise sign mask (conjugation by a
 diagonal fourth root of unity, which acts rationally even when the element
 itself is imaginary).  That basis is an eigenbasis of theta and of ad H for
 every diagonal H, so k, p and each graded piece are sets of basis indices,
-read off the basis rather than solved for.  Jacobson-Morozov triples, orbit
-and cone dimensions and density checks are exact solves and ranks over Q.
-Hilbert functions of orbit closures come from evaluation ranks mod la.PRIME
-at sampled rational orbit points, lower bounds that are re-ranked over Q
-wherever a bound is not enough.
+read off the basis rather than solved for.  Coordinates are read off a
+matrix's entries, and ad is a sum of the integer structure constants,
+computed once per model.  Jacobson-Morozov triples, orbit and cone
+dimensions and density checks are exact solves and ranks over Q (la.rref,
+which eliminates over integer rows).  Hilbert functions of orbit closures
+come from evaluation ranks mod la.PRIME at sampled rational orbit points,
+lower bounds that are re-ranked over Q wherever a bound is not enough.
 
 Randomness is always driven by an explicit seed and every probabilistic
 certificate (genericity, rank stabilization) is reproducible from it.
@@ -20,7 +22,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
 
 from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
@@ -61,7 +62,16 @@ def _e_coords_of_root(rs, root):
 
 
 class ClassicalRealization:
-    """Matrix model of (g, theta) with exact rational arithmetic throughout."""
+    """Matrix model of (g, theta) with exact rational arithmetic throughout.
+
+    Every basis matrix is a diagonal Cartan matrix or an off-diagonal root
+    vector with entries +-1, and no position belongs to two root vectors.
+    coords reads an element's root coordinates off its entries and its
+    Cartan coordinates off its diagonal.  The structure constants
+    [b_i, b_j] = sum_k c_ijk b_k are integers, built once (which checks that
+    the basis closes under the bracket) and kept sparse; ad_matrix(z) is
+    sum_i z_i C_i.
+    """
 
     def __init__(self, name, rs, eps, family, msize, tau):
         self.name = name
@@ -71,7 +81,9 @@ class ClassicalRealization:
         self.msize = msize
         self._tau = tau  # exponent of i per matrix index; involution data
         self._build_basis()
+        self._build_coords()
         self._build_theta()
+        self._build_brackets()
         self._validate()
 
     # -- construction ---------------------------------------------------------------
@@ -98,16 +110,15 @@ class ClassicalRealization:
                 m[j][j] = F(1)
                 m[n_e + j][n_e + j] = F(-1)
                 self.cartan_mats.append(m)
-        self._root_mats = {}
-        for r in rs.all_roots():
-            self._root_mats[r.coords] = self._root_matrix(_e_coords_of_root(rs, r))
         self.roots_order = list(rs.all_roots())
-        self.basis = list(self.cartan_mats) + [self._root_mats[r.coords]
-                                               for r in self.roots_order]
+        self.basis = list(self.cartan_mats) + [
+            self._root_matrix(_e_coords_of_root(rs, r)) for r in self.roots_order]
         self.dim = len(self.basis)
-        self._span = la.Span([la.flatten(m) for m in self.basis])
-        if self._span.dim != self.dim:
-            raise ConsistencyError("realization basis is dependent")
+        self._root_index = {r.coords: len(self.cartan_mats) + i
+                            for i, r in enumerate(self.roots_order)}
+        # the nonzero entries (a, b, v) of each basis matrix
+        self._entries = [[(a, b, int(x)) for a, row in enumerate(m)
+                          for b, x in enumerate(row) if x] for m in self.basis]
 
     def _root_matrix(self, ev):
         n = self.n_e
@@ -142,6 +153,38 @@ class ClassicalRealization:
             return la.mat_add(m, la.mat_scale(sign, m2))
         raise ConsistencyError("unknown family %s" % self.family)
 
+    def _build_coords(self):
+        """What coords reads: the position of each off-diagonal basis entry,
+        and a left inverse of the Cartan matrices' diagonals."""
+        size = self.msize
+        ncartan = len(self.cartan_mats)
+        self._owner = {}  # (a, b) -> (root vector index, entry)
+        for i, entries in enumerate(self._entries):
+            diagonal = [a == b for a, b, _ in entries]
+            if not entries or any(v not in (1, -1) for _, _, v in entries) \
+                    or any(diagonal) != (i < ncartan) or all(diagonal) != (i < ncartan):
+                raise ConsistencyError("basis matrix %d is neither a diagonal Cartan "
+                                       "matrix nor an off-diagonal root vector" % i)
+            if i >= ncartan and any(b == c for _, b, _ in entries
+                                    for c, _, _ in entries):
+                raise ConsistencyError("root vector %d does not square to 0" % i)
+            for a, b, v in entries:
+                if a != b:
+                    if (a, b) in self._owner:
+                        raise ConsistencyError("two root vectors share an entry")
+                    self._owner[a, b] = (i, v)
+        diags = [[m[a][a] for a in range(size)] for m in self.cartan_mats]
+        _, rows = la.rref(diags)  # positions where the diagonals are independent
+        if len(rows) != ncartan:
+            raise ConsistencyError("realization basis is dependent")
+        square = [[d[a] for d in diags] for a in rows]
+        inverse = [la.solve(square, [F(k == l) for l in range(ncartan)])
+                   for k in range(ncartan)]  # column k of square^-1
+        self._diag_read = [[(a, col[j]) for a, col in zip(rows, inverse) if col[j]]
+                           for j in range(ncartan)]
+        self._diag_terms = [[(j, d[a]) for j, d in enumerate(diags) if d[a]]
+                            for a in range(size)]
+
     def _build_theta(self):
         """The sign mask of theta, and the basis matrices it fixes (k_index)
         and negates (p_index): the basis is an eigenbasis of theta."""
@@ -155,29 +198,55 @@ class ClassicalRealization:
                     raise ConsistencyError("involution mask not real")
                 self._mask[a][b] = 1 if diff == 0 else -1
         self.k_index, self.p_index = [], []
-        for i, m in enumerate(self.basis):
-            if self.in_k(m):
+        for i, entries in enumerate(self._entries):
+            signs = {self._mask[a][b] for a, b, _ in entries}
+            if signs == {1}:
                 self.k_index.append(i)
-            elif self.in_p(m):
+            elif signs == {-1}:
                 self.p_index.append(i)
             else:
                 raise ConsistencyError("theta neither fixes nor negates a basis matrix")
         self.k_dim = len(self.k_index)
         self.p_dim = len(self.p_index)
 
-    def _validate(self):
-        # brackets close in g (theta, +-1 on every basis matrix, preserves g)
-        for a in self.basis:
-            for b in self.basis:
-                if self.coords(la.commutator(a, b)) is None:
+    def _build_brackets(self):
+        """ad b_i on the basis for each i, as the nonzero (k, j, c) with c the
+        integer coefficient of b_k in [b_i, b_j]."""
+        self._ad_basis = []
+        for ei in self._entries:
+            table = []
+            for j, ej in enumerate(self._entries):
+                bracket = {}
+                for a, b, v in ei:
+                    for c, d, w in ej:
+                        if b == c:
+                            bracket[a, d] = bracket.get((a, d), 0) + v * w
+                        if d == a:
+                            bracket[c, b] = bracket.get((c, b), 0) - v * w
+                bracket = {pos: x for pos, x in bracket.items() if x}
+                if not bracket:
+                    continue
+                col = self._coords(bracket)
+                if col is None:
                     raise ConsistencyError("bracket left the span of the basis")
+                for k, x in enumerate(col):
+                    if x:
+                        if F(x).denominator != 1:
+                            raise ConsistencyError("structure constant %s is not an "
+                                                   "integer" % x)
+                        table.append((k, j, int(x)))
+            self._ad_basis.append(table)
+
+    def _validate(self):
         cd = cartan_decomposition(self.rs, self.eps)
         if self.k_dim != cd.k_dim or self.p_dim != cd.p_dim:
             raise ConsistencyError("matrix k/p dims (%d, %d) disagree with the "
                                    "combinatorial ones (%d, %d)"
                                    % (self.k_dim, self.p_dim, cd.k_dim, cd.p_dim))
-        # trace form nondegenerate on g
-        gram = [[_trace(la.mat_mul(x, y)) for y in self.basis] for x in self.basis]
+        # trace form nondegenerate on g: tr(b_i b_j) from the entries
+        lookup = [{(a, b): v for a, b, v in entries} for entries in self._entries]
+        gram = [[sum(v * other.get((b, a), 0) for a, b, v in entries)
+                 for other in lookup] for entries in self._entries]
         if la.rank(gram) != self.dim:
             raise ConsistencyError("trace form degenerate on the realization")
 
@@ -187,22 +256,58 @@ class ClassicalRealization:
         return [[self._mask[a][b] * m[a][b] for b in range(self.msize)]
                 for a in range(self.msize)]
 
+    def _coords(self, entries):
+        """Coordinates of the matrix with nonzero entries {(a, b): x}, or None
+        when it is not in g."""
+        c = [F(0)] * self.dim
+        diag = {}
+        roots = set()  # the root vectors m has entries of
+        for (a, b), x in entries.items():
+            if a == b:
+                diag[a] = x
+                continue
+            owner = self._owner.get((a, b))
+            if owner is None:
+                return None
+            i, v = owner
+            c[i] = x * v
+            roots.add(i)
+        for i in roots:
+            if any(entries.get((a, b), 0) != c[i] * v for a, b, v in self._entries[i]):
+                return None
+        if diag:
+            for j, read in enumerate(self._diag_read):
+                c[j] = sum((diag.get(a, 0) * w for a, w in read), F(0))
+            for a, terms in enumerate(self._diag_terms):
+                if sum(c[j] * v for j, v in terms) != diag.get(a, 0):
+                    return None
+        return c
+
     def coords(self, m):
-        return self._span.coords(la.flatten(m))
+        """Coordinates of m on the basis, read off its entries; None unless m
+        is in g."""
+        return self._coords({(a, b): x for a, row in enumerate(m)
+                             for b, x in enumerate(row) if x})
 
     def from_coords(self, vec):
         out = la.zeros(self.msize, self.msize)
-        for c, b in zip(vec, self.basis):
+        for c, entries in zip(vec, self._entries):
             if c:
-                out = la.mat_add(out, la.mat_scale(c, b))
+                for a, b, v in entries:
+                    out[a][b] += c * v
         return out
 
     def ad_matrix(self, z):
-        cols = [self.coords(la.commutator(z, b)) for b in self.basis]
-        for col in cols:
-            if col is None:
-                raise InputError("element does not normalize g")
-        return [list(row) for row in zip(*cols)]
+        """ad z on the basis: column j holds the coordinates of [z, b_j]."""
+        zc = self.coords(z)
+        if zc is None:
+            raise InputError("element is not in g")
+        out = [[F(0)] * self.dim for _ in range(self.dim)]
+        for zi, table in zip(zc, self._ad_basis):
+            if zi:
+                for k, j, c in table:
+                    out[k][j] += zi * c
+        return out
 
     def in_p(self, m):
         return la.mat_eq(self.theta(m), la.mat_scale(-1, m))
@@ -225,7 +330,7 @@ class ClassicalRealization:
         return self.from_coords(full)
 
     def root_vector(self, root):
-        return self._root_mats[root.coords]
+        return self.basis[self._root_index[root.coords]]
 
     def noncompact_roots(self):
         return [r for r in self.roots_order if self.eps.sign(r) == -1]
@@ -283,10 +388,6 @@ class ClassicalRealization:
             fw[-1] = vals[n - 2] - vals[n - 1]
             fw.append(vals[n - 2] + vals[n - 1])
         return Weight(tuple(fw))
-
-
-def _trace(m):
-    return sum(m[i][i] for i in range(len(m)))
 
 
 def _tau_for_sl(eps):
@@ -532,19 +633,23 @@ def nilcone_dimension(real, seed):
 
 
 def _squarefree_minpoly(real, s):
-    powers = [la.flatten(la.identity(real.msize))]
+    """Whether the minimal polynomial of s is squarefree.
+
+    One rref of the matrix whose columns are the flattened powers
+    1, s, ..., s^n: its first non-pivot column d is the lowest power that
+    depends on the ones below it, and that column of the rref holds the
+    coefficients.
+    """
     cur = la.identity(real.msize)
-    coeffs = None
-    for _ in range(real.msize + 1):
+    powers = [la.flatten(cur)]
+    for _ in range(real.msize):
         cur = la.mat_mul(cur, s)
-        span = la.Span(powers)
-        c = span.coords(la.flatten(cur))
-        if c is not None:
-            coeffs = [-x for x in c] + [F(1)]  # monic minimal polynomial
-            break
         powers.append(la.flatten(cur))
-    if coeffs is None:
+    red, pivots = la.rref([list(col) for col in zip(*powers)])
+    d = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+    if d == len(powers):
         raise ConsistencyError("minimal polynomial not found")
+    coeffs = [-red[r][d] for r in range(d)] + [F(1)]  # monic minimal polynomial
     deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
     return _poly_gcd_degree(coeffs, deriv) == 0
 
@@ -604,9 +709,13 @@ def random_nilpotent(real, rng):
 
 def principal_nilpotent_search(real, seed, trials=120):
     """A nilpotent in p of maximal K-orbit dimension, certified against the cone."""
+    return _principal_search(real, seed, nilcone_dimension(real, seed), trials)
+
+
+def _principal_search(real, seed, target, trials=120):
+    """principal_nilpotent_search, given target = nilcone_dimension(real, seed)."""
     if real.p_dim == 0:
         raise InputError("p = 0: no principal nilpotent exists")
-    target = nilcone_dimension(real, seed)
     rng = random.Random("%s-principal" % (seed,))
     best = None
     best_dim = -1
@@ -625,71 +734,68 @@ def principal_nilpotent_search(real, seed, trials=120):
 # Orbit sampling and coordinate rings
 # ---------------------------------------------------------------------------
 
-def _exp_nilpotent(m):
-    size = len(m)
-    out = la.identity(size)
-    term = la.identity(size)
-    for i in range(1, size + 1):
-        term = la.mat_mul(term, m)
-        if la.is_zero_matrix(term):
-            break
-        out = la.mat_add(out, la.mat_scale(F(1, factorial(i)), term))
-    return out
-
-
 _TORUS_VALUES = (F(2), F(3), F(5), F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(5, 2))
 
 
-def _random_group_factor(real, rng):
+def _random_factor(real, rng):
+    """One factor g of a group word, with g^-1: ("unipotent", U, -U) for
+    g = exp(U) = 1 + U, U = cE given by its nonzero entries (a root vector E
+    squares to 0), or ("torus", d, d^-1) for the diagonals of a rational
+    torus element of K."""
     kind = rng.random()
     if kind < 0.6 and real.compact_roots():
         r = rng.choice(real.compact_roots())
         c = F(rng.choice([1, 2, 3, 4]) * rng.choice([1, -1]), rng.randint(1, 3))
-        g = _exp_nilpotent(la.mat_scale(c, real.root_vector(r)))
-        gi = _exp_nilpotent(la.mat_scale(-c, real.root_vector(r)))
-        return g, gi
-    # rational torus element of K
+        e = real._entries[real._root_index[r.coords]]
+        return ("unipotent", {(a, b): c * v for a, b, v in e},
+                {(a, b): -c * v for a, b, v in e})
     n = real.n_e
     entries = [rng.choice(_TORUS_VALUES) for _ in range(n)]
-    g = la.zeros(real.msize, real.msize)
-    gi = la.zeros(real.msize, real.msize)
     if real.family == "sl":
         prod = F(1)
         for e in entries[:-1]:
             prod *= e
         entries[-1] = 1 / prod  # determinant one
-        for j in range(n):
-            g[j][j] = entries[j]
-            gi[j][j] = 1 / entries[j]
+        d = entries
     else:
-        for j in range(n):
-            g[j][j] = entries[j]
-            g[n + j][n + j] = 1 / entries[j]
-            gi[j][j] = 1 / entries[j]
-            gi[n + j][n + j] = entries[j]
-    return g, gi
+        d = entries + [1 / e for e in entries]
+    return "torus", d, [1 / e for e in d]
 
 
-def _random_group_element(real, rng):
-    """A random word (g, g^-1) of two to five unipotent and torus factors."""
-    g = la.identity(real.msize)
-    gi = la.identity(real.msize)
-    for _ in range(rng.randint(2, 5)):
-        f, fi = _random_group_factor(real, rng)
-        g = la.mat_mul(g, f)
-        gi = la.mat_mul(fi, gi)
-    return g, gi
+def _random_word(real, rng):
+    """The factors g_1, ..., g_m of a random word g = g_1 ... g_m of two to
+    five unipotent and torus factors."""
+    return [_random_factor(real, rng) for _ in range(rng.randint(2, 5))]
+
+
+def _conjugate(x, factor):
+    """g x g^-1 for one factor of a word."""
+    kind, u, v = factor
+    if kind == "torus":
+        return [[u[a] * y * v[b] if y else y for b, y in enumerate(row)]
+                for a, row in enumerate(x)]
+    y = [list(row) for row in x]  # (1 + U) x
+    for (a, b), c in u.items():
+        y[a] = [s + c * t for s, t in zip(y[a], x[b])]
+    z = [list(row) for row in y]  # ((1 + U) x) (1 + V)
+    for (a, b), c in v.items():
+        for row, out in zip(y, z):
+            if row[a]:
+                out[b] += row[a] * c
+    return z
 
 
 def sample_orbit_points(real, x, count, rng):
     """Rational points Ad(g) x with g random words in unipotents and the torus.
 
-    The words, and so the draws from rng, do not depend on x.
+    x is conjugated by one factor at a time, the last factor first.  The
+    words, and so the draws from rng, do not depend on x.
     """
     pts = []
     for _ in range(count):
-        g, gi = _random_group_element(real, rng)
-        pt = la.mat_mul(g, la.mat_mul(x, gi))
+        pt = x
+        for factor in reversed(_random_word(real, rng)):
+            pt = _conjugate(pt, factor)
         pc = real.p_coords(pt)
         if pc is None:
             raise ConsistencyError("orbit sample left p")
@@ -716,7 +822,7 @@ def _monomial_steps(nvars, k_max):
 def _eval_rows(pt, steps):
     """Values of the monomials at pt, one row per degree of steps.
 
-    pt holds Fractions for exact rows or residues mod la.PRIME for modular
+    pt holds integers for exact rows or residues mod la.PRIME for modular
     ones; each degree multiplies the previous degree's values by one
     coordinate.
     """
@@ -733,8 +839,10 @@ def _residues(pt):
 
 
 def _exact_rows(points, steps, deg):
-    """The degree-deg evaluation rows at points, over Q."""
-    return [_eval_rows(pt, steps[:deg])[-1] for pt in points]
+    """The degree-deg evaluation rows at points, over Q, each up to a nonzero
+    factor (which changes no rank or span): a point is scaled to primitive
+    integers first, so no Fraction is multiplied."""
+    return [_eval_rows(la.primitive(pt), steps[:deg])[-1] for pt in points]
 
 
 def coordinate_ring_dims(real, x, k_max, seed, upper=None, max_batches=30):
@@ -804,10 +912,10 @@ class ClosureReference:
         self.steps = _monomial_steps(real.p_dim, max_deg)
         self.trackers = [la.IncrementalRank(len(step)) for step in self.steps]
         self.points = []
-        self._bases = {}  # degree -> row basis over Q of the points' rows
+        self._bases = {}  # degree -> la.EchelonBasis of the points' rows
         rng = random.Random("%s-closure" % (seed,))
         for _ in range(_CLOSURE_CANDIDATE_WORDS):
-            _random_group_element(real, rng)
+            _random_word(real, rng)
         self._feed([real.p_coords(x_ref)])
         prev = None
         stable = 0
@@ -831,10 +939,8 @@ class ClosureReference:
     def raises_over_q(self, pt, deg):
         """Whether pt's degree-deg row raises the rank over Q of the points'."""
         if deg not in self._bases:
-            red, pivots = la.rref(_exact_rows(self.points, self.steps, deg))
-            self._bases[deg] = red[:len(pivots)]
-        basis = self._bases[deg]
-        return la.rank(basis + _exact_rows([pt], self.steps, deg)) > len(basis)
+            self._bases[deg] = la.EchelonBasis(_exact_rows(self.points, self.steps, deg))
+        return self._bases[deg].raises(_exact_rows([pt], self.steps, deg)[0])
 
 
 def not_in_closure_certificate(ref, x_other):
@@ -956,12 +1062,16 @@ def even_grading_orbit_dims(real, seed=0, max_h=2):
     return out
 
 
-def qct_evidence(real, seed, n_samples=14, closure_deg=2):
-    """Sampled evidence for the single-closure and even-dimension conditions."""
+def qct_evidence(real, seed, n_samples=14, closure_deg=2, cone_dim=None):
+    """Sampled evidence for the single-closure and even-dimension conditions.
+
+    cone_dim is nilcone_dimension(real, seed), computed here unless given.
+    """
     if real.p_dim == 0:
         return {"degenerate": True, "seed": seed}
-    cone_dim = nilcone_dimension(real, seed)
-    principal = principal_nilpotent_search(real, seed)
+    if cone_dim is None:
+        cone_dim = nilcone_dimension(real, seed)
+    principal = _principal_search(real, seed, cone_dim)
     rng = random.Random("%s-qct" % (seed,))
     samples = [principal]
     for _ in range(n_samples):

@@ -255,7 +255,7 @@ def test_budget_exhausted_check_is_inconclusive(monkeypatch):
 
 
 def test_qct_evidence_is_billed_to_qct(monkeypatch):
-    def slow_evidence(real, seed):
+    def slow_evidence(real, seed, cone_dim=None):
         time.sleep(0.2)
         return {"degenerate": True, "seed": seed}
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -364,3 +365,118 @@ def test_principal_search_su11_finds_a_line():
 def test_nilcone_dimension_compact_is_zero():
     real = oc.realize("su(1,1)", eps=(1,))
     assert oc.nilcone_dimension(real, 7) == 0
+
+
+# -- the integer realization layer ---------------------------------------------------
+
+MODEL_FORMS = ("su(1,1)", "su(2,1)", "su(2,2)", "su(3,1)", "su(3,2)", "su(4,2)",
+               "su(3,3)", "su(4,4)", "sp(4,R)", "sp(6,R)", "sp(8,R)", "sp(1,1)",
+               "sp(1,2)", "sp(2,2)", "so*(6)", "so*(8)", "so*(10)")
+
+
+def _dense_ad(real, z):
+    """ad z on the basis from matrix commutators and one solve per column."""
+    columns = [la.flatten(b) for b in real.basis]
+    rows = [list(r) for r in zip(*columns)]
+    cols = [la.solve(rows, la.flatten(la.commutator(z, b))) for b in real.basis]
+    return [list(r) for r in zip(*cols)]
+
+
+@pytest.mark.parametrize("name", MODEL_FORMS)
+def test_ad_matrix_and_coords_against_dense_reference(name):
+    real = oc.realize(name)
+    rng = random.Random(name)
+    vec = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(real.dim)]
+    z = real.from_coords(vec)
+    assert real.coords(z) == vec
+    assert la.mat_eq(real.from_coords(real.coords(z)), z)
+    assert real.ad_matrix(z) == _dense_ad(real, z)
+    one = la.identity(real.msize)
+    assert real.coords(one) is None
+    with pytest.raises(InputError):
+        real.ad_matrix(one)
+
+
+@pytest.mark.parametrize("name", MODEL_FORMS)
+def test_coords_reject_matrices_outside_g(name):
+    real = oc.realize(name)
+    n = real.msize
+    used = {(a, b) for m in real.basis for a in range(n) for b in range(n) if m[a][b]}
+    for a in range(n):
+        for b in range(n):
+            if a != b and (a, b) not in used:  # none in sl(n)
+                m = la.zeros(n, n)
+                m[a][b] = F(1)
+                assert real.coords(m) is None
+    for root in real.roots_order:
+        e = real.root_vector(root)
+        entries = [(a, b) for a in range(n) for b in range(n) if e[a][b]]
+        if len(entries) == 2:  # a paired sp/so root vector
+            for a, b in entries:
+                changed = [list(row) for row in e]
+                changed[a][b] *= 2
+                assert real.coords(changed) is None
+                changed[a][b] = F(0)
+                assert real.coords(changed) is None
+
+
+def _dense_word(real, rng):
+    """g and g^-1 of one group word, multiplied out as dense matrices from the
+    draws sample_orbit_points makes."""
+    n = real.msize
+    g, gi = la.identity(n), la.identity(n)
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.6 and real.compact_roots():
+            r = rng.choice(real.compact_roots())
+            c = F(rng.choice([1, 2, 3, 4]) * rng.choice([1, -1]), rng.randint(1, 3))
+            e = real.root_vector(r)
+            assert la.is_zero_matrix(la.mat_mul(e, e))  # exp(cE) = 1 + cE
+            f = la.mat_add(la.identity(n), la.mat_scale(c, e))
+            fi = la.mat_add(la.identity(n), la.mat_scale(-c, e))
+        else:
+            t = [rng.choice(oc._TORUS_VALUES) for _ in range(real.n_e)]
+            if real.family == "sl":
+                prod = F(1)
+                for x in t[:-1]:
+                    prod *= x
+                t[-1] = 1 / prod
+            else:
+                t = t + [1 / x for x in t]
+            f, fi = la.zeros(n, n), la.zeros(n, n)
+            for j, x in enumerate(t):
+                f[j][j], fi[j][j] = x, 1 / x
+        g, gi = la.mat_mul(g, f), la.mat_mul(fi, gi)
+    return g, gi
+
+
+@pytest.mark.parametrize("name", ["su(2,1)", "su(2,2)", "sp(4,R)", "sp(1,2)",
+                                  "so*(6)", "so*(8)"])
+def test_sample_orbit_points_is_dense_conjugation(name):
+    real = oc.realize(name)
+    x = oc.random_nilpotent(real, random.Random(1))
+    rng, dense, skip = (random.Random(name) for _ in range(3))
+    pts = oc.sample_orbit_points(real, x, 5, rng)
+    for pt in pts:
+        g, gi = _dense_word(real, dense)
+        assert pt == real.p_coords(la.mat_mul(g, la.mat_mul(x, gi)))
+    for _ in range(5):
+        oc._random_word(real, skip)  # the ClosureReference word skip
+    assert rng.getstate() == dense.getstate() == skip.getstate()
+
+
+def test_nilcone_dimension_is_computed_once(monkeypatch, capsys):
+    calls = []
+    original = oc.nilcone_dimension
+
+    def counted(real, seed):
+        calls.append(real.name)
+        return original(real, seed)
+
+    monkeypatch.setattr(oc, "nilcone_dimension", counted)
+    report = cli.verify_form("su(2,1)", kmax=2, checks=("dense", "qct"))
+    assert [c["verdict"] for c in report["checks"]] == ["PASS", "EVIDENCE"]
+    assert calls == ["su(2,1)"]
+    calls.clear()
+    assert cli.main(["oracle", "triple", "--form", "su(2,1)"]) == cli.EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["nilcone_dim"] == 3
+    assert calls == ["su(2,1)"]
