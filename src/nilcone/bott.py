@@ -22,10 +22,6 @@ class CohomologyResult:
 
     per_degree: dict = field(default_factory=dict)
 
-    @property
-    def is_zero(self):
-        return not self.per_degree
-
     def degree(self):
         return next(iter(self.per_degree)) if self.per_degree else None
 

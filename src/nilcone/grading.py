@@ -94,10 +94,6 @@ class GradedDecomposition:
     def p2_roots(self):
         return self._select("p", lambda d: d == 2)
 
-    @property
-    def g2plus_roots(self):
-        return self._select("k", lambda d: d >= 2) + self._select("p", lambda d: d >= 2)
-
     def u_cap_p_weights(self):
         return [self.rs.root_fw(r) for r in self.u_cap_p]
 

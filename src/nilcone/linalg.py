@@ -6,8 +6,8 @@ Span are exact over Q: rref clears each row of denominators and content and
 eliminates over primitive integer rows, so no Fraction arithmetic runs
 inside the elimination.  IncrementalRank works mod PRIME: its rank is a
 certified lower bound on the rank over Q of the rows it was given, not the
-rank itself, and callers that need more re-rank over Q with rank or test
-single rows against an EchelonBasis.
+rank itself; callers that need more build an EchelonBasis of the rows,
+whose rank is exact and which tests single rows for a rise over Q.
 """
 
 from bisect import insort
@@ -17,10 +17,6 @@ from math import gcd, lcm
 F = Fraction
 
 PRIME = 2 ** 61 - 1
-
-
-def frac_matrix(rows):
-    return [[F(x) for x in row] for row in rows]
 
 
 def zeros(nrows, ncols):

@@ -11,8 +11,11 @@ matrix's entries, and ad is a sum of the integer structure constants,
 computed once per model.  Jacobson-Morozov triples, orbit and cone
 dimensions and density checks are exact solves and ranks over Q (la.rref,
 which eliminates over integer rows).  Hilbert functions of orbit closures
-come from evaluation ranks mod la.PRIME at sampled rational orbit points,
-lower bounds that are re-ranked over Q wherever a bound is not enough.
+and closure separations both read one OrbitSample: evaluation ranks mod
+la.PRIME at sampled rational orbit points, lower bounds, with one echelon
+basis over Q per degree wherever a bound is not enough.  A sample whose
+ranks have not saturated within its budget raises DiagnosticError, which
+the verify pipeline reports as INCONCLUSIVE; nothing is certified from it.
 
 Randomness is always driven by an explicit seed and every probabilistic
 certificate (genericity, rank stabilization) is reproducible from it.
@@ -22,6 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 
 from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
@@ -707,27 +711,27 @@ def random_nilpotent(real, rng):
         return x
 
 
-def principal_nilpotent_search(real, seed, trials=120):
-    """A nilpotent in p of maximal K-orbit dimension, certified against the cone."""
-    return _principal_search(real, seed, nilcone_dimension(real, seed), trials)
+def principal_nilpotent_search(real, seed, cone_dim=None):
+    """A nilpotent in p of maximal K-orbit dimension, certified against the cone.
 
-
-def _principal_search(real, seed, target, trials=120):
-    """principal_nilpotent_search, given target = nilcone_dimension(real, seed)."""
+    cone_dim is nilcone_dimension(real, seed), computed here unless given.
+    """
     if real.p_dim == 0:
         raise InputError("p = 0: no principal nilpotent exists")
+    if cone_dim is None:
+        cone_dim = nilcone_dimension(real, seed)
     rng = random.Random("%s-principal" % (seed,))
     best = None
     best_dim = -1
-    for _ in range(trials):
+    for _ in range(120):
         x = random_nilpotent(real, rng)
         d = orbit_dimension(real, x)
         if d > best_dim:
             best, best_dim = x, d
-        if best_dim == target:
+        if best_dim == cone_dim:
             return best
     raise DiagnosticError("principal search stalled at orbit dimension %d < %d"
-                          % (best_dim, target), partial=best)
+                          % (best_dim, cone_dim), partial=best)
 
 
 # ---------------------------------------------------------------------------
@@ -845,123 +849,98 @@ def _exact_rows(points, steps, deg):
     return [_eval_rows(la.primitive(pt), steps[:deg])[-1] for pt in points]
 
 
-def coordinate_ring_dims(real, x, k_max, seed, upper=None, max_batches=30):
-    """Lower bounds on the Hilbert function of the orbit closure, degrees 0..k_max.
-
-    The value in degree d is the rank mod la.PRIME of the degree-d monomials
-    evaluated at sampled orbit points.  It is at most their rank over Q, which
-    is at most the Hilbert function of the closure in degree d, and equals it
-    once the sample is large enough.  Points are added in batches until every
-    degree's rank is unchanged for two consecutive batches; elimination state
-    is kept incrementally so each new point costs one row reduction per
-    degree.  When upper is given (the Hilbert series of the normalization,
-    which bounds the closure's from above), every degree whose bound falls
-    short of upper is re-ranked exactly over Q at the same points.
-    """
-    rng = random.Random("%s-coordring" % (seed,))
-    if la.is_zero_matrix(x):
-        return [1] + [0] * k_max
-    steps = _monomial_steps(real.p_dim, k_max)
-    trackers = [la.IncrementalRank(len(step)) for step in steps]
-    fed = {}  # distinct points in the order fed; the values are unused
-
-    def feed(points):
-        for pt in points:
-            key = tuple(pt)
-            if key in fed:
-                continue
-            fed[key] = None
-            for tracker, row in zip(trackers, _eval_rows(_residues(pt), steps)):
-                tracker.add(row)
-
-    feed([real.p_coords(x)])
-    dims_prev = None
-    stable = 0
-    batch = max(8, (len(steps[-1]) + 7) // 8)
-    for _ in range(max_batches):
-        feed(sample_orbit_points(real, x, batch, rng))
-        dims = [1] + [tracker.rank for tracker in trackers]
-        if dims == dims_prev:
-            stable += 1
-            if stable >= 2:
-                for d in range(1, k_max + 1):
-                    if upper is not None and dims[d] < upper[d]:
-                        dims[d] = la.rank(_exact_rows(fed, steps, d))
-                return dims
-        else:
-            stable = 0
-        dims_prev = dims
-    raise DiagnosticError("evaluation ranks did not stabilize", partial=dims_prev)
+_BATCHES = 30  # the sample budget, in batches of orbit points
 
 
-_CLOSURE_CANDIDATE_WORDS = 4
+class OrbitSample:
+    """Evaluation ranks of the monomials of degrees 1..max_deg at sampled
+    points of K.x, saturated.
 
-
-class ClosureReference:
-    """Evaluation ranks mod la.PRIME saturated on sampled points of K.x_ref.
-
-    Built once per reference orbit and shared by every closure test against
-    it.  Its points are the ones a test's "<seed>-closure" stream yields after
-    the candidate's group words; those words do not depend on the candidate
-    (see sample_orbit_points), so neither does the reference.
+    The points are x and batches of sample_orbit_points(real, x, batch, rng);
+    each distinct point is fed once, as one row reduction mod la.PRIME per
+    degree.  Batches are added until the ranks are unchanged for two batches
+    in a row; a sample whose ranks still move after _BATCHES batches raises
+    DiagnosticError with its last dims.  The exact side is one
+    la.EchelonBasis over Q per degree of the points' rows, built on first use.
     """
 
-    def __init__(self, real, x_ref, max_deg, seed):
+    def __init__(self, real, x, max_deg, rng, batch):
         self.real = real
-        self.seed = seed
         self.steps = _monomial_steps(real.p_dim, max_deg)
         self.trackers = [la.IncrementalRank(len(step)) for step in self.steps]
-        self.points = []
+        self.points = {}  # the distinct points fed, in order; the values are unused
         self._bases = {}  # degree -> la.EchelonBasis of the points' rows
-        rng = random.Random("%s-closure" % (seed,))
-        for _ in range(_CLOSURE_CANDIDATE_WORDS):
-            _random_word(real, rng)
-        self._feed([real.p_coords(x_ref)])
-        prev = None
-        stable = 0
-        for _ in range(10):
-            self._feed(sample_orbit_points(real, x_ref, 12, rng))
-            ranks = [tracker.rank for tracker in self.trackers]
-            if ranks == prev:
-                stable += 1
-                if stable >= 2:
-                    break
-            else:
-                stable = 0
-            prev = ranks
+        self.feed([real.p_coords(x)])
+        prev, stable = None, 0
+        for _ in range(_BATCHES):
+            self.feed(sample_orbit_points(real, x, batch, rng))
+            dims = self.dims
+            stable = stable + 1 if dims == prev else 0
+            if stable == 2:
+                return
+            prev = dims
+        raise DiagnosticError("evaluation ranks did not stabilize", partial=prev)
 
-    def _feed(self, points):
-        self.points += points
+    @property
+    def dims(self):
+        """1, then the rank mod la.PRIME of each degree 1..max_deg."""
+        return [1] + [tracker.rank for tracker in self.trackers]
+
+    def feed(self, points):
         for pt in points:
-            for tracker, row in zip(self.trackers, _eval_rows(_residues(pt), self.steps)):
+            key = tuple(pt)
+            if key in self.points:
+                continue
+            self.points[key] = None
+            self._bases.clear()
+            for tracker, row in zip(self.trackers, _eval_rows(_residues(key), self.steps)):
                 tracker.add(row)
 
-    def raises_over_q(self, pt, deg):
-        """Whether pt's degree-deg row raises the rank over Q of the points'."""
+    def exact(self, deg):
+        """The la.EchelonBasis over Q of the points' degree-deg rows."""
         if deg not in self._bases:
             self._bases[deg] = la.EchelonBasis(_exact_rows(self.points, self.steps, deg))
-        return self._bases[deg].raises(_exact_rows([pt], self.steps, deg)[0])
+        return self._bases[deg]
 
 
-def not_in_closure_certificate(ref, x_other):
+def coordinate_ring_dims(real, x, k_max, seed, upper=None):
+    """Lower bounds on the Hilbert function of the orbit closure, degrees 0..k_max.
+
+    The value in degree d is the OrbitSample's rank mod la.PRIME in degree d.
+    It is at most the rank over Q at the same points, which is at most the
+    Hilbert function of the closure in degree d, and equals it once the
+    sample is large enough.  When upper is given (the Hilbert series of the
+    normalization, which bounds the closure's from above), every degree
+    whose bound falls short of upper is re-ranked exactly over Q.
+    """
+    batch = max(8, (comb(real.p_dim + k_max - 1, k_max) + 7) // 8)
+    sample = OrbitSample(real, x, k_max, random.Random("%s-coordring" % (seed,)), batch)
+    dims = sample.dims
+    for d in range(1, k_max + 1):
+        if upper is not None and dims[d] < upper[d]:
+            dims[d] = sample.exact(d).rank
+    return dims
+
+
+def not_in_closure_certificate(ref, x_other, seed):
     """Whether a polynomial separates the sampled points of K.x_ref from x_other.
 
-    True means a polynomial of degree at most ref's max_deg vanishes at every
-    sampled point of the reference orbit but not at some point of K.x_other:
-    found as a rank rise mod la.PRIME and confirmed by a rank over Q at the
-    same points.  It certifies x_other outside the closure of K.x_ref only
-    once the sampled rank has saturated, so that the polynomials vanishing on
-    the sample are those vanishing on the orbit.  False is evidence only (no
+    ref is an OrbitSample of K.x_ref.  True means a polynomial of degree at
+    most ref's max_deg vanishes at every point of ref but not at x_other or
+    at one of four points of K.x_other from the "<seed>-closure" stream:
+    found as a rank rise mod la.PRIME and confirmed by ref's echelon basis
+    over Q.  ref has saturated, so the polynomials vanishing on its points
+    are taken for those vanishing on the orbit.  False is evidence only (no
     separating polynomial up to max_deg was found).
     """
     real = ref.real
-    rng = random.Random("%s-closure" % (ref.seed,))
-    other = [real.p_coords(x_other)] + sample_orbit_points(
-        real, x_other, _CLOSURE_CANDIDATE_WORDS, rng)
+    rng = random.Random("%s-closure" % (seed,))
+    other = [real.p_coords(x_other)] + sample_orbit_points(real, x_other, 4, rng)
     rows = [_eval_rows(_residues(pt), ref.steps) for pt in other]
     for deg, tracker in enumerate(ref.trackers, 1):
         for pt, pt_rows in zip(other, rows):
-            if tracker.raises(pt_rows[deg - 1]) and ref.raises_over_q(pt, deg):
+            if tracker.raises(pt_rows[deg - 1]) and \
+                    ref.exact(deg).raises(_exact_rows([pt], ref.steps, deg)[0]):
                 return True
     return False
 
@@ -1004,20 +983,33 @@ def verify_grading_dims(real, h, gd):
     return ok, detail
 
 
+def _degree_two_p(real, h):
+    """The basis indices of the degree-2 part of p under ad h."""
+    return ad_layers(real, h).get(2, ([], []))[1]
+
+
+def _basis_sum(real, index, coeffs):
+    """The sum of c b_i over the basis indices i and their coefficients c."""
+    vec = [0] * real.dim
+    for i, c in zip(index, coeffs):
+        vec[i] = c
+    return real.from_coords(vec)
+
+
 def dense_confirmer(real, seed=0):
-    """Matrix-level density check usable as the grading-search confirmer."""
+    """Matrix-level density check usable as the grading-search confirmer:
+    the sum of the degree-2 p basis, then three sums with random
+    coefficients in 1..5."""
 
     def confirm(gd):
         h = real.cartan_element_from_h(gd.H.h_values)
+        p2 = _degree_two_p(real, h)
+        if not p2:
+            return False
         rng = random.Random("%s-confirm-%s" % (seed, gd.H.h_values))
         for attempt in range(4):
-            x = la.zeros(real.msize, real.msize)
-            for r in gd.p2_roots:
-                c = 1 if attempt == 0 else rng.randint(1, 5)
-                x = la.mat_add(x, la.mat_scale(c, real.root_vector(r)))
-            if la.is_zero_matrix(x):
-                return False
-            if dense_orbit_check(real, h, x):
+            coeffs = [1] * len(p2) if attempt == 0 else [rng.randint(1, 5) for _ in p2]
+            if dense_orbit_check(real, h, _basis_sum(real, p2, coeffs)):
                 return True
         return False
 
@@ -1026,19 +1018,10 @@ def dense_confirmer(real, seed=0):
 
 def pinned_principal(real, h_values):
     """The pinned principal pair (H, X): H from h-values, X the sum of the
-    degree-2 noncompact root vectors."""
+    degree-2 p basis."""
     h = real.cartan_element_from_h(h_values)
-    x = la.zeros(real.msize, real.msize)
-    for r in real.noncompact_roots():
-        deg = sum(F(e) * hv for e, hv in
-                  zip(_e_coords_of_root(real.rs, r), _diag_values(real, h)))
-        if deg == 2:
-            x = la.mat_add(x, real.root_vector(r))
-    return h, x
-
-
-def _diag_values(real, h):
-    return [h[j][j] for j in range(real.n_e)]
+    p2 = _degree_two_p(real, h)
+    return h, _basis_sum(real, p2, [1] * len(p2))
 
 
 def even_grading_orbit_dims(real, seed=0, max_h=2):
@@ -1051,14 +1034,9 @@ def even_grading_orbit_dims(real, seed=0, max_h=2):
     confirm = dense_confirmer(real, seed)
     out = []
     for hit in search_even_gradings(real.rs, real.eps, max_h=max_h, confirm=confirm):
-        if not hit.confirmed:
-            continue
-        h = real.cartan_element_from_h(hit.H.h_values)
-        _, p2 = ad_layers(real, h).get(2, ([], []))
-        x = la.zeros(real.msize, real.msize)
-        for i in p2:
-            x = la.mat_add(x, real.basis[i])
-        out.append((hit.H.h_values, orbit_dimension(real, x)))
+        if hit.confirmed:
+            _, x = pinned_principal(real, hit.H.h_values)
+            out.append((hit.H.h_values, orbit_dimension(real, x)))
     return out
 
 
@@ -1071,21 +1049,22 @@ def qct_evidence(real, seed, n_samples=14, closure_deg=2, cone_dim=None):
         return {"degenerate": True, "seed": seed}
     if cone_dim is None:
         cone_dim = nilcone_dimension(real, seed)
-    principal = _principal_search(real, seed, cone_dim)
+    principal = principal_nilpotent_search(real, seed, cone_dim)
     rng = random.Random("%s-qct" % (seed,))
     samples = [principal]
     for _ in range(n_samples):
         samples.append(random_nilpotent(real, rng))
     dims = [orbit_dimension(real, s) for s in samples]
     reps = [principal]
-    refs = []  # refs[i] saturates reps[i], built when a candidate first meets it
+    refs = []  # refs[i] samples K.reps[i], built when a candidate first meets it
     for s, d in zip(samples[1:], dims[1:]):
         if d != cone_dim:
             continue
         for i, r in enumerate(reps):
             if i == len(refs):
-                refs.append(ClosureReference(real, r, closure_deg, seed))
-            if not not_in_closure_certificate(refs[i], s):
+                refs.append(OrbitSample(real, r, closure_deg,
+                                        random.Random("%s-closure-ref" % (seed,)), 12))
+            if not not_in_closure_certificate(refs[i], s, seed):
                 break
         else:
             reps.append(s)

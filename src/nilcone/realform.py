@@ -61,10 +61,6 @@ class KRootDatum(Subsystem):
     def rho_K(self):
         return self.rho
 
-    @property
-    def simple_k_roots(self):
-        return self.simple_roots
-
 
 def cartan_decomposition(rs, eps):
     """Split all roots into compact (k) and noncompact (p) ones."""
@@ -176,10 +172,6 @@ def principal_presentation(name):
     rs, catalog_eps = standard_form_catalog(norm)
     del catalog_eps
     return rs, EqualRankInvolution(eps), h
-
-
-def pinned_forms():
-    return tuple(sorted(_PRINCIPAL_PRESENTATIONS))
 
 
 def parse_form_config(config):

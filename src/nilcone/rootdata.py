@@ -111,10 +111,6 @@ class Weight:
         return Weight(tuple(F(x, 2) * c for x in self.d2))
 
     @property
-    def is_zero(self):
-        return not any(self.d2)
-
-    @property
     def is_integral(self):
         """True when every fundamental-weight coordinate is an integer."""
         return not any(x % 2 for x in self.d2)
@@ -529,10 +525,6 @@ class VirtualCharacter:
     def mult(self, lam):
         return self._terms.get(lam, 0)
 
-    @property
-    def is_zero(self):
-        return not self._terms
-
     def __add__(self, other):
         out = dict(self._terms)
         for w, m in other._terms.items():
@@ -776,30 +768,7 @@ def kostant_partition(rs, mu, gens):
 # JSON encoding of weights
 # ---------------------------------------------------------------------------
 
-def weight_to_json(lam, basis="fw", rs=None):
-    if basis == "fw":
-        coords = lam.fw
-    elif basis == "root":
-        if rs is None:
-            raise InputError("root-basis encoding needs the root system")
-        coords = rs.root_coords_of_weight(lam)
-    else:
-        raise InputError("unknown basis %r" % (basis,))
+def weight_to_json(lam):
     enc = [int(c) if c.denominator == 1 else "%d/%d" % (c.numerator, c.denominator)
-           for c in map(F, coords)]
-    return {"basis": basis, "coords": enc}
-
-
-def weight_from_json(data, rs=None):
-    try:
-        basis = data["basis"]
-        coords = [F(c) if isinstance(c, int) else F(str(c)) for c in data["coords"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("malformed weight encoding: %r" % (data,)) from exc
-    if basis == "fw":
-        return Weight(tuple(coords))
-    if basis == "root":
-        if rs is None:
-            raise InputError("root-basis decoding needs the root system")
-        return rs.weight_from_root_coords(coords)
-    raise InputError("unknown basis %r" % (basis,))
+           for c in map(F, lam.fw)]
+    return {"basis": "fw", "coords": enc}

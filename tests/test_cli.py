@@ -1,6 +1,8 @@
 import json
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -313,3 +315,23 @@ def test_stalled_search_reports_partial_as_json(monkeypatch, capsys):
     assert code == cli.EXIT_INPUT and out == ""
     assert json.loads(err) == {"error": "principal search stalled",
                                "partial": [["1/2", "0"], [1, 2]]}
+
+
+def _readme_block(readme, lang, after):
+    """The first ```lang block of README.md after the line `after`."""
+    text = readme[readme.index(after):]
+    start = text.index("```%s\n" % lang) + len(lang) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = _readme_block(readme, "sh", "## Command line").splitlines()
+    (tmp_path / "job.json").write_text(_readme_block(readme, "json", "`run` takes"))
+    monkeypatch.chdir(tmp_path)
+    assert commands
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "nilcone", line
+        assert cli.main(argv[1:]) == cli.EXIT_PASS, (line, capsys.readouterr().err)
+    assert (tmp_path / "dims.csv").is_file() and (tmp_path / "report.json").is_file()

@@ -28,7 +28,7 @@ def test_grade_su21():
     assert [r.coords for r in gd.u_cap_k] == [(1, 1)]
     assert gd.dims(2) == (0, 2) and gd.dims(4) == (1, 0)
     assert {r.coords for r in gd.p2_roots} == {(1, 0), (0, 1)}
-    assert {r.coords for r in gd.g2plus_roots} == {(1, 0), (0, 1), (1, 1)}
+    assert {r.coords for r in gd.u_roots} == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_grade_zero_element():

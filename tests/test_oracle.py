@@ -10,13 +10,13 @@ from nilcone import linalg as la
 from nilcone import oracle as oc
 from nilcone import realform as rf
 from nilcone import rootdata as rd
-from nilcone.errors import InputError
+from nilcone.errors import DiagnosticError, InputError
 
 F = Fraction
 
 
 def _mat(rows):
-    return la.frac_matrix(rows)
+    return [[F(x) for x in row] for row in rows]
 
 
 # -- realizations ------------------------------------------------------------------
@@ -237,14 +237,99 @@ def test_coordinate_ring_su21_pinned_and_seed_stable():
     assert oc.coordinate_ring_dims(real, x, 4, 11) == [1, 4, 9, 16, 25]
 
 
+def _closure_reference(real, x):
+    return oc.OrbitSample(real, x, 2, random.Random("7-closure-ref"), 12)
+
+
 def test_closure_membership_certificates():
     real = oc.realize("su(1,1)")
     e12 = real.root_vector(real.rs.simple_roots[0])
     e21 = real.root_vector(-real.rs.simple_roots[0])
-    ref = oc.ClosureReference(real, e12, 2, 7)
-    assert oc.not_in_closure_certificate(ref, e21)
+    ref = _closure_reference(real, e12)
+    assert oc.not_in_closure_certificate(ref, e21, 7)
     doubled = la.mat_scale(2, e12)
-    assert not oc.not_in_closure_certificate(ref, doubled)
+    assert not oc.not_in_closure_certificate(ref, doubled, 7)
+
+
+def test_gap_degree_exact_rank_is_the_rank_over_q():
+    rs, eps, h = rf.principal_presentation("sp(4,R)")
+    real = oc.realize("sp(4,R)", eps=eps)
+    _, x = oc.pinned_principal(real, h)
+    sample = oc.OrbitSample(real, x, 2, random.Random("7-coordring"), 8)
+    exact = [1] + [la.rank(oc._exact_rows(sample.points, sample.steps, d))
+                   for d in (1, 2)]
+    assert [1] + [sample.exact(d).rank for d in (1, 2)] == exact == [1, 6, 19]
+    # every degree is below this bound, so each is re-ranked over Q
+    assert oc.coordinate_ring_dims(real, x, 2, 7, upper=[1, 99, 99]) == exact
+
+
+class _CountedRank(la.IncrementalRank):
+    adds = 0
+
+    def add(self, row):
+        _CountedRank.adds += 1
+        return super().add(row)
+
+
+def test_feeding_a_point_twice_changes_nothing(monkeypatch):
+    monkeypatch.setattr(la, "IncrementalRank", _CountedRank)
+    real = oc.realize("su(2,1)")
+    _, x = oc.pinned_principal(real, (2, 2))
+    sample = oc.OrbitSample(real, x, 2, random.Random(7), 8)
+    pt = oc.sample_orbit_points(real, x, 1, random.Random("another"))[0]
+    sample.feed([pt, pt])
+    dims, count, adds = sample.dims, len(sample.points), _CountedRank.adds
+    basis = sample.exact(2)
+    sample.feed([pt, list(pt), real.p_coords(x)])
+    assert (sample.dims, len(sample.points), _CountedRank.adds) == (dims, count, adds)
+    assert sample.exact(2) is basis
+
+
+class _Rising(la.IncrementalRank):
+    """Ranks that count the rows added, so they never settle."""
+
+    def __init__(self, width):
+        super().__init__(width)
+        self.added = 0
+
+    def add(self, row):
+        self.added += 1
+        return super().add(row)
+
+    @property
+    def rank(self):
+        return self.added
+
+
+def test_exhausted_sample_raises_with_its_last_ranks(monkeypatch):
+    monkeypatch.setattr(la, "IncrementalRank", _Rising)
+    real = oc.realize("su(2,1)")
+    _, x = oc.pinned_principal(real, (2, 2))
+    with pytest.raises(DiagnosticError) as info:
+        oc.OrbitSample(real, x, 2, random.Random(7), 8)
+    rng = random.Random(7)
+    points = {tuple(real.p_coords(x))}
+    for _ in range(oc._BATCHES):
+        points.update(map(tuple, oc.sample_orbit_points(real, x, 8, rng)))
+    assert info.value.partial == [1, len(points), len(points)]
+
+
+def test_so8_closure_references_saturate(monkeypatch):
+    built = []
+
+    class Recorded(oc.OrbitSample):
+        def __init__(self, real, x, *args):
+            super().__init__(real, x, *args)
+            built.append((x, self))
+
+    monkeypatch.setattr(oc, "OrbitSample", Recorded)
+    real = oc.realize("so*(8)")
+    assert oc.qct_evidence(real, 7)["component_count"] == 1
+    assert built
+    for x, ref in built:
+        dims = ref.dims
+        ref.feed(oc.sample_orbit_points(real, x, 12, random.Random("more")))
+        assert ref.dims == dims
 
 
 class _DeficientRank(la.IncrementalRank):
@@ -279,9 +364,9 @@ def test_exact_fallback_survives_a_deficient_tracker(monkeypatch):
     real11 = oc.realize("su(1,1)")
     e12 = real11.root_vector(real11.rs.simple_roots[0])
     e21 = real11.root_vector(-real11.rs.simple_roots[0])
-    ref = oc.ClosureReference(real11, e12, 2, 7)
-    assert not oc.not_in_closure_certificate(ref, la.mat_scale(2, e12))
-    assert oc.not_in_closure_certificate(ref, e21)
+    ref = _closure_reference(real11, e12)
+    assert not oc.not_in_closure_certificate(ref, la.mat_scale(2, e12), 7)
+    assert oc.not_in_closure_certificate(ref, e21, 7)
 
 
 # -- aggregated evidence -----------------------------------------------------------
@@ -454,14 +539,12 @@ def _dense_word(real, rng):
 def test_sample_orbit_points_is_dense_conjugation(name):
     real = oc.realize(name)
     x = oc.random_nilpotent(real, random.Random(1))
-    rng, dense, skip = (random.Random(name) for _ in range(3))
+    rng, dense = random.Random(name), random.Random(name)
     pts = oc.sample_orbit_points(real, x, 5, rng)
     for pt in pts:
         g, gi = _dense_word(real, dense)
         assert pt == real.p_coords(la.mat_mul(g, la.mat_mul(x, gi)))
-    for _ in range(5):
-        oc._random_word(real, skip)  # the ClosureReference word skip
-    assert rng.getstate() == dense.getstate() == skip.getstate()
+    assert rng.getstate() == dense.getstate()
 
 
 def test_nilcone_dimension_is_computed_once(monkeypatch, capsys):
