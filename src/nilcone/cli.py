@@ -324,7 +324,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
     def record(name, fn):
         if name not in checks:
             return
-        t0 = time.time()
+        t0 = time.perf_counter()
         evidence_s = evidence["seconds"]
         try:
             verdict, detail = fn()
@@ -336,7 +336,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         entry = {"check": name, "verdict": verdict, "detail": detail}
         if timings:
             # the qct evidence is billed to qct, whichever check computed it
-            seconds = time.time() - t0 - (evidence["seconds"] - evidence_s)
+            seconds = time.perf_counter() - t0 - (evidence["seconds"] - evidence_s)
             if name == "qct":
                 seconds += evidence["seconds"]
             entry["seconds"] = round(seconds, 3)
@@ -421,11 +421,11 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
 
     def _evidence():
         if "ev" not in evidence:
-            t0 = time.time()
+            t0 = time.perf_counter()
             try:
                 evidence["ev"] = oc.qct_evidence(real, seed, cone_dim=_cone_dim())
             finally:
-                evidence["seconds"] += time.time() - t0
+                evidence["seconds"] += time.perf_counter() - t0
         return evidence["ev"]
 
     def check_components():

@@ -7,7 +7,10 @@ eliminates over primitive integer rows, so no Fraction arithmetic runs
 inside the elimination.  IncrementalRank works mod PRIME: its rank is a
 certified lower bound on the rank over Q of the rows it was given, not the
 rank itself; callers that need more build an EchelonBasis of the rows,
-whose rank is exact and which tests single rows for a rise over Q.
+whose rank is exact and which tests single rows for a rise over Q.  It keeps
+each row as one int of fixed-width slots, one per column, wide enough that
+no carry crosses a slot during a sweep, so eliminating a pivot is one shift
+and one big-int multiply-add rather than a loop over the columns.
 """
 
 from bisect import insort
@@ -87,7 +90,7 @@ def primitive(row):
     return [x // g for x in ints] if g > 1 else ints
 
 
-def _cancel(row, prow, c, start=0):
+def _cancel(row, prow, c, start):
     """The primitive integer row a*row - b*prow whose column c is 0.
 
     Both rows are integer; the entries of both before start are 0.
@@ -108,14 +111,17 @@ def rref(rows):
     primitive integer rows: forward over the rows that are still zero left
     of the column, then back over the pivot rows.  Each row is divided by
     its pivot once, at the end.  The RREF is unique, so it is the one
-    Fraction Gauss-Jordan gives; its rows are Fractions.
+    Fraction Gauss-Jordan gives; its rows are Fractions.  A column that is
+    zero in every row stays zero, so only the other columns are eliminated.
     """
     if not rows:
         return [], []
     nrows, ncols = len(rows), len(rows[0])
     live = [row for row in map(primitive, rows) if any(row)]
+    cols = [j for j, col in enumerate(zip(*live)) if any(col)]
+    live = [[row[j] for j in cols] for row in live]
     prows, pivots = [], []
-    for c in range(ncols):
+    for c in range(len(cols)):
         j = next((j for j, row in enumerate(live) if row[c]), None)
         if j is None:
             continue
@@ -137,9 +143,14 @@ def rref(rows):
         for j in range(k):
             if prows[j][c]:
                 prows[j] = _cancel(prows[j], prows[k], c, pivots[j])
-    out = [[F(x, row[c]) for x in row] for row, c in zip(prows, pivots)]
+    out = []
+    for row, c in zip(prows, pivots):
+        full = [F(0)] * ncols
+        for j, x in zip(cols, row):
+            full[j] = F(x, row[c])
+        out.append(full)
     out += [[F(0)] * ncols for _ in range(nrows - len(pivots))]
-    return out, pivots
+    return out, [cols[c] for c in pivots]
 
 
 def rank(rows):
@@ -197,11 +208,19 @@ class EchelonBasis:
 
     Built by one rref; raises(row) then reduces only that row against the
     basis rows, instead of eliminating the family and the row together.
+    The basis rows are kept as primitive integer rows b_k, by their nonzero
+    entries.  Each is zero at every pivot but its own, p_k, so row v is in
+    the span exactly when v - sum_k v[p_k] b_k / b_k[p_k] is zero, which is
+    formed over the integers, scaled by the lcm L of the b_k[p_k].
     """
 
     def __init__(self, rows):
         red, pivots = rref(rows)
-        self._rows = [(c, primitive(row)) for row, c in zip(red, pivots)]
+        prows = [primitive(row) for row in red[:len(pivots)]]
+        self._scale = lcm(*[row[c] for row, c in zip(prows, pivots)])
+        self._rows = [(c, self._scale // row[c],
+                       [(j, x) for j, x in enumerate(row) if x])
+                      for row, c in zip(prows, pivots)]
 
     @property
     def rank(self):
@@ -210,10 +229,13 @@ class EchelonBasis:
     def raises(self, row):
         """Whether appending row raises the rank over Q."""
         v = primitive(row)
-        for c, prow in self._rows:
-            if v[c]:
-                v = _cancel(v, prow, c)
-        return any(v)
+        acc = [self._scale * x for x in v]
+        for c, m, entries in self._rows:
+            f = v[c] * m
+            if f:
+                for j, x in entries:
+                    acc[j] -= f * x
+        return any(acc)
 
 
 class IncrementalRank:
@@ -223,21 +245,50 @@ class IncrementalRank:
     the rank over Q, so rank is a certified lower bound on it; add and raises
     can miss a rise over Q (a row that is dependent only mod PRIME) and, once
     rank falls short of the rank over Q, report one that is not there.
+
+    Each stored row y (pivot entry 1, reduced mod PRIME) is one int packing
+    its entries from the pivot on: slot j, S bits wide, holds PRIME - y_j,
+    which lies in 1..PRIME.  A row is swept as a packed int too: at each
+    pivot the slot there is read as f (mod PRIME) and f times the stored row
+    is added, which subtracts f*y mod PRIME with no borrow.  A slot starts
+    below PRIME and gains f*(PRIME - y_j) < PRIME**2 at each pivot left of
+    it, at most width times, so it stays below PRIME + width*PRIME**2 <
+    2**(2*61 + bitlen(width) + 1) <= 2**S with S = 8*ceil((2*61 +
+    bitlen(width) + 1)/8): no carry ever crosses a slot boundary.
     """
 
     def __init__(self, width):
         self.width = width
-        self._rows = []  # (pivot, row[pivot:]) sorted by pivot, row[pivot] == 1
+        self._bytes = (2 * PRIME.bit_length() + width.bit_length() + 8) // 8  # S / 8
+        self._rows = []  # (pivot, packed row[pivot:]) sorted by pivot
+
+    def _pack(self, values):
+        size = self._bytes
+        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values),
+                              "little")
 
     def _reduce(self, row):
-        v = [residue(x) for x in row]
-        # Entries stay unreduced during the sweep (each step adds < PRIME**2);
-        # a stored row is zero left of its pivot, so only the tail changes.
+        """The residues of row minus the stored rows that clear its pivots."""
+        size = self._bytes
+        bits = 8 * size
+        slot = (1 << bits) - 1
+        v = self._pack([residue(x) for x in row])
+        done = []  # the slots left of the current pivot, which no row changes
+        pos = 0  # the column of v's lowest slot
         for pivot, r in self._rows:
-            f = v[pivot] % PRIME
+            if pivot > pos:
+                drop = bits * (pivot - pos)
+                done.append((v & ((1 << drop) - 1)).to_bytes(size * (pivot - pos),
+                                                             "little"))
+                v >>= drop
+                pos = pivot
+            f = (v & slot) % PRIME
             if f:
-                v[pivot:] = [x - f * y for x, y in zip(v[pivot:], r)]
-        return [x % PRIME for x in v]
+                v += f * r
+        done.append(v.to_bytes(size * (self.width - pos), "little"))
+        data = b"".join(done)
+        return [int.from_bytes(data[i:i + size], "little") % PRIME
+                for i in range(0, len(data), size)]
 
     def add(self, row):
         """Insert a row; returns True when it increased the rank mod PRIME."""
@@ -245,7 +296,8 @@ class IncrementalRank:
         for c, x in enumerate(v):
             if x:
                 inv = pow(x, -1, PRIME)
-                insort(self._rows, (c, [y * inv % PRIME for y in v[c:]]))
+                insort(self._rows, (c, self._pack([PRIME - y * inv % PRIME
+                                                   for y in v[c:]])))
                 return True
         return False
 

@@ -12,8 +12,9 @@ computed once per model.  Jacobson-Morozov triples, orbit and cone
 dimensions and density checks are exact solves and ranks over Q (la.rref,
 which eliminates over integer rows).  Hilbert functions of orbit closures
 and closure separations both read one OrbitSample: evaluation ranks mod
-la.PRIME at sampled rational orbit points, lower bounds, with one echelon
-basis over Q per degree wherever a bound is not enough.  A sample whose
+la.PRIME at rational orbit points sampled by integer conjugation, lower
+bounds, with one echelon basis over Q per degree wherever a bound is not
+enough, built from the rows that raised the rank mod la.PRIME.  A sample whose
 ranks have not saturated within its budget raises DiagnosticError, which
 the verify pipeline reports as INCONCLUSIVE; nothing is certified from it.
 
@@ -25,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd, lcm, prod
 
 from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
@@ -190,8 +191,9 @@ class ClassicalRealization:
                             for a in range(size)]
 
     def _build_theta(self):
-        """The sign mask of theta, and the basis matrices it fixes (k_index)
-        and negates (p_index): the basis is an eigenbasis of theta."""
+        """The sign mask of theta; the basis matrices it fixes (k_index) and
+        negates (p_index), the basis being an eigenbasis of theta; and the
+        compact and noncompact roots."""
         size = self.msize
         tau = self._tau
         self._mask = [[None] * size for _ in range(size)]
@@ -212,6 +214,8 @@ class ClassicalRealization:
                 raise ConsistencyError("theta neither fixes nor negates a basis matrix")
         self.k_dim = len(self.k_index)
         self.p_dim = len(self.p_index)
+        self._compact = [r for r in self.roots_order if self.eps.sign(r) == 1]
+        self._noncompact = [r for r in self.roots_order if self.eps.sign(r) == -1]
 
     def _build_brackets(self):
         """ad b_i on the basis for each i, as the nonzero (k, j, c) with c the
@@ -337,10 +341,10 @@ class ClassicalRealization:
         return self.basis[self._root_index[root.coords]]
 
     def noncompact_roots(self):
-        return [r for r in self.roots_order if self.eps.sign(r) == -1]
+        return self._noncompact
 
     def compact_roots(self):
-        return [r for r in self.roots_order if self.eps.sign(r) == 1]
+        return self._compact
 
     def cartan_element_from_h(self, h_values):
         """Diagonal H with alpha_i(H) = h_i, rational entries."""
@@ -742,28 +746,33 @@ _TORUS_VALUES = (F(2), F(3), F(5), F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(5, 2))
 
 
 def _random_factor(real, rng):
-    """One factor g of a group word, with g^-1: ("unipotent", U, -U) for
-    g = exp(U) = 1 + U, U = cE given by its nonzero entries (a root vector E
-    squares to 0), or ("torus", d, d^-1) for the diagonals of a rational
-    torus element of K."""
+    """One factor g of a group word as integer data (kind, u, v, scale), see
+    _conjugate: ("unipotent", t, U, t^2) for g = exp(cE) = (t + U)/t and
+    g^-1 = (t - U)/t, where c = s/t in lowest terms, E is a root vector
+    (E^2 = 0) and U = sE is given by its nonzero entries (a, b, value); or
+    ("torus", u, v, k*l) for a rational torus element g = diag(u)/k of K and
+    g^-1 = diag(v)/l."""
     kind = rng.random()
     if kind < 0.6 and real.compact_roots():
         r = rng.choice(real.compact_roots())
-        c = F(rng.choice([1, 2, 3, 4]) * rng.choice([1, -1]), rng.randint(1, 3))
+        s = rng.choice([1, 2, 3, 4]) * rng.choice([1, -1])
+        t = rng.randint(1, 3)
+        g = gcd(s, t)
+        s, t = s // g, t // g
         e = real._entries[real._root_index[r.coords]]
-        return ("unipotent", {(a, b): c * v for a, b, v in e},
-                {(a, b): -c * v for a, b, v in e})
-    n = real.n_e
-    entries = [rng.choice(_TORUS_VALUES) for _ in range(n)]
-    if real.family == "sl":
-        prod = F(1)
-        for e in entries[:-1]:
-            prod *= e
-        entries[-1] = 1 / prod  # determinant one
-        d = entries
+        return "unipotent", t, [(a, b, s * v) for a, b, v in e], t * t
+    entries = [rng.choice(_TORUS_VALUES) for _ in range(real.n_e)]
+    num = [e.numerator for e in entries]  # the diagonal of g is num / den
+    den = [e.denominator for e in entries]
+    if real.family == "sl":  # determinant one
+        p, q = prod(num[:-1]), prod(den[:-1])
+        g = gcd(p, q)
+        num[-1], den[-1] = q // g, p // g
     else:
-        d = entries + [1 / e for e in entries]
-    return "torus", d, [1 / e for e in d]
+        num, den = num + den, den + num
+    k, l = lcm(*den), lcm(*num)  # the entries are positive
+    return ("torus", [a * (k // b) for a, b in zip(num, den)],
+            [b * (l // a) for a, b in zip(num, den)], k * l)
 
 
 def _random_word(real, rng):
@@ -773,37 +782,44 @@ def _random_word(real, rng):
 
 
 def _conjugate(x, factor):
-    """g x g^-1 for one factor of a word."""
-    kind, u, v = factor
+    """scale * g x g^-1, an integer matrix, for one factor (kind, u, v, scale)
+    of a word and an integer matrix x."""
+    kind, u, v, _ = factor
     if kind == "torus":
-        return [[u[a] * y * v[b] if y else y for b, y in enumerate(row)]
+        return [[u[a] * y * v[b] if y else 0 for b, y in enumerate(row)]
                 for a, row in enumerate(x)]
-    y = [list(row) for row in x]  # (1 + U) x
-    for (a, b), c in u.items():
-        y[a] = [s + c * t for s, t in zip(y[a], x[b])]
-    z = [list(row) for row in y]  # ((1 + U) x) (1 + V)
-    for (a, b), c in v.items():
+    t, entries = u, v
+    y = [[t * s for s in row] for row in x]  # (t + U) x
+    for a, b, c in entries:
+        y[a] = [s + c * w for s, w in zip(y[a], x[b])]
+    z = [[t * s for s in row] for row in y]  # ((t + U) x) (t - U)
+    for a, b, c in entries:
         for row, out in zip(y, z):
             if row[a]:
-                out[b] += row[a] * c
+                out[b] -= c * row[a]
     return z
 
 
 def sample_orbit_points(real, x, count, rng):
     """Rational points Ad(g) x with g random words in unipotents and the torus.
 
-    x is conjugated by one factor at a time, the last factor first.  The
-    words, and so the draws from rng, do not depend on x.
+    x is scaled to an integer matrix and conjugated by one factor at a time,
+    the last factor first, over the integers; each point is its p-coordinates
+    over the one common denominator.  The words, and so the draws from rng,
+    do not depend on x.
     """
+    den = lcm(*[y.denominator for row in x for y in row])
+    xi = [[y.numerator * (den // y.denominator) for y in row] for row in x]
     pts = []
     for _ in range(count):
-        pt = x
+        pt, scale = xi, den
         for factor in reversed(_random_word(real, rng)):
             pt = _conjugate(pt, factor)
+            scale *= factor[3]
         pc = real.p_coords(pt)
         if pc is None:
             raise ConsistencyError("orbit sample left p")
-        pts.append(pc)
+        pts.append([F(c, scale) for c in pc])
     return pts
 
 
@@ -860,8 +876,18 @@ class OrbitSample:
     each distinct point is fed once, as one row reduction mod la.PRIME per
     degree.  Batches are added until the ranks are unchanged for two batches
     in a row; a sample whose ranks still move after _BATCHES batches raises
-    DiagnosticError with its last dims.  The exact side is one
-    la.EchelonBasis over Q per degree of the points' rows, built on first use.
+    DiagnosticError with its last dims.  Sampling does not stop early when
+    the ranks reach the normalization's series, which bounds them from
+    above: that bound is what the Hilbert check tests, and stopping there
+    would hide an oracle rank above the series.
+
+    The exact side is one la.EchelonBasis over Q per degree of the points'
+    rows, built on first use, raising rows first: the rows that raised the
+    rank mod la.PRIME are independent over Q (a minor nonzero mod la.PRIME
+    is nonzero), so the basis is built from them alone and every other row
+    is only tested against it; a row that still raises the rank over Q is
+    taken in and the basis rebuilt, so its rank is exact whatever the
+    tracker said.
     """
 
     def __init__(self, real, x, max_deg, rng, batch):
@@ -869,6 +895,8 @@ class OrbitSample:
         self.steps = _monomial_steps(real.p_dim, max_deg)
         self.trackers = [la.IncrementalRank(len(step)) for step in self.steps]
         self.points = {}  # the distinct points fed, in order; the values are unused
+        # per degree, the points whose row raised the rank mod la.PRIME
+        self._raised = [[] for _ in self.steps]
         self._bases = {}  # degree -> la.EchelonBasis of the points' rows
         self.feed([real.p_coords(x)])
         prev, stable = None, 0
@@ -893,13 +921,24 @@ class OrbitSample:
                 continue
             self.points[key] = None
             self._bases.clear()
-            for tracker, row in zip(self.trackers, _eval_rows(_residues(key), self.steps)):
-                tracker.add(row)
+            rows = _eval_rows(_residues(key), self.steps)
+            for tracker, row, raised in zip(self.trackers, rows, self._raised):
+                if tracker.add(row):
+                    raised.append(key)
 
     def exact(self, deg):
         """The la.EchelonBasis over Q of the points' degree-deg rows."""
         if deg not in self._bases:
-            self._bases[deg] = la.EchelonBasis(_exact_rows(self.points, self.steps, deg))
+            raised = self._raised[deg - 1]
+            rows = _exact_rows(raised, self.steps, deg)
+            basis = la.EchelonBasis(rows)
+            taken = set(raised)
+            rest = _exact_rows([pt for pt in self.points if pt not in taken],
+                               self.steps, deg)
+            more = [row for row in rest if basis.raises(row)]
+            if more:
+                basis = la.EchelonBasis(rows + more)
+            self._bases[deg] = basis
         return self._bases[deg]
 
 

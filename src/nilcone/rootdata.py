@@ -407,6 +407,17 @@ class Subsystem:
         self._simple_coroots = tuple(rs.coroot_vector(b) for b in self.simple_roots)
         self._simple_fw = tuple(rs._fw_of_root(b) for b in self.simple_roots)
         self._coroots = tuple(rs.coroot_vector(r) for r in self.positive_roots)
+        # -w0 as an int matrix on doubled coordinates, w0 being the word that
+        # takes -rho_sub to rho_sub; -w0 maps a dominant weight to the
+        # dominant weight of its negative's orbit
+        word, _ = self._to_dominant(tuple(map(neg, rho2)))
+        columns = []
+        for j in range(rs.rank):
+            d2 = tuple(int(i == j) for i in range(rs.rank))
+            for i in word:
+                d2 = self._reflect2(d2, i)
+            columns.append(tuple(map(neg, d2)))
+        self._minus_w0 = tuple(zip(*columns))
 
     @property
     def rank(self):
@@ -559,7 +570,7 @@ class VirtualCharacter:
         """Contragredient: V_lam -> V_{-w0 lam}."""
         out = {}
         for w, m in self._terms.items():
-            d = sub.dominant_representative(-w)
+            d = _weight_of(tuple(sum(map(mul, row, w.d2)) for row in sub._minus_w0))
             out[d] = out.get(d, 0) + m
         return VirtualCharacter(out)
 

@@ -255,12 +255,37 @@ def test_gap_degree_exact_rank_is_the_rank_over_q():
     rs, eps, h = rf.principal_presentation("sp(4,R)")
     real = oc.realize("sp(4,R)", eps=eps)
     _, x = oc.pinned_principal(real, h)
-    sample = oc.OrbitSample(real, x, 2, random.Random("7-coordring"), 8)
+    sample = oc.OrbitSample(real, x, 3, random.Random("7-coordring"), 8)
     exact = [1] + [la.rank(oc._exact_rows(sample.points, sample.steps, d))
-                   for d in (1, 2)]
-    assert [1] + [sample.exact(d).rank for d in (1, 2)] == exact == [1, 6, 19]
+                   for d in (1, 2, 3)]
+    assert [1] + [sample.exact(d).rank for d in (1, 2, 3)] == exact == [1, 6, 19, 44]
     # every degree is below this bound, so each is re-ranked over Q
-    assert oc.coordinate_ring_dims(real, x, 2, 7, upper=[1, 99, 99]) == exact
+    assert oc.coordinate_ring_dims(real, x, 3, 7, upper=[1, 99, 99, 99]) == exact
+
+
+class _SilentRank(la.IncrementalRank):
+    """Stores every row, but reports its first rise as none: the exact basis
+    then starts one independent row short."""
+
+    hidden = False
+
+    def add(self, row):
+        raised = super().add(row)
+        if raised and not self.hidden:
+            self.hidden = True
+            return False
+        return raised
+
+
+def test_exact_basis_takes_in_a_rise_the_tracker_missed(monkeypatch):
+    monkeypatch.setattr(la, "IncrementalRank", _SilentRank)
+    rs, eps, h = rf.principal_presentation("sp(4,R)")
+    real = oc.realize("sp(4,R)", eps=eps)
+    _, x = oc.pinned_principal(real, h)
+    sample = oc.OrbitSample(real, x, 3, random.Random("7-coordring"), 8)
+    for d, tracker in enumerate(sample.trackers, 1):
+        assert len(sample._raised[d - 1]) == tracker.rank - 1
+        assert sample.exact(d).rank == tracker.rank == [6, 19, 44][d - 1]
 
 
 class _CountedRank(la.IncrementalRank):

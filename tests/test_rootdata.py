@@ -324,6 +324,25 @@ def test_virtual_character_arithmetic():
     assert (a + b).mult(rd.weight(1)) == 0
 
 
+@pytest.mark.parametrize("form", ["sp(4,R)", "so*(8)", "su(4,4)"])
+def test_dual_is_the_dominant_weight_of_the_negative(form):
+    rs, eps = standard_form_catalog(form)
+    kd = grade(rs, eps, (0,) * rs.rank).k_root_datum()
+    rng = random.Random(form)
+    terms = {}
+    for _ in range(40):
+        lam = kd.dominant_representative(
+            rd.Weight(tuple(F(rng.randint(-9, 9), 2) for _ in range(rs.rank))))
+        terms[lam] = terms.get(lam, 0) + rng.choice([-2, -1, 1, 3])
+    chi = rd.VirtualCharacter(terms)
+    walked = {}
+    for lam, m in chi.items():
+        d = kd.dominant_representative(-lam)
+        walked[d] = walked.get(d, 0) + m
+    assert chi.dual(kd) == rd.VirtualCharacter(walked)
+    assert chi.dual(kd).dual(kd) == chi
+
+
 # -- Kostant partition function ----------------------------------------------------
 
 def _naive_kostant(rs, mu, gens):
