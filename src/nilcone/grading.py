@@ -195,15 +195,18 @@ class SearchHit:
     confirmed: bool
 
 
-def search_even_gradings(rs, eps, max_h=2, confirm=None):
-    """All dominant H with entries in 0..max_h, even root degrees, and p_2 != 0.
+_MAX_H = 2
+
+
+def search_even_gradings(rs, eps, confirm=None):
+    """All dominant H with entries in 0.._MAX_H, even root degrees, and p_2 != 0.
 
     Results are in lexicographic order of h_values; hits are flagged
     confirmed only when the supplied matrix-level density check passes.
     Weyl-equivalent duplicates are not removed.
     """
     hits = []
-    for h in product(range(max_h + 1), repeat=rs.rank):
+    for h in product(range(_MAX_H + 1), repeat=rs.rank):
         if not any(h):
             continue
         try:

@@ -472,14 +472,14 @@ class SL2Triple:
     X: list
     Y: list
 
-    def bracket_identities_hold(self, real):
+    def bracket_identities_hold(self):
         br = la.commutator
         return (la.mat_eq(br(self.H, self.X), la.mat_scale(2, self.X))
                 and la.mat_eq(br(self.X, self.Y), self.H)
                 and la.mat_eq(br(self.H, self.Y), la.mat_scale(-2, self.Y)))
 
     def normalized_identities_hold(self, real):
-        return (self.bracket_identities_hold(real)
+        return (self.bracket_identities_hold()
                 and real.in_k(self.H)
                 and real.in_p(self.X)
                 and real.in_p(self.Y))
@@ -519,7 +519,7 @@ def jm_triple(real, x):
     if yc is None:
         raise ConsistencyError("no completing Y found for a nilpotent element")
     triple = SL2Triple(H=h, X=x, Y=real.from_coords(yc))
-    if not triple.bracket_identities_hold(real):
+    if not triple.bracket_identities_hold():
         raise ConsistencyError("triple fails its bracket identities")
     return triple
 
@@ -616,11 +616,12 @@ def dense_orbit_check(real, h, x):
 
 
 def nilcone_dimension(real, seed):
-    """dim p minus the dimension of a Cartan subspace of p.
+    """dim p minus the least dim z_p(s) over three random nonzero s in p.
 
-    The Cartan subspace is found as the p-centralizer of a random rational
-    element certified regular semisimple by a squarefree minimal polynomial;
-    three certified trials must agree (the minimum is taken).
+    Every s in p has dim z_p(s) >= dim a, with equality exactly when s is
+    regular (Kostant-Rallis 1971), and dim N_theta = dim p - dim a.  So the
+    result is a lower bound on the cone dimension, exact once one sample is
+    p-regular.
     """
     rng = random.Random("%s-nilcone" % (seed,))
     if real.p_dim == 0:
@@ -630,63 +631,11 @@ def nilcone_dimension(real, seed):
         s = real.from_p_coords([F(rng.randint(-4, 4)) for _ in range(real.p_dim)])
         if la.is_zero_matrix(s):
             continue
-        if not _squarefree_minpoly(real, s):
-            continue
         cent = real.p_dim - la.rank(_columns(real.ad_matrix(s), real.p_index))
         found.append(cent)
         if len(found) >= 3:
             return real.p_dim - min(found)
-    raise DiagnosticError("no regular semisimple p-element found in budget",
-                          partial=found)
-
-
-def _squarefree_minpoly(real, s):
-    """Whether the minimal polynomial of s is squarefree.
-
-    One rref of the matrix whose columns are the flattened powers
-    1, s, ..., s^n: its first non-pivot column d is the lowest power that
-    depends on the ones below it, and that column of the rref holds the
-    coefficients.
-    """
-    cur = la.identity(real.msize)
-    powers = [la.flatten(cur)]
-    for _ in range(real.msize):
-        cur = la.mat_mul(cur, s)
-        powers.append(la.flatten(cur))
-    red, pivots = la.rref([list(col) for col in zip(*powers)])
-    d = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
-    if d == len(powers):
-        raise ConsistencyError("minimal polynomial not found")
-    coeffs = [-red[r][d] for r in range(d)] + [F(1)]  # monic minimal polynomial
-    deriv = [i * coeffs[i] for i in range(1, len(coeffs))]
-    return _poly_gcd_degree(coeffs, deriv) == 0
-
-
-def _poly_gcd_degree(a, b):
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_trim(_poly_mod(a, b))
-    return len(a) - 1
-
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mod(a, b):
-    a = list(a)
-    while len(a) >= len(b) and a:
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
+    raise DiagnosticError("no nonzero p-element sampled in budget", partial=found)
 
 
 def random_nilpotent(real, rng):
@@ -1063,7 +1012,7 @@ def pinned_principal(real, h_values):
     return h, _basis_sum(real, p2, [1] * len(p2))
 
 
-def even_grading_orbit_dims(real, seed=0, max_h=2):
+def even_grading_orbit_dims(real, seed=0):
     """Orbit dimension of the dense element of every confirmed even grading.
 
     These are exactly the orbits whose resolutions the package constructs;
@@ -1072,14 +1021,17 @@ def even_grading_orbit_dims(real, seed=0, max_h=2):
     from .grading import search_even_gradings
     confirm = dense_confirmer(real, seed)
     out = []
-    for hit in search_even_gradings(real.rs, real.eps, max_h=max_h, confirm=confirm):
+    for hit in search_even_gradings(real.rs, real.eps, confirm=confirm):
         if hit.confirmed:
             _, x = pinned_principal(real, hit.H.h_values)
             out.append((hit.H.h_values, orbit_dimension(real, x)))
     return out
 
 
-def qct_evidence(real, seed, n_samples=14, closure_deg=2, cone_dim=None):
+_CLOSURE_DEG = 2
+
+
+def qct_evidence(real, seed, n_samples=14, cone_dim=None):
     """Sampled evidence for the single-closure and even-dimension conditions.
 
     cone_dim is nilcone_dimension(real, seed), computed here unless given.
@@ -1101,7 +1053,7 @@ def qct_evidence(real, seed, n_samples=14, closure_deg=2, cone_dim=None):
             continue
         for i, r in enumerate(reps):
             if i == len(refs):
-                refs.append(OrbitSample(real, r, closure_deg,
+                refs.append(OrbitSample(real, r, _CLOSURE_DEG,
                                         random.Random("%s-closure-ref" % (seed,)), 12))
             if not not_in_closure_certificate(refs[i], s, seed):
                 break
@@ -1111,7 +1063,7 @@ def qct_evidence(real, seed, n_samples=14, closure_deg=2, cone_dim=None):
         "degenerate": False,
         "seed": seed,
         "nilcone_dim": cone_dim,
-        "principal_orbit_dim": orbit_dimension(real, principal),
+        "principal_orbit_dim": dims[0],
         "component_count": len(reps),
         "sampled_orbit_dims": dims,
         "even_grading_orbit_dims": even_grading_orbit_dims(real, seed),

@@ -305,13 +305,6 @@ class RootSystem:
         coords = [F(c) for c in coords]
         return Weight(tuple(sum(map(mul, row, coords)) for row in self.cartan_matrix))
 
-    def bilinear(self, lam, mu):
-        """The W-invariant form, normalized by (a_i, a_i) = 2 d_i."""
-        r1 = self._root_num(lam)
-        r2 = self._root_num(mu)
-        total = sum(x * sum(map(mul, row, r2)) for x, row in zip(r1, self._gram2) if x)
-        return F(total, 2 * self._root_den ** 2)
-
     def coroot_vector(self, root):
         """Int vector v with <lam, root^vee> = sum v_i lam.fw[i].
 
@@ -374,7 +367,7 @@ class Subsystem:
     """A closed subsystem with the positive system inherited from the ambient one.
 
     Used both for the full system and for the root system of K; most
-    character-level operations (dominance, Bott, Freudenthal) are relative
+    character-level operations (dominance, Bott, Weyl dimension) are relative
     to a subsystem.
     """
 
@@ -542,17 +535,8 @@ class VirtualCharacter:
             out[w] = out.get(w, 0) + m
         return VirtualCharacter(out)
 
-    def __sub__(self, other):
-        out = dict(self._terms)
-        for w, m in other._terms.items():
-            out[w] = out.get(w, 0) - m
-        return VirtualCharacter(out)
-
     def __neg__(self):
         return VirtualCharacter({w: -m for w, m in self._terms.items()})
-
-    def scale(self, c):
-        return VirtualCharacter({w: c * m for w, m in self._terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, VirtualCharacter) and self._terms == other._terms
@@ -593,141 +577,6 @@ def weyl_dimension(sub, lam):
     if rem or val <= 0:
         raise ConsistencyError("Weyl dimension came out as %s" % (F(num, den),))
     return val
-
-
-def weyl_orbit(sub, lam):
-    """The Weyl orbit of a weight, as a list."""
-    seen = {lam.d2}
-    frontier = [lam.d2]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for i in range(sub.rank):
-                r = sub._reflect2(w, i)
-                if r not in seen:
-                    seen.add(r)
-                    nxt.append(r)
-        frontier = nxt
-    return [_weight_of(t) for t in sorted(seen)]
-
-
-def freudenthal_multiplicities(sub, lam):
-    """Dominant weight multiplicities of the irreducible with highest weight lam.
-
-    Freudenthal's recursion; candidates are pruned by the exact norm bound
-    (mu, mu) <= (lam, lam), so no cutoff is ever needed.
-    """
-    if not sub.is_dominant(lam):
-        raise InputError("highest weight must be dominant")
-    rs = sub.rs
-    norm_lam = rs.bilinear(lam, lam)
-    # collect dominant candidates lam - (sum of positive subsystem roots)
-    candidates = {lam}
-    frontier = [lam]
-    while frontier:
-        nxt = []
-        for mu in frontier:
-            for r in sub.positive_roots:
-                nu = mu - rs.root_fw(r)
-                if nu in candidates:
-                    continue
-                if rs.bilinear(nu, nu) > norm_lam:
-                    continue
-                candidates.add(nu)
-                nxt.append(nu)
-        frontier = nxt
-    dominants = [mu for mu in candidates if sub.is_dominant(mu)]
-    # height relative to the subsystem orders the recursion
-    def depth(mu):
-        return rs.bilinear(lam - mu, sub.rho.scale(2))
-
-    dominants.sort(key=lambda mu: (depth(mu), mu.d2))
-    mults = {}
-    table = {}
-
-    def mult_of(nu):
-        d = sub.dominant_representative(nu)
-        return table.get(d, 0)
-
-    shifted_lam = lam + sub.rho
-    denom_base = rs.bilinear(shifted_lam, shifted_lam)
-    for mu in dominants:
-        if mu == lam:
-            table[mu] = 1
-            mults[mu] = 1
-            continue
-        total = F(0)
-        for r in sub.positive_roots:
-            rfw = rs.root_fw(r)
-            k = 1
-            while True:
-                nu = mu + rfw.scale(k)
-                if rs.bilinear(nu, nu) > norm_lam:
-                    break
-                m = mult_of(nu)
-                if m:
-                    total += m * rs.bilinear(nu, rfw)
-                k += 1
-        shifted_mu = mu + sub.rho
-        denom = denom_base - rs.bilinear(shifted_mu, shifted_mu)
-        if denom == 0:
-            continue  # not actually a weight of V_lam
-        val = 2 * total / denom
-        if val.denominator != 1 or val < 0:
-            raise ConsistencyError("Freudenthal produced %r at %r" % (val, mu))
-        if val:
-            table[mu] = int(val)
-            mults[mu] = int(val)
-    return mults
-
-
-def irreducible_weights(sub, lam):
-    """All weights of V_lam with multiplicities (Weyl-orbit expansion)."""
-    out = {}
-    for mu, m in freudenthal_multiplicities(sub, lam).items():
-        for nu in weyl_orbit(sub, mu):
-            out[nu] = out.get(nu, 0) + m
-    return out
-
-
-def decompose_character(sub, weights):
-    """Decompose a Weyl-invariant weight multiset into irreducible characters.
-
-    Leading-term subtraction: repeatedly take a maximal weight (which must
-    be dominant if the input is Weyl-invariant), subtract its full character,
-    record the multiplicity.  The result reconstructs the input exactly.
-    """
-    if not isinstance(weights, dict):
-        acc = {}
-        for w in weights:
-            acc[w] = acc.get(w, 0) + 1
-        weights = acc
-    remaining = {w: m for w, m in weights.items() if m}
-    rs = sub.rs
-    two_rho = sub.rho.scale(2)
-
-    def height(w):
-        return rs.bilinear(w, two_rho)
-
-    out = {}
-    guard = 0
-    while remaining:
-        guard += 1
-        if guard > 10000:
-            raise ConsistencyError("decomposition did not terminate")
-        top = max(remaining, key=lambda w: (height(w), w.d2))
-        if not sub.is_dominant(top):
-            raise ConsistencyError("maximal weight %r is not dominant; input is "
-                                   "not Weyl-invariant" % (top,))
-        m = remaining[top]
-        out[top] = out.get(top, 0) + m
-        for nu, mult in irreducible_weights(sub, top).items():
-            new = remaining.get(nu, 0) - m * mult
-            if new:
-                remaining[nu] = new
-            else:
-                remaining.pop(nu, None)
-    return VirtualCharacter(out)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def test_jm_triple_sl3_principal_pin():
     t = oc.jm_triple(real, x)
     assert t.H == _mat([[2, 0, 0], [0, 0, 0], [0, 0, -2]])
     assert t.Y == _mat([[0, 0, 0], [2, 0, 0], [0, 2, 0]])
-    assert t.bracket_identities_hold(real)
+    assert t.bracket_identities_hold()
 
 
 def test_jm_triple_rejects_bad_input():
@@ -187,10 +187,27 @@ def test_dense_orbit_checks():
 
 @pytest.mark.parametrize("name,dim", [
     ("su(1,1)", 1), ("su(2,1)", 3), ("su(2,2)", 6), ("sp(4,R)", 4),
+    ("su(3,1)", 5), ("sp(6,R)", 9), ("su(3,2)", 10), ("so*(8)", 10),
 ])
 def test_nilcone_dimension(name, dim):
     real = oc.realize(name)
-    assert oc.nilcone_dimension(real, 7) == dim
+    for seed in (7, 11):
+        assert oc.nilcone_dimension(real, seed) == dim
+
+
+@pytest.mark.parametrize("name", ["su(2,1)", "sp(4,R)", "su(3,1)", "so*(8)"])
+def test_orbit_dimensions_are_bounded_by_the_nilcone_dimension(name):
+    # dim K.s <= dim p - dim a for every s in p (Kostant-Rallis), which is
+    # what lets nilcone_dimension take a minimum over unfiltered samples
+    real = oc.realize(name)
+    cone_dim = oc.nilcone_dimension(real, 7)
+    rng = random.Random(name)
+    for _ in range(6):
+        s = real.from_p_coords([F(rng.randint(-3, 3)) for _ in range(real.p_dim)])
+        assert oc.orbit_dimension(real, s) <= cone_dim
+        assert oc.orbit_dimension(real, oc.random_nilpotent(real, rng)) <= cone_dim
+    x = oc.principal_nilpotent_search(real, 7)
+    assert oc.orbit_dimension(real, x) == cone_dim
 
 
 def test_principal_search_certified():
