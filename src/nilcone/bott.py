@@ -7,13 +7,18 @@ contributes ch V_{w.lam} in degree length(w).  Euler characteristics of
 weight multisets are the signed sums of these contributions, which is the
 additive extension of the Weyl character formula numerator.  A multiset is
 taken as weight -> multiplicity, so each distinct weight is regularized
-once and its contribution scaled by its multiplicity.
+once and its contribution scaled by its multiplicity.  A caller that sums
+many shifted multisets (a box of twists, every degree of a series) passes
+one table of regularizations to every call, so each distinct shifted
+weight is regularized once per caller, not once per multiset.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add
 
-from .rootdata import VirtualCharacter, make_dominant, require_integral
+from .rootdata import (VirtualCharacter, _weight_of, make_dominant,
+                       require_integral)
 
 
 @dataclass
@@ -37,17 +42,25 @@ def line_cohomology(lam, kd):
     return CohomologyResult({w.length: VirtualCharacter.irreducible(dom)})
 
 
-def euler_of_weights(weights, kd):
-    """Signed Bott contribution summed over a weight multiset.
+def euler_of_weights(weights, kd, shift=None, seen=None):
+    """Signed Bott contribution summed over the multiset weights + shift.
 
     weights is a list of weights or a Counter (weight -> multiplicity); both
-    go through Counter(weights), so make_dominant runs once per distinct
-    weight.
+    go through Counter(weights), so make_dominant runs at most once per
+    distinct weight.  seen, owned by the caller, maps the d2 of a shifted
+    weight to (d2 of its dominant weight, sign), or to None on a wall; a
+    table reused across calls regularizes each shifted weight once.
     """
+    if seen is None:
+        seen = {}
     total = {}
     for lam, mult in Counter(weights).items():
-        w, dom, singular = make_dominant(kd, lam)
-        if singular:
-            continue
-        total[dom] = total.get(dom, 0) + (mult if w.length % 2 == 0 else -mult)
-    return VirtualCharacter(total)
+        key = lam.d2 if shift is None else tuple(map(add, lam.d2, shift.d2))
+        if key not in seen:
+            w, dom, singular = make_dominant(kd, _weight_of(key))
+            seen[key] = None if singular else (dom.d2, -1 if w.length % 2 else 1)
+        hit = seen[key]
+        if hit is not None:
+            dom, sign = hit
+            total[dom] = total.get(dom, 0) + sign * mult
+    return VirtualCharacter({_weight_of(d): m for d, m in total.items()})

@@ -387,13 +387,12 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
             lams = _qk_dominant_box(rs, pd, kd, bound=2)
         worst = "PASS"
         bad = []
-        for lam in lams:
-            rep = se.verify_vanishing(lam, gd, kd, N, form=form)
+        for rep in se.verify_vanishing_box(lams, gd, kd, N, form=form):
             if rep.status == se.HYPOTHESIS_UNMET:
                 worst = se.HYPOTHESIS_UNMET if worst == "PASS" else worst
             elif rep.status == se.FAIL:
                 worst = "FAIL"
-                bad.append(weight_to_json(lam))
+                bad.append(weight_to_json(rep.lam))
         return worst, {"weights_checked": len(lams), "violations": bad}
 
     def check_hilbert():

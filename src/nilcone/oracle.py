@@ -665,9 +665,14 @@ def random_nilpotent(real, rng):
 
 
 def principal_nilpotent_search(real, seed, cone_dim=None):
-    """A nilpotent in p of maximal K-orbit dimension, certified against the cone.
+    """A seeded random nilpotent in p whose K-orbit dimension equals cone_dim.
 
     cone_dim is nilcone_dimension(real, seed), computed here unless given.
+    That is a lower bound on dim N_theta, exact once one of its samples is
+    p-regular; the result is a nilpotent of maximal orbit dimension exactly
+    when the bound is exact.  A sampled orbit larger than cone_dim shows the
+    bound was not exact and raises DiagnosticError at once, with the largest
+    orbit's nilpotent as partial data.
     """
     if real.p_dim == 0:
         raise InputError("p = 0: no principal nilpotent exists")
@@ -681,6 +686,11 @@ def principal_nilpotent_search(real, seed, cone_dim=None):
         d = orbit_dimension(real, x)
         if d > best_dim:
             best, best_dim = x, d
+        if best_dim > cone_dim:
+            raise DiagnosticError(
+                "principal search found orbit dimension %d > %d: the "
+                "nilcone_dimension bound was not exact" % (best_dim, cone_dim),
+                partial=best)
         if best_dim == cone_dim:
             return best
     raise DiagnosticError("principal search stalled at orbit dimension %d < %d"

@@ -8,10 +8,12 @@ that convention the k = 0 piece of the untwisted series is the trivial
 character and the degree-k dimensions reproduce the coordinate ring of the
 normalized orbit closure.
 
-Sym^0..Sym^N(u cap p) is built once per series as Counters (weight ->
-multiplicity), each generator extending degree k from degree k - 1, so the
-Bott step runs once per distinct weight of each degree, not once per
-monomial.
+Sym^0..Sym^N(u cap p) is built once per call as Counters (weight ->
+multiplicity), each generator extending degree k from degree k - 1, and a
+box of twists shares it: verify_vanishing_box builds it once for the whole
+box.  One table of Bott regularizations serves every twist and degree of
+the call, so each distinct shifted weight Sym^k weight + lam is regularized
+once per call, not once per monomial, degree or twist.
 
 Higher-cohomology vanishing is verified through its falsifiable consequence:
 every graded Euler characteristic must have nonnegative multiplicities.
@@ -69,14 +71,23 @@ def sym_weights(weights, k):
     return list(sym_powers(weights, k, rank)[k].elements())
 
 
+def _series(lams, gd, kd, N, form):
+    """The series of each twist in lams, yielded in order: Sym^k(u cap p) is
+    built once, and one regularization table serves every twist and degree.
+    """
+    syms = sym_powers(gd.u_cap_p_weights(), N, gd.rs.rank)
+    seen = {}
+    for lam in lams:
+        chi = [euler_of_weights(sym, kd, shift=lam, seen=seen).dual(kd)
+               for sym in syms]
+        yield GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values,
+                                    form=form)
+
+
 def euler_series(lam, gd, kd, N, form=""):
     """chi_k = dual(Euler(Sym^k(u cap p) + lam)) for k = 0..N."""
     require_integral(lam)
-    chi = []
-    for sym in sym_powers(gd.u_cap_p_weights(), N, gd.rs.rank):
-        shifted = Counter({nu + lam: m for nu, m in sym.items()})
-        chi.append(euler_of_weights(shifted, kd).dual(kd))
-    return GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values, form=form)
+    return next(_series([lam], gd, kd, N, form))
 
 
 @dataclass
@@ -92,25 +103,38 @@ class VanishingReport:
         return self.status == PASS
 
 
-def verify_vanishing(lam, gd, kd, N, form=""):
-    """Nonnegativity of every multiplicity in every chi_k, k <= N.
+def verify_vanishing_box(lams, gd, kd, N, form=""):
+    """The vanishing report of each twist in lams, yielded in input order.
 
-    Refuses (HYPOTHESIS-UNMET) when lam is not Q cap K dominant, since
-    nothing is asserted outside that cone.  A non-integral lam defines no
-    line bundle and raises InputError.
+    Every twist is checked for integrality here, before any report: a
+    non-integral lam defines no line bundle and raises InputError.  A lam
+    outside the Q cap K dominant cone is refused (HYPOTHESIS-UNMET), since
+    nothing is asserted there; the others share one series engine.
     """
-    require_integral(lam)
+    lams = list(lams)
+    for lam in lams:
+        require_integral(lam)
     pd = parabolic(gd)
-    if not is_QK_dominant(lam, pd, kd):
+    inside = [is_QK_dominant(lam, pd, kd) for lam in lams]
+    series = _series([lam for lam, ok in zip(lams, inside) if ok],
+                     gd, kd, N, form)
+    return (_vanishing_report(lam, N, next(series) if ok else None)
+            for lam, ok in zip(lams, inside))
+
+
+def _vanishing_report(lam, N, series):
+    if series is None:
         return VanishingReport(status=HYPOTHESIS_UNMET, lam=lam, N=N)
-    series = euler_series(lam, gd, kd, N, form=form)
-    violations = []
-    for k, chi in enumerate(series.chi):
-        for w, m in chi.negatives():
-            violations.append((k, w, m))
-    status = PASS if not violations else FAIL
-    return VanishingReport(status=status, lam=lam, N=N,
+    violations = [(k, w, m) for k, chi in enumerate(series.chi)
+                  for w, m in chi.negatives()]
+    return VanishingReport(status=FAIL if violations else PASS, lam=lam, N=N,
                            violations=violations, series=series)
+
+
+def verify_vanishing(lam, gd, kd, N, form=""):
+    """Nonnegativity of every multiplicity in every chi_k, k <= N: the box
+    of the one twist lam (see verify_vanishing_box)."""
+    return next(verify_vanishing_box([lam], gd, kd, N, form))
 
 
 def hilbert_series(gd, kd, N, form=""):
@@ -161,13 +185,17 @@ def blattner_multiplicity(mu, lam, gd, kd):
     if not kd.is_dominant(mu):
         raise InputError("mu must be K-dominant")
     require_integral(lam)
-    rs = gd.rs
+    return _alternating_sum(mu, lam, gd, kd, weyl_elements(kd))
+
+
+def _alternating_sum(mu, lam, gd, kd, words):
+    """blattner_multiplicity's sum over the Weyl words of K, given as words."""
     ups = gd.u_cap_p_weights()
     mu_star = kd.dominant_representative(-mu)
     total = 0
-    for w in weyl_elements(kd):
+    for w in words:
         arg = kd.apply(w, mu_star + kd.rho) - kd.rho - lam
-        count = kostant_partition(rs, arg, ups)
+        count = kostant_partition(gd.rs, arg, ups)
         total += count if w.length % 2 == 0 else -count
     return total
 
@@ -207,7 +235,7 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
         cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
-        alternating = blattner_multiplicity(mu, lam, gd, kd)
+        alternating = _alternating_sum(mu, lam, gd, kd, words)
         if cumulative != alternating:
             mismatches.append((mu, cumulative, alternating))
     return not mismatches, mismatches, len(mus)

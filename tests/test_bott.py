@@ -57,6 +57,41 @@ def test_euler_of_multiset_is_sum_over_singletons():
         assert bott.euler_of_weights(Counter(weights), kd) == total
 
 
+def test_shared_table_gives_the_shifted_multiset(monkeypatch):
+    # one table reused across shifts: the result is the Euler characteristic
+    # of the shifted multiset, and make_dominant runs once per distinct
+    # shifted weight over all calls
+    rng = random.Random(43)
+    a2 = rd.build_root_system("A", 2)
+    sp4, eps = rf.standard_form_catalog("sp(4,R)")
+    systems = [_a1(), (a2, rd.full_subsystem(a2)),
+               (sp4, rf.k_root_datum(rf.cartan_decomposition(sp4, eps)))]
+    calls = []
+    make_dominant = bott.make_dominant
+
+    def counted(sub, lam):
+        calls.append(lam)
+        return make_dominant(sub, lam)
+
+    for rs, kd in systems:
+        pool = [rd.Weight(tuple(F(rng.randint(-4, 4)) for _ in range(rs.rank)))
+                for _ in range(16)]
+        weights = pool[:12] + pool[:4]  # with repeats
+        shifts = pool[12:] + pool[12:14]  # a shift seen before costs nothing
+        seen = {}
+        calls.clear()
+        for shift in shifts:
+            want = bott.euler_of_weights([w + shift for w in weights], kd)
+            monkeypatch.setattr(bott, "make_dominant", counted)
+            got = bott.euler_of_weights(weights, kd, shift=shift, seen=seen)
+            assert got == bott.euler_of_weights(Counter(weights), kd,
+                                                shift=shift, seen=seen)
+            monkeypatch.setattr(bott, "make_dominant", make_dominant)
+            assert got == want
+        distinct = {w + s for w in weights for s in shifts}
+        assert len(calls) == len(set(calls)) == len(distinct) == len(seen)
+
+
 def test_euler_examples():
     rs, kd = _a1()
     assert bott.euler_of_weights([rd.weight(0)], kd) == \

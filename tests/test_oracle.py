@@ -216,6 +216,27 @@ def test_principal_search_certified():
     assert oc.orbit_dimension(real, x) == 3
 
 
+@pytest.mark.parametrize("name,dim", [("su(2,1)", 3), ("sp(4,R)", 4)])
+def test_principal_search_refuses_an_inexact_cone_bound(monkeypatch, name, dim):
+    # a sampled orbit larger than the cone bound proves the bound inexact:
+    # the search stops at that sample instead of running out its budget
+    real = oc.realize(name)
+    calls = []
+    orbit_dimension = oc.orbit_dimension
+
+    def counted(real, x):
+        calls.append(x)
+        return orbit_dimension(real, x)
+
+    monkeypatch.setattr(oc, "orbit_dimension", counted)
+    for seed in (7, 11):
+        calls.clear()
+        with pytest.raises(DiagnosticError, match="not exact") as info:
+            oc.principal_nilpotent_search(real, seed, cone_dim=dim - 1)
+        assert len(calls) == 1
+        assert orbit_dimension(real, info.value.partial) == dim
+
+
 def test_principal_search_rejects_compact():
     real = oc.realize("su(1,1)", eps=(1,))
     assert real.p_dim == 0

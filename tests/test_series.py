@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+from nilcone import cli
 from nilcone import grading as gr
 from nilcone import realform as rf
 from nilcone import rootdata as rd
@@ -114,6 +115,77 @@ def test_verify_vanishing_pass_and_gate():
     rep = se.verify_vanishing(bad, gd, kd, 4)
     assert rep.status == se.HYPOTHESIS_UNMET
     assert rep.series is None
+
+
+def _box_context(name, h=None):
+    if h is None:
+        rs, eps, h = rf.principal_presentation(name)
+        gd = gr.grade(rs, eps, h)
+        kd = gd.k_root_datum()
+    else:
+        rs, gd, kd = _context(name, h)
+    return rs, gd, kd, cli._qk_dominant_box(rs, gr.parabolic(gd), kd, bound=2)
+
+
+@pytest.mark.parametrize("name,h,extra", [
+    ("su(1,1)", None, [(0,), (-3,)]),
+    ("su(2,1)", None, [(0, 0), (-1, 0)]),
+    ("sp(4,R)", None, []),
+    ("su(2,2)", None, []),
+    ("so*(8)", (0, 0, 0, 2), []),
+])
+def test_vanishing_box_matches_twist_by_twist(name, h, extra):
+    # the Q cap K dominant box, its non-dominant neighbours in the same
+    # coordinate range (su(1,1) has none: K is a torus), and the twists of
+    # test_verify_vanishing_pass_and_gate
+    rs, gd, kd, box = _box_context(name, h)
+    pd = gr.parabolic(gd)
+    outside = [lam for lam in (rd.Weight(c) for c in product(range(-2, 3),
+                                                              repeat=rs.rank))
+               if not gr.is_QK_dominant(lam, pd, kd)][:6]
+    lams = [rd.Weight(c) for c in extra] + outside[:3] + box + outside[3:]
+    got = list(se.verify_vanishing_box(lams, gd, kd, 4, form=name))
+    want = [se.verify_vanishing(lam, gd, kd, 4, form=name) for lam in lams]
+    assert [r.lam for r in got] == lams
+    for g, w in zip(got, want):
+        assert (g.status, g.violations) == (w.status, w.violations)
+        if w.series is None:
+            assert g.series is None
+        else:
+            assert [c.items() for c in g.series.chi] == \
+                [c.items() for c in w.series.chi]
+    statuses = {r.status for r in got}
+    assert statuses == ({se.PASS, se.HYPOTHESIS_UNMET} if outside else {se.PASS})
+
+
+def test_vanishing_box_rejects_a_non_integral_twist_at_the_call():
+    rs, gd, kd, box = _box_context("su(2,1)")
+    half = rd.Weight((F(1, 2), F(0)))
+    for at in (0, len(box) // 2, len(box)):
+        with pytest.raises(InputError):
+            se.verify_vanishing_box(box[:at] + [half] + box[at:], gd, kd, 2)
+
+
+def test_empty_vanishing_box_yields_nothing():
+    rs, gd, kd, box = _box_context("su(2,1)")
+    assert list(se.verify_vanishing_box([], gd, kd, 4)) == []
+
+
+def test_vanishing_box_regularizes_each_shifted_weight_once(monkeypatch):
+    from nilcone import bott
+    rs, gd, kd, box = _box_context("su(2,2)")
+    assert len(box) == 55
+    calls = []
+    make_dominant = bott.make_dominant
+
+    def counted(sub, lam):
+        calls.append(lam)
+        return make_dominant(sub, lam)
+
+    monkeypatch.setattr(bott, "make_dominant", counted)
+    reports = list(se.verify_vanishing_box(box, gd, kd, 6, form="su(2,2)"))
+    assert all(r.passed for r in reports)
+    assert len(calls) == len(set(calls)) == 2054
 
 
 def test_verify_vanishing_levi_equality_gate():
