@@ -397,9 +397,9 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
 
     def check_hilbert():
         dims = se.hilbert_series(gd, kd, kmax, form=form)
-        # the oracle dims are lower bounds; any below the series come from
-        # exact ranks over Q
-        oracle_dims = oc.coordinate_ring_dims(real, x_mat, kmax, seed, upper=dims)
+        # the oracle dims are certified lower bounds (sums of exact block ranks
+        # over Q), the series an upper bound
+        oracle_dims = oc.coordinate_ring_dims(real, x_mat, kmax, seed)
         if dims == oracle_dims:
             return "PASS", {"series": dims, "oracle": oracle_dims}
         if all(o <= s for o, s in zip(oracle_dims, dims)):

@@ -1,16 +1,12 @@
-"""Dense linear algebra over the rationals, and rank mod a word-size prime.
+"""Dense linear algebra over the rationals.
 
 Matrices are lists of lists of Fraction, vectors are lists of Fraction.
-No floating point anywhere.  rref, rank, nullspace, solve, EchelonBasis and
-Span are exact over Q: rref clears each row of denominators and content and
-eliminates over primitive integer rows, so no Fraction arithmetic runs
-inside the elimination.  IncrementalRank works mod PRIME: its rank is a
-certified lower bound on the rank over Q of the rows it was given, not the
-rank itself; callers that need more build an EchelonBasis of the rows,
-whose rank is exact and which tests single rows for a rise over Q.  It keeps
-each row as one int of fixed-width slots, one per column, wide enough that
-no carry crosses a slot during a sweep, so eliminating a pivot is one shift
-and one big-int multiply-add rather than a loop over the columns.
+No floating point anywhere.  rref, rank, nullspace, solve, IncrementalRank
+and Span are exact over Q.  rref and IncrementalRank clear each row of
+denominators and content and eliminate over primitive integer rows
+(_cancel), so no Fraction arithmetic runs inside the elimination; rref
+ranks a whole matrix at once, IncrementalRank takes rows one at a time and
+tests single rows for a rise.
 """
 
 from bisect import insort
@@ -18,8 +14,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 F = Fraction
-
-PRIME = 2 ** 61 - 1
 
 
 def zeros(nrows, ncols):
@@ -189,120 +183,40 @@ def solve(rows, rhs):
     return x
 
 
-def residue(x):
-    """x mod PRIME for an int or a Fraction.
-
-    A denominator divisible by PRIME has no inverse mod PRIME: it raises
-    ZeroDivisionError rather than giving a wrong residue.
-    """
-    if x.denominator == 1:
-        return x.numerator % PRIME
-    d = x.denominator % PRIME
-    if not d:
-        raise ZeroDivisionError("denominator %d is divisible by PRIME" % x.denominator)
-    return x.numerator * pow(d, -1, PRIME) % PRIME
-
-
-class EchelonBasis:
-    """Row basis over Q of a fixed family of rows, for exact membership tests.
-
-    Built by one rref; raises(row) then reduces only that row against the
-    basis rows, instead of eliminating the family and the row together.
-    The basis rows are kept as primitive integer rows b_k, by their nonzero
-    entries.  Each is zero at every pivot but its own, p_k, so row v is in
-    the span exactly when v - sum_k v[p_k] b_k / b_k[p_k] is zero, which is
-    formed over the integers, scaled by the lcm L of the b_k[p_k].
-    """
-
-    def __init__(self, rows):
-        red, pivots = rref(rows)
-        prows = [primitive(row) for row in red[:len(pivots)]]
-        self._scale = lcm(*[row[c] for row, c in zip(prows, pivots)])
-        self._rows = [(c, self._scale // row[c],
-                       [(j, x) for j, x in enumerate(row) if x])
-                      for row, c in zip(prows, pivots)]
-
-    @property
-    def rank(self):
-        return len(self._rows)
-
-    def raises(self, row):
-        """Whether appending row raises the rank over Q."""
-        v = primitive(row)
-        acc = [self._scale * x for x in v]
-        for c, m, entries in self._rows:
-            f = v[c] * m
-            if f:
-                for j, x in entries:
-                    acc[j] -= f * x
-        return any(acc)
-
-
 class IncrementalRank:
-    """Row rank mod PRIME maintained under row insertions (forward elimination).
+    """Row rank over Q maintained under row insertions (forward elimination).
 
-    Rows are vectors of ints and Fractions.  A rank mod PRIME never exceeds
-    the rank over Q, so rank is a certified lower bound on it; add and raises
-    can miss a rise over Q (a row that is dependent only mod PRIME) and, once
-    rank falls short of the rank over Q, report one that is not there.
-
-    Each stored row y (pivot entry 1, reduced mod PRIME) is one int packing
-    its entries from the pivot on: slot j, S bits wide, holds PRIME - y_j,
-    which lies in 1..PRIME.  A row is swept as a packed int too: at each
-    pivot the slot there is read as f (mod PRIME) and f times the stored row
-    is added, which subtracts f*y mod PRIME with no borrow.  A slot starts
-    below PRIME and gains f*(PRIME - y_j) < PRIME**2 at each pivot left of
-    it, at most width times, so it stays below PRIME + width*PRIME**2 <
-    2**(2*61 + bitlen(width) + 1) <= 2**S with S = 8*ceil((2*61 +
-    bitlen(width) + 1)/8): no carry ever crosses a slot boundary.
+    Rows are vectors of ints and Fractions, each cleared to a primitive
+    integer row on entry.  Each stored row is (pivot, primitive integer row),
+    zero left of its pivot, and the stored rows are sorted by pivot.  A row
+    is reduced by the stored rows in pivot order with _cancel; it can be
+    nonzero left of a pivot, so every cancellation runs over the whole row.
     """
 
     def __init__(self, width):
         self.width = width
-        self._bytes = (2 * PRIME.bit_length() + width.bit_length() + 8) // 8  # S / 8
-        self._rows = []  # (pivot, packed row[pivot:]) sorted by pivot
-
-    def _pack(self, values):
-        size = self._bytes
-        return int.from_bytes(b"".join(x.to_bytes(size, "little") for x in values),
-                              "little")
+        self._rows = []  # (pivot, primitive integer row) sorted by pivot
 
     def _reduce(self, row):
-        """The residues of row minus the stored rows that clear its pivots."""
-        size = self._bytes
-        bits = 8 * size
-        slot = (1 << bits) - 1
-        v = self._pack([residue(x) for x in row])
-        done = []  # the slots left of the current pivot, which no row changes
-        pos = 0  # the column of v's lowest slot
-        for pivot, r in self._rows:
-            if pivot > pos:
-                drop = bits * (pivot - pos)
-                done.append((v & ((1 << drop) - 1)).to_bytes(size * (pivot - pos),
-                                                             "little"))
-                v >>= drop
-                pos = pivot
-            f = (v & slot) % PRIME
-            if f:
-                v += f * r
-        done.append(v.to_bytes(size * (self.width - pos), "little"))
-        data = b"".join(done)
-        return [int.from_bytes(data[i:i + size], "little") % PRIME
-                for i in range(0, len(data), size)]
+        """The primitive integer row of row minus the stored rows that clear
+        its pivots."""
+        v = primitive(row)
+        for pivot, prow in self._rows:
+            if v[pivot]:
+                v = _cancel(v, prow, pivot, 0)
+        return v
 
     def add(self, row):
-        """Insert a row; returns True when it increased the rank mod PRIME."""
+        """Insert a row; returns True when it increased the rank."""
         v = self._reduce(row)
         for c, x in enumerate(v):
             if x:
-                inv = pow(x, -1, PRIME)
-                insort(self._rows, (c, self._pack([PRIME - y * inv % PRIME
-                                                   for y in v[c:]])))
+                insort(self._rows, (c, v))
                 return True
         return False
 
     def raises(self, row):
-        """Whether add(row) would increase the rank mod PRIME; changes nothing."""
+        """Whether add(row) would increase the rank; changes nothing."""
         return any(self._reduce(row))
 
     @property

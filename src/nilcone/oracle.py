@@ -11,12 +11,12 @@ matrix's entries, and ad is a sum of the integer structure constants,
 computed once per model.  Jacobson-Morozov triples, orbit and cone
 dimensions and density checks are exact solves and ranks over Q (la.rref,
 which eliminates over integer rows).  Hilbert functions of orbit closures
-and closure separations both read one OrbitSample: evaluation ranks mod
-la.PRIME at rational orbit points sampled by integer conjugation, lower
-bounds, with one echelon basis over Q per degree wherever a bound is not
-enough, built from the rows that raised the rank mod la.PRIME.  A sample whose
-ranks have not saturated within its budget raises DiagnosticError, which
-the verify pipeline reports as INCONCLUSIVE; nothing is certified from it.
+and closure separations both read one OrbitSample: exact evaluation ranks
+over Q (la.IncrementalRank), one per T-weight block of monomials, at x and
+generic integer points Ad(u+ u- u+) x of its orbit.  Their sum is a
+certified lower bound on the Hilbert function; a rank that still rises in
+the sample's confirming batch raises DiagnosticError, which the verify
+pipeline reports as INCONCLUSIVE; nothing is certified from it.
 
 Randomness is always driven by an explicit seed and every probabilistic
 certificate (genericity, rank stabilization) is reproducible from it.
@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, gcd, lcm, prod
+from math import lcm
 
 from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
@@ -701,84 +701,53 @@ def principal_nilpotent_search(real, seed, cone_dim=None):
 # Orbit sampling and coordinate rings
 # ---------------------------------------------------------------------------
 
-_TORUS_VALUES = (F(2), F(3), F(5), F(1, 2), F(1, 3), F(2, 3), F(3, 2), F(5, 2))
+def _word(real):
+    """The compact root vectors of a word u+ u- u+, each by its nonzero entries
+    (a, b, value): the positive compact roots, the negative ones, then the
+    positive ones again."""
+    positive = [r for r in real.compact_roots() if r.is_positive]
+    return [real._entries[real._root_index[r.coords]]
+            for r in positive + [-r for r in positive] + positive]
 
 
-def _random_factor(real, rng):
-    """One factor g of a group word as integer data (kind, u, v, scale), see
-    _conjugate: ("unipotent", t, U, t^2) for g = exp(cE) = (t + U)/t and
-    g^-1 = (t - U)/t, where c = s/t in lowest terms, E is a root vector
-    (E^2 = 0) and U = sE is given by its nonzero entries (a, b, value); or
-    ("torus", u, v, k*l) for a rational torus element g = diag(u)/k of K and
-    g^-1 = diag(v)/l."""
-    kind = rng.random()
-    if kind < 0.6 and real.compact_roots():
-        r = rng.choice(real.compact_roots())
-        s = rng.choice([1, 2, 3, 4]) * rng.choice([1, -1])
-        t = rng.randint(1, 3)
-        g = gcd(s, t)
-        s, t = s // g, t // g
-        e = real._entries[real._root_index[r.coords]]
-        return "unipotent", t, [(a, b, s * v) for a, b, v in e], t * t
-    entries = [rng.choice(_TORUS_VALUES) for _ in range(real.n_e)]
-    num = [e.numerator for e in entries]  # the diagonal of g is num / den
-    den = [e.denominator for e in entries]
-    if real.family == "sl":  # determinant one
-        p, q = prod(num[:-1]), prod(den[:-1])
-        g = gcd(p, q)
-        num[-1], den[-1] = q // g, p // g
-    else:
-        num, den = num + den, den + num
-    k, l = lcm(*den), lcm(*num)  # the entries are positive
-    return ("torus", [a * (k // b) for a, b in zip(num, den)],
-            [b * (l // a) for a, b in zip(num, den)], k * l)
-
-
-def _random_word(real, rng):
-    """The factors g_1, ..., g_m of a random word g = g_1 ... g_m of two to
-    five unipotent and torus factors."""
-    return [_random_factor(real, rng) for _ in range(rng.randint(2, 5))]
-
-
-def _conjugate(x, factor):
-    """scale * g x g^-1, an integer matrix, for one factor (kind, u, v, scale)
-    of a word and an integer matrix x."""
-    kind, u, v, _ = factor
-    if kind == "torus":
-        return [[u[a] * y * v[b] if y else 0 for b, y in enumerate(row)]
-                for a, row in enumerate(x)]
-    t, entries = u, v
-    y = [[t * s for s in row] for row in x]  # (t + U) x
-    for a, b, c in entries:
-        y[a] = [s + c * w for s, w in zip(y[a], x[b])]
-    z = [[t * s for s in row] for row in y]  # ((t + U) x) (t - U)
-    for a, b, c in entries:
+def _conjugate(x, entries, c):
+    """g x g^-1 for g = exp(cE) = 1 + cE (E^2 = 0) and g^-1 = 1 - cE, with E
+    given by its nonzero entries (a, b, value): an integer matrix for an
+    integer matrix x and an integer c."""
+    y = list(x)  # (1 + cE) x: only the rows a of E's entries change
+    for a, b, v in entries:
+        y[a] = [s + c * v * w for s, w in zip(y[a], x[b])]
+    z = [list(row) for row in y]  # ((1 + cE) x) (1 - cE)
+    for a, b, v in entries:
         for row, out in zip(y, z):
             if row[a]:
-                out[b] -= c * row[a]
+                out[b] -= c * v * row[a]
     return z
 
 
 def sample_orbit_points(real, x, count, rng):
-    """Rational points Ad(g) x with g random words in unipotents and the torus.
+    """Points Ad(g) x for random g = u+ u- u+, as p-coordinates.
 
-    x is scaled to an integer matrix and conjugated by one factor at a time,
-    the last factor first, over the integers; each point is its p-coordinates
-    over the one common denominator.  The words, and so the draws from rng,
+    Each of u+, u-, u+ is a product of exp(cE) over the positive (negative)
+    compact root vectors E, in the order of _word, each c a nonzero integer
+    in [-1024, 1024] drawn in that order.  x is scaled to an integer matrix
+    once and conjugated by one factor at a time, the last factor first, so
+    each point is integer over x's common denominator.  The draws from rng
     do not depend on x.
     """
+    word = _word(real)
     den = lcm(*[y.denominator for row in x for y in row])
     xi = [[y.numerator * (den // y.denominator) for y in row] for row in x]
     pts = []
     for _ in range(count):
-        pt, scale = xi, den
-        for factor in reversed(_random_word(real, rng)):
-            pt = _conjugate(pt, factor)
-            scale *= factor[3]
+        params = [rng.randint(1, 1024) * rng.choice((1, -1)) for _ in word]
+        pt = xi
+        for entries, c in zip(reversed(word), reversed(params)):
+            pt = _conjugate(pt, entries, c)
         pc = real.p_coords(pt)
         if pc is None:
             raise ConsistencyError("orbit sample left p")
-        pts.append([F(c, scale) for c in pc])
+        pts.append([F(c, den) for c in pc])
     return pts
 
 
@@ -798,13 +767,31 @@ def _monomial_steps(nvars, k_max):
     return steps
 
 
-def _eval_rows(pt, steps):
-    """Values of the monomials at pt, one row per degree of steps.
+def _weight_blocks(real, steps):
+    """For each degree of steps, the monomials' columns grouped by T-weight.
 
-    pt holds integers for exact rows or residues mod la.PRIME for modular
-    ones; each degree multiplies the previous degree's values by one
-    coordinate.
+    Each p-coordinate is a noncompact root vector (p has no Cartan part for
+    an equal-rank form), and a monomial's weight is the sum of its
+    coordinates' roots.  The blocks of a degree are lists of columns in
+    _monomials order.
     """
+    roots = [real.roots_order[i - len(real.cartan_mats)].coords
+             for i in real.p_index]
+    blocks = []
+    prev = [(0,) * real.rs.rank]
+    for step in steps:
+        weights = [tuple(a + b for a, b in zip(prev[j], roots[i])) for j, i in step]
+        groups = {}
+        for col, mu in enumerate(weights):
+            groups.setdefault(mu, []).append(col)
+        blocks.append(list(groups.values()))
+        prev = weights
+    return blocks
+
+
+def _eval_rows(pt, steps):
+    """Values of the monomials at pt, one row per degree of steps; each degree
+    multiplies the previous degree's values by one coordinate."""
     rows = []
     prev = [1]
     for step in steps:
@@ -813,134 +800,85 @@ def _eval_rows(pt, steps):
     return rows
 
 
-def _residues(pt):
-    return [la.residue(c) for c in pt]
-
-
-def _exact_rows(points, steps, deg):
-    """The degree-deg evaluation rows at points, over Q, each up to a nonzero
-    factor (which changes no rank or span): a point is scaled to primitive
-    integers first, so no Fraction is multiplied."""
-    return [_eval_rows(la.primitive(pt), steps[:deg])[-1] for pt in points]
-
-
-_BATCHES = 30  # the sample budget, in batches of orbit points
-
-
 class OrbitSample:
-    """Evaluation ranks of the monomials of degrees 1..max_deg at sampled
-    points of K.x, saturated.
+    """Exact evaluation ranks over Q of the monomials of degrees 1..max_deg at
+    points of K.x, one rank per T-weight block.
 
-    The points are x and batches of sample_orbit_points(real, x, batch, rng);
-    each distinct point is fed once, as one row reduction mod la.PRIME per
-    degree.  Batches are added until the ranks are unchanged for two batches
-    in a row; a sample whose ranks still move after _BATCHES batches raises
-    DiagnosticError with its last dims.  Sampling does not stop early when
-    the ranks reach the normalization's series, which bounds them from
-    above: that bound is what the Hilbert check tests, and stopping there
-    would hide an oracle rank above the series.
+    The orbit closure is T-stable, so its ideal is spanned by T-weight
+    vectors and the Hilbert function in degree d is the sum over the
+    weights mu of the rank of block mu at the points of K.x.  Each block's
+    rank at sampled points is at most that, so dims is a certified lower
+    bound.  The points are x, then w points of sample_orbit_points, w the
+    widest block: at generic points a block of width at most w reaches its
+    rank on K.x, so saturation relies on the points being generic.  One
+    confirming batch of 3 more points follows; any block rank that rises
+    there raises DiagnosticError with the earlier dims.
 
-    The exact side is one la.EchelonBasis over Q per degree of the points'
-    rows, built on first use, raising rows first: the rows that raised the
-    rank mod la.PRIME are independent over Q (a minor nonzero mod la.PRIME
-    is nonzero), so the basis is built from them alone and every other row
-    is only tested against it; a row that still raises the rank over Q is
-    taken in and the basis rebuilt, so its rank is exact whatever the
-    tracker said.
+    The points lie on [K, K].x, without a torus factor: the torus scales a
+    block's row by one character value, which changes no block rank, but it
+    does change the rank of a whole degree's row, so only blocks are ranked.
     """
 
-    def __init__(self, real, x, max_deg, rng, batch):
+    def __init__(self, real, x, max_deg, rng):
         self.real = real
         self.steps = _monomial_steps(real.p_dim, max_deg)
-        self.trackers = [la.IncrementalRank(len(step)) for step in self.steps]
-        self.points = {}  # the distinct points fed, in order; the values are unused
-        # per degree, the points whose row raised the rank mod la.PRIME
-        self._raised = [[] for _ in self.steps]
-        self._bases = {}  # degree -> la.EchelonBasis of the points' rows
+        self.blocks = _weight_blocks(real, self.steps)
+        self.trackers = [[la.IncrementalRank(len(cols)) for cols in blocks]
+                         for blocks in self.blocks]
         self.feed([real.p_coords(x)])
-        prev, stable = None, 0
-        for _ in range(_BATCHES):
-            self.feed(sample_orbit_points(real, x, batch, rng))
-            dims = self.dims
-            stable = stable + 1 if dims == prev else 0
-            if stable == 2:
-                return
-            prev = dims
-        raise DiagnosticError("evaluation ranks did not stabilize", partial=prev)
+        width = max((len(cols) for blocks in self.blocks for cols in blocks),
+                    default=0)
+        self.feed(sample_orbit_points(real, x, width, rng))
+        dims = self.dims
+        self.feed(sample_orbit_points(real, x, 3, rng))
+        if self.dims != dims:
+            raise DiagnosticError("evaluation ranks rose in the confirming batch",
+                                  partial=dims)
 
     @property
     def dims(self):
-        """1, then the rank mod la.PRIME of each degree 1..max_deg."""
-        return [1] + [tracker.rank for tracker in self.trackers]
+        """1, then the sum of the block ranks of each degree 1..max_deg."""
+        return [1] + [sum(t.rank for t in trackers) for trackers in self.trackers]
+
+    def block_rows(self, pt):
+        """pt's evaluation rows, per degree per block, up to one nonzero factor
+        per degree (pt is scaled to primitive integers first)."""
+        rows = _eval_rows(la.primitive(pt), self.steps)
+        return [[[row[j] for j in cols] for cols in blocks]
+                for row, blocks in zip(rows, self.blocks)]
 
     def feed(self, points):
         for pt in points:
-            key = tuple(pt)
-            if key in self.points:
-                continue
-            self.points[key] = None
-            self._bases.clear()
-            rows = _eval_rows(_residues(key), self.steps)
-            for tracker, row, raised in zip(self.trackers, rows, self._raised):
-                if tracker.add(row):
-                    raised.append(key)
-
-    def exact(self, deg):
-        """The la.EchelonBasis over Q of the points' degree-deg rows."""
-        if deg not in self._bases:
-            raised = self._raised[deg - 1]
-            rows = _exact_rows(raised, self.steps, deg)
-            basis = la.EchelonBasis(rows)
-            taken = set(raised)
-            rest = _exact_rows([pt for pt in self.points if pt not in taken],
-                               self.steps, deg)
-            more = [row for row in rest if basis.raises(row)]
-            if more:
-                basis = la.EchelonBasis(rows + more)
-            self._bases[deg] = basis
-        return self._bases[deg]
+            for trackers, rows in zip(self.trackers, self.block_rows(pt)):
+                for tracker, row in zip(trackers, rows):
+                    tracker.add(row)
 
 
-def coordinate_ring_dims(real, x, k_max, seed, upper=None):
+def coordinate_ring_dims(real, x, k_max, seed):
     """Lower bounds on the Hilbert function of the orbit closure, degrees 0..k_max.
 
-    The value in degree d is the OrbitSample's rank mod la.PRIME in degree d.
-    It is at most the rank over Q at the same points, which is at most the
-    Hilbert function of the closure in degree d, and equals it once the
-    sample is large enough.  When upper is given (the Hilbert series of the
-    normalization, which bounds the closure's from above), every degree
-    whose bound falls short of upper is re-ranked exactly over Q.
+    The value in degree d is the OrbitSample's sum of exact block ranks in
+    degree d, at most the Hilbert function of the closure in degree d and
+    equal to it once the points are generic.
     """
-    batch = max(8, (comb(real.p_dim + k_max - 1, k_max) + 7) // 8)
-    sample = OrbitSample(real, x, k_max, random.Random("%s-coordring" % (seed,)), batch)
-    dims = sample.dims
-    for d in range(1, k_max + 1):
-        if upper is not None and dims[d] < upper[d]:
-            dims[d] = sample.exact(d).rank
-    return dims
+    return OrbitSample(real, x, k_max, random.Random("%s-coordring" % (seed,))).dims
 
 
-def not_in_closure_certificate(ref, x_other, seed):
+def not_in_closure_certificate(ref, x_other):
     """Whether a polynomial separates the sampled points of K.x_ref from x_other.
 
-    ref is an OrbitSample of K.x_ref.  True means a polynomial of degree at
-    most ref's max_deg vanishes at every point of ref but not at x_other or
-    at one of four points of K.x_other from the "<seed>-closure" stream:
-    found as a rank rise mod la.PRIME and confirmed by ref's echelon basis
-    over Q.  ref has saturated, so the polynomials vanishing on its points
-    are taken for those vanishing on the orbit.  False is evidence only (no
-    separating polynomial up to max_deg was found).
+    ref is an OrbitSample of K.x_ref.  True means a T-weight polynomial of
+    degree at most ref's max_deg vanishes at every point of ref but not at
+    x_other: one of x_other's block rows raises the rank of ref's block.
+    ref has saturated, so the polynomials vanishing on its points are taken
+    for those vanishing on the orbit; that ideal is K-stable, so testing
+    x_other tests its whole orbit.  False is evidence only (no separating
+    polynomial up to max_deg was found).
     """
-    real = ref.real
-    rng = random.Random("%s-closure" % (seed,))
-    other = [real.p_coords(x_other)] + sample_orbit_points(real, x_other, 4, rng)
-    rows = [_eval_rows(_residues(pt), ref.steps) for pt in other]
-    for deg, tracker in enumerate(ref.trackers, 1):
-        for pt, pt_rows in zip(other, rows):
-            if tracker.raises(pt_rows[deg - 1]) and \
-                    ref.exact(deg).raises(_exact_rows([pt], ref.steps, deg)[0]):
-                return True
-    return False
+    rows = ref.block_rows(ref.real.p_coords(x_other))
+    return any(tracker.raises(row)
+               for trackers, deg_rows in zip(ref.trackers, rows)
+               for tracker, row in zip(trackers, deg_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1064,8 +1002,8 @@ def qct_evidence(real, seed, n_samples=14, cone_dim=None):
         for i, r in enumerate(reps):
             if i == len(refs):
                 refs.append(OrbitSample(real, r, _CLOSURE_DEG,
-                                        random.Random("%s-closure-ref" % (seed,)), 12))
-            if not not_in_closure_certificate(refs[i], s, seed):
+                                        random.Random("%s-closure-ref" % (seed,))))
+            if not not_in_closure_certificate(refs[i], s):
                 break
         else:
             reps.append(s)

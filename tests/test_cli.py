@@ -96,6 +96,13 @@ def test_oracle_verify_grading(capsys):
     assert json.loads(out)["match"] is True
 
 
+def test_oracle_hilbert(capsys):
+    code, out, _ = _run(capsys, "oracle", "hilbert", "--form", "su(2,1)",
+                        "--kmax", "4")
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 4, 9, 16, 25]
+
+
 def test_oracle_triple(capsys):
     code, out, _ = _run(capsys, "oracle", "triple", "--form", "su(1,1)",
                         "--seed", "3")

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -10,7 +11,7 @@ from nilcone import linalg as la
 from nilcone import oracle as oc
 from nilcone import realform as rf
 from nilcone import rootdata as rd
-from nilcone.errors import DiagnosticError, InputError
+from nilcone.errors import DiagnosticError, InputError, OutOfScopeError
 
 F = Fraction
 
@@ -275,8 +276,82 @@ def test_coordinate_ring_su21_pinned_and_seed_stable():
     assert oc.coordinate_ring_dims(real, x, 4, 11) == [1, 4, 9, 16, 25]
 
 
+def test_coordinate_ring_compact_form_is_a_point():
+    real = oc.realize("su(2,1)", eps=(1, 1))
+    assert real.p_dim == 0
+    assert oc.coordinate_ring_dims(real, la.zeros(3, 3), 3, 7) == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name,eps,h,dims", [
+    ("su(3,2)", (-1, -1, -1, -1), (2, 2, 2, 2), [1, 12, 77, 352]),
+    ("so*(8)", (-1, -1, 1, 1), (2, 2, 0, 0), [1, 12, 76, 340]),
+])
+def test_coordinate_ring_at_maximal_presentations(name, eps, h, dims):
+    real = oc.realize(name, eps=eps)
+    _, x = oc.pinned_principal(real, h)
+    assert oc.coordinate_ring_dims(real, x, 3, 7) == dims
+
+
+def _whole_ranks(real, x, dims, rng, torus):
+    """The rank of each degree's whole evaluation matrix at dims[d] + 5 new
+    points of sample_orbit_points, each point first scaled by a random torus
+    element when torus is set: the coordinate of root alpha times
+    prod s_i^c_i, alpha = sum c_i alpha_i."""
+    roots = [real.roots_order[i - len(real.cartan_mats)].coords for i in real.p_index]
+    steps = oc._monomial_steps(real.p_dim, len(dims) - 1)
+    out = [1]
+    for d in range(1, len(dims)):
+        rows = []
+        for pt in oc.sample_orbit_points(real, x, dims[d] + 5, rng):
+            if torus:
+                s = [F(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(real.rs.rank)]
+                pt = [c * prod(si ** ci for si, ci in zip(s, root))
+                      for c, root in zip(pt, roots)]
+            rows.append(oc._eval_rows(pt, steps)[d - 1])
+        out.append(la.rank(rows))
+    return out
+
+
+@pytest.mark.parametrize("name,k_max", [("su(2,1)", 3), ("sp(4,R)", 3), ("su(2,2)", 2),
+                                        ("su(3,1)", 2), ("sp(1,2)", 2), ("so*(6)", 2)])
+def test_block_ranks_sum_to_the_whole_rank_on_k_orbit_points(name, k_max):
+    try:
+        _, eps, h = rf.principal_presentation(name)
+        real = oc.realize(name, eps=eps)
+        _, x = oc.pinned_principal(real, h)
+    except OutOfScopeError:
+        real = oc.realize(name)
+        x = oc.random_nilpotent(real, random.Random(1))
+    dims = oc.coordinate_ring_dims(real, x, k_max, 7)
+    assert _whole_ranks(real, x, dims, random.Random(name), True) == dims
+    if name == "su(2,1)":
+        # without the torus the points lie on [K, K].x, a smaller variety
+        assert dims == [1, 4, 9, 16]
+        assert _whole_ranks(real, x, dims, random.Random(name), False) == [1, 2, 3, 4]
+
+
+def test_non_generic_points_are_inconclusive(monkeypatch):
+    real = oc.realize("su(2,1)")
+    _, x = oc.pinned_principal(real, (2, 2))
+    calls = []
+    original = oc.sample_orbit_points
+
+    def first_is_x(real, x, count, rng):
+        calls.append(count)
+        if len(calls) == 1:
+            return [real.p_coords(x) for _ in range(count)]
+        return original(real, x, count, rng)
+
+    monkeypatch.setattr(oc, "sample_orbit_points", first_is_x)
+    with pytest.raises(DiagnosticError) as info:
+        oc.coordinate_ring_dims(real, x, 2, 7)
+    # x = e_a1 + e_a2: its monomials of degree d have d + 1 distinct weights
+    assert info.value.partial == [1, 2, 3]
+    assert calls[1] == 3
+
+
 def _closure_reference(real, x):
-    return oc.OrbitSample(real, x, 2, random.Random("7-closure-ref"), 12)
+    return oc.OrbitSample(real, x, 2, random.Random("7-closure-ref"))
 
 
 def test_closure_membership_certificates():
@@ -284,97 +359,9 @@ def test_closure_membership_certificates():
     e12 = real.root_vector(real.rs.simple_roots[0])
     e21 = real.root_vector(-real.rs.simple_roots[0])
     ref = _closure_reference(real, e12)
-    assert oc.not_in_closure_certificate(ref, e21, 7)
+    assert oc.not_in_closure_certificate(ref, e21)
     doubled = la.mat_scale(2, e12)
-    assert not oc.not_in_closure_certificate(ref, doubled, 7)
-
-
-def test_gap_degree_exact_rank_is_the_rank_over_q():
-    rs, eps, h = rf.principal_presentation("sp(4,R)")
-    real = oc.realize("sp(4,R)", eps=eps)
-    _, x = oc.pinned_principal(real, h)
-    sample = oc.OrbitSample(real, x, 3, random.Random("7-coordring"), 8)
-    exact = [1] + [la.rank(oc._exact_rows(sample.points, sample.steps, d))
-                   for d in (1, 2, 3)]
-    assert [1] + [sample.exact(d).rank for d in (1, 2, 3)] == exact == [1, 6, 19, 44]
-    # every degree is below this bound, so each is re-ranked over Q
-    assert oc.coordinate_ring_dims(real, x, 3, 7, upper=[1, 99, 99, 99]) == exact
-
-
-class _SilentRank(la.IncrementalRank):
-    """Stores every row, but reports its first rise as none: the exact basis
-    then starts one independent row short."""
-
-    hidden = False
-
-    def add(self, row):
-        raised = super().add(row)
-        if raised and not self.hidden:
-            self.hidden = True
-            return False
-        return raised
-
-
-def test_exact_basis_takes_in_a_rise_the_tracker_missed(monkeypatch):
-    monkeypatch.setattr(la, "IncrementalRank", _SilentRank)
-    rs, eps, h = rf.principal_presentation("sp(4,R)")
-    real = oc.realize("sp(4,R)", eps=eps)
-    _, x = oc.pinned_principal(real, h)
-    sample = oc.OrbitSample(real, x, 3, random.Random("7-coordring"), 8)
-    for d, tracker in enumerate(sample.trackers, 1):
-        assert len(sample._raised[d - 1]) == tracker.rank - 1
-        assert sample.exact(d).rank == tracker.rank == [6, 19, 44][d - 1]
-
-
-class _CountedRank(la.IncrementalRank):
-    adds = 0
-
-    def add(self, row):
-        _CountedRank.adds += 1
-        return super().add(row)
-
-
-def test_feeding_a_point_twice_changes_nothing(monkeypatch):
-    monkeypatch.setattr(la, "IncrementalRank", _CountedRank)
-    real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
-    sample = oc.OrbitSample(real, x, 2, random.Random(7), 8)
-    pt = oc.sample_orbit_points(real, x, 1, random.Random("another"))[0]
-    sample.feed([pt, pt])
-    dims, count, adds = sample.dims, len(sample.points), _CountedRank.adds
-    basis = sample.exact(2)
-    sample.feed([pt, list(pt), real.p_coords(x)])
-    assert (sample.dims, len(sample.points), _CountedRank.adds) == (dims, count, adds)
-    assert sample.exact(2) is basis
-
-
-class _Rising(la.IncrementalRank):
-    """Ranks that count the rows added, so they never settle."""
-
-    def __init__(self, width):
-        super().__init__(width)
-        self.added = 0
-
-    def add(self, row):
-        self.added += 1
-        return super().add(row)
-
-    @property
-    def rank(self):
-        return self.added
-
-
-def test_exhausted_sample_raises_with_its_last_ranks(monkeypatch):
-    monkeypatch.setattr(la, "IncrementalRank", _Rising)
-    real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
-    with pytest.raises(DiagnosticError) as info:
-        oc.OrbitSample(real, x, 2, random.Random(7), 8)
-    rng = random.Random(7)
-    points = {tuple(real.p_coords(x))}
-    for _ in range(oc._BATCHES):
-        points.update(map(tuple, oc.sample_orbit_points(real, x, 8, rng)))
-    assert info.value.partial == [1, len(points), len(points)]
+    assert not oc.not_in_closure_certificate(ref, doubled)
 
 
 def test_so8_closure_references_saturate(monkeypatch):
@@ -393,43 +380,6 @@ def test_so8_closure_references_saturate(monkeypatch):
         dims = ref.dims
         ref.feed(oc.sample_orbit_points(real, x, 12, random.Random("more")))
         assert ref.dims == dims
-
-
-class _DeficientRank(la.IncrementalRank):
-    """One less than the true rank, and every probed row taken for a raise:
-    a reduction mod p that lost a pivot, seen from outside."""
-
-    @property
-    def rank(self):
-        return super().rank - 1
-
-    def raises(self, row):
-        return True
-
-
-def test_exact_fallback_survives_a_deficient_tracker(monkeypatch):
-    monkeypatch.setattr(la, "IncrementalRank", _DeficientRank)
-    real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
-    assert oc.coordinate_ring_dims(real, x, 3, 7) == [1, 3, 8, 15]  # the fault bites
-
-    def hilbert(form):
-        report = cli.verify_form(form, kmax=3, checks=("hilbert",))
-        return report["checks"][0]
-
-    su21 = hilbert("su(2,1)")
-    assert su21["verdict"] == "PASS"
-    assert su21["detail"]["oracle"] == su21["detail"]["series"] == [1, 4, 9, 16]
-    sp4 = hilbert("sp(4,R)")
-    assert sp4["verdict"] == "EVIDENCE"
-    assert sp4["detail"]["oracle"] == [1, 6, 19, 44] != sp4["detail"]["series"]
-
-    real11 = oc.realize("su(1,1)")
-    e12 = real11.root_vector(real11.rs.simple_roots[0])
-    e21 = real11.root_vector(-real11.rs.simple_roots[0])
-    ref = _closure_reference(real11, e12)
-    assert not oc.not_in_closure_certificate(ref, la.mat_scale(2, e12), 7)
-    assert oc.not_in_closure_certificate(ref, e21, 7)
 
 
 # -- aggregated evidence -----------------------------------------------------------
@@ -569,31 +519,17 @@ def test_coords_reject_matrices_outside_g(name):
 
 
 def _dense_word(real, rng):
-    """g and g^-1 of one group word, multiplied out as dense matrices from the
-    draws sample_orbit_points makes."""
+    """g and g^-1 of one word u+ u- u+, multiplied out as dense matrices from
+    the draws sample_orbit_points makes."""
     n = real.msize
+    positive = [r for r in real.compact_roots() if r.is_positive]
     g, gi = la.identity(n), la.identity(n)
-    for _ in range(rng.randint(2, 5)):
-        if rng.random() < 0.6 and real.compact_roots():
-            r = rng.choice(real.compact_roots())
-            c = F(rng.choice([1, 2, 3, 4]) * rng.choice([1, -1]), rng.randint(1, 3))
-            e = real.root_vector(r)
-            assert la.is_zero_matrix(la.mat_mul(e, e))  # exp(cE) = 1 + cE
-            f = la.mat_add(la.identity(n), la.mat_scale(c, e))
-            fi = la.mat_add(la.identity(n), la.mat_scale(-c, e))
-        else:
-            t = [rng.choice(oc._TORUS_VALUES) for _ in range(real.n_e)]
-            if real.family == "sl":
-                prod = F(1)
-                for x in t[:-1]:
-                    prod *= x
-                t[-1] = 1 / prod
-            else:
-                t = t + [1 / x for x in t]
-            f, fi = la.zeros(n, n), la.zeros(n, n)
-            for j, x in enumerate(t):
-                f[j][j], fi[j][j] = x, 1 / x
-        g, gi = la.mat_mul(g, f), la.mat_mul(fi, gi)
+    for r in positive + [-r for r in positive] + positive:
+        c = rng.randint(1, 1024) * rng.choice((1, -1))
+        e = real.root_vector(r)
+        assert la.is_zero_matrix(la.mat_mul(e, e))  # exp(cE) = 1 + cE
+        g = la.mat_mul(g, la.mat_add(la.identity(n), la.mat_scale(c, e)))
+        gi = la.mat_mul(la.mat_add(la.identity(n), la.mat_scale(-c, e)), gi)
     return g, gi
 
 
