@@ -350,6 +350,74 @@ def test_non_generic_points_are_inconclusive(monkeypatch):
     assert calls[1] == 3
 
 
+def test_gap_degree_exact_rank_is_the_rank_over_q():
+    from nilcone import series as se
+    rs, eps, h = rf.principal_presentation("sp(4,R)")
+    real = oc.realize("sp(4,R)", eps=eps)
+    gd = gr.grade(rs, eps, h)
+    _, x = oc.pinned_principal(real, h)
+    sample = oc.OrbitSample(real, x, 3, random.Random("7-coordring"))
+    # the points the sample was fed, drawn again from the same stream
+    rng = random.Random("7-coordring")
+    width = max(len(cols) for blocks in sample.blocks for cols in blocks)
+    points = ([real.p_coords(x)] + oc.sample_orbit_points(real, x, width, rng)
+              + oc.sample_orbit_points(real, x, 3, rng))
+    rows = [sample.block_rows(pt) for pt in points]
+    for d, trackers in enumerate(sample.trackers):
+        for b, tracker in enumerate(trackers):
+            assert tracker.rank == la.rank([r[d][b] for r in rows])
+    dims = oc.coordinate_ring_dims(real, x, 3, 7)
+    assert sample.dims == dims == [1, 6, 19, 44]
+    # every degree is a gap: the series counts functions on the normalization
+    series = se.hilbert_series(gd, gd.k_root_datum(), 3)
+    assert all(o < s for o, s in zip(dims[1:], series[1:]))
+
+
+def test_feeding_a_point_twice_changes_nothing():
+    real = oc.realize("su(2,1)")
+    _, x = oc.pinned_principal(real, (2, 2))
+    sample = oc.OrbitSample(real, x, 2, random.Random(7))
+    pt = oc.sample_orbit_points(real, x, 1, random.Random("another"))[0]
+    sample.feed([pt])
+
+    def state():
+        return sample.dims, [[list(t._rows) for t in trackers]
+                             for trackers in sample.trackers]
+
+    before = state()
+    # a multiple of pt scales each degree's rows by one factor
+    sample.feed([pt, list(pt), [2 * c for c in pt], real.p_coords(x)])
+    assert state() == before
+
+
+class _Rising(la.IncrementalRank):
+    """Ranks that count the rows added, so they never settle."""
+
+    def __init__(self, width):
+        super().__init__(width)
+        self.added = 0
+
+    def add(self, row):
+        self.added += 1
+        return super().add(row)
+
+    @property
+    def rank(self):
+        return self.added
+
+
+def test_exhausted_sample_raises_with_its_last_ranks(monkeypatch):
+    monkeypatch.setattr(la, "IncrementalRank", _Rising)
+    real = oc.realize("su(2,1)")
+    _, x = oc.pinned_principal(real, (2, 2))
+    with pytest.raises(DiagnosticError) as info:
+        oc.OrbitSample(real, x, 2, random.Random(7))
+    blocks = oc._weight_blocks(real, oc._monomial_steps(real.p_dim, 2))
+    width = max(len(cols) for deg in blocks for cols in deg)
+    # each block took x and the w sampled points before the confirming batch
+    assert info.value.partial == [1] + [len(deg) * (1 + width) for deg in blocks]
+
+
 def _closure_reference(real, x):
     return oc.OrbitSample(real, x, 2, random.Random("7-closure-ref"))
 
