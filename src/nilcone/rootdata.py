@@ -247,30 +247,20 @@ class RootSystem:
                 for i in range(n):
                     # root string: root + alpha_i is a root iff p - <root, a_i^vee> > 0
                     # where p = max k with root - k alpha_i a root.
-                    p = 0
-                    c = list(root.coords)
-                    while True:
+                    p, c = 0, list(root.coords)
+                    c[i] -= 1
+                    while tuple(c) in known:
+                        p += 1
                         c[i] -= 1
-                        if tuple(c) in known or (all(x == 0 for x in c)):
-                            if all(x == 0 for x in c):
-                                p += 1
-                                break
-                            p += 1
-                        else:
-                            break
                     pairing = sum(self.cartan_matrix[i][j] * root.coords[j] for j in range(n))
                     if p - pairing > 0:
-                        new = list(root.coords)
-                        new[i] += 1
-                        t = tuple(new)
+                        t = root.coords[:i] + (root.coords[i] + 1,) + root.coords[i + 1:]
                         if t not in known:
                             known.add(t)
                             by_height.setdefault(h + 1, []).append(Root(t))
             h += 1
         out = list(simple)  # simple roots first, in index order
-        for hh in sorted(by_height):
-            if hh == 1:
-                continue
+        for hh in sorted(by_height)[1:]:
             out.extend(sorted(by_height[hh], key=lambda r: r.coords))
         return tuple(out)
 
@@ -380,16 +370,10 @@ class Subsystem:
                 raise InputError("subsystem entry is not a root: %r" % (r,))
             if (-r).coords in pos_set:
                 raise InputError("positive system contains a root and its negative")
-        # closure under addition within the ambient system
-        for a in self.positive_roots:
-            for b in self.positive_roots:
-                s = Root(tuple(x + y for x, y in zip(a.coords, b.coords)))
-                if rs.is_root(s) and s.coords not in pos_set:
-                    raise ConsistencyError("subsystem not closed: %r + %r" % (a, b))
-        sums = set()
-        for a in self.positive_roots:
-            for b in self.positive_roots:
-                sums.add(tuple(x + y for x, y in zip(a.coords, b.coords)))
+        sums = {tuple(map(add, a.coords, b.coords))
+                for a in self.positive_roots for b in self.positive_roots}
+        if any(s in rs._root_set and s not in pos_set for s in sums):
+            raise ConsistencyError("subsystem not closed under addition")
         self.simple_roots = tuple(r for r in self.positive_roots if r.coords not in sums)
         # 2 rho_sub is the sum of the positive roots, so rho_sub.d2 is that sum in fw
         rho2 = (0,) * rs.rank
@@ -400,10 +384,15 @@ class Subsystem:
         self._simple_coroots = tuple(rs.coroot_vector(b) for b in self.simple_roots)
         self._simple_fw = tuple(rs._fw_of_root(b) for b in self.simple_roots)
         self._coroots = tuple(rs.coroot_vector(r) for r in self.positive_roots)
+        # per i the nonzero (j, <beta_i, beta_j^vee>), and fw(beta_i) by row
+        self._cartan_cols = [[(j, a) for j, v in enumerate(self._simple_coroots)
+                              if (a := sum(map(mul, v, fw)))] for fw in self._simple_fw]
+        self._fw_rows = [[fw[k] for fw in self._simple_fw] for k in range(rs.rank)]
         # -w0 as an int matrix on doubled coordinates, w0 being the word that
         # takes -rho_sub to rho_sub; -w0 maps a dominant weight to the
         # dominant weight of its negative's orbit
-        word, _ = self._to_dominant(tuple(map(neg, rho2)))
+        word, _ = self._regularize([-2] * self.rank)
+        self._w0_length = len(word)
         columns = []
         for j in range(rs.rank):
             d2 = tuple(int(i == j) for i in range(rs.rank))
@@ -425,26 +414,32 @@ class Subsystem:
         d2 = lam.d2
         return all(sum(map(mul, v, d2)) >= 0 for v in self._simple_coroots)
 
-    def _to_dominant(self, d2):
-        """Reflect doubled coordinates d2 into the dominant chamber.
+    def _pairings(self, d2, shift=0):
+        """The doubled pairings of d2 with the simple coroots, plus shift."""
+        return [sum(map(mul, v, d2)) + shift for v in self._simple_coroots]
 
-        Returns the simple reflections applied, in order, and the image.
-        """
+    def _regularize(self, p):
+        """Sweep the doubled simple-coroot pairings p (a list, moved in place)
+        into the dominant chamber: s_i moves p_j by -p_i <beta_i, beta_j^vee>.
+        Returns the reflections, in order (l(w) of them unless p ends on a
+        wall), and the d2 correction -sum_i c_i fw(beta_i), c_i the sum of
+        the p_i reflected away."""
         word = []
-        moved = True
-        while moved:
-            moved = False
-            for i, v in enumerate(self._simple_coroots):
-                p = sum(map(mul, v, d2))
-                if p < 0:
-                    d2 = tuple(x - p * a for x, a in zip(d2, self._simple_fw[i]))
+        c = [0] * len(p)
+        while min(p, default=0) < 0:
+            for i, col in enumerate(self._cartan_cols):
+                pi = p[i]
+                if pi < 0:
+                    for j, a in col:
+                        p[j] -= pi * a
+                    c[i] += pi
                     word.append(i)
-                    moved = True
-        return word, d2
+        return word, tuple([-sum(map(mul, c, row)) for row in self._fw_rows])
 
     def dominant_representative(self, lam):
         """The unique dominant weight in the Weyl orbit of lam."""
-        return _weight_of(self._to_dominant(lam.d2)[1])
+        corr = self._regularize(self._pairings(lam.d2))[1]
+        return _weight_of(tuple(map(add, lam.d2, corr)))
 
     def apply(self, w, lam):
         """Action of a WeylElement: s_{w[0]} s_{w[1]} ... applied to lam."""
@@ -465,12 +460,12 @@ def make_dominant(sub, lam):
     singular is True.  Otherwise w is the unique element with
     w(lam + rho_sub) strictly dominant and lam_dom = w(lam+rho) - rho.
     """
-    rho2 = sub.rho.d2
-    word, mu = sub._to_dominant(tuple(map(add, lam.d2, rho2)))
-    if any(sum(map(mul, v, mu)) == 0 for v in sub._simple_coroots):
+    p = sub._pairings(lam.d2, 2)  # <beta_i^vee, rho_sub> = 1, doubled
+    word, corr = sub._regularize(p)
+    if 0 in p:
         return WeylElement(tuple(word)), None, True
     word.reverse()  # recorded right-to-left; apply() composes left on top
-    return WeylElement(tuple(word)), _weight_of(tuple(map(minus, mu, rho2))), False
+    return WeylElement(tuple(word)), _weight_of(tuple(map(add, lam.d2, corr))), False
 
 
 _MATERIALIZE_LIMIT = 10 ** 6
@@ -551,7 +546,8 @@ class VirtualCharacter:
         return sum(m * weyl_dimension(sub, w) for w, m in self._terms.items())
 
     def dual(self, sub):
-        """Contragredient: V_lam -> V_{-w0 lam}."""
+        """Contragredient: V_lam -> V_{-w0 lam}.  The series does not call
+        it: it dualizes by Serre duality (see nilcone.series)."""
         out = {}
         for w, m in self._terms.items():
             d = _weight_of(tuple(sum(map(mul, row, w.d2)) for row in sub._minus_w0))
@@ -590,6 +586,12 @@ def kostant_partition(rs, mu, gens):
     root coordinates (true for the positive-root multisets this package
     feeds in); that makes the count finite and the recursion terminate.
     """
+    return partition_counter(rs, gens)(mu)
+
+
+def partition_counter(rs, gens):
+    """kostant_partition(rs, mu, gens) as a function of mu: one conversion of
+    gens and one memo, whose keys do not depend on mu, serve every call."""
     # root coordinates scaled by the same positive integer 2 det(cartan), so
     # the recursion runs on ints and floor(h / gh) is unchanged
     gen_coords = []
@@ -604,10 +606,8 @@ def kostant_partition(rs, mu, gens):
     def count(t, i):
         if not any(t):
             return 1
-        if i == len(gen_coords):
-            return 0
         h = sum(t)
-        if h < 0:
+        if h < 0 or i == len(gen_coords):
             return 0
         key = (t, i)
         if key in memo:
@@ -621,7 +621,7 @@ def kostant_partition(rs, mu, gens):
         memo[key] = total
         return total
 
-    return count(rs._root_num(mu), 0)
+    return lambda mu: count(rs._root_num(mu), 0)
 
 
 # ---------------------------------------------------------------------------

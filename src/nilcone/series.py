@@ -1,19 +1,19 @@
 """Graded character series of the resolution and its verdicts.
 
 The degree-k piece of the function ring of the bundle K x_{Q cap K} (u cap p),
-twisted by a character lam', is computed as the contragredient of the Euler
+twisted by a character lam', is the contragredient of the Euler
 characteristic over the weight multiset Sym^k(u cap p) + lam'.  The pinned
 one-line and rank-two examples fix the dualization placement uniquely; with
 that convention the k = 0 piece of the untwisted series is the trivial
 character and the degree-k dimensions reproduce the coordinate ring of the
-normalized orbit closure.
+normalized orbit closure.  By Serre duality dual(Euler(M)) = (-1)^{l(w0)}
+Euler(-M - 2 rho_K), so the series is computed as the Euler characteristic
+of Sym^k(-(u cap p)) shifted by -lam' - 2 rho_K, with no dualization.
 
-Sym^0..Sym^N(u cap p) is built once per call as Counters (weight ->
-multiplicity), each generator extending degree k from degree k - 1, and a
-box of twists shares it: verify_vanishing_box builds it once for the whole
-box.  One table of Bott regularizations serves every twist and degree of
-the call, so each distinct shifted weight Sym^k weight + lam is regularized
-once per call, not once per monomial, degree or twist.
+Sym^0..Sym^N(-(u cap p)) is built once per call as Counters of d2 int
+tuples; a box of twists shares it (verify_vanishing_box), and one table of
+Bott regularizations, keyed on simple-coroot pairings (see nilcone.bott),
+serves every twist and degree of the call.
 
 Higher-cohomology vanishing is verified through its falsifiable consequence:
 every graded Euler characteristic must have nonnegative multiplicities.
@@ -22,12 +22,13 @@ Twists must be integral weights: only those define a line bundle O(lam).
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import add, neg
 
 from .bott import euler_of_weights
 from .errors import InputError
 from .grading import is_QK_dominant, parabolic
-from .rootdata import (VirtualCharacter, kostant_partition, require_integral,
-                       weyl_elements, zero_weight)
+from .rootdata import (VirtualCharacter, _weight_of, partition_counter,
+                       require_integral, weyl_elements, zero_weight)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -46,20 +47,24 @@ class GradedCharacterSeries:
         return [c.dimension(kd) for c in self.chi]
 
 
-def sym_powers(weights, N, rank):
-    """T-weights of Sym^0..Sym^N of a space with the given weight list, as
-    Counters (weight -> multiplicity); Sym^0 is the zero weight of rank.
-
-    For each weight g in turn, degree k gains g + (degree k - 1), taken in
-    increasing k so that degree k - 1 already holds the powers of g.
-    """
-    sym = [Counter({zero_weight(rank): 1})] + [Counter() for _ in range(N)]
-    for g in weights:
+def _sym_powers(gens, N, rank):
+    """sym_powers on d2 int tuples.  For each generator g in turn, degree k
+    gains g + (degree k - 1), taken in increasing k so that degree k - 1
+    already holds the powers of g."""
+    sym = [Counter({(0,) * rank: 1})] + [Counter() for _ in range(N)]
+    for g in gens:
         for k in range(1, N + 1):
             cur = sym[k]
             for nu, m in sym[k - 1].items():
-                cur[nu + g] += m
+                cur[tuple(map(add, nu, g))] += m
     return sym[:N + 1]
+
+
+def sym_powers(weights, N, rank):
+    """T-weights of Sym^0..Sym^N of a space with the given weight list, as
+    Counters (weight -> multiplicity); Sym^0 is the zero weight of rank."""
+    return [Counter({_weight_of(d): m for d, m in sym.items()})
+            for sym in _sym_powers([w.d2 for w in weights], N, rank)]
 
 
 def sym_weights(weights, k):
@@ -72,14 +77,17 @@ def sym_weights(weights, k):
 
 
 def _series(lams, gd, kd, N, form):
-    """The series of each twist in lams, yielded in order: Sym^k(u cap p) is
-    built once, and one regularization table serves every twist and degree.
-    """
-    syms = sym_powers(gd.u_cap_p_weights(), N, gd.rs.rank)
+    """The series of each twist in lams, yielded in order (see the module
+    docstring): one Sym^k(-(u cap p)) and one regularization table."""
+    syms = _sym_powers([tuple(map(neg, w.d2)) for w in gd.u_cap_p_weights()],
+                       N, gd.rs.rank)
+    two_rho = kd.rho + kd.rho
     seen = {}
     for lam in lams:
-        chi = [euler_of_weights(sym, kd, shift=lam, seen=seen).dual(kd)
-               for sym in syms]
+        shift = -lam - two_rho
+        chi = [euler_of_weights(sym, kd, shift=shift, seen=seen) for sym in syms]
+        if kd._w0_length % 2:
+            chi = [-c for c in chi]
         yield GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values,
                                     form=form)
 
@@ -160,13 +168,7 @@ def components_split(gds, kd, N):
     if not gds:
         raise InputError("components_split needs at least one component")
     per = [euler_series(zero_weight(gd.rs.rank), gd, kd, N) for gd in gds]
-    total = []
-    for k in range(N + 1):
-        terms = Counter()
-        for s in per:
-            for w, m in s.chi[k].items():
-                terms[w] += m
-        total.append(VirtualCharacter(terms))
+    total = [sum((s.chi[k] for s in per), VirtualCharacter()) for k in range(N + 1)]
     dims = [c.dimension(kd) for c in total]
     return ComponentsResult(per_component=per, total_chi=total, total_dims=dims)
 
@@ -185,18 +187,18 @@ def blattner_multiplicity(mu, lam, gd, kd):
     if not kd.is_dominant(mu):
         raise InputError("mu must be K-dominant")
     require_integral(lam)
-    return _alternating_sum(mu, lam, gd, kd, weyl_elements(kd))
+    return _alternating_sum(mu, lam, kd, weyl_elements(kd),
+                            partition_counter(gd.rs, gd.u_cap_p_weights()))
 
 
-def _alternating_sum(mu, lam, gd, kd, words):
-    """blattner_multiplicity's sum over the Weyl words of K, given as words."""
-    ups = gd.u_cap_p_weights()
+def _alternating_sum(mu, lam, kd, words, count):
+    """blattner_multiplicity's sum over the Weyl words of K, given as words;
+    count is a partition_counter of the weights of u cap p."""
     mu_star = kd.dominant_representative(-mu)
     total = 0
     for w in words:
-        arg = kd.apply(w, mu_star + kd.rho) - kd.rho - lam
-        count = kostant_partition(gd.rs, arg, ups)
-        total += count if w.length % 2 == 0 else -count
+        n = count(kd.apply(w, mu_star + kd.rho) - kd.rho - lam)
+        total += n if w.length % 2 == 0 else -n
     return total
 
 
@@ -216,26 +218,20 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
     min_h = min(heights) if heights else 1
     words = weyl_elements(kd)
     base = euler_series(lam, gd, kd, max_degree, form=form)
-    mus = set()
-    for chi in base.chi:
-        mus.update(w for w, _ in chi.items())
+    mus = {w for chi in base.chi for w, _ in chi.items()}
     needed = {}
-    k_far = max_degree
     for mu in mus:
         mu_star = kd.dominant_representative(-mu)
-        k_mu = 0
-        for w in words:
-            nu = kd.apply(w, mu_star + kd.rho) - kd.rho - lam
-            h = sum(rs.root_coords_of_weight(nu))
-            if h >= 0:
-                k_mu = max(k_mu, int(h // min_h))
-        needed[mu] = k_mu
-        k_far = max(k_far, k_mu)
+        hs = [sum(rs.root_coords_of_weight(kd.apply(w, mu_star + kd.rho) - kd.rho - lam))
+              for w in words]
+        needed[mu] = max([int(h // min_h) for h in hs if h >= 0], default=0)
+    k_far = max([max_degree, *needed.values()])
     ext = euler_series(lam, gd, kd, k_far, form=form) if k_far > max_degree else base
+    count = partition_counter(rs, ups)
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
         cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
-        alternating = _alternating_sum(mu, lam, gd, kd, words)
+        alternating = _alternating_sum(mu, lam, kd, words, count)
         if cumulative != alternating:
             mismatches.append((mu, cumulative, alternating))
     return not mismatches, mismatches, len(mus)

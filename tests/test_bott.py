@@ -57,10 +57,14 @@ def test_euler_of_multiset_is_sum_over_singletons():
         assert bott.euler_of_weights(Counter(weights), kd) == total
 
 
+def _pairing_key(kd, lam):
+    return tuple(kd.rs.pairing(lam, b) for b in kd.simple_roots)
+
+
 def test_shared_table_gives_the_shifted_multiset(monkeypatch):
     # one table reused across shifts: the result is the Euler characteristic
     # of the shifted multiset, and make_dominant runs once per distinct
-    # shifted weight over all calls
+    # simple-coroot pairing vector of a shifted weight over all calls
     rng = random.Random(43)
     a2 = rd.build_root_system("A", 2)
     sp4, eps = rf.standard_form_catalog("sp(4,R)")
@@ -88,8 +92,13 @@ def test_shared_table_gives_the_shifted_multiset(monkeypatch):
                                                 shift=shift, seen=seen)
             monkeypatch.setattr(bott, "make_dominant", make_dominant)
             assert got == want
-        distinct = {w + s for w in weights for s in shifts}
-        assert len(calls) == len(set(calls)) == len(distinct) == len(seen)
+        keys = [_pairing_key(kd, lam) for lam in calls]
+        distinct = {_pairing_key(kd, w + s) for w in weights for s in shifts}
+        assert len(keys) == len(set(keys)) == len(distinct) == len(seen)
+        # a K of smaller rank than G shares one pairing among many weights
+        shifted = {w + s for w in weights for s in shifts}
+        assert len(distinct) < len(shifted) if kd.rank < rs.rank else \
+            len(distinct) == len(shifted)
 
 
 def test_euler_examples():

@@ -192,6 +192,67 @@ def test_make_dominant_matches_naive_fraction_regularization():
             assert got == _naive_make_dominant(sub.rs, sub, lam)
 
 
+_CATALOG_FORMS = ("su(1,1)", "su(2,1)", "su(2,2)", "su(3,1)", "su(3,2)", "su(4,2)",
+                  "su(3,3)", "su(4,4)", "sp(4,R)", "sp(6,R)", "sp(8,R)", "sp(1,2)",
+                  "sp(2,2)", "so*(6)", "so*(8)", "so*(10)")
+
+
+def _reflect_until_dominant(sub, lam):
+    """Reference: sweep the simple reflections of sub over lam in public
+    Weight arithmetic until no simple-coroot pairing is negative."""
+    rs = sub.rs
+    word = []
+    moved = True
+    while moved:
+        moved = False
+        for i, b in enumerate(sub.simple_roots):
+            p = rs.pairing(lam, b)
+            if p < 0:
+                lam = lam - rs.root_fw(b).scale(p)
+                word.append(i)
+                moved = True
+    return word, lam
+
+
+@pytest.mark.parametrize("form", _CATALOG_FORMS)
+def test_pairing_kernel_matches_reflect_until_dominant(form):
+    # make_dominant, dominant_representative and euler_of_weights against the
+    # reference, on seeded weights and on weights with lam + rho_K on a wall
+    # (su(1,1): K has rank 0, so every weight is its own regularization)
+    rs, eps = standard_form_catalog(form)
+    kd = grade(rs, eps, (0,) * rs.rank).k_root_datum()
+    rng = random.Random(47)
+    lams = [rd.Weight(tuple(F(rng.randint(-8, 8)) for _ in range(rs.rank)))
+            for _ in range(30)]
+    walls = []  # 2x - <x, beta^vee> beta lies on the wall of beta
+    for x in lams[:15] if kd.positive_roots else ():
+        b = rng.choice(kd.positive_roots)
+        walls.append(x.scale(2) - rs.root_fw(b).scale(rs.pairing(x, b)))
+    lams += walls + [nu - kd.rho for nu in walls]
+    want = rd.VirtualCharacter()
+    singular_count = 0
+    for lam in lams:
+        word, mu = _reflect_until_dominant(kd, lam + kd.rho)
+        singular = any(rs.pairing(mu, b) == 0 for b in kd.simple_roots)
+        w, dom, sing = rd.make_dominant(kd, lam)
+        if singular:
+            assert (w.word, dom, sing) == (tuple(word), None, True)
+            singular_count += 1
+        else:
+            assert (w.word, dom, sing) == (tuple(reversed(word)), mu - kd.rho, False)
+            inversions = sum(rs.pairing(lam + kd.rho, b) < 0 for b in kd.positive_roots)
+            assert w.length == inversions
+            want = want + rd.VirtualCharacter({dom: (-1) ** w.length})
+        assert kd.dominant_representative(lam) == _reflect_until_dominant(kd, lam)[1]
+    assert singular_count >= len(walls)
+    assert euler_of_weights(lams, kd) == want
+    shift = lams[0]
+    seen = {}
+    for _ in range(2):  # a full table answers the second call
+        assert euler_of_weights([lam - shift for lam in lams], kd, shift=shift,
+                                seen=seen) == want
+
+
 def test_weyl_element_length_is_inversions():
     for label, rank in [("A", 2), ("C", 2), ("G2", 2)]:
         rs = rd.build_root_system(label, rank)

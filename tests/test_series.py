@@ -185,7 +185,66 @@ def test_vanishing_box_regularizes_each_shifted_weight_once(monkeypatch):
     monkeypatch.setattr(bott, "make_dominant", counted)
     reports = list(se.verify_vanishing_box(box, gd, kd, 6, form="su(2,2)"))
     assert all(r.passed for r in reports)
-    assert len(calls) == len(set(calls)) == 2054
+    # one call per distinct simple-coroot pairing vector of a shifted weight
+    # (2,054 distinct shifted weights share these 211)
+    keys = {tuple(kd.rs.pairing(lam, b) for b in kd.simple_roots) for lam in calls}
+    assert len(calls) == len(keys) == 211
+
+
+@pytest.mark.parametrize("name,h", [
+    ("su(1,1)", None), ("su(2,1)", None), ("sp(4,R)", None), ("su(2,2)", None),
+    ("so*(8)", (0, 0, 0, 2)), ("su(3,2)", (2, 0, 0, 0)),
+])
+def test_serre_duality_series_is_the_dual_euler_characteristic(name, h):
+    # the series is built from Sym^k(-(u cap p)) - lam - 2 rho_K by Serre
+    # duality; it must equal dual(Euler(Sym^k(u cap p) + lam)) on Q cap K
+    # dominant twists and on non-dominant ones
+    from nilcone import bott
+    rs, gd, kd, box = _box_context(name, h)
+    assert kd._w0_length == len(kd.positive_roots)
+    pd = gr.parabolic(gd)
+    outside = [lam for lam in (rd.Weight(c) for c in product(range(-2, 3),
+                                                              repeat=rs.rank))
+               if not gr.is_QK_dominant(lam, pd, kd)][:4]
+    syms = se.sym_powers(gd.u_cap_p_weights(), 4, rs.rank)
+    for lam in box[:8] + outside:
+        series = se.euler_series(lam, gd, kd, 4)
+        for k, sym in enumerate(syms):
+            shifted = Counter({w + lam: m for w, m in sym.items()})
+            assert series.chi[k] == bott.euler_of_weights(shifted, kd).dual(kd)
+
+
+def _alternating_args(kd, mus, lam):
+    """Every partition-function argument of the alternating sums at mus."""
+    words = rd.weyl_elements(kd)
+    for mu in mus:
+        mu_star = kd.dominant_representative(-mu)
+        for w in words:
+            yield kd.apply(w, mu_star + kd.rho) - kd.rho - lam
+
+
+def test_shared_partition_counter_matches_fresh_counts():
+    # su(4,4)'s mu = 0 alternating sum and so*(8)'s lam = 0 identity, every
+    # argument counted in order through one counter and by a fresh call
+    for name, h in [("su(4,4)", (0, 0, 0, 2, 0, 0, 0)), ("so*(8)", (0, 0, 0, 2))]:
+        rs, gd, kd = _context(name, h)
+        zero = rd.zero_weight(rs.rank)
+        mus = [zero]
+        if name == "so*(8)":
+            chis = se.euler_series(zero, gd, kd, 2).chi
+            mus = sorted({w for chi in chis for w, _ in chi.items()}, key=lambda w: w.d2)
+        ups = gd.u_cap_p_weights()
+        count = rd.partition_counter(rs, ups)
+        args = list(_alternating_args(kd, mus, zero))
+        got = [count(arg) for arg in args]
+        assert got == [rd.kostant_partition(rs, arg, ups) for arg in args]
+        assert any(got)
+    a2 = rd.build_root_system("A", 2)
+    for gens in ([rd.weight(0, 0)], [rd.weight(2, -1), rd.weight(-2, 1)]):
+        with pytest.raises(InputError):
+            rd.partition_counter(a2, gens)
+        with pytest.raises(InputError):
+            rd.kostant_partition(a2, rd.weight(0, 0), gens)
 
 
 def test_verify_vanishing_levi_equality_gate():
