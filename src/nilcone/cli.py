@@ -294,22 +294,16 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
             presentation = "principal"
         except OutOfScopeError:
             eps = catalog_eps
-            real0 = oc.realize(form, eps=eps)
-            hits = [hit for hit in
-                    gr.search_even_gradings(rs, eps,
-                                            confirm=oc.dense_confirmer(real0, seed))
-                    if hit.confirmed]
-            if not hits:
+            orbit_dims = oc.even_grading_orbit_dims(oc.realize(form, eps=eps), seed)
+            if not orbit_dims:
                 raise InputError("no confirmed even grading found for %r" % form)
             # prefer gradings whose bundle dimension matches the orbit
             # dimension: that certifies the moment map is generically finite
-            h_values = hits[-1].H.h_values
-            for hit in hits:
-                gd_c = gr.grade(rs, eps, hit.H.h_values)
-                bundle_dim = len(gd_c.u_cap_k) + len(gd_c.u_cap_p)
-                _, x_c = oc.pinned_principal(real0, hit.H.h_values)
-                if oc.orbit_dimension(real0, x_c) == bundle_dim:
-                    h_values = hit.H.h_values
+            h_values = orbit_dims[-1][0]
+            for h_c, orbit_dim in orbit_dims:
+                gd_c = gr.grade(rs, eps, h_c)
+                if orbit_dim == len(gd_c.u_cap_k) + len(gd_c.u_cap_p):
+                    h_values = h_c
             presentation = "searched"
     real = oc.realize(form, eps=eps)
     gd = gr.grade(rs, eps, h_values)
@@ -319,7 +313,6 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
 
     results = []
     evidence = {"seconds": 0.0}  # the qct evidence, once, and its time
-    cone = {}  # nilcone_dimension(real, seed), once
 
     def record(name, fn):
         if name not in checks:
@@ -359,16 +352,11 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
                         return "FAIL", {"pair": [list(a.coords), list(b.coords)]}
         return "PASS", {"pairs_checked": len(roots) ** 2}
 
-    def _cone_dim():
-        if "dim" not in cone:
-            cone["dim"] = oc.nilcone_dimension(real, seed)
-        return cone["dim"]
-
     def check_dense():
         ok = oc.dense_orbit_check(real, h_mat, x_mat)
         return ("PASS" if ok else "FAIL"), {
             "orbit_dim": oc.orbit_dimension(real, x_mat),
-            "nilcone_dim": _cone_dim(),
+            "nilcone_dim": oc.nilcone_dimension(real),
         }
 
     def check_canonical():
@@ -422,7 +410,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         if "ev" not in evidence:
             t0 = time.perf_counter()
             try:
-                evidence["ev"] = oc.qct_evidence(real, seed, cone_dim=_cone_dim())
+                evidence["ev"] = oc.qct_evidence(real, seed)
             finally:
                 evidence["seconds"] += time.perf_counter() - t0
         return evidence["ev"]

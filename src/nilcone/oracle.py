@@ -8,9 +8,11 @@ itself is imaginary).  That basis is an eigenbasis of theta and of ad H for
 every diagonal H, so k, p and each graded piece are sets of basis indices,
 read off the basis rather than solved for.  Coordinates are read off a
 matrix's entries, and ad is a sum of the integer structure constants,
-computed once per model.  Jacobson-Morozov triples, orbit and cone
-dimensions and density checks are exact solves and ranks over Q (la.rref,
-which eliminates over integer rows).  Hilbert functions of orbit closures
+computed once per model.  Jacobson-Morozov triples, orbit dimensions and
+density checks are exact solves and ranks over Q (la.rref, which eliminates
+over integer rows).  The cone dimension is exact and read off the roots:
+dim p - dim a, with dim a the size of a largest set of strongly orthogonal
+noncompact roots.  Hilbert functions of orbit closures
 and closure separations both read one OrbitSample: exact evaluation ranks
 over Q (la.IncrementalRank), one per T-weight block of monomials, at x and
 generic integer points Ad(u+ u- u+) x of its orbit.  Their sum is a
@@ -32,7 +34,7 @@ from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
 from .realform import (EqualRankInvolution, cartan_decomposition,
                        standard_form_catalog)
-from .rootdata import Weight
+from .rootdata import Root, Weight
 
 F = Fraction
 
@@ -615,27 +617,37 @@ def dense_orbit_check(real, h, x):
     return la.rank(_columns(adx, uk)) == len(p_high)
 
 
-def nilcone_dimension(real, seed):
-    """dim p minus the least dim z_p(s) over three random nonzero s in p.
+def _strongly_orthogonal_rank(rs, eps):
+    """The size of a largest set of pairwise strongly orthogonal noncompact
+    positive roots (alpha + beta and alpha - beta both non-roots), by
+    exhaustive search."""
+    roots = [r for r in rs.positive_roots if eps.sign(r) == -1]
 
-    Every s in p has dim z_p(s) >= dim a, with equality exactly when s is
-    regular (Kostant-Rallis 1971), and dim N_theta = dim p - dim a.  So the
-    result is a lower bound on the cone dimension, exact once one sample is
-    p-regular.
+    def strongly_orthogonal(a, b):
+        return not any(rs.is_root(Root(tuple(x + s * y for x, y in zip(a.coords, b.coords))))
+                       for s in (1, -1))
+
+    def largest(candidates):
+        best = 0
+        for i, a in enumerate(candidates):
+            if best >= len(candidates) - i:
+                break
+            rest = [b for b in candidates[i + 1:] if strongly_orthogonal(a, b)]
+            best = max(best, 1 + largest(rest))
+        return best
+
+    return largest(roots)
+
+
+def nilcone_dimension(real, seed=None):
+    """dim N_theta = dim p - dim a (Kostant-Rallis 1971), exact.
+
+    For an equal-rank form, Cayley transforms by a set of pairwise strongly
+    orthogonal noncompact roots reach every Cartan subalgebra up to
+    conjugacy (Sugiura 1959), so dim a is the size of a largest such set.
+    seed is ignored; nothing here is sampled.
     """
-    rng = random.Random("%s-nilcone" % (seed,))
-    if real.p_dim == 0:
-        return 0
-    found = []
-    for _ in range(80):
-        s = real.from_p_coords([F(rng.randint(-4, 4)) for _ in range(real.p_dim)])
-        if la.is_zero_matrix(s):
-            continue
-        cent = real.p_dim - la.rank(_columns(real.ad_matrix(s), real.p_index))
-        found.append(cent)
-        if len(found) >= 3:
-            return real.p_dim - min(found)
-    raise DiagnosticError("no nonzero p-element sampled in budget", partial=found)
+    return real.p_dim - _strongly_orthogonal_rank(real.rs, real.eps)
 
 
 def random_nilpotent(real, rng):
@@ -664,20 +676,16 @@ def random_nilpotent(real, rng):
         return x
 
 
-def principal_nilpotent_search(real, seed, cone_dim=None):
-    """A seeded random nilpotent in p whose K-orbit dimension equals cone_dim.
+def principal_nilpotent_search(real, seed):
+    """A seeded random nilpotent in p of maximal K-orbit dimension, that is
+    of orbit dimension nilcone_dimension(real).
 
-    cone_dim is nilcone_dimension(real, seed), computed here unless given.
-    That is a lower bound on dim N_theta, exact once one of its samples is
-    p-regular; the result is a nilpotent of maximal orbit dimension exactly
-    when the bound is exact.  A sampled orbit larger than cone_dim shows the
-    bound was not exact and raises DiagnosticError at once, with the largest
-    orbit's nilpotent as partial data.
+    A sampled orbit larger than the cone would contradict Kostant-Rallis and
+    raises ConsistencyError at once.
     """
     if real.p_dim == 0:
         raise InputError("p = 0: no principal nilpotent exists")
-    if cone_dim is None:
-        cone_dim = nilcone_dimension(real, seed)
+    cone_dim = nilcone_dimension(real)
     rng = random.Random("%s-principal" % (seed,))
     best = None
     best_dim = -1
@@ -687,10 +695,8 @@ def principal_nilpotent_search(real, seed, cone_dim=None):
         if d > best_dim:
             best, best_dim = x, d
         if best_dim > cone_dim:
-            raise DiagnosticError(
-                "principal search found orbit dimension %d > %d: the "
-                "nilcone_dimension bound was not exact" % (best_dim, cone_dim),
-                partial=best)
+            raise ConsistencyError("principal search found orbit dimension %d > "
+                                   "nilcone dimension %d" % (best_dim, cone_dim))
         if best_dim == cone_dim:
             return best
     raise DiagnosticError("principal search stalled at orbit dimension %d < %d"
@@ -977,21 +983,18 @@ def even_grading_orbit_dims(real, seed=0):
 
 
 _CLOSURE_DEG = 2
+_QCT_SAMPLES = 14
 
 
-def qct_evidence(real, seed, n_samples=14, cone_dim=None):
-    """Sampled evidence for the single-closure and even-dimension conditions.
-
-    cone_dim is nilcone_dimension(real, seed), computed here unless given.
-    """
+def qct_evidence(real, seed):
+    """Sampled evidence for the single-closure and even-dimension conditions."""
     if real.p_dim == 0:
         return {"degenerate": True, "seed": seed}
-    if cone_dim is None:
-        cone_dim = nilcone_dimension(real, seed)
-    principal = principal_nilpotent_search(real, seed, cone_dim)
+    cone_dim = nilcone_dimension(real)
+    principal = principal_nilpotent_search(real, seed)
     rng = random.Random("%s-qct" % (seed,))
     samples = [principal]
-    for _ in range(n_samples):
+    for _ in range(_QCT_SAMPLES):
         samples.append(random_nilpotent(real, rng))
     dims = [orbit_dimension(real, s) for s in samples]
     reps = [principal]

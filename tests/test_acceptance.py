@@ -200,7 +200,7 @@ def test_criterion_9_qct_evidence():
 
     rs, eps, h = rf.principal_presentation("su(2,2)")
     real22 = oc.realize("su(2,2)", eps=eps)
-    rep22 = se.qct_report("su(2,2)", oc.qct_evidence(real22, SEED, n_samples=8))
+    rep22 = se.qct_report("su(2,2)", oc.qct_evidence(real22, SEED))
     ok = ok and rep22["label"] == "EVIDENCE"
     # evenness is asserted only for the pinned principal orbits; lower orbits
     # of su(2,2) are genuinely odd dimensional (3 and 5 occur), so the rest
@@ -211,7 +211,7 @@ def test_criterion_9_qct_evidence():
 
     rs, eps, h = rf.principal_presentation("sp(4,R)")
     real4 = oc.realize("sp(4,R)", eps=eps)
-    rep4 = se.qct_report("sp(4,R)", oc.qct_evidence(real4, SEED, n_samples=8))
+    rep4 = se.qct_report("sp(4,R)", oc.qct_evidence(real4, SEED))
     ok = ok and rep4["G1_evidence"]["principal_orbit_dim"] % 2 == 0
     _report("criterion 9: su(1,1) not a single closure (2 components); "
             "even principal orbit dims and parity tables reported for "

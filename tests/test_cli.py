@@ -264,7 +264,7 @@ def test_budget_exhausted_check_is_inconclusive(monkeypatch):
 
 
 def test_qct_evidence_is_billed_to_qct(monkeypatch):
-    def slow_evidence(real, seed, cone_dim=None):
+    def slow_evidence(real, seed):
         time.sleep(0.2)
         return {"degenerate": True, "seed": seed}
 
@@ -274,6 +274,16 @@ def test_qct_evidence_is_billed_to_qct(monkeypatch):
     assert seconds["qct"] >= 0.2 > seconds["components"]
     untimed = cli.verify_form("su(1,1)", checks=("components", "qct"))
     assert all("seconds" not in c for c in untimed["checks"])
+
+
+def test_verify_reports_of_searched_forms_match_the_fixture():
+    # su(3,1) and so*(8) have no pinned presentation, so verify searches
+    # their even gradings; the reports at seed 7 are kept without timings
+    path = Path(__file__).parent / "data" / "verify-searched.seed7.json"
+    expected = json.loads(path.read_text())
+    assert sorted(expected) == ["so*(8)", "su(3,1)"]
+    for form, report in expected.items():
+        assert json.loads(json.dumps(cli.verify_form(form, seed=7))) == report
 
 
 def test_checks_are_parsed_for_verify_and_run(tmp_path, capsys):

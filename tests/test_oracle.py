@@ -11,7 +11,8 @@ from nilcone import linalg as la
 from nilcone import oracle as oc
 from nilcone import realform as rf
 from nilcone import rootdata as rd
-from nilcone.errors import DiagnosticError, InputError, OutOfScopeError
+from nilcone.errors import (ConsistencyError, DiagnosticError, InputError,
+                            OutOfScopeError)
 
 F = Fraction
 
@@ -189,6 +190,9 @@ def test_dense_orbit_checks():
 @pytest.mark.parametrize("name,dim", [
     ("su(1,1)", 1), ("su(2,1)", 3), ("su(2,2)", 6), ("sp(4,R)", 4),
     ("su(3,1)", 5), ("sp(6,R)", 9), ("su(3,2)", 10), ("so*(8)", 10),
+    # dim p - dim a, dim a being min(p,q) for su(p,q) and sp(p,q), n for
+    # sp(2n,R) and floor(n/2) for so*(2n)
+    ("su(4,4)", 32 - 4), ("so*(12)", 30 - 3), ("sp(3,3)", 36 - 3), ("sp(10,R)", 30 - 5),
 ])
 def test_nilcone_dimension(name, dim):
     real = oc.realize(name)
@@ -196,12 +200,59 @@ def test_nilcone_dimension(name, dim):
         assert oc.nilcone_dimension(real, seed) == dim
 
 
+def _sampled_nilcone_dimension(real, seed):
+    """The sampled bound nilcone_dimension used to return, kept as a reference:
+    dim p minus the least dim z_p(s) over three random nonzero s in p.  Every
+    s in p has dim z_p(s) >= dim a, with equality exactly when s is regular
+    (Kostant-Rallis 1971), so this is a lower bound on the cone dimension,
+    exact once one sample is p-regular."""
+    if real.p_dim == 0:
+        return 0
+    rng = random.Random("%s-nilcone" % (seed,))
+    found = []
+    while len(found) < 3:
+        s = real.from_p_coords([F(rng.randint(-4, 4)) for _ in range(real.p_dim)])
+        if not la.is_zero_matrix(s):
+            adp = oc._columns(real.ad_matrix(s), real.p_index)
+            found.append(real.p_dim - la.rank(adp))
+    return real.p_dim - min(found)
+
+
+TABLE_A_FORMS = ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)", "su(3,1)", "sp(6,R)",
+                 "su(3,2)", "so*(8)", "su(4,2)", "su(3,3)", "so*(10)", "sp(2,2)",
+                 "sp(8,R)")
+PINNED_FORMS = ("su(1,1)", "su(2,1)", "su(2,2)", "sp(4,R)")
+
+
+@pytest.mark.parametrize("name,eps", (
+    [(name, None) for name in TABLE_A_FORMS + ("so*(6)", "sp(1,2)")]
+    + [(name, rf.principal_presentation(name)[1].epsilon) for name in PINNED_FORMS]
+    + [("su(1,1)", (1,))]))
+def test_nilcone_dimension_matches_the_sampled_bound(name, eps):
+    # on these forms a sample is p-regular at both seeds, so the old lower
+    # bound was exact and must agree with dim p - dim a
+    real = oc.realize(name, eps=eps)
+    for seed in (7, 11):
+        assert oc.nilcone_dimension(real) == _sampled_nilcone_dimension(real, seed)
+
+
+def test_strongly_orthogonal_rank_is_the_real_rank():
+    forms = [("su(%d,%d)" % (p, q), min(p, q))
+             for p in range(1, 6) for q in range(1, 6) if p + q <= 8]
+    forms += [("sp(%d,R)" % (2 * n), n) for n in range(2, 8)]
+    forms += [("so*(%d)" % (2 * n), n // 2) for n in range(3, 8)]
+    forms += [("sp(%d,%d)" % (p, q), min(p, q))
+              for p in range(1, 4) for q in range(1, 4) if p + q <= 6]
+    for name, real_rank in forms:
+        rs, eps = rf.standard_form_catalog(name)
+        assert oc._strongly_orthogonal_rank(rs, eps) == real_rank, name
+
+
 @pytest.mark.parametrize("name", ["su(2,1)", "sp(4,R)", "su(3,1)", "so*(8)"])
 def test_orbit_dimensions_are_bounded_by_the_nilcone_dimension(name):
-    # dim K.s <= dim p - dim a for every s in p (Kostant-Rallis), which is
-    # what lets nilcone_dimension take a minimum over unfiltered samples
+    # dim K.s <= dim p - dim a for every s in p (Kostant-Rallis)
     real = oc.realize(name)
-    cone_dim = oc.nilcone_dimension(real, 7)
+    cone_dim = oc.nilcone_dimension(real)
     rng = random.Random(name)
     for _ in range(6):
         s = real.from_p_coords([F(rng.randint(-3, 3)) for _ in range(real.p_dim)])
@@ -219,8 +270,8 @@ def test_principal_search_certified():
 
 @pytest.mark.parametrize("name,dim", [("su(2,1)", 3), ("sp(4,R)", 4)])
 def test_principal_search_refuses_an_inexact_cone_bound(monkeypatch, name, dim):
-    # a sampled orbit larger than the cone bound proves the bound inexact:
-    # the search stops at that sample instead of running out its budget
+    # the cone dimension is exact, so a sampled orbit above it is a defect:
+    # the search raises at that sample instead of running out its budget
     real = oc.realize(name)
     calls = []
     orbit_dimension = oc.orbit_dimension
@@ -230,12 +281,12 @@ def test_principal_search_refuses_an_inexact_cone_bound(monkeypatch, name, dim):
         return orbit_dimension(real, x)
 
     monkeypatch.setattr(oc, "orbit_dimension", counted)
+    monkeypatch.setattr(oc, "nilcone_dimension", lambda real, seed=None: dim - 1)
     for seed in (7, 11):
         calls.clear()
-        with pytest.raises(DiagnosticError, match="not exact") as info:
-            oc.principal_nilpotent_search(real, seed, cone_dim=dim - 1)
+        with pytest.raises(ConsistencyError, match="orbit dimension %d > " % dim):
+            oc.principal_nilpotent_search(real, seed)
         assert len(calls) == 1
-        assert orbit_dimension(real, info.value.partial) == dim
 
 
 def test_principal_search_rejects_compact():
@@ -614,19 +665,8 @@ def test_sample_orbit_points_is_dense_conjugation(name):
     assert rng.getstate() == dense.getstate()
 
 
-def test_nilcone_dimension_is_computed_once(monkeypatch, capsys):
-    calls = []
-    original = oc.nilcone_dimension
-
-    def counted(real, seed):
-        calls.append(real.name)
-        return original(real, seed)
-
-    monkeypatch.setattr(oc, "nilcone_dimension", counted)
+def test_nilcone_dimension_is_computed_once(capsys):
     report = cli.verify_form("su(2,1)", kmax=2, checks=("dense", "qct"))
     assert [c["verdict"] for c in report["checks"]] == ["PASS", "EVIDENCE"]
-    assert calls == ["su(2,1)"]
-    calls.clear()
     assert cli.main(["oracle", "triple", "--form", "su(2,1)"]) == cli.EXIT_PASS
     assert json.loads(capsys.readouterr().out)["nilcone_dim"] == 3
-    assert calls == ["su(2,1)"]
