@@ -1,10 +1,12 @@
 """Dense linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction, vectors are lists of Fraction.
-No floating point anywhere.  rref, rank, nullspace, solve, IncrementalRank
-and Span are exact over Q.  rref and IncrementalRank clear each row of
-denominators and content and eliminate over primitive integer rows
-(_cancel), so no Fraction arithmetic runs inside the elimination; rref
+Matrices are lists of lists, and vectors lists, of ints and Fractions.  An
+int matrix stays an int matrix through zeros, identity, mat_add, mat_sub,
+mat_scale by an int and mat_mul; rref, nullspace and solve return
+Fractions.  No floating point anywhere.  rref, rank, nullspace, solve,
+IncrementalRank and Span are exact over Q.  rref and IncrementalRank clear
+each row of denominators and content and eliminate over primitive integer
+rows (_cancel), so no Fraction arithmetic runs inside the elimination; rref
 ranks a whole matrix at once, IncrementalRank takes rows one at a time and
 tests single rows for a rise.
 """
@@ -17,13 +19,13 @@ F = Fraction
 
 
 def zeros(nrows, ncols):
-    return [[F(0)] * ncols for _ in range(nrows)]
+    return [[0] * ncols for _ in range(nrows)]
 
 
 def identity(n):
     m = zeros(n, n)
     for i in range(n):
-        m[i][i] = F(1)
+        m[i][i] = 1
     return m
 
 
@@ -36,7 +38,6 @@ def mat_sub(a, b):
 
 
 def mat_scale(c, a):
-    c = F(c)
     return [[c * x for x in row] for row in a]
 
 
@@ -45,7 +46,7 @@ def mat_mul(a, b):
     ncols = len(b[0])
     out = []
     for row in a:
-        acc = [F(0)] * ncols
+        acc = [0] * ncols
         for k in range(nb):
             x = row[k]
             if x:
@@ -173,7 +174,7 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(map(F, row)) + [F(b)] for row, b in zip(rows, rhs)]
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if ncols in pivots:
         return None

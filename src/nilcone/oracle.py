@@ -1,4 +1,4 @@
-"""Independent ground truth from exact rational matrix models.
+"""Independent ground truth from exact matrix models over Z and Q.
 
 Each catalog form gets a concrete realization of (g, theta) inside gl(n,Q):
 a basis of g made of the diagonal Cartan matrices and one root vector per
@@ -8,11 +8,14 @@ itself is imaginary).  That basis is an eigenbasis of theta and of ad H for
 every diagonal H, so k, p and each graded piece are sets of basis indices,
 read off the basis rather than solved for.  Coordinates are read off a
 matrix's entries, and ad is a sum of the integer structure constants,
-computed once per model.  Jacobson-Morozov triples, orbit dimensions and
-density checks are exact solves and ranks over Q (la.rref, which eliminates
-over integer rows).  The cone dimension is exact and read off the roots:
-dim p - dim a, with dim a the size of a largest set of strongly orthogonal
-noncompact roots.  Hilbert functions of orbit closures
+computed once per model.  Matrices hold ints until a value really is a
+fraction: the basis, the sampled nilpotents, their coordinates and their
+ad matrices are integer, and Fractions enter with half-integer Cartan
+entries and with the output of an exact solve.  Jacobson-Morozov triples,
+orbit dimensions and density checks are exact solves and ranks over Q
+(la.rref, which eliminates over integer rows).  The cone dimension is exact
+and read off the roots: dim p - dim a, with dim a the size of a largest set
+of strongly orthogonal noncompact roots.  Hilbert functions of orbit closures
 and closure separations both read one OrbitSample: exact evaluation ranks
 over Q (la.IncrementalRank), one per T-weight block of monomials, at x and
 generic integer points Ad(u+ u- u+) x of its orbit.  Their sum is a
@@ -45,20 +48,20 @@ def _e_coords_of_root(rs, root):
     n = rs.rank
     t = rs.type_label
     if t == "A":
-        v = [F(0)] * (n + 1)
+        v = [0] * (n + 1)
         for i in range(n):  # alpha_i = e_i - e_{i+1}
             v[i] += c[i]
             v[i + 1] -= c[i]
         return tuple(v)
     if t == "C":
-        v = [F(0)] * n
+        v = [0] * n
         for i in range(n - 1):
             v[i] += c[i]
             v[i + 1] -= c[i]
         v[n - 1] += 2 * c[n - 1]
         return tuple(v)
     if t == "D":
-        v = [F(0)] * n
+        v = [0] * n
         for i in range(n - 1):
             v[i] += c[i]
             v[i + 1] -= c[i]
@@ -68,11 +71,19 @@ def _e_coords_of_root(rs, root):
     raise OutOfScopeError("no matrix model for type %s" % t)
 
 
+def _int_if_integral(x):
+    """x as an int when it is one, so integer data stays int arithmetic."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class ClassicalRealization:
-    """Matrix model of (g, theta) with exact rational arithmetic throughout.
+    """Matrix model of (g, theta) in exact arithmetic, integer where it can be.
 
     Every basis matrix is a diagonal Cartan matrix or an off-diagonal root
-    vector with entries +-1, and no position belongs to two root vectors.
+    vector with int entries +-1, and no position belongs to two root vectors.
+    An element with integer coordinates is an int matrix, and its
+    coordinates and ad matrix are ints; Fractions appear only in elements
+    that have fractional entries, such as a half-integer Cartan element.
     coords reads an element's root coordinates off its entries and its
     Cartan coordinates off its diagonal.  The structure constants
     [b_i, b_j] = sum_k c_ijk b_k are integers, built once (which checks that
@@ -97,7 +108,7 @@ class ClassicalRealization:
 
     def _unit(self, a, b):
         m = la.zeros(self.msize, self.msize)
-        m[a][b] = F(1)
+        m[a][b] = 1
         return m
 
     def _build_basis(self):
@@ -108,14 +119,14 @@ class ClassicalRealization:
         if self.family == "sl":
             for i in range(n_e - 1):
                 m = la.zeros(self.msize, self.msize)
-                m[i][i] = F(1)
-                m[i + 1][i + 1] = F(-1)
+                m[i][i] = 1
+                m[i + 1][i + 1] = -1
                 self.cartan_mats.append(m)
         else:
             for j in range(n_e):
                 m = la.zeros(self.msize, self.msize)
-                m[j][j] = F(1)
-                m[n_e + j][n_e + j] = F(-1)
+                m[j][j] = 1
+                m[n_e + j][n_e + j] = -1
                 self.cartan_mats.append(m)
         self.roots_order = list(rs.all_roots())
         self.basis = list(self.cartan_mats) + [
@@ -124,7 +135,7 @@ class ClassicalRealization:
         self._root_index = {r.coords: len(self.cartan_mats) + i
                             for i, r in enumerate(self.roots_order)}
         # the nonzero entries (a, b, v) of each basis matrix
-        self._entries = [[(a, b, int(x)) for a, row in enumerate(m)
+        self._entries = [[(a, b, x) for a, row in enumerate(m)
                           for b, x in enumerate(row) if x] for m in self.basis]
 
     def _root_matrix(self, ev):
@@ -187,7 +198,8 @@ class ClassicalRealization:
         square = [[d[a] for d in diags] for a in rows]
         inverse = [la.solve(square, [F(k == l) for l in range(ncartan)])
                    for k in range(ncartan)]  # column k of square^-1
-        self._diag_read = [[(a, col[j]) for a, col in zip(rows, inverse) if col[j]]
+        self._diag_read = [[(a, _int_if_integral(col[j]))
+                            for a, col in zip(rows, inverse) if col[j]]
                            for j in range(ncartan)]
         self._diag_terms = [[(j, d[a]) for j, d in enumerate(diags) if d[a]]
                             for a in range(size)]
@@ -241,7 +253,7 @@ class ClassicalRealization:
                     raise ConsistencyError("bracket left the span of the basis")
                 for k, x in enumerate(col):
                     if x:
-                        if F(x).denominator != 1:
+                        if x.denominator != 1:
                             raise ConsistencyError("structure constant %s is not an "
                                                    "integer" % x)
                         table.append((k, j, int(x)))
@@ -269,7 +281,7 @@ class ClassicalRealization:
     def _coords(self, entries):
         """Coordinates of the matrix with nonzero entries {(a, b): x}, or None
         when it is not in g."""
-        c = [F(0)] * self.dim
+        c = [0] * self.dim
         diag = {}
         roots = set()  # the root vectors m has entries of
         for (a, b), x in entries.items():
@@ -287,7 +299,7 @@ class ClassicalRealization:
                 return None
         if diag:
             for j, read in enumerate(self._diag_read):
-                c[j] = sum((diag.get(a, 0) * w for a, w in read), F(0))
+                c[j] = sum(diag.get(a, 0) * w for a, w in read)
             for a, terms in enumerate(self._diag_terms):
                 if sum(c[j] * v for j, v in terms) != diag.get(a, 0):
                     return None
@@ -312,7 +324,7 @@ class ClassicalRealization:
         zc = self.coords(z)
         if zc is None:
             raise InputError("element is not in g")
-        out = [[F(0)] * self.dim for _ in range(self.dim)]
+        out = [[0] * self.dim for _ in range(self.dim)]
         for zi, table in zip(zc, self._ad_basis):
             if zi:
                 for k, j, c in table:
@@ -320,10 +332,16 @@ class ClassicalRealization:
         return out
 
     def in_p(self, m):
-        return la.mat_eq(self.theta(m), la.mat_scale(-1, m))
+        """Whether theta(m) = -m: theta negates every nonzero entry of m."""
+        return self._theta_sign_is(m, -1)
 
     def in_k(self, m):
-        return la.mat_eq(self.theta(m), m)
+        """Whether theta(m) = m: theta fixes every nonzero entry of m."""
+        return self._theta_sign_is(m, 1)
+
+    def _theta_sign_is(self, m, sign):
+        return all(mask[b] == sign for row, mask in zip(m, self._mask)
+                   for b, x in enumerate(row) if x)
 
     def p_coords(self, m):
         """The p entries of coords(m), or None unless m is in p."""
@@ -334,7 +352,7 @@ class ClassicalRealization:
 
     def from_p_coords(self, vec):
         """The element of p whose p_coords are vec."""
-        full = [F(0)] * self.dim
+        full = [0] * self.dim
         for i, c in zip(self.p_index, vec):
             full[i] = c
         return self.from_coords(full)
@@ -349,7 +367,8 @@ class ClassicalRealization:
         return self._compact
 
     def cartan_element_from_h(self, h_values):
-        """Diagonal H with alpha_i(H) = h_i, rational entries."""
+        """Diagonal H with alpha_i(H) = h_i; an entry is an int unless it is a
+        fraction."""
         n = self.n_e
         t = self.rs.type_label
         h = [F(x) for x in h_values]
@@ -372,6 +391,7 @@ class ClassicalRealization:
                 a[j] = a[j + 1] + h[j]
         else:
             raise OutOfScopeError("no matrix model for type %s" % t)
+        a = [_int_if_integral(x) for x in a]
         m = la.zeros(self.msize, self.msize)
         if self.family == "sl":
             for j in range(n):
@@ -488,9 +508,11 @@ class SL2Triple:
 
 
 def _is_nilpotent(real, x):
-    power = la.identity(real.msize)
-    for _ in range(real.msize):
-        power = la.mat_mul(power, x)
+    """Whether x^msize = 0, by squaring x until the power is x^(2^k) with
+    2^k >= msize: an msize x msize matrix is nilpotent iff that power is 0."""
+    power = x
+    for _ in range((real.msize - 1).bit_length()):
+        power = la.mat_mul(power, power)
     return la.is_zero_matrix(power)
 
 
@@ -516,7 +538,7 @@ def jm_triple(real, x):
     stacked = [adx[i] for i in range(real.dim)]
     shifted = la.mat_add(adh, la.mat_scale(2, la.identity(real.dim)))
     stacked = stacked + [shifted[i] for i in range(real.dim)]
-    rhs = list(hc) + [F(0)] * real.dim
+    rhs = list(hc) + [0] * real.dim
     yc = la.solve(stacked, rhs)
     if yc is None:
         raise ConsistencyError("no completing Y found for a nilpotent element")
@@ -541,7 +563,7 @@ def ks_normalize(real, triple):
     adx = real.ad_matrix(triple.X)
     shifted = la.mat_add(real.ad_matrix(hk), la.mat_scale(2, la.identity(real.dim)))
     stacked = [[row[j] for j in real.p_index] for row in adx + shifted]
-    rhs = list(real.coords(hk)) + [F(0)] * real.dim
+    rhs = list(real.coords(hk)) + [0] * real.dim
     c = la.solve(stacked, rhs)
     if c is None:
         raise ConsistencyError("no Y in p completes the normalized triple")
@@ -562,14 +584,14 @@ def ad_layers(real, h):
     of a basis matrix m, so m has degree d when every entry it has shares
     one value d, which must be an integer; otherwise InputError.
     """
-    n = real.msize
-    if any(h[a][b] for a in range(n) for b in range(n) if a != b):
+    if any(x for a, row in enumerate(h) for b, x in enumerate(row) if a != b):
         raise InputError("H is not diagonal")
+    diag = [row[a] for a, row in enumerate(h)]
     degree = []
-    for m in real.basis:
-        found = {h[a][a] - h[b][b] for a in range(n) for b in range(n) if m[a][b]}
+    for entries in real._entries:
+        found = {diag[a] - diag[b] for a, b, _ in entries}
         d = found.pop()
-        if found or F(d).denominator != 1:
+        if found or d.denominator != 1:
             raise InputError("ad H does not act on the basis with integer degrees")
         degree.append(int(d))
     return {d: ([i for i in real.k_index if degree[i] == d],
@@ -656,21 +678,19 @@ def random_nilpotent(real, rng):
     if not noncompact:
         raise InputError("p = 0: the form has no nilpotent directions")
     patterns = [_e_coords_of_root(real.rs, r) for r in noncompact]
+    index = [real._root_index[r.coords] for r in noncompact]
     while True:
         xi = [rng.randint(-6, 6) for _ in range(real.n_e)]
-        vals = [sum(F(x) * e for x, e in zip(xi, pat)) for pat in patterns]
+        vals = [sum(x * e for x, e in zip(xi, pat)) for pat in patterns]
         if any(v == 0 for v in vals):
             continue
-        x = la.zeros(real.msize, real.msize)
-        used = 0
-        for r, v in zip(noncompact, vals):
+        vec = [0] * real.dim
+        for i, v in zip(index, vals):
             if v > 0:
-                c = rng.randint(-2, 2)
-                if c:
-                    x = la.mat_add(x, la.mat_scale(c, real.root_vector(r)))
-                    used += 1
-        if used == 0:
+                vec[i] = rng.randint(-2, 2)
+        if not any(vec):
             continue
+        x = real.from_coords(vec)
         if not _is_nilpotent(real, x):
             raise ConsistencyError("half-space sample was not nilpotent")
         return x
@@ -699,8 +719,10 @@ def principal_nilpotent_search(real, seed):
                                    "nilcone dimension %d" % (best_dim, cone_dim))
         if best_dim == cone_dim:
             return best
+    # the partial matrix in Fractions, which a report prints as strings
     raise DiagnosticError("principal search stalled at orbit dimension %d < %d"
-                          % (best_dim, cone_dim), partial=best)
+                          % (best_dim, cone_dim),
+                          partial=[[F(v) for v in row] for row in best])
 
 
 # ---------------------------------------------------------------------------

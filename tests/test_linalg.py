@@ -157,3 +157,31 @@ def test_incremental_rank_raises_agrees_with_rank(seed):
             coeffs = [F(rng.randint(-2, 2)) for _ in rows]
             row = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(ncols)]
         assert _raises_changing_nothing(tracker, row) == (la.rank(rows + [row]) > tracker.rank)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_int_rows_give_the_results_of_their_fractions(seed):
+    rng = random.Random(seed)
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    rank = rng.randint(1, min(nrows, ncols))
+    left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rank)]
+    ints = la.mat_mul(left, right)
+    assert all(type(x) is int for row in ints for x in row)
+    fracs = [[F(x) for x in row] for row in ints]
+    assert la.mat_mul(left, right) == la.mat_mul(
+        [[F(x) for x in row] for row in left], [[F(x) for x in row] for row in right])
+    assert la.rref(ints) == la.rref(fracs)
+    assert all(type(x) is F for row in la.rref(ints)[0] for x in row)
+    assert la.rank(ints) == la.rank(fracs) <= rank
+    solvable = la.mat_mul(ints, [[rng.randint(-3, 3)] for _ in range(ncols)])
+    arbitrary = [[rng.randint(-3, 3)] for _ in range(nrows)]
+    for rhs in (solvable, arbitrary):
+        rhs = [b for b, in rhs]
+        x = la.solve(ints, rhs)
+        assert x == la.solve(fracs, [F(b) for b in rhs])
+        if x is not None:
+            assert la.mat_mul(ints, [[c] for c in x]) == [[b] for b in rhs]
+    assert la.solve(ints, [b for b, in solvable]) is not None
+    assert la.identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert all(type(x) is int for row in la.mat_scale(-2, ints) for x in row)

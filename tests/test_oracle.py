@@ -289,6 +289,21 @@ def test_principal_search_refuses_an_inexact_cone_bound(monkeypatch, name, dim):
         assert len(calls) == 1
 
 
+def test_stalled_principal_search_keeps_its_best_sample_in_fractions(monkeypatch, capsys):
+    # the samples are int matrices; the partial keeps the Fractions a report
+    # prints as strings
+    real = oc.realize("su(2,1)")
+    monkeypatch.setattr(oc, "nilcone_dimension", lambda real, seed=None: real.p_dim + 1)
+    with pytest.raises(DiagnosticError) as info:
+        oc.principal_nilpotent_search(real, 7)
+    best = info.value.partial
+    assert {type(x) for row in best for x in row} == {F}
+    assert oc.orbit_dimension(real, best) == 3
+    assert cli.main(["oracle", "triple", "--form", "su(2,1)"]) == cli.EXIT_INPUT
+    partial = json.loads(capsys.readouterr().err)["partial"]
+    assert partial == [[str(x) for x in row] for row in best]
+
+
 def test_principal_search_rejects_compact():
     real = oc.realize("su(1,1)", eps=(1,))
     assert real.p_dim == 0
@@ -670,3 +685,147 @@ def test_nilcone_dimension_is_computed_once(capsys):
     assert [c["verdict"] for c in report["checks"]] == ["PASS", "EVIDENCE"]
     assert cli.main(["oracle", "triple", "--form", "su(2,1)"]) == cli.EXIT_PASS
     assert json.loads(capsys.readouterr().out)["nilcone_dim"] == 3
+
+
+# -- integer entries -----------------------------------------------------------------
+
+def _scanned_layers(real, h):
+    """Reference ad_layers: each basis matrix's degree from a scan of all
+    msize^2 positions of the matrix against h."""
+    n = real.msize
+    if any(h[a][b] for a in range(n) for b in range(n) if a != b):
+        raise InputError("H is not diagonal")
+    degree = []
+    for m in real.basis:
+        found = {h[a][a] - h[b][b] for a in range(n) for b in range(n) if m[a][b]}
+        d = found.pop()
+        if found or F(d).denominator != 1:
+            raise InputError("ad H does not act on the basis with integer degrees")
+        degree.append(int(d))
+    return {d: ([i for i in real.k_index if degree[i] == d],
+                [i for i in real.p_index if degree[i] == d])
+            for d in sorted(set(degree))}
+
+
+@pytest.mark.parametrize("name", TABLE_A_FORMS)
+def test_ad_layers_match_the_full_scan(name):
+    real = oc.realize(name)
+    hits = [hit.H.h_values for hit in gr.search_even_gradings(
+        real.rs, real.eps, confirm=oc.dense_confirmer(real, 7)) if hit.confirmed]
+    assert hits
+    for h_values in hits:
+        h = real.cartan_element_from_h(h_values)
+        assert oc.ad_layers(real, h) == _scanned_layers(real, h)
+        fractions = [[F(x) for x in row] for row in h]
+        assert oc.ad_layers(real, fractions) == _scanned_layers(real, h)
+    zero = la.zeros(real.msize, real.msize)
+    assert oc.ad_layers(real, zero) == _scanned_layers(real, zero) == {
+        0: (real.k_index, real.p_index)}
+    fractional = la.mat_scale(F(1, 4), real.cartan_mats[0])  # a root of degree 1/2
+    not_diagonal = la.mat_add(real.cartan_mats[0], real.basis[-1])
+    for bad in (fractional, not_diagonal):
+        for layers in (oc.ad_layers, _scanned_layers):
+            with pytest.raises(InputError):
+                layers(real, bad)
+
+
+@pytest.mark.parametrize("name", TABLE_A_FORMS)
+def test_theta_sign_tests_match_theta(name):
+    real = oc.realize(name)
+    rng = random.Random(name)
+
+    def element(index, fractional):
+        vec = [0] * real.dim
+        for i in index:
+            vec[i] = F(rng.randint(-3, 3), rng.randint(1, 3)) if fractional \
+                else rng.randint(-3, 3)
+        return real.from_coords(vec)
+
+    zero = la.zeros(real.msize, real.msize)
+    cases = [zero, la.identity(real.msize),
+             real.cartan_element_from_h((1,) * real.rs.rank)]
+    for fractional in (False, True):
+        for _ in range(3):
+            k, p = element(real.k_index, fractional), element(real.p_index, fractional)
+            cases += [k, p, la.mat_add(k, p)]
+    seen = set()
+    for m in cases:
+        in_p = la.mat_eq(real.theta(m), la.mat_scale(-1, m))
+        in_k = la.mat_eq(real.theta(m), m)
+        assert (real.in_p(m), real.in_k(m)) == (in_p, in_k)
+        seen.add((in_p, in_k))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _entry_types(*mats):
+    return {type(x) for m in mats for row in m for x in row}
+
+
+@pytest.mark.parametrize("name", TABLE_A_FORMS)
+def test_matrix_entries_are_ints_or_fractions(name):
+    real = oc.realize(name)
+    rng = random.Random(name)
+    assert _entry_types(*real.basis) == {int}
+    x = oc.random_nilpotent(real, rng)
+    assert _entry_types(x) == {int}
+    assert _entry_types(real.ad_matrix(x)) == {int}
+    assert _entry_types(oc.sample_orbit_points(real, x, 3, rng)) <= {int, F}
+    triple = oc.jm_triple(real, x)
+    normal = oc.ks_normalize(real, triple)
+    for t in (triple, normal):
+        assert _entry_types(t.H, t.X, t.Y) <= {int, F}
+
+
+def _random_nilpotent_by_sums(real, rng):
+    """Reference random_nilpotent: the same draws, x summed one scaled root
+    vector at a time in Fraction arithmetic."""
+    noncompact = real.noncompact_roots()
+    patterns = [oc._e_coords_of_root(real.rs, r) for r in noncompact]
+    while True:
+        xi = [rng.randint(-6, 6) for _ in range(real.n_e)]
+        vals = [sum(F(x) * e for x, e in zip(xi, pat)) for pat in patterns]
+        if any(v == 0 for v in vals):
+            continue
+        x = [[F(0)] * real.msize for _ in range(real.msize)]
+        used = 0
+        for r, v in zip(noncompact, vals):
+            if v > 0:
+                c = rng.randint(-2, 2)
+                if c:
+                    x = la.mat_add(x, la.mat_scale(F(c), real.root_vector(r)))
+                    used += 1
+        if used:
+            return x
+
+
+@pytest.mark.parametrize("name", TABLE_A_FORMS)
+def test_random_nilpotent_keeps_its_draws(name):
+    real = oc.realize(name)
+    rng, reference = random.Random(name), random.Random(name)
+    for _ in range(5):
+        assert oc.random_nilpotent(real, rng) == _random_nilpotent_by_sums(real, reference)
+        assert rng.getstate() == reference.getstate()
+
+
+def _power(x, k):
+    out = la.identity(len(x))
+    for _ in range(k):
+        out = la.mat_mul(out, x)
+    return out
+
+
+@pytest.mark.parametrize("name", ["su(1,1)", "su(2,1)", "su(2,2)", "su(3,2)",
+                                  "sp(6,R)", "so*(10)"])
+def test_is_nilpotent_by_repeated_squaring(name):
+    real = oc.realize(name)
+    n = real.msize
+    jordan = [[int(b == a + 1) for b in range(n)] for a in range(n)]
+    assert not la.is_zero_matrix(_power(jordan, n - 1))  # nilpotency index n
+    assert oc._is_nilpotent(real, jordan)
+    cyclic = [list(row) for row in jordan]
+    cyclic[n - 1][0] = 1  # a cyclic permutation: its n-th power is 1
+    assert not la.is_zero_matrix(la.mat_mul(cyclic, cyclic))
+    assert not oc._is_nilpotent(real, cyclic)
+    assert not oc._is_nilpotent(real, real.cartan_mats[0])  # semisimple
+    for x in (jordan, cyclic, real.cartan_mats[0]):
+        assert oc._is_nilpotent(real, x) == la.is_zero_matrix(_power(x, n))
