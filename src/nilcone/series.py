@@ -10,10 +10,11 @@ normalized orbit closure.  By Serre duality dual(Euler(M)) = (-1)^{l(w0)}
 Euler(-M - 2 rho_K), so the series is computed as the Euler characteristic
 of Sym^k(-(u cap p)) shifted by -lam' - 2 rho_K, with no dualization.
 
-Sym^0..Sym^N(-(u cap p)) is built once per call as Counters of d2 int
-tuples; a box of twists shares it (verify_vanishing_box), and one table of
-Bott regularizations, keyed on simple-coroot pairings (see nilcone.bott),
-serves every twist and degree of the call.
+Sym^0..Sym^N(-(u cap p)) is built once per call on weights packed as
+single ints (see nilcone.bott), with a slot width derived from N, the
+weights of u cap p and every twist of the call; a box of twists shares it
+(verify_vanishing_box), and one table of Bott regularizations, keyed on
+packed simple-coroot pairings, serves every twist and degree of the call.
 
 Higher-cohomology vanishing is verified through its falsifiable consequence:
 every graded Euler characteristic must have nonnegative multiplicities.
@@ -22,9 +23,9 @@ Twists must be integral weights: only those define a line bundle O(lam).
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import add, neg
+from operator import neg
 
-from .bott import euler_of_weights
+from .bott import _Packing, _packing, _reach, _Table, euler_of_weights
 from .errors import InputError
 from .grading import is_QK_dominant, parabolic
 from .rootdata import (VirtualCharacter, _weight_of, partition_counter,
@@ -47,24 +48,30 @@ class GradedCharacterSeries:
         return [c.dimension(kd) for c in self.chi]
 
 
-def _sym_powers(gens, N, rank):
-    """sym_powers on d2 int tuples.  For each generator g in turn, degree k
-    gains g + (degree k - 1), taken in increasing k so that degree k - 1
-    already holds the powers of g."""
-    sym = [Counter({(0,) * rank: 1})] + [Counter() for _ in range(N)]
+def _sym(gens, N):
+    """Sym^0..Sym^N of the packed generators gens, as dicts (packed weight
+    -> multiplicity).  For each generator g in turn, degree k gains
+    g + (degree k - 1), taken in increasing k so that degree k - 1 already
+    holds the powers of g."""
+    sym = [{0: 1}] + [{} for _ in range(N)]
     for g in gens:
         for k in range(1, N + 1):
             cur = sym[k]
+            get = cur.get
             for nu, m in sym[k - 1].items():
-                cur[tuple(map(add, nu, g))] += m
+                nu += g
+                cur[nu] = get(nu, 0) + m
     return sym[:N + 1]
 
 
 def sym_powers(weights, N, rank):
     """T-weights of Sym^0..Sym^N of a space with the given weight list, as
     Counters (weight -> multiplicity); Sym^0 is the zero weight of rank."""
-    return [Counter({_weight_of(d): m for d, m in sym.items()})
-            for sym in _sym_powers([w.d2 for w in weights], N, rank)]
+    d2s = [w.d2 for w in weights]
+    packing = _Packing(rank, (), N * _reach(d2s))
+    bias, unpack = packing.bias, packing.unpack
+    return [Counter({_weight_of(unpack(nu + bias)): m for nu, m in sym.items()})
+            for sym in _sym([packing.pack(d2) for d2 in d2s], N)]
 
 
 def sym_weights(weights, k):
@@ -78,14 +85,16 @@ def sym_weights(weights, k):
 
 def _series(lams, gd, kd, N, form):
     """The series of each twist in lams, yielded in order (see the module
-    docstring): one Sym^k(-(u cap p)) and one regularization table."""
-    syms = _sym_powers([tuple(map(neg, w.d2)) for w in gd.u_cap_p_weights()],
-                       N, gd.rs.rank)
+    docstring): one packed Sym^k(-(u cap p)) and one regularization table,
+    whose packing bounds every Sym^k weight plus every shift of the call."""
+    gens = [tuple(map(neg, w.d2)) for w in gd.u_cap_p_weights()]
     two_rho = kd.rho + kd.rho
-    seen = {}
-    for lam in lams:
-        shift = -lam - two_rho
-        chi = [euler_of_weights(sym, kd, shift=shift, seen=seen) for sym in syms]
+    shifts = [-lam - two_rho for lam in lams]
+    table = _Table(_packing(kd, N * _reach(gens)
+                            + _reach([s.d2 for s in shifts])))
+    syms = _sym([table.packing.pack(g) for g in gens], N)
+    for lam, shift in zip(lams, shifts):
+        chi = [euler_of_weights(sym, kd, shift=shift, seen=table) for sym in syms]
         if kd._w0_length % 2:
             chi = [-c for c in chi]
         yield GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values,
@@ -191,13 +200,28 @@ def blattner_multiplicity(mu, lam, gd, kd):
                             partition_counter(gd.rs, gd.u_cap_p_weights()))
 
 
-def _alternating_sum(mu, lam, kd, words, count):
-    """blattner_multiplicity's sum over the Weyl words of K, given as words;
-    count is a partition_counter of the weights of u cap p."""
-    mu_star = kd.dominant_representative(-mu)
-    total = 0
+def _weyl_images(kd, words, lam):
+    """[kd.apply(w, lam) for w in words], one simple reflection per word.
+
+    words lists every word (i,) + parent after its parent, as weyl_elements
+    does, so w(lam) = s_i(parent(lam)) reflects the parent's image once
+    (Casselman, as in weyl_elements)."""
+    image = {}
     for w in words:
-        n = count(kd.apply(w, mu_star + kd.rho) - kd.rho - lam)
+        word = w.word
+        image[word] = kd._reflect2(image[word[1:]], word[0]) if word else lam.d2
+    return [_weight_of(image[w.word]) for w in words]
+
+
+def _alternating_sum(mu, lam, kd, words, count):
+    """blattner_multiplicity's sum over the Weyl words of K, given as words
+    (see _weyl_images); count is a partition_counter of the weights of
+    u cap p."""
+    mu_star = kd.dominant_representative(-mu)
+    off = kd.rho + lam
+    total = 0
+    for w, image in zip(words, _weyl_images(kd, words, mu_star + kd.rho)):
+        n = count(image - off)
         total += n if w.length % 2 == 0 else -n
     return total
 
@@ -222,8 +246,8 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
     needed = {}
     for mu in mus:
         mu_star = kd.dominant_representative(-mu)
-        hs = [sum(rs.root_coords_of_weight(kd.apply(w, mu_star + kd.rho) - kd.rho - lam))
-              for w in words]
+        hs = [sum(rs.root_coords_of_weight(image - kd.rho - lam))
+              for image in _weyl_images(kd, words, mu_star + kd.rho)]
         needed[mu] = max([int(h // min_h) for h in hs if h >= 0], default=0)
     k_far = max([max_degree, *needed.values()])
     ext = euler_series(lam, gd, kd, k_far, form=form) if k_far > max_degree else base

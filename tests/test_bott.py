@@ -1,6 +1,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
+from operator import add, sub as minus
 
 import pytest
 
@@ -61,9 +63,24 @@ def _pairing_key(kd, lam):
     return tuple(kd.rs.pairing(lam, b) for b in kd.simple_roots)
 
 
+def _counting_regularize(monkeypatch, calls):
+    """Patch the Bott sum's miss point to record the simple-coroot pairings
+    (doubled, rho_K included) that each miss reads off its packed key."""
+    regularize = bott._Packing.regularize
+
+    def counted(packing, kd, key):
+        w = packing.width
+        calls.append(tuple(((key >> (w * i)) & ((1 << w) - 1)) - (1 << (w - 1))
+                           for i in range(kd.rank)))
+        return regularize(packing, kd, key)
+
+    monkeypatch.setattr(bott._Packing, "regularize", counted)
+    return regularize
+
+
 def test_shared_table_gives_the_shifted_multiset(monkeypatch):
     # one table reused across shifts: the result is the Euler characteristic
-    # of the shifted multiset, and make_dominant runs once per distinct
+    # of the shifted multiset, and the kernel regularizes once per distinct
     # simple-coroot pairing vector of a shifted weight over all calls
     rng = random.Random(43)
     a2 = rd.build_root_system("A", 2)
@@ -71,12 +88,6 @@ def test_shared_table_gives_the_shifted_multiset(monkeypatch):
     systems = [_a1(), (a2, rd.full_subsystem(a2)),
                (sp4, rf.k_root_datum(rf.cartan_decomposition(sp4, eps)))]
     calls = []
-    make_dominant = bott.make_dominant
-
-    def counted(sub, lam):
-        calls.append(lam)
-        return make_dominant(sub, lam)
-
     for rs, kd in systems:
         pool = [rd.Weight(tuple(F(rng.randint(-4, 4)) for _ in range(rs.rank)))
                 for _ in range(16)]
@@ -86,15 +97,16 @@ def test_shared_table_gives_the_shifted_multiset(monkeypatch):
         calls.clear()
         for shift in shifts:
             want = bott.euler_of_weights([w + shift for w in weights], kd)
-            monkeypatch.setattr(bott, "make_dominant", counted)
+            regularize = _counting_regularize(monkeypatch, calls)
             got = bott.euler_of_weights(weights, kd, shift=shift, seen=seen)
             assert got == bott.euler_of_weights(Counter(weights), kd,
                                                 shift=shift, seen=seen)
-            monkeypatch.setattr(bott, "make_dominant", make_dominant)
+            monkeypatch.setattr(bott._Packing, "regularize", regularize)
             assert got == want
-        keys = [_pairing_key(kd, lam) for lam in calls]
         distinct = {_pairing_key(kd, w + s) for w in weights for s in shifts}
-        assert len(keys) == len(set(keys)) == len(distinct) == len(seen)
+        assert len(calls) == len(set(calls)) == len(distinct) == len(seen)
+        # the recorded pairings are those of the shifted weights plus rho_K
+        assert set(calls) == {tuple(2 * x + 2 for x in k) for k in distinct}
         # a K of smaller rank than G shares one pairing among many weights
         shifted = {w + s for w in weights for s in shifts}
         assert len(distinct) < len(shifted) if kd.rank < rs.rank else \
@@ -159,3 +171,114 @@ def test_dominant_dimension_matches_weyl_formula():
                 rd.Weight(tuple(F(rng.randint(-4, 4)) for _ in range(rs.rank))))
             res = bott.line_cohomology(lam, kd)
             assert res.total_dimension(kd) == rd.weyl_dimension(kd, lam)
+
+
+def euler_of_tuples(weights, kd, shift=None, seen=None):
+    """The reference: euler_of_weights as a kernel on d2 tuples, each miss
+    regularized by make_dominant, before the packed kernel replaced it."""
+    if seen is None:
+        seen = {}
+    sd2 = (0,) * kd.rs.rank if shift is None else shift.d2
+    total = {}
+    for lam, mult in Counter(weights).items():
+        d2 = tuple(map(add, lam.d2 if lam.__class__ is rd.Weight else lam, sd2))
+        key = tuple(kd._pairings(d2))
+        if key not in seen:
+            w, dom, singular = rd.make_dominant(kd, rd._weight_of(d2))
+            seen[key] = None if singular else (tuple(map(minus, dom.d2, d2)),
+                                               -1 if w.length % 2 else 1)
+        hit = seen[key]
+        if hit is not None:
+            dom = tuple(map(add, d2, hit[0]))
+            total[dom] = total.get(dom, 0) + hit[1] * mult
+    return rd.VirtualCharacter({rd._weight_of(d): m for d, m in total.items()})
+
+
+# su(1,1): K a torus, the pairing key is empty
+KERNEL_FORMS = ("su(1,1)", "su(2,2)", "sp(4,R)", "so*(8)", "su(3,2)", "su(4,4)")
+
+
+def _k_of(name):
+    rs, eps = rf.standard_form_catalog(name)
+    return rs, rf.k_root_datum(rf.cartan_decomposition(rs, eps))
+
+
+@pytest.mark.parametrize("name", KERNEL_FORMS)
+def test_packed_kernel_matches_the_tuple_kernel(name):
+    # seeded multisets with repeats and negative coordinates, Weights and d2
+    # tuples, shifts of both signs and shifts that put weights on walls; one
+    # table per kernel shared over all shifts
+    rs, kd = _k_of(name)
+    rng = random.Random(47)
+    pool = [tuple(rng.randint(-6, 6) for _ in range(rs.rank)) for _ in range(10)]
+    weights = [rng.choice(pool) for _ in range(30)]
+    weights += [rd._weight_of(d2) for d2 in pool[:3]]  # a Weight equal to a tuple
+    shifts = [None, rd._weight_of(tuple(rng.randint(-9, 9) for _ in range(rs.rank)))]
+    # pool[i] + shift + rho_K = 0 pairs to 0 with every coroot: a wall
+    shifts += [-rd._weight_of(d2) - kd.rho for d2 in pool[:2]]
+    packed_seen, tuple_seen = {}, {}
+    for shift in shifts + shifts[:2]:
+        want = euler_of_tuples(weights, kd, shift=shift, seen=tuple_seen)
+        assert want == euler_of_tuples(weights, kd, shift=shift)
+        got = bott.euler_of_weights(weights, kd, shift=shift, seen=packed_seen)
+        assert got == want
+        assert bott.euler_of_weights(Counter(weights), kd, shift=shift) == want
+    # calls of two slot widths share the table: one entry per pairing key
+    # and width, since the width is part of the key
+    assert len(packed_seen) >= len(tuple_seen)
+    if kd.rank:
+        assert None in packed_seen.values()
+    else:
+        assert list(packed_seen.values()) == [(0, 1)]
+
+
+@pytest.mark.parametrize("name", KERNEL_FORMS)
+def test_packed_kernel_at_the_slot_bound(name):
+    # the widest weights an 8-bit packing admits, and one step wider (16-bit
+    # slots), every sign pattern of them, against the tuple kernel
+    rs, kd = _k_of(name)
+    edge = 0
+    while bott._packing(kd, edge + 1).width == 8:
+        edge += 1
+    assert bott._packing(kd, edge).width == 8
+    for reach, width in ((edge, 8), (edge + 1, 16)):
+        assert bott._packing(kd, reach).width == width
+        a = reach // 2
+        b = reach - a
+        weights = [tuple(a * s for s in signs)
+                   for signs in product((-1, 0, 1), repeat=min(rs.rank, 4))]
+        weights = [d2 + (0,) * (rs.rank - len(d2)) for d2 in weights]
+        shifts = [rd._weight_of((b,) * rs.rank), rd._weight_of((-b,) * rs.rank),
+                  rd._weight_of(tuple(b * (-1) ** j for j in range(rs.rank)))]
+        for shift in shifts:
+            assert bott._reach([shift.d2]) + bott._reach(weights) == reach
+            got = bott.euler_of_weights(weights, kd, shift=shift)
+            assert got == euler_of_tuples(weights, kd, shift=shift)
+
+
+def test_slot_width_grows_past_64_bits():
+    rs, kd = _k_of("su(2,2)")
+    big = 3 ** 50  # well past a 64-bit slot
+    weights = [(big, -big, 2), (-big, 0, big), (1, 2, 3), (1, 2, 3)]
+    shift = rd._weight_of((4, -big, 0))
+    assert bott._packing(kd, 2 * big).width == 128
+    assert bott.euler_of_weights(weights, kd, shift=shift) == \
+        euler_of_tuples(weights, kd, shift=shift)
+
+
+def test_a_shared_table_keeps_packings_apart():
+    # su(2,1): K's simple coroot is G's highest coroot, so the key digit of
+    # (-r, -r) is 2^(W-1) - 2r + 2; r = 61 packs in 8-bit slots and r = 16381
+    # in 16-bit slots with the same digit 8.  The width slot of the key keeps
+    # the two table entries apart.
+    rs, kd = _k_of("su(2,1)")
+    small, large = [(-61, -61)], [(-16381, -16381)]
+    assert bott._packing(kd, 61).width == 8 and bott._packing(kd, 16381).width == 16
+    seen = {}
+    for weights in (small, large, small):
+        assert bott.euler_of_weights(weights, kd, seen=seen) == \
+            euler_of_tuples(weights, kd)
+    assert len(seen) == 2
+    # the digits coincide: only the width slot tells the keys apart
+    digits = {key & 0xff if key < 1 << 16 else key & 0xffff for key in seen}
+    assert digits == {8}

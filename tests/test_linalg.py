@@ -185,3 +185,22 @@ def test_int_rows_give_the_results_of_their_fractions(seed):
     assert la.solve(ints, [b for b, in solvable]) is not None
     assert la.identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert all(type(x) is int for row in la.mat_scale(-2, ints) for x in row)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_counts_the_pivots_of_rref(seed):
+    # seeded rank-deficient Fraction and int matrices of every shape class:
+    # no rows, the zero matrix, 1 x n, n x 1, square, wide and tall
+    rng = random.Random(seed)
+    shapes = [(1, 7), (7, 1), (5, 5), (3, 8), (9, 3), (12, 4)]
+    cases = [[], la.zeros(4, 6), la.zeros(1, 3)]
+    for nrows, ncols in shapes:
+        inner = rng.randint(1, max(1, min(nrows, ncols) - 1))
+        left = [[rng.randint(-4, 4) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(inner)]
+        cases += [_random_matrix(rng, nrows, ncols, inner),
+                  la.mat_mul(left, right),  # an int matrix of rank <= inner
+                  [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(nrows)]]
+    for rows in cases:
+        assert la.rank(rows) == len(la.rref(rows)[1])
+    assert la.rank([]) == 0 and la.rank(la.zeros(4, 6)) == 0

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from operator import add
 
 import pytest
 
@@ -55,6 +56,89 @@ def test_sym_powers_match_combinations():
                 want[total] += 1
             assert got == want
             assert Counter(se.sym_weights(weights, k)) == want
+
+
+def _tuple_sym_powers(gens, N, rank):
+    """The reference: the Sym builder on d2 tuples that the packed one
+    replaced, as Counters of d2 tuples."""
+    sym = [Counter({(0,) * rank: 1})] + [Counter() for _ in range(N)]
+    for g in gens:
+        for k in range(1, N + 1):
+            cur = sym[k]
+            for nu, m in sym[k - 1].items():
+                cur[tuple(map(add, nu, g))] += m
+    return sym[:N + 1]
+
+
+def test_sym_powers_match_the_tuple_builder():
+    # the weights of u cap p and of its negative on four forms, and seeded
+    # lists with repeats and half-integral coordinates, up to N = 8
+    rng = random.Random(53)
+    cases = []
+    for name, h in [("su(2,1)", None), ("sp(4,R)", None), ("su(2,2)", None),
+                    ("so*(8)", (0, 0, 0, 2))]:
+        rs, gd, kd, _ = _box_context(name, h)
+        ups = gd.u_cap_p_weights()
+        cases += [(ups, rs.rank), ([-w for w in ups], rs.rank)]
+    for _ in range(4):
+        rank = rng.randint(1, 4)
+        pool = [rd.Weight(tuple(F(rng.randint(-5, 5), 2) for _ in range(rank)))
+                for _ in range(3)]
+        cases.append(([rng.choice(pool) for _ in range(5)], rank))
+    for weights, rank in cases:
+        want = _tuple_sym_powers([w.d2 for w in weights], 8, rank)
+        got = se.sym_powers(weights, 8, rank)
+        assert got == [Counter({rd._weight_of(d2): m for d2, m in sym.items()})
+                       for sym in want]
+
+
+def _tuple_series(lams, gd, kd, N):
+    """The reference for _series: tuple Sym^k(-(u cap p)), the tuple Bott
+    kernel and one table shared over every twist and degree."""
+    from test_bott import euler_of_tuples
+    rank = gd.rs.rank
+    syms = _tuple_sym_powers([(-w).d2 for w in gd.u_cap_p_weights()], N, rank)
+    seen = {}
+    for lam in lams:
+        shift = -lam - kd.rho - kd.rho
+        chi = [euler_of_tuples(sym, kd, shift=shift, seen=seen) for sym in syms]
+        yield [-c for c in chi] if kd._w0_length % 2 else chi
+
+
+def test_euler_series_matches_the_tuple_kernel_on_a_box():
+    rs, gd, kd, box = _box_context("su(2,2)")
+    assert len(box) == 55
+    want = list(_tuple_series(box, gd, kd, 6))
+    for lam, chi in zip(box, want):
+        assert se.euler_series(lam, gd, kd, 6).chi == chi
+    # the box as one call: one packing and one table for all 55 twists
+    got = list(se.verify_vanishing_box(box, gd, kd, 6))
+    assert [r.series.chi for r in got] == want
+
+
+def test_euler_series_at_the_slot_bound():
+    # twists (c, -c, c) at the widest 8-bit packing _series derives for
+    # su(2,2) at N = 6, and one step past it, on both sides of 0
+    from nilcone import bott
+    rs, gd, kd, _ = _box_context("su(2,2)")
+    N = 6
+    gens = [(-w).d2 for w in gd.u_cap_p_weights()]
+
+    def width(c):
+        shift = -rd.weight(c, -c, c) - kd.rho - kd.rho
+        return bott._packing(kd, N * bott._reach(gens)
+                             + bott._reach([shift.d2])).width
+
+    edges = []
+    for step in (1, -1):
+        c = 0
+        while width(c + step) == 8:
+            c += step
+        assert width(c + step) == 16
+        edges += [c, c + step]
+    lams = [rd.weight(c, -c, c) for c in edges]
+    for lam, chi in zip(lams, _tuple_series(lams, gd, kd, N)):
+        assert se.euler_series(lam, gd, kd, N).chi == chi
 
 
 def test_sym_powers_without_generators():
@@ -176,18 +260,20 @@ def test_vanishing_box_regularizes_each_shifted_weight_once(monkeypatch):
     rs, gd, kd, box = _box_context("su(2,2)")
     assert len(box) == 55
     calls = []
-    make_dominant = bott.make_dominant
+    regularize = bott._Packing.regularize
 
-    def counted(sub, lam):
-        calls.append(lam)
-        return make_dominant(sub, lam)
+    def counted(packing, kd, key):
+        calls.append(key)
+        return regularize(packing, kd, key)
 
-    monkeypatch.setattr(bott, "make_dominant", counted)
+    # the kernel's miss point: one call per pairing key missing from the table
+    monkeypatch.setattr(bott._Packing, "regularize", counted)
     reports = list(se.verify_vanishing_box(box, gd, kd, 6, form="su(2,2)"))
     assert all(r.passed for r in reports)
     # one call per distinct simple-coroot pairing vector of a shifted weight
-    # (2,054 distinct shifted weights share these 211)
-    keys = {tuple(kd.rs.pairing(lam, b) for b in kd.simple_roots) for lam in calls}
+    # (2,054 distinct shifted weights share these 211); one packing serves
+    # the call, so distinct packed keys are distinct pairing vectors
+    keys = set(calls)
     assert len(calls) == len(keys) == 211
 
 
@@ -245,6 +331,29 @@ def test_shared_partition_counter_matches_fresh_counts():
             rd.partition_counter(a2, gens)
         with pytest.raises(InputError):
             rd.kostant_partition(a2, rd.weight(0, 0), gens)
+
+
+@pytest.mark.parametrize("name,h", [
+    ("su(4,4)", (0, 0, 0, 2, 0, 0, 0)), ("so*(8)", (0, 0, 0, 2)),
+    ("sp(4,R)", (2, 2)), ("su(1,1)", (2,)),
+])
+def test_weyl_images_reflect_once_per_word(name, h, monkeypatch):
+    # su(1,1): K has no simple roots, its one word is the identity
+    rs, gd, kd = _context(name, h)
+    words = rd.weyl_elements(kd)
+    rng = random.Random(59)
+    lams = [kd.rho, rd.Weight(tuple(F(rng.randint(-5, 5), 2) for _ in range(rs.rank)))]
+    want = [[kd.apply(w, lam) for w in words] for lam in lams]
+    reflect2 = kd._reflect2
+    calls = []
+
+    def counted(d2, i):
+        calls.append(i)
+        return reflect2(d2, i)
+
+    monkeypatch.setattr(kd, "_reflect2", counted)
+    assert [se._weyl_images(kd, words, lam) for lam in lams] == want
+    assert len(calls) == len(lams) * (len(words) - 1)
 
 
 def test_verify_vanishing_levi_equality_gate():
