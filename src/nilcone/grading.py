@@ -45,6 +45,7 @@ class GradedDecomposition:
         self.eps = eps
         self.H = H
         self.layers = layers  # degree -> (tuple of k roots, tuple of p roots)
+        self._kd = None  # the root datum of K, built on first use
         self._check_symmetry()
 
     def _check_symmetry(self):
@@ -98,7 +99,11 @@ class GradedDecomposition:
         return [self.rs.root_fw(r) for r in self.u_cap_p]
 
     def k_root_datum(self):
-        return k_root_datum(cartan_decomposition(self.rs, self.eps))
+        """The root datum of K, built on the first call and kept: a grading
+        search grades many H and needs K for none of them."""
+        if self._kd is None:
+            self._kd = k_root_datum(cartan_decomposition(self.rs, self.eps))
+        return self._kd
 
 
 @dataclass

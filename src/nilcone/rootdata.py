@@ -18,8 +18,17 @@ i-th simple coroot is the i-th entry of cartan . c.  Coroots lie in the
 coroot lattice, so every pairing, reflection, dominance test, Weyl
 enumeration and Weyl dimension runs on ints; root coordinates of a weight
 are an integer adjugate of the Cartan matrix and one exact division.
+
+Sweeps into the dominant chamber (make_dominant, dominant_representative,
+each table miss of the Bott sum in nilcone.bott) and the Weyl-word BFS run
+on packed weights (_Packing): one int whose fixed-width slots hold a
+weight's doubled pairings with the simple coroots of a subsystem and its d2
+coordinates.  A simple reflection is one int update and a negative pairing
+is a clear top bit of its slot.  nilcone.bott and nilcone.series pack their
+weights with the same layout.
 """
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub as minus
@@ -384,14 +393,16 @@ class Subsystem:
         self._simple_coroots = tuple(rs.coroot_vector(b) for b in self.simple_roots)
         self._simple_fw = tuple(rs._fw_of_root(b) for b in self.simple_roots)
         self._coroots = tuple(rs.coroot_vector(r) for r in self.positive_roots)
-        # per i the nonzero (j, <beta_i, beta_j^vee>), and fw(beta_i) by row
-        self._cartan_cols = [[(j, a) for j, v in enumerate(self._simple_coroots)
-                              if (a := sum(map(mul, v, fw)))] for fw in self._simple_fw]
-        self._fw_rows = [[fw[k] for fw in self._simple_fw] for k in range(rs.rank)]
+        # the height of G's highest coroot, the factor of _packing's slot
+        # bound, and the packings made so far, by slot width
+        self._coroot_height = max(sum(rs.coroot_vector(r)) for r in rs.positive_roots)
+        self._packings = {}
         # -w0 as an int matrix on doubled coordinates, w0 being the word that
-        # takes -rho_sub to rho_sub; -w0 maps a dominant weight to the
-        # dominant weight of its negative's orbit
-        word, _ = self._regularize([-2] * self.rank)
+        # takes -rho_sub to rho_sub (swept from lam = -2 rho_sub); -w0 maps a
+        # dominant weight to the dominant weight of its negative's orbit
+        minus_two_rho = tuple(-2 * x for x in rho2)
+        packing = _packing(self, _reach([minus_two_rho]))
+        word = packing.sweep(packing.pack(minus_two_rho) + packing.bias)[1]
         self._w0_length = len(word)
         columns = []
         for j in range(rs.rank):
@@ -414,32 +425,11 @@ class Subsystem:
         d2 = lam.d2
         return all(sum(map(mul, v, d2)) >= 0 for v in self._simple_coroots)
 
-    def _pairings(self, d2, shift=0):
-        """The doubled pairings of d2 with the simple coroots, plus shift."""
-        return [sum(map(mul, v, d2)) + shift for v in self._simple_coroots]
-
-    def _regularize(self, p):
-        """Sweep the doubled simple-coroot pairings p (a list, moved in place)
-        into the dominant chamber: s_i moves p_j by -p_i <beta_i, beta_j^vee>.
-        Returns the reflections, in order (l(w) of them unless p ends on a
-        wall), and the d2 correction -sum_i c_i fw(beta_i), c_i the sum of
-        the p_i reflected away."""
-        word = []
-        c = [0] * len(p)
-        while min(p, default=0) < 0:
-            for i, col in enumerate(self._cartan_cols):
-                pi = p[i]
-                if pi < 0:
-                    for j, a in col:
-                        p[j] -= pi * a
-                    c[i] += pi
-                    word.append(i)
-        return word, tuple([-sum(map(mul, c, row)) for row in self._fw_rows])
-
     def dominant_representative(self, lam):
         """The unique dominant weight in the Weyl orbit of lam."""
-        corr = self._regularize(self._pairings(lam.d2))[1]
-        return _weight_of(tuple(map(add, lam.d2, corr)))
+        packing = _packing(self, _reach([lam.d2]))
+        q = packing.sweep(packing.pack(lam.d2) + packing.zero)[0]
+        return _weight_of(packing.unpack(q))
 
     def apply(self, w, lam):
         """Action of a WeylElement: s_{w[0]} s_{w[1]} ... applied to lam."""
@@ -460,12 +450,159 @@ def make_dominant(sub, lam):
     singular is True.  Otherwise w is the unique element with
     w(lam + rho_sub) strictly dominant and lam_dom = w(lam+rho) - rho.
     """
-    p = sub._pairings(lam.d2, 2)  # <beta_i^vee, rho_sub> = 1, doubled
-    word, corr = sub._regularize(p)
-    if 0 in p:
+    packing = _packing(sub, _reach([lam.d2]))
+    q, word = packing.sweep(packing.pack(lam.d2) + packing.bias)
+    if packing.on_wall(q):
         return WeylElement(tuple(word)), None, True
     word.reverse()  # recorded right-to-left; apply() composes left on top
-    return WeylElement(tuple(word)), _weight_of(tuple(map(add, lam.d2, corr))), False
+    return WeylElement(tuple(word)), _weight_of(packing.unpack(q)), False
+
+
+# ---------------------------------------------------------------------------
+# Packed weights
+# ---------------------------------------------------------------------------
+
+_FORMATS = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
+def _width(bound):
+    """The least power of two W >= 8 with bound < 2^(W-1)."""
+    width = 8
+    while bound >= 1 << (width - 1):
+        width *= 2
+    return width
+
+
+class _Packing:
+    """Weights of a rank-r root system as single ints, W-bit slots low first.
+
+    pack(d2) is linear: slot i < len(coroots) holds the dot product of d2
+    with coroots[i], slot len(coroots) holds 0 and slot len(coroots) + 1 + j
+    holds d2[j].  Adding zero puts 2^(W-1) in each pairing and d2 slot and W
+    in the middle slot; a slot value v with |v| < 2^(W-1) is then the W-bit
+    digit v + 2^(W-1), and the top bit of a pairing digit is clear exactly
+    when the pairing is negative.  bias is zero plus 2 in each pairing slot,
+    rho_sub's doubled pairing: pack(lam.d2) + bias holds the pairings of
+    lam + rho_sub and the coordinates of lam.  The caller picks W so that
+    every slot value it packs is below 2^(W-1) in absolute value (_width of
+    its bound; see _packing).  The middle slot is in the key (low slots),
+    so keys of two packings of one subsystem never coincide and a table
+    shared across calls never mixes packings.
+
+    With fws, the fundamental-weight coordinates of the simple roots beta_i
+    whose coroots are coroots, the simple reflection s_i acts on a packed
+    weight q as q - p_i pack(fw(beta_i)), p_i read off slot i: packing is
+    linear, and s_i moves d2 by -p_i fw(beta_i) and pairing j by
+    -p_i <beta_i, beta_j^vee>.
+    """
+
+    def __init__(self, rank, width, coroots=(), fws=()):
+        half = 1 << (width - 1)
+        nk = len(coroots)
+        self.width = width
+        self._half, self._digit = half, (1 << width) - 1
+        self.key_mask = (1 << (width * (nk + 1))) - 1
+        self._units = [sum(v[j] << (width * i) for i, v in enumerate(coroots))
+                       + (1 << (width * (nk + 1 + j))) for j in range(rank)]
+        self._tops = sum(half << (width * i) for i in range(nk))
+        self.zero = (self._tops + (width << (width * nk))
+                     + sum(half << (width * (nk + 1 + j)) for j in range(rank)))
+        self.bias = self.zero + sum(2 << (width * i) for i in range(nk))
+        # the sweep: s_i as (shift of slot i, pack(fw(beta_i))); the top
+        # bits of the pairing slots above slot i; slot i by its top bit
+        self._reflections = [(width * i, self.pack(fw)) for i, fw in enumerate(fws)]
+        self._above = [self._tops >> (width * (i + 1)) << (width * (i + 1))
+                       for i in range(nk)]
+        self._slot = {half << (width * i): i for i in range(nk)}
+        self._walls = self._tops + sum(1 << (width * i) for i in range(nk))
+        self._pairings_mask = (1 << (width * nk)) - 1
+        self._d2_at = width * (nk + 1)
+        self._signs = sum(half << (width * j) for j in range(rank))
+        self._nbytes = rank * width // 8
+        fmt = _FORMATS.get(width)
+        self._struct = struct.Struct("<%d%s" % (rank, fmt)) if fmt else None
+
+    def pack(self, d2):
+        return sum(map(mul, d2, self._units))
+
+    def unpack(self, t):
+        """The d2 tuple of a biased packed weight t.  XOR with the sign
+        mask turns each digit v + 2^(W-1) into v as a signed W-bit int."""
+        raw = ((t >> self._d2_at) ^ self._signs).to_bytes(self._nbytes, "little")
+        if self._struct is not None:
+            return self._struct.unpack(raw)
+        n = self.width // 8
+        return tuple(int.from_bytes(raw[i:i + n], "little", signed=True)
+                     for i in range(0, len(raw), n))
+
+    def reflect(self, q, i):
+        """s_i of the biased packed weight q."""
+        shift, root = self._reflections[i]
+        return q - (((q >> shift) & self._digit) - self._half) * root
+
+    def sweep(self, q):
+        """Reflect the biased packed weight q into the dominant chamber.
+
+        Each pass reflects, in ascending i, every s_i whose pairing is
+        negative when its turn comes, until a pass finds none.  Returns the
+        dominant image and the reflections in order: l(w) of them unless
+        the image lies on a wall.  Every weight met is w'(lam + rho_sub) for
+        some w' in the Weyl group, so _packing's slot bound covers it.  Only
+        the pairing slots are read, so the slots above them may be any int
+        (those of a key are 0) and may carry: packing is linear over Z.
+        """
+        word = []
+        reflections, above, slot = self._reflections, self._above, self._slot
+        digit, half = self._digit, self._half
+        negative = self._tops & ~q
+        while negative:
+            while negative:
+                i = slot[negative & -negative]
+                shift, root = reflections[i]  # reflect(q, i), inlined
+                q -= (((q >> shift) & digit) - half) * root
+                word.append(i)
+                negative = above[i] & ~q
+            negative = self._tops & ~q
+        return q, word
+
+    def on_wall(self, q):
+        """True when a pairing of the swept (dominant) q is 0: with every
+        digit v + 2^(W-1), v >= 0, subtracting 2^(W-1) + 1 per slot borrows
+        into a top bit exactly from the lowest slot with v = 0."""
+        return bool(((q & self._pairings_mask) - self._walls) & self._tops)
+
+    def regularize(self, key):
+        """The table entry of a pairing key of the Bott sum: (w.lam - lam
+        packed, (-1)^l(w)), or None when lam + rho_sub lies on a wall."""
+        q, word = self.sweep(key)
+        if self.on_wall(q):
+            return None
+        return q - key, -1 if len(word) % 2 else 1
+
+
+def _reach(d2s):
+    """The largest absolute entry of the d2 tuples d2s (0 for none)."""
+    return max((abs(x) for d2 in d2s for x in d2), default=0)
+
+
+def _packing(sub, reach):
+    """The packing of the subsystem for weights lam + rho_sub whose lam has
+    d2 entries at most reach in absolute value, made once per slot width.
+
+    Every d2 entry of w(lam + rho_sub), w in the Weyl group, and every
+    pairing with a simple coroot is the pairing of lam + rho_sub with a
+    coroot of G, so at most the height of the highest coroot times the
+    largest d2 entry of lam + rho_sub; that bounds every slot, the dominant
+    terms and every weight a sweep passes through included.
+    """
+    rho = _reach([sub.rho.d2])
+    width = _width(sub._coroot_height * (reach + rho) + rho)
+    try:
+        return sub._packings[width]
+    except KeyError:
+        packing = sub._packings[width] = _Packing(
+            sub.rs.rank, width, sub._simple_coroots, sub._simple_fw)
+        return packing
 
 
 _MATERIALIZE_LIMIT = 10 ** 6
@@ -476,19 +613,22 @@ def weyl_elements(sub):
     (length, word).
 
     BFS over simple reflections, deduplicated by the action on rho_sub.
-    Each frontier element carries its image of rho_sub, so the candidate
-    s_i w costs one simple reflection of the parent's image (Casselman,
-    "Computation in Coxeter groups I", Electron. J. Combin. 2002).  Groups
-    with more than 10^6 elements are never materialized.
+    Each frontier element carries its image of rho_sub, packed (the bias of
+    _packing(sub, 0): lam = 0), so the candidate s_i w costs one simple
+    reflection of the parent's image (Casselman, "Computation in Coxeter
+    groups I", Electron. J. Combin. 2002) and the dict is keyed on one int.
+    Groups with more than 10^6 elements are never materialized.
     """
+    packing = _packing(sub, 0)
+    reflect = packing.reflect
     identity = WeylElement(())
-    seen = {sub.rho.d2: identity}
-    frontier = [(identity, sub.rho.d2)]
+    seen = {packing.bias: identity}
+    frontier = [(identity, packing.bias)]
     while frontier:
         nxt = []
         for w, img in frontier:
             for i in range(sub.rank):
-                cand_img = sub._reflect2(img, i)
+                cand_img = reflect(img, i)
                 if cand_img not in seen:
                     cand = WeylElement((i,) + w.word)
                     seen[cand_img] = cand
@@ -556,6 +696,14 @@ class VirtualCharacter:
 
     def negatives(self):
         return [(w, m) for w, m in self.items() if m < 0]
+
+
+def _character_of(terms):
+    """The VirtualCharacter whose terms are terms (a dict of nonzero ints
+    keyed by Weight, taken over), unchecked."""
+    vc = _new(VirtualCharacter)
+    vc._terms = terms
+    return vc
 
 
 def weyl_dimension(sub, lam):

@@ -25,11 +25,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import neg
 
-from .bott import _Packing, _packing, _reach, _Table, euler_of_weights
+from .bott import _Table, euler_of_weights
 from .errors import InputError
 from .grading import is_QK_dominant, parabolic
-from .rootdata import (VirtualCharacter, _weight_of, partition_counter,
-                       require_integral, weyl_elements, zero_weight)
+from .rootdata import (VirtualCharacter, _Packing, _packing, _reach, _weight_of,
+                       _width, partition_counter, require_integral,
+                       weyl_elements, zero_weight)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -68,7 +69,7 @@ def sym_powers(weights, N, rank):
     """T-weights of Sym^0..Sym^N of a space with the given weight list, as
     Counters (weight -> multiplicity); Sym^0 is the zero weight of rank."""
     d2s = [w.d2 for w in weights]
-    packing = _Packing(rank, (), N * _reach(d2s))
+    packing = _Packing(rank, _width(N * _reach(d2s)))
     bias, unpack = packing.bias, packing.unpack
     return [Counter({_weight_of(unpack(nu + bias)): m for nu, m in sym.items()})
             for sym in _sym([packing.pack(d2) for d2 in d2s], N)]

@@ -139,6 +139,26 @@ def test_is_qk_dominant_examples():
     assert gr.is_QK_dominant(rd.weight(1, 0), pd2, kd2)
 
 
+def test_k_root_datum_is_built_once_on_demand(monkeypatch):
+    # a grading search grades many H and builds no K; parabolic and the
+    # series reuse the K of their graded decomposition
+    from nilcone import series as se
+    built = []
+    k_root_datum = gr.k_root_datum
+    monkeypatch.setattr(gr, "k_root_datum",
+                        lambda cd: built.append(cd) or k_root_datum(cd))
+    rs, eps = _form("su(2,2)")
+    assert len(gr.search_even_gradings(rs, eps)) > 1
+    assert built == []
+    gd = gr.grade(rs, eps, (0, 2, 0))
+    assert built == []
+    kd = gd.k_root_datum()
+    gr.parabolic(gd)
+    assert len(list(se.verify_vanishing_box([rd.weight(0, 0, 0), rd.weight(1, 0, 1)],
+                                            gd, kd, 2))) == 2
+    assert len(built) == 1 and gd.k_root_datum() is kd
+
+
 def test_search_without_confirmer():
     rs, eps = _form("su(2,1)")
     hits = gr.search_even_gradings(rs, eps)

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from operator import add, mul
 
 import pytest
 
@@ -251,6 +252,122 @@ def test_pairing_kernel_matches_reflect_until_dominant(form):
     for _ in range(2):  # a full table answers the second call
         assert euler_of_weights([lam - shift for lam in lams], kd, shift=shift,
                                 seen=seen) == want
+
+
+# The packed reflection kernel against the list kernels it replaced: the K
+# of every table-A form and of the ladder past it
+_TABLE_A_FORMS = ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)", "su(3,1)", "sp(6,R)",
+                  "su(3,2)", "so*(8)", "su(4,2)", "su(3,3)", "so*(10)", "sp(2,2)",
+                  "sp(8,R)")
+_LADDER_FORMS = ("su(4,4)", "so*(12)", "sp(3,3)", "sp(10,R)")
+
+
+def _k_datum(form):
+    rs, eps = standard_form_catalog(form)
+    return grade(rs, eps, (0,) * rs.rank).k_root_datum()
+
+
+def _list_regularize(sub, p):
+    """Reference: the list sweep that the packed sweep replaced.  Sweeps the
+    doubled simple-coroot pairings p (a list, moved in place) into the
+    dominant chamber, s_i moving p_j by -p_i <beta_i, beta_j^vee>; returns
+    the reflections in order and the d2 correction -sum_i c_i fw(beta_i),
+    c_i the sum of the p_i reflected away."""
+    cols = [[(j, sum(map(mul, v, fw))) for j, v in enumerate(sub._simple_coroots)]
+            for fw in sub._simple_fw]
+    word = []
+    c = [0] * len(p)
+    while min(p, default=0) < 0:
+        for i, col in enumerate(cols):
+            pi = p[i]
+            if pi < 0:
+                for j, a in col:
+                    p[j] -= pi * a
+                c[i] += pi
+                word.append(i)
+    corr = tuple(-sum(ci * fw[k] for ci, fw in zip(c, sub._simple_fw))
+                 for k in range(sub.rs.rank))
+    return word, corr
+
+
+def _sweep_cases(kd, rng):
+    """d2 tuples of seeded weights, of weights lam with lam + rho_K on a
+    wall, and of weights at the widest 8-bit packing and one step past it."""
+    rs = kd.rs
+    rank = rs.rank
+    cases = [tuple(rng.randint(-6, 6) for _ in range(rank)) for _ in range(40)]
+    for _ in range(15 if kd.positive_roots else 0):
+        # mu + s_beta(mu) lies on the wall of beta
+        mu = tuple(rng.randint(-6, 6) for _ in range(rank))
+        beta = rng.choice(kd.positive_roots)
+        p = sum(map(mul, rs.coroot_vector(beta), mu))
+        wall = [2 * x - p * f for x, f in zip(mu, rs._fw_of_root(beta))]
+        cases.append(tuple(x - r for x, r in zip(wall, kd.rho.d2)))
+    edge = 0
+    while rd._packing(kd, edge + 1).width == 8:
+        edge += 1
+    for reach in (edge, edge + 1):
+        cases += [(reach,) * rank, (-reach,) * rank,
+                  tuple(reach * (-1) ** j for j in range(rank)),
+                  tuple(-reach * (-1) ** j for j in range(rank))]
+        cases += [tuple(reach * rng.choice((-1, 0, 1)) for _ in range(rank))
+                  for _ in range(12)]
+    return cases, edge
+
+
+@pytest.mark.parametrize("form", _TABLE_A_FORMS + _LADDER_FORMS)
+def test_packed_sweep_matches_the_list_sweep(form):
+    # the Bott table entry, make_dominant and dominant_representative against
+    # the list sweep: the same words, the same corrections, None on walls
+    kd = _k_datum(form)
+    cases, edge = _sweep_cases(kd, random.Random(61))
+    assert rd._packing(kd, edge).width == 8 and rd._packing(kd, edge + 1).width == 16
+    walls = 0
+    for d2 in cases:
+        packing = rd._packing(kd, rd._reach([d2]))
+        key = (packing.pack(d2) + packing.bias) & packing.key_mask
+        p = [sum(map(mul, v, d2)) + 2 for v in kd._simple_coroots]
+        word, corr = _list_regularize(kd, p)
+        on_wall = 0 in p
+        assert packing.sweep(key)[1] == word
+        entry = packing.regularize(key)
+        w, dom, singular = rd.make_dominant(kd, rd._weight_of(d2))
+        assert singular == on_wall
+        if on_wall:
+            walls += 1
+            assert entry is None and (w.word, dom) == (tuple(word), None)
+        else:
+            assert entry == (packing.pack(corr), (-1) ** len(word))
+            assert w.word == tuple(reversed(word))
+            assert dom.d2 == tuple(map(add, d2, corr))
+        p0 = [sum(map(mul, v, d2)) for v in kd._simple_coroots]
+        corr0 = _list_regularize(kd, p0)[1]
+        assert kd.dominant_representative(rd._weight_of(d2)).d2 == \
+            tuple(map(add, d2, corr0))
+    assert walls >= 15 if kd.rank else walls == 0
+
+
+def _tuple_weyl_words(sub):
+    """Reference: weyl_elements' BFS as it ran on d2 tuples, one simple
+    reflection per candidate, keyed on the image of rho_sub."""
+    seen = {sub.rho.d2: ()}
+    frontier = [((), sub.rho.d2)]
+    while frontier:
+        nxt = []
+        for word, img in frontier:
+            for i in range(sub.rank):
+                cand = sub._reflect2(img, i)
+                if cand not in seen:
+                    seen[cand] = (i,) + word
+                    nxt.append(((i,) + word, cand))
+        frontier = sorted(nxt, key=lambda pair: pair[0])
+    return sorted(seen.values(), key=lambda word: (len(word), word))
+
+
+@pytest.mark.parametrize("form", _TABLE_A_FORMS + _LADDER_FORMS)
+def test_packed_weyl_bfs_matches_the_tuple_bfs(form):
+    kd = _k_datum(form)
+    assert [w.word for w in rd.weyl_elements(kd)] == _tuple_weyl_words(kd)
 
 
 def test_weyl_element_length_is_inversions():

@@ -116,18 +116,28 @@ def test_euler_series_matches_the_tuple_kernel_on_a_box():
     assert [r.series.chi for r in got] == want
 
 
+@pytest.mark.parametrize("name,h", [("su(2,2)", None), ("so*(8)", (0, 0, 0, 2))])
+def test_one_twist_at_a_time_matches_the_box(name, h):
+    # a box shares one packing, one Sym^k and one table over its twists;
+    # each twist alone must get the same report
+    rs, gd, kd, box = _box_context(name, h)
+    assert len(box) == {"su(2,2)": 55, "so*(8)": 5}[name]
+    got = list(se.verify_vanishing_box(box, gd, kd, 6, form=name))
+    assert got == [se.verify_vanishing(lam, gd, kd, 6, form=name) for lam in box]
+    assert len({repr(r.series.chi) for r in got}) == len(box) > 1
+
+
 def test_euler_series_at_the_slot_bound():
     # twists (c, -c, c) at the widest 8-bit packing _series derives for
     # su(2,2) at N = 6, and one step past it, on both sides of 0
-    from nilcone import bott
     rs, gd, kd, _ = _box_context("su(2,2)")
     N = 6
     gens = [(-w).d2 for w in gd.u_cap_p_weights()]
 
     def width(c):
         shift = -rd.weight(c, -c, c) - kd.rho - kd.rho
-        return bott._packing(kd, N * bott._reach(gens)
-                             + bott._reach([shift.d2])).width
+        return rd._packing(kd, N * rd._reach(gens)
+                           + rd._reach([shift.d2])).width
 
     edges = []
     for step in (1, -1):
@@ -256,18 +266,17 @@ def test_empty_vanishing_box_yields_nothing():
 
 
 def test_vanishing_box_regularizes_each_shifted_weight_once(monkeypatch):
-    from nilcone import bott
     rs, gd, kd, box = _box_context("su(2,2)")
     assert len(box) == 55
     calls = []
-    regularize = bott._Packing.regularize
+    regularize = rd._Packing.regularize
 
-    def counted(packing, kd, key):
+    def counted(packing, key):
         calls.append(key)
-        return regularize(packing, kd, key)
+        return regularize(packing, key)
 
     # the kernel's miss point: one call per pairing key missing from the table
-    monkeypatch.setattr(bott._Packing, "regularize", counted)
+    monkeypatch.setattr(rd._Packing, "regularize", counted)
     reports = list(se.verify_vanishing_box(box, gd, kd, 6, form="su(2,2)"))
     assert all(r.passed for r in reports)
     # one call per distinct simple-coroot pairing vector of a shifted weight
