@@ -16,14 +16,15 @@ and its d2 coordinates.  Packing is linear, so a shift is one int add, the
 pairing key is one mask, the table stores w.lam - lam packed and the
 dominant term is one more add.  A table miss sweeps its key with the packed
 reflection kernel that make_dominant uses, and its sign counts the
-reflections.  Weights are unpacked only for the distinct terms of the sum.
+reflections.  The sum's terms stay packed in the VirtualCharacter it
+returns until a caller reads a weight (see VirtualCharacter).
 """
 
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .rootdata import (VirtualCharacter, Weight, _character_of, _packing,
-                       _reach, _weight_of, make_dominant, require_integral)
+from .rootdata import (VirtualCharacter, Weight, _packed_character, _packing,
+                       _reach, make_dominant, require_integral)
 
 
 @dataclass
@@ -90,6 +91,4 @@ def euler_of_weights(weights, kd, shift=None, seen=None):
         if hit is not None:
             dom = q + hit[0]
             total[dom] = total.get(dom, 0) + hit[1] * mult
-    unpack = packing.unpack
-    return _character_of({_weight_of(unpack(dom)): m
-                          for dom, m in total.items() if m})
+    return _packed_character(packing, {dom: m for dom, m in total.items() if m})

@@ -16,6 +16,8 @@ import json
 import sys
 import time
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 from . import __version__
 from . import bott as bott_mod
@@ -25,7 +27,7 @@ from . import series as se
 from .errors import DiagnosticError, InputError, OutOfScopeError
 from .realform import (parse_form_config, principal_presentation,
                        standard_form_catalog)
-from .rootdata import Root, Weight, weight_to_json
+from .rootdata import Root, Weight, _weight_of, weight_to_json
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -466,15 +468,24 @@ def _integral_weight(coords, rank):
 
 
 def _qk_dominant_box(rs, pd, kd, bound=2):
-    from itertools import product
+    """The Q cap K dominant twists with fundamental-weight coordinates in
+    [-bound, bound] and pairings at most 2 bound with the simple coroots of
+    K, in product order.
+
+    <lam, beta^vee> is the dot product of beta's coroot vector with lam's
+    fundamental-weight coordinates, so each candidate is tested as an int
+    tuple and only those kept become Weights.
+    """
+    levi = {b.coords for b in pd.simple_l_k_roots}
+    tests = [(kd.rs.coroot_vector(b), b.coords in levi) for b in kd.simple_roots]
     out = []
     for coords in product(range(-bound, bound + 1), repeat=rs.rank):
-        lam = Weight(tuple(Fraction(c) for c in coords))
-        if not gr.is_QK_dominant(lam, pd, kd):
-            continue
-        if any(kd.rs.pairing(lam, b) > 2 * bound for b in kd.simple_roots):
-            continue
-        out.append(lam)
+        for v, in_levi in tests:
+            p = sum(map(mul, v, coords))
+            if p < 0 or p > 2 * bound or (in_levi and p):
+                break
+        else:
+            out.append(_weight_of(tuple(2 * c for c in coords)))
     return out
 
 

@@ -7,8 +7,10 @@ Fractions.  No floating point anywhere.  rref, rank, nullspace, solve,
 IncrementalRank and Span are exact over Q.  rref and IncrementalRank clear
 each row of denominators and content and eliminate over primitive integer
 rows (_cancel), so no Fraction arithmetic runs inside the elimination; rref
-ranks a whole matrix at once, IncrementalRank takes rows one at a time and
-tests single rows for a rise.
+reduces a whole matrix at once, IncrementalRank takes rows one at a time,
+forward elimination only, and tests single rows for a rise.  IncrementalRank
+is the rank engine of nilcone.oracle; at full rank (rank == width) no row
+can raise it, so add and raises return False at once.
 """
 
 from bisect import insort
@@ -208,7 +210,10 @@ class IncrementalRank:
         return v
 
     def add(self, row):
-        """Insert a row; returns True when it increased the rank."""
+        """Insert a row; returns True when it increased the rank.  At full
+        rank (rank == width) no row can raise it, so none is reduced."""
+        if len(self._rows) == self.width:
+            return False
         v = self._reduce(row)
         for c, x in enumerate(v):
             if x:
@@ -218,7 +223,7 @@ class IncrementalRank:
 
     def raises(self, row):
         """Whether add(row) would increase the rank; changes nothing."""
-        return any(self._reduce(row))
+        return len(self._rows) < self.width and any(self._reduce(row))
 
     @property
     def rank(self):

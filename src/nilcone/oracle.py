@@ -11,11 +11,12 @@ matrix's entries, and ad is a sum of the integer structure constants,
 computed once per model.  Matrices hold ints until a value really is a
 fraction: the basis, the sampled nilpotents, their coordinates and their
 ad matrices are integer, and Fractions enter with half-integer Cartan
-entries and with the output of an exact solve.  Jacobson-Morozov triples,
-orbit dimensions and density checks are exact solves and ranks over Q
-(la.rref, which eliminates over integer rows).  The cone dimension is exact
-and read off the roots: dim p - dim a, with dim a the size of a largest set
-of strongly orthogonal noncompact roots.  Hilbert functions of orbit closures
+entries and with the output of an exact solve.  Jacobson-Morozov triples
+are exact solves over Q (la.solve); orbit dimensions and density checks are
+exact ranks over Q, counted as the pivots of la.IncrementalRank's forward
+elimination over integer rows.  The cone dimension is exact and read off
+the roots: dim p - dim a, with dim a the size of a largest set of strongly
+orthogonal noncompact roots.  Hilbert functions of orbit closures
 and closure separations both read one OrbitSample: exact evaluation ranks
 over Q (la.IncrementalRank), one per T-weight block of monomials, at x and
 generic integer points Ad(u+ u- u+) x of its orbit.  Their sum is a
@@ -269,7 +270,7 @@ class ClassicalRealization:
         lookup = [{(a, b): v for a, b, v in entries} for entries in self._entries]
         gram = [[sum(v * other.get((b, a), 0) for a, b, v in entries)
                  for other in lookup] for entries in self._entries]
-        if la.rank(gram) != self.dim:
+        if _column_rank(gram, range(self.dim)) != self.dim:
             raise ConsistencyError("trace form degenerate on the realization")
 
     # -- primitives -----------------------------------------------------------------
@@ -587,13 +588,15 @@ def ad_layers(real, h):
     if any(x for a, row in enumerate(h) for b, x in enumerate(row) if a != b):
         raise InputError("H is not diagonal")
     diag = [row[a] for a, row in enumerate(h)]
+    den = lcm(*[x.denominator for x in diag])  # the diagonal, scaled to ints
+    diag = [x.numerator * (den // x.denominator) for x in diag]
     degree = []
     for entries in real._entries:
         found = {diag[a] - diag[b] for a, b, _ in entries}
         d = found.pop()
-        if found or d.denominator != 1:
+        if found or d % den:
             raise InputError("ad H does not act on the basis with integer degrees")
-        degree.append(int(d))
+        degree.append(d // den)
     return {d: ([i for i in real.k_index if degree[i] == d],
                 [i for i in real.p_index if degree[i] == d])
             for d in sorted(set(degree))}
@@ -609,13 +612,25 @@ def _columns(mat, index):
     return [[row[j] for row in mat] for j in index]
 
 
+def _column_rank(mat, index):
+    """The rank of mat's columns at index, exact: the pivots la.IncrementalRank
+    finds by forward elimination, over the rows of mat that are nonzero at
+    index.  Columns that span those rows reach full rank, and the rest are
+    then skipped."""
+    rows = [row for row in mat if any(map(row.__getitem__, index))]
+    tracker = la.IncrementalRank(len(rows))
+    for col in _columns(rows, index):
+        tracker.add(col)
+    return tracker.rank
+
+
 def orbit_dimension(real, x):
     """dim K.x = dim k - dim ker(ad x: k -> p), by exact rank."""
     if not real.in_p(x):
         raise InputError("orbit_dimension expects x in p")
     if la.is_zero_matrix(x):
         return 0
-    return la.rank(_columns(real.ad_matrix(x), real.k_index))
+    return _column_rank(real.ad_matrix(x), real.k_index)
 
 
 def dense_orbit_check(real, h, x):
@@ -632,11 +647,11 @@ def dense_orbit_check(real, h, x):
         raise InputError("x is not in the degree-2 part of p")
     adx = real.ad_matrix(x)
     k0, _ = layers.get(0, ([], []))
-    if la.rank(_columns(adx, k0)) != len(p2):
+    if _column_rank(adx, k0) != len(p2):
         return False
     uk = [i for d, (k, _) in layers.items() if d >= 1 for i in k]
     p_high = [i for d, (_, p) in layers.items() if d >= 3 for i in p]
-    return la.rank(_columns(adx, uk)) == len(p_high)
+    return _column_rank(adx, uk) == len(p_high)
 
 
 def _strongly_orthogonal_rank(rs, eps):

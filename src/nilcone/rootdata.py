@@ -25,7 +25,8 @@ on packed weights (_Packing): one int whose fixed-width slots hold a
 weight's doubled pairings with the simple coroots of a subsystem and its d2
 coordinates.  A simple reflection is one int update and a negative pairing
 is a clear top bit of its slot.  nilcone.bott and nilcone.series pack their
-weights with the same layout.
+weights with the same layout, and a VirtualCharacter from the Bott sum keeps
+its terms in it until a caller reads a weight.
 """
 
 import struct
@@ -393,6 +394,7 @@ class Subsystem:
         self._simple_coroots = tuple(rs.coroot_vector(b) for b in self.simple_roots)
         self._simple_fw = tuple(rs._fw_of_root(b) for b in self.simple_roots)
         self._coroots = tuple(rs.coroot_vector(r) for r in self.positive_roots)
+        self._coroot_coeffs = self._simple_coroot_coefficients()
         # the height of G's highest coroot, the factor of _packing's slot
         # bound, and the packings made so far, by slot width
         self._coroot_height = max(sum(rs.coroot_vector(r)) for r in rs.positive_roots)
@@ -415,6 +417,34 @@ class Subsystem:
     @property
     def rank(self):
         return len(self.simple_roots)
+
+    def _simple_coroot_coefficients(self):
+        """Each positive coroot beta^vee over the simple coroots, as an int
+        tuple, in the order of positive_roots.
+
+        A non-simple positive beta has a simple beta_i with
+        <beta, beta_i^vee> > 0, and s_i beta is a positive root of lower
+        height, so listed earlier; beta^vee = (s_i beta)^vee
+        + <beta_i, beta^vee> beta_i^vee.
+        """
+        rs = self.rs
+        n = self.rank
+        simple = {b.coords: i for i, b in enumerate(self.simple_roots)}
+        coeffs = {}
+        for r, v in zip(self.positive_roots, self._coroots):
+            i = simple.get(r.coords)
+            if i is not None:
+                coeffs[r.coords] = tuple(int(j == i) for j in range(n))
+                continue
+            fw = rs._fw_of_root(r)
+            pairings = [sum(map(mul, u, fw)) for u in self._simple_coroots]
+            i = next(i for i, p in enumerate(pairings) if p > 0)
+            lower = tuple(x - pairings[i] * y
+                          for x, y in zip(r.coords, self.simple_roots[i].coords))
+            c = list(coeffs[lower])
+            c[i] += sum(map(mul, v, self._simple_fw[i]))  # <beta_i, beta^vee>
+            coeffs[r.coords] = tuple(c)
+        return tuple(coeffs[r.coords] for r in self.positive_roots)
 
     def _reflect2(self, d2, i):
         """The i-th simple reflection of doubled coordinates d2."""
@@ -518,9 +548,24 @@ class _Packing:
         self._pairings_mask = (1 << (width * nk)) - 1
         self._d2_at = width * (nk + 1)
         self._signs = sum(half << (width * j) for j in range(rank))
-        self._nbytes = rank * width // 8
-        fmt = _FORMATS.get(width)
-        self._struct = struct.Struct("<%d%s" % (rank, fmt)) if fmt else None
+        self._d2_slots = self._slots_reader(rank)
+        self._pairing_slots = self._slots_reader(nk)
+
+    def _slots_reader(self, count):
+        """(number of bytes, struct or None) reading count W-bit slots."""
+        fmt = _FORMATS.get(self.width)
+        return (count * self.width // 8,
+                struct.Struct("<%d%s" % (count, fmt)) if fmt else None)
+
+    def _signed(self, x, slots):
+        """The W-bit slots of x (of the given reader) as signed ints."""
+        nbytes, reader = slots
+        raw = x.to_bytes(nbytes, "little")
+        if reader is not None:
+            return reader.unpack(raw)
+        n = self.width // 8
+        return tuple(int.from_bytes(raw[i:i + n], "little", signed=True)
+                     for i in range(0, nbytes, n))
 
     def pack(self, d2):
         return sum(map(mul, d2, self._units))
@@ -528,12 +573,13 @@ class _Packing:
     def unpack(self, t):
         """The d2 tuple of a biased packed weight t.  XOR with the sign
         mask turns each digit v + 2^(W-1) into v as a signed W-bit int."""
-        raw = ((t >> self._d2_at) ^ self._signs).to_bytes(self._nbytes, "little")
-        if self._struct is not None:
-            return self._struct.unpack(raw)
-        n = self.width // 8
-        return tuple(int.from_bytes(raw[i:i + n], "little", signed=True)
-                     for i in range(0, len(raw), n))
+        return self._signed((t >> self._d2_at) ^ self._signs, self._d2_slots)
+
+    def pairings(self, t):
+        """The doubled pairings <lam + rho_sub, beta_i^vee> of a biased
+        packed weight t, read off its pairing slots as unpack reads d2."""
+        return self._signed((t & self._pairings_mask) ^ self._tops,
+                            self._pairing_slots)
 
     def reflect(self, q, i):
         """s_i of the biased packed weight q."""
@@ -645,14 +691,32 @@ def weyl_elements(sub):
 # ---------------------------------------------------------------------------
 
 class VirtualCharacter:
-    """Integer-multiplicity map on dominant weights; zero terms are pruned."""
+    """Integer-multiplicity map on dominant weights; zero terms are pruned.
+
+    The Bott sum (nilcone.bott) returns its characters packed: the terms
+    are biased packed weights of a _Packing of the subsystem (pairing slots
+    holding the doubled pairings of lam + rho_sub), each with its nonzero
+    multiplicity.  The dict of Weights is built on the first read of a
+    weight (items, mult, +, ==, repr, dual); negation, negatives() and
+    dimension() read the packed ints, and negatives() unpacks only the
+    negative terms.
+    """
 
     def __init__(self, terms=None):
-        self._terms = {}
+        self._packing = self._packed = None
+        self._weights = {}
         if terms:
             for w, m in terms.items():
                 if m:
-                    self._terms[w] = int(m)
+                    self._weights[w] = int(m)
+
+    @property
+    def _terms(self):
+        """The terms as a dict Weight -> multiplicity, unpacked once."""
+        if self._weights is None:
+            unpack = self._packing.unpack
+            self._weights = {_weight_of(unpack(q)): m for q, m in self._packed.items()}
+        return self._weights
 
     @classmethod
     def irreducible(cls, lam, mult=1):
@@ -671,6 +735,9 @@ class VirtualCharacter:
         return VirtualCharacter(out)
 
     def __neg__(self):
+        if self._weights is None:
+            return _packed_character(self._packing,
+                                     {q: -m for q, m in self._packed.items()})
         return VirtualCharacter({w: -m for w, m in self._terms.items()})
 
     def __eq__(self, other):
@@ -683,7 +750,28 @@ class VirtualCharacter:
         return "VirtualCharacter(%s)" % " ".join(bits)
 
     def dimension(self, sub):
-        return sum(m * weyl_dimension(sub, w) for w, m in self._terms.items())
+        """Sum of multiplicity times Weyl dimension over the subsystem.
+
+        A packed character of sub's own packing reads each term's doubled
+        pairings with the simple coroots off its pairing slots and expands
+        them over the positive coroots (Subsystem._coroot_coeffs); that is
+        weyl_dimension's product, with no Weight built.
+        """
+        packing = self._packing
+        if packing is None or sub._packings.get(packing.width) is not packing:
+            return sum(m * weyl_dimension(sub, w) for w, m in self._terms.items())
+        coeffs, pairings = sub._coroot_coeffs, packing.pairings
+        den = 1
+        for c in coeffs:
+            den *= 2 * sum(c)  # the doubled pairing of rho_sub
+        total = 0
+        for q, m in self._packed.items():
+            p = pairings(q)
+            num = 1
+            for c in coeffs:
+                num *= sum(map(mul, c, p))
+            total += m * _weyl_quotient(num, den)
+        return total
 
     def dual(self, sub):
         """Contragredient: V_lam -> V_{-w0 lam}.  The series does not call
@@ -695,14 +783,20 @@ class VirtualCharacter:
         return VirtualCharacter(out)
 
     def negatives(self):
+        """The terms with negative multiplicity, sorted as items() is."""
+        if self._weights is None:
+            unpack = self._packing.unpack
+            return sorted(((_weight_of(unpack(q)), m)
+                           for q, m in self._packed.items() if m < 0),
+                          key=lambda wm: wm[0].d2)
         return [(w, m) for w, m in self.items() if m < 0]
 
 
-def _character_of(terms):
-    """The VirtualCharacter whose terms are terms (a dict of nonzero ints
-    keyed by Weight, taken over), unchecked."""
+def _packed_character(packing, packed):
+    """The VirtualCharacter whose terms are packed (a dict of nonzero ints
+    keyed by biased packed weights of packing, taken over), unchecked."""
     vc = _new(VirtualCharacter)
-    vc._terms = terms
+    vc._packing, vc._packed, vc._weights = packing, packed, None
     return vc
 
 
@@ -717,6 +811,11 @@ def weyl_dimension(sub, lam):
     for v in sub._coroots:
         num *= sum(map(mul, v, shifted))
         den *= sum(map(mul, v, rho2))
+    return _weyl_quotient(num, den)
+
+
+def _weyl_quotient(num, den):
+    """num / den, which must be a positive integer: a Weyl dimension."""
     val, rem = divmod(num, den)
     if rem or val <= 0:
         raise ConsistencyError("Weyl dimension came out as %s" % (F(num, den),))

@@ -1,5 +1,6 @@
 import json
 import shlex
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -7,8 +8,13 @@ from pathlib import Path
 import pytest
 
 from nilcone import cli
+from nilcone import grading as gr
 from nilcone import oracle as oc
-from nilcone.errors import DiagnosticError, InputError
+from nilcone import realform as rf
+from nilcone.errors import DiagnosticError, InputError, OutOfScopeError
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _run(capsys, *argv):
@@ -354,3 +360,26 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
         assert argv[0] == "nilcone", line
         assert cli.main(argv[1:]) == cli.EXIT_PASS, (line, capsys.readouterr().err)
     assert (tmp_path / "dims.csv").is_file() and (tmp_path / "report.json").is_file()
+
+
+_TABLE_A_FORMS = ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)", "su(3,1)", "sp(6,R)",
+                  "su(3,2)", "so*(8)", "su(4,2)", "su(3,3)", "so*(10)", "sp(2,2)",
+                  "sp(8,R)")
+
+
+@pytest.mark.parametrize("name", _TABLE_A_FORMS)
+def test_int_twist_box_equals_the_benchmark_box(name):
+    # the benchmark rebuilds the box from Weights and rs.pairing
+    rs, eps = rf.standard_form_catalog(name)
+    try:
+        presentations = [rf.principal_presentation(name)[1:]]
+    except OutOfScopeError:
+        presentations = [(eps, h) for h in ((0,) * rs.rank, (2,) + (0,) * (rs.rank - 1),
+                                            (0,) * (rs.rank - 1) + (2,))]
+    for eps, h in presentations:
+        gd = gr.grade(rs, eps, h)
+        kd, pd = gd.k_root_datum(), gr.parabolic(gd)
+        for bound in (1, 2):
+            box = cli._qk_dominant_box(rs, pd, kd, bound=bound)
+            assert box == workloads.qk_dominant_box(rs, pd, kd, bound=bound)
+            assert box

@@ -204,3 +204,46 @@ def test_rank_counts_the_pivots_of_rref(seed):
     for rows in cases:
         assert la.rank(rows) == len(la.rref(rows)[1])
     assert la.rank([]) == 0 and la.rank(la.zeros(4, 6)) == 0
+
+
+class _UnsaturatedRank(la.IncrementalRank):
+    """Reference: IncrementalRank without the full-rank return, so every row
+    is reduced whatever the rank."""
+
+    def add(self, row):
+        v = self._reduce(row)
+        for c, x in enumerate(v):
+            if x:
+                self._rows.append((c, v))
+                self._rows.sort()
+                return True
+        return False
+
+    def raises(self, row):
+        return any(self._reduce(row))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_full_rank_return_agrees_with_reducing_every_row(seed):
+    # full-rank int and Fraction families, zero rows among them, then rows
+    # past full rank: random rows, zero rows and combinations
+    rng = random.Random(seed)
+    width = rng.randint(1, 6)
+    rows = _mixed_matrix(rng, rng.randint(width, 2 * width), width, width)
+    rows += [[F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(width)]
+             for _ in range(width)]  # full rank, almost surely
+    rows += [[0] * width, [F(0)] * width]
+    rows += _mixed_matrix(rng, 4, width, rng.randint(0, width))
+    rng.shuffle(rows)
+    fast, slow = la.IncrementalRank(width), _UnsaturatedRank(width)
+    for row in rows:
+        probe = [rng.randint(-3, 3) for _ in range(width)]
+        assert _raises_changing_nothing(fast, probe) == slow.raises(probe)
+        assert fast.add(row) == slow.add(row)
+        assert fast.rank == slow.rank
+        assert _raises_changing_nothing(fast, row) is False and slow.raises(row) is False
+    assert fast.rank == width == la.rank(rows)
+    assert fast._rows == slow._rows
+    fast._reduce = None  # at full rank no row is reduced, and none raises
+    for row in rows + [[0] * width]:
+        assert fast.raises(row) is False and fast.add(row) is False

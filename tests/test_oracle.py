@@ -829,3 +829,37 @@ def test_is_nilpotent_by_repeated_squaring(name):
     assert not oc._is_nilpotent(real, real.cartan_mats[0])  # semisimple
     for x in (jordan, cyclic, real.cartan_mats[0]):
         assert oc._is_nilpotent(real, x) == la.is_zero_matrix(_power(x, n))
+
+
+@pytest.mark.parametrize("name", TABLE_A_FORMS + ("su(4,4)", "so*(12)"))
+def test_pivot_counted_ranks_equal_the_rref_rank(name):
+    # orbit dimensions and the two ranks of dense_orbit_check, counted as
+    # IncrementalRank pivots, against la.rank of the same columns
+    real = oc.realize(name)
+    rng = random.Random(name)
+    h, dense_x = oc.pinned_principal(real, (2,) + (0,) * (real.rs.rank - 1))
+    layers = oc.ad_layers(real, h)
+    k0 = layers[0][0]
+    uk = [i for d, (k, _) in layers.items() if d >= 1 for i in k]
+    for x in [dense_x] + [oc.random_nilpotent(real, rng) for _ in range(20)]:
+        adx = real.ad_matrix(x)
+        assert oc.orbit_dimension(real, x) == la.rank(oc._columns(adx, real.k_index))
+        for index in (k0, uk, real.p_index, list(range(real.dim))):
+            assert oc._column_rank(adx, index) == la.rank(oc._columns(adx, index))
+    assert oc._column_rank(la.zeros(3, 4), range(4)) == 0
+    assert oc._column_rank([[1, 2], [2, 4], [0, 0]], []) == 0
+
+
+def test_ad_layers_scale_a_fractional_diagonal_once():
+    # sp(4,R) at h = (1, 1) has the Cartan entries 3/2 and 1/2 but integer
+    # degrees; halving an H puts a root at a half-integral degree, and a
+    # third of one at a degree of denominator 3
+    real = oc.realize("sp(4,R)")
+    h = real.cartan_element_from_h((1, 1))
+    assert any(F(x).denominator == 2 for row in h for x in row)
+    assert oc.ad_layers(real, h) == _scanned_layers(real, h)
+    for scale in (F(1, 2), F(1, 3), F(2, 3)):
+        bad = la.mat_scale(scale, real.cartan_element_from_h((1, 0)))
+        for layers in (oc.ad_layers, _scanned_layers):
+            with pytest.raises(InputError):
+                layers(real, bad)

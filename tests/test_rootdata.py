@@ -480,6 +480,38 @@ def test_weyl_dimension_matches_kostant_count():
             assert sum(_kostant_weights(sub, lam).values()) == rd.weyl_dimension(sub, lam)
 
 
+
+@pytest.mark.parametrize("sub", [rd.full_subsystem(rd.build_root_system(t, n))
+                                 for t, n in (("A", 3), ("B", 3), ("C", 3),
+                                              ("D", 4), ("G2", 2))]
+                         + [_k_datum(form) for form in _TABLE_A_FORMS + _LADDER_FORMS],
+                         ids=lambda sub: "%s%d-%d" % (sub.rs.type_label, sub.rs.rank,
+                                                      len(sub.positive_roots)))
+def test_coroot_coefficients_expand_every_positive_coroot(sub):
+    assert len(sub._coroot_coeffs) == len(sub._coroots)
+    for c, v in zip(sub._coroot_coeffs, sub._coroots):
+        assert min(c, default=0) >= 0
+        assert tuple(sum(ci * u[k] for ci, u in zip(c, sub._simple_coroots))
+                     for k in range(sub.rs.rank)) == v
+
+
+@pytest.mark.parametrize("t,n", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G2", 2)])
+def test_packed_dimension_is_the_weyl_dimension(t, n):
+    # single dominant weights through the Bott sum, which returns them packed
+    sub = rd.full_subsystem(rd.build_root_system(t, n))
+    rng = random.Random(61)
+    for _ in range(30):
+        lam = sub.dominant_representative(
+            rd.Weight(tuple(rng.randint(-4, 4) for _ in range(n))))
+        chi = euler_of_weights([lam], sub)
+        assert chi._weights is None
+        assert chi.dimension(sub) == rd.weyl_dimension(sub, lam)
+        assert chi._weights is None
+        # a subsystem whose packing is not chi's reads the Weights
+        twin = rd.Subsystem(sub.rs, sub.positive_roots)
+        assert chi.dimension(twin) == rd.weyl_dimension(twin, lam)
+        assert chi._weights is not None
+
 # -- character decomposition by Euler characteristics -------------------------------
 
 def test_decompose_examples():

@@ -11,7 +11,7 @@ from nilcone import grading as gr
 from nilcone import realform as rf
 from nilcone import rootdata as rd
 from nilcone import series as se
-from nilcone.errors import InputError
+from nilcone.errors import InputError, OutOfScopeError
 
 F = Fraction
 
@@ -505,3 +505,105 @@ def test_vanishing_on_searched_even_gradings():
             kd = gd.k_root_datum()
             rep = se.verify_vanishing(rd.Weight((F(0),) * rs.rank), gd, kd, 4)
             assert rep.status == se.PASS, (name, hit.H.h_values)
+
+
+# -- packed characters ----------------------------------------------------------------
+
+def _fresh(chi):
+    """A packed copy of chi that no read has unpacked yet."""
+    assert chi._packing is not None
+    return rd._packed_character(chi._packing, dict(chi._packed))
+
+
+def _eager(chi):
+    """chi as a character built from Weights, without reading chi."""
+    unpack = chi._packing.unpack
+    return rd.VirtualCharacter({rd._weight_of(unpack(q)): m
+                                for q, m in chi._packed.items()})
+
+
+def _assert_packed_reads_like_eager(chi, kd):
+    want = _eager(chi)
+    assert _fresh(chi).negatives() == want.negatives()
+    assert _fresh(chi).dimension(kd) == want.dimension(kd)
+    assert _fresh(chi).items() == want.items()
+    assert repr(_fresh(chi)) == repr(want)
+    assert _fresh(chi).dual(kd) == want.dual(kd)
+    absent = rd._weight_of(tuple(-1 - x for x in kd.rho.d2))  # not dominant
+    for w in [w for w, _ in want.items()] + [absent]:
+        assert _fresh(chi).mult(w) == want.mult(w)
+    assert _fresh(chi) == want and want == _fresh(chi)
+    assert _fresh(chi) != want + rd.VirtualCharacter({kd.rho: 1})
+    negated = -_fresh(chi)
+    assert negated._weights is None  # negation stays packed
+    assert negated == -want and negated.negatives() == (-want).negatives()
+    assert negated.dimension(kd) == -want.dimension(kd)
+    assert _fresh(chi) + want == want + want
+    assert want + _fresh(chi) == want + want
+    assert (_fresh(chi) + (-_fresh(chi))).items() == []
+
+
+@pytest.mark.parametrize("name,h", [("su(2,2)", None), ("so*(8)", (0, 0, 0, 2))])
+def test_packed_characters_of_a_box_read_like_eager_ones(name, h):
+    rs, gd, kd, box = _box_context(name, h)
+    assert len(box) == {"su(2,2)": 55, "so*(8)": 5}[name]
+    reports = list(se.verify_vanishing_box(box, gd, kd, 6, form=name))
+    for rep in reports:
+        for chi in rep.series.chi:
+            _assert_packed_reads_like_eager(chi, kd)
+
+
+def test_packed_hilbert_series_of_su44_reads_like_eager():
+    rs, gd, kd = _context("su(4,4)", (0, 0, 0, 2, 0, 0, 0))
+    series = se.euler_series(rd.zero_weight(rs.rank), gd, kd, 6)
+    for chi in series.chi:
+        _assert_packed_reads_like_eager(chi, kd)
+    assert series.dims(kd) == [_eager(chi).dimension(kd) for chi in series.chi] \
+        == se.hilbert_series(gd, kd, 6) == [1, 16, 136, 816, 3876, 15504, 54264]
+
+
+# the table-A forms, the ladder past them and the two other searched forms,
+# at their pinned presentation or H = (2, 0, ..., 0)
+_W0_FORMS = ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)", "su(3,1)", "sp(6,R)",
+             "su(3,2)", "so*(8)", "su(4,2)", "su(3,3)", "so*(10)", "sp(2,2)",
+             "sp(8,R)", "su(4,4)", "so*(12)", "sp(3,3)", "sp(10,R)", "so*(6)",
+             "sp(1,2)")
+
+
+def test_odd_w0_series_negate_packed_characters():
+    odd = []
+    for name in _W0_FORMS:
+        try:
+            rs, eps, h = rf.principal_presentation(name)
+        except OutOfScopeError:
+            rs, eps = rf.standard_form_catalog(name)
+            h = (2,) + (0,) * (rs.rank - 1)
+        gd = gr.grade(rs, eps, h)
+        kd = gd.k_root_datum()
+        if kd._w0_length % 2 == 0:
+            continue
+        odd.append(name)
+        lams = [rd.zero_weight(rs.rank)] + cli._qk_dominant_box(
+            rs, gr.parabolic(gd), kd, bound=1)[:3]
+        for lam in lams:
+            for chi in se.euler_series(lam, gd, kd, 3).chi:
+                _assert_packed_reads_like_eager(chi, kd)
+    assert odd == ["su(2,1)", "sp(4,R)", "su(3,1)", "sp(6,R)", "su(4,2)",
+                   "so*(12)", "so*(6)", "sp(1,2)"]
+
+
+def test_nonnegative_packed_character_builds_no_weight(monkeypatch):
+    rs, gd, kd, _ = _box_context("su(2,2)")
+    chi = se.euler_series(rd.zero_weight(rs.rank), gd, kd, 4).chi
+    built = []
+    weight_of = rd._weight_of
+    monkeypatch.setattr(rd, "_weight_of", lambda d2: built.append(d2) or weight_of(d2))
+    for c in chi:
+        assert c.negatives() == [] and c._weights is None
+        assert c.dimension(kd) > 0 and c._weights is None
+    assert built == []
+    # a negative term is built, and only that one
+    mixed = _fresh(chi[2])
+    q = next(iter(mixed._packed))
+    mixed._packed[q] = -mixed._packed[q]
+    assert len(mixed.negatives()) == 1 and len(built) == 1
