@@ -282,6 +282,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
     """
     checks = parse_checks(checks)
     rs, catalog_eps = standard_form_catalog(form)
+    orbit_dims = None  # the searched gradings' orbit dims, which qct reports too
     lam_given = None if lam_list is None else _integral_weight(lam_list, rs.rank)
     if H is not None:
         eps = catalog_eps
@@ -412,7 +413,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         if "ev" not in evidence:
             t0 = time.perf_counter()
             try:
-                evidence["ev"] = oc.qct_evidence(real, seed)
+                evidence["ev"] = oc.qct_evidence(real, seed, orbit_dims)
             finally:
                 evidence["seconds"] += time.perf_counter() - t0
         return evidence["ev"]

@@ -2,15 +2,17 @@
 
 Matrices are lists of lists, and vectors lists, of ints and Fractions.  An
 int matrix stays an int matrix through zeros, identity, mat_add, mat_sub,
-mat_scale by an int and mat_mul; rref, nullspace and solve return
-Fractions.  No floating point anywhere.  rref, rank, nullspace, solve,
-IncrementalRank and Span are exact over Q.  rref and IncrementalRank clear
-each row of denominators and content and eliminate over primitive integer
-rows (_cancel), so no Fraction arithmetic runs inside the elimination; rref
-reduces a whole matrix at once, IncrementalRank takes rows one at a time,
-forward elimination only, and tests single rows for a rise.  IncrementalRank
-is the rank engine of nilcone.oracle; at full rank (rank == width) no row
-can raise it, so add and raises return False at once.
+mat_scale by an int and mat_mul; rref and nullspace return Fractions, and
+solve eliminates integer rows and makes only its solution Fractions.  No
+floating point anywhere.  rref, rank, nullspace, solve, IncrementalRank and
+Span are exact over Q.  rref, solve and IncrementalRank clear each row of
+denominators and content and eliminate over primitive integer rows
+(_cancel), so no Fraction arithmetic runs inside the elimination; rref and
+solve share one elimination of a whole matrix (_eliminate) and read it
+differently; IncrementalRank takes rows one at a time, forward elimination
+only, and tests single rows for a rise.  IncrementalRank is the rank engine
+of nilcone.oracle; at full rank (rank == width) no row can raise it, so add
+and raises return False at once.
 """
 
 from bisect import insort
@@ -101,19 +103,17 @@ def _cancel(row, prow, c, start):
     return row[:start] + tail
 
 
-def rref(rows):
-    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+def _eliminate(rows):
+    """The integer Gauss-Jordan elimination behind rref and solve.
 
-    The rows are cleared of denominators and content, and eliminated as
-    primitive integer rows: forward over the rows that are still zero left
-    of the column, then back over the pivot rows.  Each row is divided by
-    its pivot once, at the end.  The RREF is unique, so it is the one
-    Fraction Gauss-Jordan gives; its rows are Fractions.  A column that is
-    zero in every row stays zero, so only the other columns are eliminated.
+    Returns (prows, pivots, cols): cols lists the columns that are nonzero
+    in some row, prows the primitive integer pivot rows restricted to cols,
+    and pivots the index into cols of each row's pivot.  The rows are
+    cleared of denominators and content, and eliminated as primitive
+    integer rows: forward over the rows that are still zero left of the
+    column, then back over the pivot rows, so each pivot column is zero in
+    every other pivot row.  Dividing each row by its pivot gives the RREF.
     """
-    if not rows:
-        return [], []
-    nrows, ncols = len(rows), len(rows[0])
     live = [row for row in map(primitive, rows) if any(row)]
     cols = [j for j, col in enumerate(zip(*live)) if any(col)]
     live = [[row[j] for j in cols] for row in live]
@@ -140,6 +140,22 @@ def rref(rows):
         for j in range(k):
             if prows[j][c]:
                 prows[j] = _cancel(prows[j], prows[k], c, pivots[j])
+    return prows, pivots, cols
+
+
+def rref(rows):
+    """Reduced row echelon form.  Returns (rref_rows, pivot_columns).
+
+    The elimination (_eliminate) runs on primitive integer rows; each row
+    is divided by its pivot once, at the end.  The RREF is unique, so it
+    is the one Fraction Gauss-Jordan gives; its rows are Fractions.  A
+    column that is zero in every row stays zero, so only the other columns
+    are eliminated.
+    """
+    if not rows:
+        return [], []
+    nrows, ncols = len(rows), len(rows[0])
+    prows, pivots, cols = _eliminate(rows)
     out = []
     for row, c in zip(prows, pivots):
         full = [F(0)] * ncols
@@ -172,17 +188,22 @@ def nullspace(rows):
 
 
 def solve(rows, rhs):
-    """One exact solution of A x = b, or None if inconsistent."""
+    """One exact solution of A x = b, or None if inconsistent.
+
+    The solution RREF([A | b]) gives: each pivot variable is the pivot
+    row's b entry over its pivot, and each free variable is 0.  Only those
+    entries are made Fractions.
+    """
     if not rows:
         return None
     ncols = len(rows[0])
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
+    prows, pivots, cols = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
     x = [F(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    if cols and cols[-1] == ncols:  # b is nonzero: read its column
+        if cols[pivots[-1]] == ncols:
+            return None
+        for row, c in zip(prows, pivots):
+            x[cols[c]] = F(row[-1], row[c])
     return x
 
 

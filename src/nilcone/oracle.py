@@ -12,17 +12,19 @@ computed once per model.  Matrices hold ints until a value really is a
 fraction: the basis, the sampled nilpotents, their coordinates and their
 ad matrices are integer, and Fractions enter with half-integer Cartan
 entries and with the output of an exact solve.  Jacobson-Morozov triples
-are exact solves over Q (la.solve); orbit dimensions and density checks are
-exact ranks over Q, counted as the pivots of la.IncrementalRank's forward
-elimination over integer rows.  The cone dimension is exact and read off
-the roots: dim p - dim a, with dim a the size of a largest set of strongly
-orthogonal noncompact roots.  Hilbert functions of orbit closures
-and closure separations both read one OrbitSample: exact evaluation ranks
-over Q (la.IncrementalRank), one per T-weight block of monomials, at x and
-generic integer points Ad(u+ u- u+) x of its orbit.  Their sum is a
-certified lower bound on the Hilbert function; a rank that still rises in
-the sample's confirming batch raises DiagnosticError, which the verify
-pipeline reports as INCONCLUSIVE; nothing is certified from it.
+and their Kostant-Sekiguchi normalization are exact solves over Q
+(la.solve) of systems scaled to integer rows; orbit dimensions and density
+checks are exact ranks over Q, counted as the pivots of
+la.IncrementalRank's forward elimination over integer rows.  The cone
+dimension is exact and read off the roots: dim p - dim a, with dim a the
+size of a largest set of strongly orthogonal noncompact roots.  Hilbert
+functions of orbit closures and closure separations both read one
+OrbitSample: exact evaluation ranks over Q (la.IncrementalRank), one per
+T-weight block of monomials, at x and generic integer points
+Ad(u+ u- u+) x of its orbit.  Their sum is a certified lower bound on the
+Hilbert function; a rank that still rises in the sample's confirming batch
+raises DiagnosticError, which the verify pipeline reports as INCONCLUSIVE;
+nothing is certified from it.
 
 Randomness is always driven by an explicit seed and every probabilistic
 certificate (genericity, rank stabilization) is reproducible from it.
@@ -489,6 +491,20 @@ def _tau_for_bc(rs, eps):
 # sl(2) triples
 # ---------------------------------------------------------------------------
 
+def _scaled_to_ints(m):
+    """(d, d m) for the least positive int d that makes every entry of m an
+    integer."""
+    d = lcm(*[x.denominator for row in m for x in row])
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
+
+
+def _add_to_diagonal(m, c):
+    """m + c I, written into m, which is returned."""
+    for i, row in enumerate(m):
+        row[i] += c
+    return m
+
+
 @dataclass
 class SL2Triple:
     H: list
@@ -496,10 +512,16 @@ class SL2Triple:
     Y: list
 
     def bracket_identities_hold(self):
+        """[H, X] = 2X, [X, Y] = H and [H, Y] = -2Y, tested on the integer
+        matrices H' = d_h H, X' = d_x X and Y' = d_y Y: [H', X'] = 2 d_h X',
+        d_h [X', Y'] = d_x d_y H' and [H', Y'] = -2 d_h Y'."""
         br = la.commutator
-        return (la.mat_eq(br(self.H, self.X), la.mat_scale(2, self.X))
-                and la.mat_eq(br(self.X, self.Y), self.H)
-                and la.mat_eq(br(self.H, self.Y), la.mat_scale(-2, self.Y)))
+        dh, h = _scaled_to_ints(self.H)
+        dx, x = _scaled_to_ints(self.X)
+        dy, y = _scaled_to_ints(self.Y)
+        return (la.mat_eq(br(h, x), la.mat_scale(2 * dh, x))
+                and la.mat_eq(la.mat_scale(dh, br(x, y)), la.mat_scale(dx * dy, h))
+                and la.mat_eq(br(h, y), la.mat_scale(-2 * dh, y)))
 
     def normalized_identities_hold(self, real):
         return (self.bracket_identities_hold()
@@ -518,7 +540,12 @@ def _is_nilpotent(real, x):
 
 
 def jm_triple(real, x):
-    """Complete a nonzero nilpotent to an sl(2) triple by two exact solves."""
+    """Complete a nonzero nilpotent to an sl(2) triple by two exact solves.
+
+    Both systems are solved on integer rows: w over its common denominator
+    d gives d H as an integer dot product with ad X, and the Y system is
+    multiplied through by d, which leaves its solution unchanged.
+    """
     if la.is_zero_matrix(x):
         raise InputError("cannot build an sl(2) triple over zero")
     if not _is_nilpotent(real, x):
@@ -532,15 +559,15 @@ def jm_triple(real, x):
     w = la.solve(la.mat_scale(-1, adx2), [2 * c for c in xc])
     if w is None:
         raise InputError("Jacobson-Morozov system inconsistent")
-    hc = [sum(adx[i][j] * w[j] for j in range(real.dim)) for i in range(real.dim)]
+    den = lcm(*[c.denominator for c in w])
+    dw = [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(w) if c]
+    dhc = [sum(row[j] * c for j, c in dw) for row in adx]  # coords of den H
+    hc = [F(c, den) for c in dhc]
     h = real.from_coords(hc)
-    adh = real.ad_matrix(h)
-    # Y solves [X, Y] = H and [H, Y] = -2 Y simultaneously.
-    stacked = [adx[i] for i in range(real.dim)]
-    shifted = la.mat_add(adh, la.mat_scale(2, la.identity(real.dim)))
-    stacked = stacked + [shifted[i] for i in range(real.dim)]
-    rhs = list(hc) + [0] * real.dim
-    yc = la.solve(stacked, rhs)
+    # Y solves [X, Y] = H and [H, Y] = -2 Y simultaneously; times den.
+    stacked = ([[den * a for a in row] for row in adx]
+               + _add_to_diagonal(real.ad_matrix(real.from_coords(dhc)), 2 * den))
+    yc = la.solve(stacked, dhc + [0] * real.dim)
     if yc is None:
         raise ConsistencyError("no completing Y found for a nilpotent element")
     triple = SL2Triple(H=h, X=x, Y=real.from_coords(yc))
@@ -553,19 +580,20 @@ def ks_normalize(real, triple):
     """Move a triple with X in p to one with H in k and X, Y in p.
 
     Replacing H by its k-part keeps [H, X] = 2X because the p-part of H
-    brackets X into k; Y is then re-solved inside p.  All six identities
-    are re-checked exactly.
+    brackets X into k; Y is then re-solved inside p, on integer rows: the
+    system is multiplied through by the common denominator d of the k-part.
+    All six identities are re-checked exactly.
     """
     if not real.in_p(triple.X):
         raise InputError("normalization needs X in p")
     hk = la.mat_scale(F(1, 2), la.mat_add(triple.H, real.theta(triple.H)))
-    if not la.mat_eq(la.commutator(hk, triple.X), la.mat_scale(2, triple.X)):
+    den, dhk = _scaled_to_ints(hk)
+    if not la.mat_eq(la.commutator(dhk, triple.X), la.mat_scale(2 * den, triple.X)):
         raise ConsistencyError("k-part of H lost the [H, X] = 2X relation")
-    adx = real.ad_matrix(triple.X)
-    shifted = la.mat_add(real.ad_matrix(hk), la.mat_scale(2, la.identity(real.dim)))
+    adx = [[den * a for a in row] for row in real.ad_matrix(triple.X)]
+    shifted = _add_to_diagonal(real.ad_matrix(dhk), 2 * den)
     stacked = [[row[j] for j in real.p_index] for row in adx + shifted]
-    rhs = list(real.coords(hk)) + [0] * real.dim
-    c = la.solve(stacked, rhs)
+    c = la.solve(stacked, real.coords(dhk) + [0] * real.dim)
     if c is None:
         raise ConsistencyError("no Y in p completes the normalized triple")
     out = SL2Triple(H=hk, X=triple.X, Y=real.from_p_coords(c))
@@ -1023,8 +1051,12 @@ _CLOSURE_DEG = 2
 _QCT_SAMPLES = 14
 
 
-def qct_evidence(real, seed):
-    """Sampled evidence for the single-closure and even-dimension conditions."""
+def qct_evidence(real, seed, grading_orbit_dims=None):
+    """Sampled evidence for the single-closure and even-dimension conditions.
+
+    grading_orbit_dims, when given, is even_grading_orbit_dims(real, seed),
+    already computed by the caller; otherwise it is computed here.
+    """
     if real.p_dim == 0:
         return {"degenerate": True, "seed": seed}
     cone_dim = nilcone_dimension(real)
@@ -1047,6 +1079,8 @@ def qct_evidence(real, seed):
                 break
         else:
             reps.append(s)
+    if grading_orbit_dims is None:
+        grading_orbit_dims = even_grading_orbit_dims(real, seed)
     return {
         "degenerate": False,
         "seed": seed,
@@ -1054,5 +1088,5 @@ def qct_evidence(real, seed):
         "principal_orbit_dim": dims[0],
         "component_count": len(reps),
         "sampled_orbit_dims": dims,
-        "even_grading_orbit_dims": even_grading_orbit_dims(real, seed),
+        "even_grading_orbit_dims": grading_orbit_dims,
     }

@@ -242,8 +242,8 @@ class RootSystem:
         if len(self.positive_roots) != expected:
             raise ConsistencyError("positive root count %d != %d for %s%d"
                                    % (len(self.positive_roots), expected, type_label, rank))
-        self._root_set = frozenset(r.coords for r in self.positive_roots)
-        self._root_set |= frozenset((-r).coords for r in self.positive_roots)
+        self._all_roots = self.positive_roots + tuple(-r for r in self.positive_roots)
+        self._root_set = frozenset(r.coords for r in self._all_roots)
         self._coroot_cache = {}
 
     def _generate_positive_roots(self):
@@ -280,7 +280,8 @@ class RootSystem:
         return root.coords in self._root_set
 
     def all_roots(self):
-        return tuple(self.positive_roots) + tuple(-r for r in self.positive_roots)
+        """The positive roots, then their negatives: one tuple, built once."""
+        return self._all_roots
 
     def root_fw(self, root):
         """Fundamental-weight coordinates of a root (fw_i = <root, a_i^vee>)."""

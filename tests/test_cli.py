@@ -270,7 +270,7 @@ def test_budget_exhausted_check_is_inconclusive(monkeypatch):
 
 
 def test_qct_evidence_is_billed_to_qct(monkeypatch):
-    def slow_evidence(real, seed):
+    def slow_evidence(real, seed, grading_orbit_dims=None):
         time.sleep(0.2)
         return {"degenerate": True, "seed": seed}
 
@@ -280,6 +280,27 @@ def test_qct_evidence_is_billed_to_qct(monkeypatch):
     assert seconds["qct"] >= 0.2 > seconds["components"]
     untimed = cli.verify_form("su(1,1)", checks=("components", "qct"))
     assert all("seconds" not in c for c in untimed["checks"])
+
+
+def test_verify_searches_the_gradings_once(monkeypatch):
+    # a searched form's qct evidence reuses verify's grading search
+    calls = []
+    search = gr.search_even_gradings
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(gr, "search_even_gradings", counted)
+    report = cli.verify_form("su(3,1)", seed=7)
+    assert len(calls) == 1
+    qct = next(c for c in report["checks"] if c["check"] == "qct")
+    assert qct["detail"]["G2_evidence"]["even_grading_orbit_dims"] != []
+    cli.verify_form("su(3,1)", seed=7, checks=("dense", "qct"))
+    assert len(calls) == 2
+    # without the search (a pinned form), qct still runs it itself
+    cli.verify_form("su(2,1)", seed=7, checks=("qct",))
+    assert len(calls) == 3
 
 
 def test_verify_reports_of_searched_forms_match_the_fixture():

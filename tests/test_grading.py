@@ -159,6 +159,23 @@ def test_k_root_datum_is_built_once_on_demand(monkeypatch):
     assert len(built) == 1 and gd.k_root_datum() is kd
 
 
+@pytest.mark.parametrize("name", ["su(3,1)", "so*(6)", "sp(1,2)", "sp(6,R)", "su(3,2)"])
+def test_grade_layers_over_the_search_box(name):
+    # every H of the search box, odd ones too, graded from the stored root
+    # list and from roots negated afresh
+    rs, eps = _form(name)
+    roots = tuple(rs.positive_roots) + tuple(rd.Root(tuple(-c for c in r.coords))
+                                             for r in rs.positive_roots)
+    for h in product(range(gr._MAX_H + 1), repeat=rs.rank):
+        layers = {}
+        for r in roots:
+            deg = sum(c * x for c, x in zip(r.coords, h))
+            layers.setdefault(deg, ([], []))[eps.sign(r) != 1].append(r)
+        layers = {d: (tuple(k), tuple(p)) for d, (k, p) in layers.items()}
+        layers.setdefault(0, ((), ()))
+        assert gr.grade(rs, eps, h, require_even=False).layers == layers
+
+
 def test_search_without_confirmer():
     rs, eps = _form("su(2,1)")
     hits = gr.search_even_gradings(rs, eps)

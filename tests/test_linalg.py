@@ -247,3 +247,60 @@ def test_full_rank_return_agrees_with_reducing_every_row(seed):
     fast._reduce = None  # at full rank no row is reduced, and none raises
     for row in rows + [[0] * width]:
         assert fast.raises(row) is False and fast.add(row) is False
+
+
+def _reference_solve(rows, rhs):
+    """Reference solve: Gauss-Jordan of [A | b] in Fraction arithmetic, each
+    pivot variable read off b's column and each free variable 0."""
+    ncols = len(rows[0])
+    red, pivots = _gauss_jordan([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [F(0)] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[ncols]
+    return x
+
+
+def _random_system(rng):
+    """A seeded system A x = b: int or Fraction entries, square or not, with
+    zero rows and zero columns, and b consistent, zero or random."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    if rng.random() < 0.3:
+        ncols = nrows  # square
+    rows = _mixed_matrix(rng, nrows, ncols, rng.randint(0, min(nrows, ncols)))
+    for j in rng.sample(range(ncols), rng.randint(0, ncols // 2)):
+        for row in rows:
+            row[j] = 0  # a zero column
+    kind = rng.choice(["consistent", "zero", "random"])
+    if kind == "zero":
+        rhs = [rng.choice([0, F(0)]) for _ in rows]
+    elif kind == "consistent":
+        x = [rng.choice([rng.randint(-5, 5), F(rng.randint(-5, 5), rng.randint(1, 4))])
+             for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    else:  # inconsistent whenever b leaves the column space
+        rhs = [rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 5))])
+               for _ in rows]
+    return rows, rhs
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_solve_matches_fraction_gauss_jordan(seed):
+    rows, rhs = _random_system(random.Random(seed))
+    x = la.solve(rows, rhs)
+    assert x == _reference_solve(rows, rhs)
+    if x is not None:
+        assert all(type(v) is F for v in x)
+        assert [sum(a * b for a, b in zip(row, x)) for row in rows] == rhs
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    assert la.rref(rows) == _gauss_jordan(rows)
+    assert la.rref(aug) == _gauss_jordan(aug)
+
+
+def test_solve_edge_systems():
+    assert la.solve([], []) is None
+    assert la.solve([[0, 0]], [0]) == [0, 0]
+    assert la.solve([[0, 0]], [F(1, 2)]) is None  # a zero row, b nonzero
+    assert la.solve([[2, 0], [0, 0]], [3, 0]) == [F(3, 2), 0]
+    assert la.solve([[1, 1], [1, 1]], [1, 2]) is None

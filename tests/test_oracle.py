@@ -16,6 +16,11 @@ from nilcone.errors import (ConsistencyError, DiagnosticError, InputError,
 
 F = Fraction
 
+TABLE_A_FORMS = ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)", "su(3,1)", "sp(6,R)",
+                 "su(3,2)", "so*(8)", "su(4,2)", "su(3,3)", "so*(10)", "sp(2,2)",
+                 "sp(8,R)")
+PINNED_FORMS = ("su(1,1)", "su(2,1)", "su(2,2)", "sp(4,R)")
+
 
 def _mat(rows):
     return [[F(x) for x in row] for row in rows]
@@ -126,6 +131,69 @@ def test_ks_normalize_requires_x_in_p():
         oc.ks_normalize(real, t)
 
 
+def _rref_solve(rows, rhs):
+    """Reference solve: the RREF of [A | b] in Fraction arithmetic, each
+    pivot variable read off b's column and each free variable 0."""
+    n = len(rows[0])
+    red, pivots = la.rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if n in pivots:
+        return None
+    x = [F(0)] * n
+    for row, c in zip(red, pivots):
+        x[c] = row[n]
+    return x
+
+
+def _fraction_ad(real, m):
+    return [[F(v) for v in row] for row in real.ad_matrix(m)]
+
+
+def _reference_ks_triple(real, x):
+    """Reference ks_normalize(jm_triple(real, x)) on Fraction matrices: the
+    Jacobson-Morozov and Kostant-Sekiguchi systems as written, unscaled."""
+    x = _mat(x)
+    adx = _fraction_ad(real, x)
+    w = _rref_solve(la.mat_scale(-1, la.mat_mul(adx, adx)),
+                    [2 * c for c in real.coords(x)])
+    hc = [sum(a * b for a, b in zip(row, w)) for row in adx]
+    h = real.from_coords(hc)
+    shift = la.mat_scale(F(2), _mat(la.identity(real.dim)))
+    yc = _rref_solve(adx + la.mat_add(_fraction_ad(real, h), shift),
+                     hc + [F(0)] * real.dim)
+    assert la.mat_eq(la.commutator(x, real.from_coords(yc)), h)
+    hk = la.mat_scale(F(1, 2), la.mat_add(h, real.theta(h)))
+    rows = adx + la.mat_add(_fraction_ad(real, hk), shift)
+    c = _rref_solve([[row[j] for j in real.p_index] for row in rows],
+                    real.coords(hk) + [F(0)] * real.dim)
+    return hk, x, real.from_p_coords(c)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("name", TABLE_A_FORMS + ("so*(6)", "sp(1,2)"))
+def test_ks_triple_matches_the_fraction_reference(name, seed):
+    real = oc.realize(name)
+    x = oc.principal_nilpotent_search(real, seed)
+    triple = oc.ks_normalize(real, oc.jm_triple(real, x))
+    assert (triple.H, triple.X, triple.Y) == _reference_ks_triple(real, x)
+    assert triple.normalized_identities_hold(real)
+
+
+def test_bracket_identities_fail_on_broken_triples():
+    # su(3,2) at seed 7: H has half-integer entries, so the check scales H
+    # by d_h = 2; each break below must still be caught
+    real = oc.realize("su(3,2)")
+    t = oc.ks_normalize(real, oc.jm_triple(real, oc.principal_nilpotent_search(real, 7)))
+    assert t.bracket_identities_hold()
+    a, b = next((a, b) for a, row in enumerate(t.H) for b, v in enumerate(row)
+                if F(v).denominator == 2)
+    moved = [list(row) for row in t.H]
+    moved[a][b] += F(1, 2)
+    broken = [oc.SL2Triple(t.H, t.X, la.mat_scale(2, t.Y)),
+              oc.SL2Triple(moved, t.X, t.Y),
+              oc.SL2Triple(t.H, la.mat_scale(3, t.X), t.Y)]
+    assert [s.bracket_identities_hold() for s in broken] == [False] * 3
+
+
 # -- gradings and orbits -----------------------------------------------------------
 
 def test_ad_grading_dims_su11():
@@ -216,12 +284,6 @@ def _sampled_nilcone_dimension(real, seed):
             adp = oc._columns(real.ad_matrix(s), real.p_index)
             found.append(real.p_dim - la.rank(adp))
     return real.p_dim - min(found)
-
-
-TABLE_A_FORMS = ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)", "su(3,1)", "sp(6,R)",
-                 "su(3,2)", "so*(8)", "su(4,2)", "su(3,3)", "so*(10)", "sp(2,2)",
-                 "sp(8,R)")
-PINNED_FORMS = ("su(1,1)", "su(2,1)", "su(2,2)", "sp(4,R)")
 
 
 @pytest.mark.parametrize("name,eps", (

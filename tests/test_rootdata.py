@@ -74,6 +74,17 @@ def test_root_sign_invariant():
         assert all(c >= 0 for c in r.coords) or all(c <= 0 for c in r.coords)
 
 
+@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 3), ("B", 3), ("C", 3),
+                                        ("D", 4), ("G2", 2)])
+def test_all_roots_is_one_tuple_of_positives_then_negatives(label, rank):
+    rs = rd.build_root_system(label, rank)
+    roots = rs.all_roots()
+    assert rs.all_roots() is roots and type(roots) is tuple
+    pos = rs.positive_roots
+    assert roots == tuple(pos) + tuple(rd.Root(tuple(-c for c in r.coords)) for r in pos)
+    assert all(rs.is_root(r) for r in roots) and len(set(roots)) == 2 * len(pos)
+
+
 # -- pairing -----------------------------------------------------------------------
 
 def test_pairing_examples():
