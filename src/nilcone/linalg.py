@@ -4,15 +4,18 @@ Matrices are lists of lists, and vectors lists, of ints and Fractions.  An
 int matrix stays an int matrix through zeros, identity, mat_add, mat_sub,
 mat_scale by an int and mat_mul; rref and nullspace return Fractions, and
 solve eliminates integer rows and makes only its solution Fractions.  No
-floating point anywhere.  rref, rank, nullspace, solve, IncrementalRank and
-Span are exact over Q.  rref, solve and IncrementalRank clear each row of
-denominators and content and eliminate over primitive integer rows
-(_cancel), so no Fraction arithmetic runs inside the elimination; rref and
-solve share one elimination of a whole matrix (_eliminate) and read it
-differently; IncrementalRank takes rows one at a time, forward elimination
-only, and tests single rows for a rise.  IncrementalRank is the rank engine
-of nilcone.oracle; at full rank (rank == width) no row can raise it, so add
-and raises return False at once.
+floating point anywhere.  rref, rank, nullspace, solve, inverse,
+IncrementalRank and Span are exact over Q.
+
+There is one forward elimination: IncrementalRank's.  It clears each row of
+denominators and content and reduces it against the stored primitive
+integer rows (_cancel), so no Fraction arithmetic runs inside it.  It is the
+rank engine of nilcone.oracle; at full rank (rank == width) no row can raise
+it, so add and raises return False at once.  rref and solve feed their rows
+to one through _insert, another name of add that a wrapper of add does not
+see, and back-substitute over its pivot rows (_eliminate); inverse solves
+for each column of the inverse and scales the result to integers over one
+denominator.
 """
 
 from bisect import insort
@@ -74,10 +77,6 @@ def mat_eq(a, b):
     return is_zero_matrix(mat_sub(a, b))
 
 
-def flatten(a):
-    return [x for row in a for x in row]
-
-
 def primitive(row):
     """row scaled by a positive rational to coprime integers; zero stays zero.
 
@@ -103,44 +102,28 @@ def _cancel(row, prow, c, start):
     return row[:start] + tail
 
 
-def _eliminate(rows):
+def _eliminate(rows, width):
     """The integer Gauss-Jordan elimination behind rref and solve.
 
-    Returns (prows, pivots, cols): cols lists the columns that are nonzero
-    in some row, prows the primitive integer pivot rows restricted to cols,
-    and pivots the index into cols of each row's pivot.  The rows are
-    cleared of denominators and content, and eliminated as primitive
-    integer rows: forward over the rows that are still zero left of the
-    column, then back over the pivot rows, so each pivot column is zero in
-    every other pivot row.  Dividing each row by its pivot gives the RREF.
+    Returns (prows, pivots): the primitive integer pivot rows, sorted by
+    pivot, and the pivot column of each.  The forward elimination is
+    IncrementalRank's, fed the rows until its rank reaches width; then each
+    pivot column is cleared from the rows above its own, so dividing each
+    row by its pivot gives the RREF.
     """
-    live = [row for row in map(primitive, rows) if any(row)]
-    cols = [j for j, col in enumerate(zip(*live)) if any(col)]
-    live = [[row[j] for j in cols] for row in live]
-    prows, pivots = [], []
-    for c in range(len(cols)):
-        j = next((j for j, row in enumerate(live) if row[c]), None)
-        if j is None:
-            continue
-        prow = live.pop(j)
-        rest = []
-        for row in live:
-            if row[c]:
-                row = _cancel(row, prow, c, c)
-                if not any(row):
-                    continue
-            rest.append(row)
-        live = rest
-        prows.append(prow)
-        pivots.append(c)
-        if not live:
+    tracker = IncrementalRank(width)
+    for row in rows:
+        if tracker.rank == width:
             break
+        tracker._insert(row)
+    pivots = [c for c, _ in tracker._rows]
+    prows = [row for _, row in tracker._rows]
     for k in range(len(prows) - 1, 0, -1):
         c = pivots[k]
         for j in range(k):
             if prows[j][c]:
                 prows[j] = _cancel(prows[j], prows[k], c, pivots[j])
-    return prows, pivots, cols
+    return prows, pivots
 
 
 def rref(rows):
@@ -148,22 +131,15 @@ def rref(rows):
 
     The elimination (_eliminate) runs on primitive integer rows; each row
     is divided by its pivot once, at the end.  The RREF is unique, so it
-    is the one Fraction Gauss-Jordan gives; its rows are Fractions.  A
-    column that is zero in every row stays zero, so only the other columns
-    are eliminated.
+    is the one Fraction Gauss-Jordan gives; its rows are Fractions.
     """
     if not rows:
         return [], []
     nrows, ncols = len(rows), len(rows[0])
-    prows, pivots, cols = _eliminate(rows)
-    out = []
-    for row, c in zip(prows, pivots):
-        full = [F(0)] * ncols
-        for j, x in zip(cols, row):
-            full[j] = F(x, row[c])
-        out.append(full)
+    prows, pivots = _eliminate(rows, ncols)
+    out = [[F(x, row[c]) for x in row] for row, c in zip(prows, pivots)]
     out += [[F(0)] * ncols for _ in range(nrows - len(pivots))]
-    return out, [cols[c] for c in pivots]
+    return out, pivots
 
 
 def rank(rows):
@@ -197,14 +173,26 @@ def solve(rows, rhs):
     if not rows:
         return None
     ncols = len(rows[0])
-    prows, pivots, cols = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)])
+    prows, pivots = _eliminate([list(row) + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
     x = [F(0)] * ncols
-    if cols and cols[-1] == ncols:  # b is nonzero: read its column
-        if cols[pivots[-1]] == ncols:
-            return None
-        for row, c in zip(prows, pivots):
-            x[cols[c]] = F(row[-1], row[c])
+    for row, c in zip(prows, pivots):
+        x[c] = F(row[-1], row[c])
     return x
+
+
+def inverse(square):
+    """(adj, den) with square^-1 = adj / den: adj an int matrix and den the
+    least positive int that makes it one.  Column k is solve(square, e_k);
+    a singular square raises ValueError."""
+    n = len(square)
+    columns = [solve(square, [int(i == k) for i in range(n)]) for k in range(n)]
+    if None in columns:
+        raise ValueError("matrix is singular")
+    den = lcm(*[x.denominator for col in columns for x in col])
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in zip(*columns)], den
 
 
 class IncrementalRank:
@@ -213,8 +201,9 @@ class IncrementalRank:
     Rows are vectors of ints and Fractions, each cleared to a primitive
     integer row on entry.  Each stored row is (pivot, primitive integer row),
     zero left of its pivot, and the stored rows are sorted by pivot.  A row
-    is reduced by the stored rows in pivot order with _cancel; it can be
-    nonzero left of a pivot, so every cancellation runs over the whole row.
+    is reduced with _cancel by the stored row whose pivot is its first
+    nonzero column, so it is zero left of every cancellation, until that
+    column is no pivot (the row raises the rank) or the row is zero.
     """
 
     def __init__(self, width):
@@ -222,12 +211,17 @@ class IncrementalRank:
         self._rows = []  # (pivot, primitive integer row) sorted by pivot
 
     def _reduce(self, row):
-        """The primitive integer row of row minus the stored rows that clear
-        its pivots."""
+        """The primitive integer row of row, reduced by the stored rows until
+        its first nonzero column is no pivot; zero when row is in their
+        span."""
         v = primitive(row)
+        done = 0  # v is zero left of done
         for pivot, prow in self._rows:
             if v[pivot]:
-                v = _cancel(v, prow, pivot, 0)
+                if any(v[done:pivot]):  # v's first nonzero column is no pivot
+                    break
+                v = _cancel(v, prow, pivot, pivot)
+                done = pivot + 1
         return v
 
     def add(self, row):
@@ -241,6 +235,10 @@ class IncrementalRank:
                 insort(self._rows, (c, v))
                 return True
         return False
+
+    # add under the name rref and solve call, so that wrapping add (as a
+    # tracer does) sees only the rank engine's own rows
+    _insert = add
 
     def raises(self, row):
         """Whether add(row) would increase the rank; changes nothing."""

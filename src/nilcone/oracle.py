@@ -11,11 +11,15 @@ matrix's entries, and ad is a sum of the integer structure constants,
 computed once per model.  Matrices hold ints until a value really is a
 fraction: the basis, the sampled nilpotents, their coordinates and their
 ad matrices are integer, and Fractions enter with half-integer Cartan
-entries and with the output of an exact solve.  Jacobson-Morozov triples
-and their Kostant-Sekiguchi normalization are exact solves over Q
-(la.solve) of systems scaled to integer rows; orbit dimensions and density
-checks are exact ranks over Q, counted as the pivots of
-la.IncrementalRank's forward elimination over integer rows.  The cone
+entries and with the output of an exact solve.  A Cartan element with
+given simple-root values, and the weight of a functional on the Cartan
+basis, are read off one dictionary per model: the inverse (la.inverse) of
+the simple roots' values on the Cartan basis, and the simple coroots
+[E_i, E_-i] on it.  Jacobson-Morozov triples and their Kostant-Sekiguchi
+normalization are exact solves over Q (la.solve) of systems scaled to
+integer rows; orbit dimensions and density checks are exact ranks over Q,
+counted as the pivots of la.IncrementalRank's forward elimination over
+integer rows, which is also the forward elimination of la.solve.  The cone
 dimension is exact and read off the roots: dim p - dim a, with dim a the
 size of a largest set of strongly orthogonal noncompact roots.  Hilbert
 functions of orbit closures and closure separations both read one
@@ -35,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
+from operator import mul
 
 from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
@@ -176,7 +181,9 @@ class ClassicalRealization:
 
     def _build_coords(self):
         """What coords reads: the position of each off-diagonal basis entry,
-        and a left inverse of the Cartan matrices' diagonals."""
+        and a left inverse of the Cartan matrices' diagonals.  Also the
+        Cartan dictionary that cartan_element_from_h and
+        weight_from_cartan_functional read: both go through la.inverse."""
         size = self.msize
         ncartan = len(self.cartan_mats)
         self._owner = {}  # (a, b) -> (root vector index, entry)
@@ -198,14 +205,28 @@ class ClassicalRealization:
         _, rows = la.rref(diags)  # positions where the diagonals are independent
         if len(rows) != ncartan:
             raise ConsistencyError("realization basis is dependent")
-        square = [[d[a] for d in diags] for a in rows]
-        inverse = [la.solve(square, [F(k == l) for l in range(ncartan)])
-                   for k in range(ncartan)]  # column k of square^-1
-        self._diag_read = [[(a, _int_if_integral(col[j]))
-                            for a, col in zip(rows, inverse) if col[j]]
-                           for j in range(ncartan)]
+        adj, den = la.inverse([[d[a] for d in diags] for a in rows])
+        self._diag_read = [[(a, _int_if_integral(F(x, den)))
+                            for a, x in zip(rows, row) if x] for row in adj]
         self._diag_terms = [[(j, d[a]) for j, d in enumerate(diags) if d[a]]
                             for a in range(size)]
+        # The Cartan dictionary.  alpha_i(D_j) = D_j[a][a] - D_j[b][b] at an
+        # entry (a, b) of the i-th simple root vector; H with alpha_i(H) = h_i
+        # has diagonal entry a equal to _h_rows[a] . h / _h_den.
+        simple = [self._entries[self._root_index[r.coords]][0]
+                  for r in self.rs.simple_roots]
+        adj, self._h_den = la.inverse([[d[a] - d[b] for d in diags]
+                                       for a, b, _ in simple])
+        self._h_rows = [[sum(d[a] * row[i] for d, row in zip(diags, adj))
+                         for i in range(ncartan)] for a in range(size)]
+        # each simple coroot [E_i, E_-i], scaled so that alpha_i is 2 on it,
+        # on the Cartan basis: a functional's fw coordinates are its values
+        # on these
+        self._coroot_read = []
+        for r, (a, b, _) in zip(self.rs.simple_roots, simple):
+            c = self.coords(la.commutator(self.root_vector(r), self.root_vector(-r)))
+            scale = F(2, sum(x * (d[a] - d[b]) for x, d in zip(c, diags)))
+            self._coroot_read.append([_int_if_integral(scale * x) for x in c[:ncartan]])
 
     def _build_theta(self):
         """The sign mask of theta; the basis matrices it fixes (k_index) and
@@ -370,57 +391,17 @@ class ClassicalRealization:
         return self._compact
 
     def cartan_element_from_h(self, h_values):
-        """Diagonal H with alpha_i(H) = h_i; an entry is an int unless it is a
-        fraction."""
-        n = self.n_e
-        t = self.rs.type_label
-        h = [F(x) for x in h_values]
-        if t == "A":
-            a = [F(0)] * n
-            for j in range(n - 2, -1, -1):
-                a[j] = a[j + 1] + h[j]
-            mean = sum(a) / n
-            a = [x - mean for x in a]
-        elif t == "C":
-            a = [F(0)] * n
-            a[n - 1] = h[n - 1] / 2
-            for j in range(n - 2, -1, -1):
-                a[j] = a[j + 1] + h[j]
-        elif t == "D":
-            a = [F(0)] * n
-            a[n - 2] = (h[n - 2] + h[n - 1]) / 2
-            a[n - 1] = (h[n - 1] - h[n - 2]) / 2
-            for j in range(n - 3, -1, -1):
-                a[j] = a[j + 1] + h[j]
-        else:
-            raise OutOfScopeError("no matrix model for type %s" % t)
-        a = [_int_if_integral(x) for x in a]
+        """Diagonal H with alpha_i(H) = h_i, read off the Cartan dictionary;
+        an entry is an int unless it is a fraction."""
         m = la.zeros(self.msize, self.msize)
-        if self.family == "sl":
-            for j in range(n):
-                m[j][j] = a[j]
-        else:
-            for j in range(n):
-                m[j][j] = a[j]
-                m[n + j][n + j] = -a[j]
+        for a, row in enumerate(self._h_rows):
+            m[a][a] = _int_if_integral(F(sum(map(mul, row, h_values)), self._h_den))
         return m
 
     def weight_from_cartan_functional(self, values):
-        """Weight (fw coords) of the functional with the given cartan-basis values."""
-        t = self.rs.type_label
-        vals = [F(v) for v in values]
-        if t == "A":
-            return Weight(tuple(vals))  # H_i is the i-th simple coroot
-        n = self.n_e
-        fw = []
-        for i in range(n - 1):
-            fw.append(vals[i] - vals[i + 1])
-        if t == "C":
-            fw.append(vals[n - 1])
-        elif t == "D":
-            fw[-1] = vals[n - 2] - vals[n - 1]
-            fw.append(vals[n - 2] + vals[n - 1])
-        return Weight(tuple(fw))
+        """Weight (fw coords) of the functional with the given cartan-basis
+        values: its values on the simple coroots."""
+        return Weight(tuple(sum(map(mul, row, values)) for row in self._coroot_read))
 
 
 def _tau_for_sl(eps):
@@ -990,11 +971,6 @@ def verify_grading_dims(real, h, gd):
     return ok, detail
 
 
-def _degree_two_p(real, h):
-    """The basis indices of the degree-2 part of p under ad h."""
-    return ad_layers(real, h).get(2, ([], []))[1]
-
-
 def _basis_sum(real, index, coeffs):
     """The sum of c b_i over the basis indices i and their coefficients c."""
     vec = [0] * real.dim
@@ -1006,11 +982,12 @@ def _basis_sum(real, index, coeffs):
 def dense_confirmer(real, seed=0):
     """Matrix-level density check usable as the grading-search confirmer:
     the sum of the degree-2 p basis, then three sums with random
-    coefficients in 1..5."""
+    coefficients in 1..5.  The degree-2 p basis indices are those of the
+    grading's p2_roots, in ascending order as ad_layers lists them."""
 
     def confirm(gd):
         h = real.cartan_element_from_h(gd.H.h_values)
-        p2 = _degree_two_p(real, h)
+        p2 = sorted(real._root_index[r.coords] for r in gd.p2_roots)
         if not p2:
             return False
         rng = random.Random("%s-confirm-%s" % (seed, gd.H.h_values))
@@ -1027,7 +1004,7 @@ def pinned_principal(real, h_values):
     """The pinned principal pair (H, X): H from h-values, X the sum of the
     degree-2 p basis."""
     h = real.cartan_element_from_h(h_values)
-    p2 = _degree_two_p(real, h)
+    p2 = ad_layers(real, h).get(2, ([], []))[1]
     return h, _basis_sum(real, p2, [1] * len(p2))
 
 

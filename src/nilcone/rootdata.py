@@ -17,7 +17,8 @@ cartan[i][j] = <alpha_j, alpha_i^vee>, so the degree of a root c under the
 i-th simple coroot is the i-th entry of cartan . c.  Coroots lie in the
 coroot lattice, so every pairing, reflection, dominance test, Weyl
 enumeration and Weyl dimension runs on ints; root coordinates of a weight
-are an integer adjugate of the Cartan matrix and one exact division.
+are an integer matrix (the inverse Cartan matrix over its least common
+denominator, from nilcone.linalg.inverse) and one exact division.
 
 Sweeps into the dominant chamber (make_dominant, dominant_representative,
 each table miss of the Bott sum in nilcone.bott) and the Weyl-word BFS run
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, sub as minus
 
+from . import linalg as la
 from .errors import ConsistencyError, InputError
 
 F = Fraction
@@ -192,28 +194,6 @@ def _cartan_data(type_label, rank):
     return [tuple(row) for row in a], tuple(d)
 
 
-def _adjugate(matrix):
-    """(adj, det) of an integer matrix: matrix^-1 = adj / det, adj integral."""
-    n = len(matrix)
-    aug = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    det = F(1)
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c])
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-            det = -det
-        inv = aug[c][c]
-        det *= inv
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    # det and det * inverse are integers for an integer matrix
-    return [tuple(int(det * x) for x in row[n:]) for row in aug], int(det)
-
-
 class RootSystem:
     """Finite root system with exact pairing, reflection and conversion data."""
 
@@ -230,9 +210,9 @@ class RootSystem:
         self.type_label = type_label
         self.rank = rank
         self.cartan_matrix, self._d = _cartan_data(type_label, rank)
-        # root coordinates of lam are (adj . lam.d2) / (2 det)
-        self._adj, det = _adjugate(self.cartan_matrix)
-        self._root_den = 2 * det
+        # root coordinates of lam are (adj . lam.d2) / (2 den), cartan^-1 = adj / den
+        self._adj, den = la.inverse(self.cartan_matrix)
+        self._root_den = 2 * den
         # twice the Gram matrix of the simple roots: 2 (a_i, a_j) = 2 d_i cartan[i][j]
         self._gram2 = [tuple(int(2 * self._d[i]) * a for a in self.cartan_matrix[i])
                        for i in range(rank)]
@@ -293,7 +273,7 @@ class RootSystem:
         return tuple(sum(map(mul, row, c)) for row in self.cartan_matrix)
 
     def _root_num(self, lam):
-        """Root coordinates of lam times 2 det(cartan), as an int tuple."""
+        """Root coordinates of lam times _root_den, as an int tuple."""
         d2 = lam.d2
         return tuple(sum(map(mul, row, d2)) for row in self._adj)
 
@@ -394,8 +374,12 @@ class Subsystem:
         # int coroot vectors (see RootSystem.coroot_vector) and fw of the roots
         self._simple_coroots = tuple(rs.coroot_vector(b) for b in self.simple_roots)
         self._simple_fw = tuple(rs._fw_of_root(b) for b in self.simple_roots)
-        self._coroots = tuple(rs.coroot_vector(r) for r in self.positive_roots)
         self._coroot_coeffs = self._simple_coroot_coefficients()
+        # the Weyl denominator on doubled pairings: rho_sub pairs to 1 with
+        # each simple coroot, so to sum(c) with the coroot of coefficients c
+        self._weyl_den = 1
+        for c in self._coroot_coeffs:
+            self._weyl_den *= 2 * sum(c)
         # the height of G's highest coroot, the factor of _packing's slot
         # bound, and the packings made so far, by slot width
         self._coroot_height = max(sum(rs.coroot_vector(r)) for r in rs.positive_roots)
@@ -432,7 +416,7 @@ class Subsystem:
         n = self.rank
         simple = {b.coords: i for i, b in enumerate(self.simple_roots)}
         coeffs = {}
-        for r, v in zip(self.positive_roots, self._coroots):
+        for r in self.positive_roots:
             i = simple.get(r.coords)
             if i is not None:
                 coeffs[r.coords] = tuple(int(j == i) for j in range(n))
@@ -443,7 +427,8 @@ class Subsystem:
             lower = tuple(x - pairings[i] * y
                           for x, y in zip(r.coords, self.simple_roots[i].coords))
             c = list(coeffs[lower])
-            c[i] += sum(map(mul, v, self._simple_fw[i]))  # <beta_i, beta^vee>
+            # <beta_i, beta^vee>
+            c[i] += sum(map(mul, rs.coroot_vector(r), self._simple_fw[i]))
             coeffs[r.coords] = tuple(c)
         return tuple(coeffs[r.coords] for r in self.positive_roots)
 
@@ -754,25 +739,14 @@ class VirtualCharacter:
         """Sum of multiplicity times Weyl dimension over the subsystem.
 
         A packed character of sub's own packing reads each term's doubled
-        pairings with the simple coroots off its pairing slots and expands
-        them over the positive coroots (Subsystem._coroot_coeffs); that is
-        weyl_dimension's product, with no Weight built.
+        pairings with the simple coroots off its pairing slots (_weyl_product
+        takes them as they are), with no Weight built.
         """
         packing = self._packing
         if packing is None or sub._packings.get(packing.width) is not packing:
             return sum(m * weyl_dimension(sub, w) for w, m in self._terms.items())
-        coeffs, pairings = sub._coroot_coeffs, packing.pairings
-        den = 1
-        for c in coeffs:
-            den *= 2 * sum(c)  # the doubled pairing of rho_sub
-        total = 0
-        for q, m in self._packed.items():
-            p = pairings(q)
-            num = 1
-            for c in coeffs:
-                num *= sum(map(mul, c, p))
-            total += m * _weyl_quotient(num, den)
-        return total
+        pairings = packing.pairings
+        return sum(m * _weyl_product(sub, pairings(q)) for q, m in self._packed.items())
 
     def dual(self, sub):
         """Contragredient: V_lam -> V_{-w0 lam}.  The series does not call
@@ -805,21 +779,21 @@ def weyl_dimension(sub, lam):
     """Weyl dimension formula for the subsystem, evaluated exactly."""
     if not sub.is_dominant(lam):
         raise InputError("weight %r is not dominant for the subsystem" % (lam,))
-    # doubled pairings: the factor 2 per root cancels in num / den
-    rho2 = sub.rho.d2
-    shifted = tuple(map(add, lam.d2, rho2))
-    num = den = 1
-    for v in sub._coroots:
-        num *= sum(map(mul, v, shifted))
-        den *= sum(map(mul, v, rho2))
-    return _weyl_quotient(num, den)
+    shifted = tuple(map(add, lam.d2, sub.rho.d2))
+    return _weyl_product(sub, [sum(map(mul, v, shifted)) for v in sub._simple_coroots])
 
 
-def _weyl_quotient(num, den):
-    """num / den, which must be a positive integer: a Weyl dimension."""
-    val, rem = divmod(num, den)
+def _weyl_product(sub, pairings):
+    """The Weyl dimension of lam from the doubled pairings of lam + rho_sub
+    with sub's simple coroots: each positive coroot's pairing is expanded
+    over them (Subsystem._coroot_coeffs), and the factor 2 per root cancels
+    against Subsystem._weyl_den.  The quotient must be a positive integer."""
+    num = 1
+    for c in sub._coroot_coeffs:
+        num *= sum(map(mul, c, pairings))
+    val, rem = divmod(num, sub._weyl_den)
     if rem or val <= 0:
-        raise ConsistencyError("Weyl dimension came out as %s" % (F(num, den),))
+        raise ConsistencyError("Weyl dimension came out as %s" % (F(num, sub._weyl_den),))
     return val
 
 
@@ -840,7 +814,7 @@ def kostant_partition(rs, mu, gens):
 def partition_counter(rs, gens):
     """kostant_partition(rs, mu, gens) as a function of mu: one conversion of
     gens and one memo, whose keys do not depend on mu, serve every call."""
-    # root coordinates scaled by the same positive integer 2 det(cartan), so
+    # root coordinates scaled by the same positive integer _root_den, so
     # the recursion runs on ints and floor(h / gh) is unchanged
     gen_coords = []
     for g in gens:

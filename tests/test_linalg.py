@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from nilcone import linalg as la
+from nilcone import rootdata as rd
 
 F = Fraction
 
@@ -304,3 +306,99 @@ def test_solve_edge_systems():
     assert la.solve([[0, 0]], [F(1, 2)]) is None  # a zero row, b nonzero
     assert la.solve([[2, 0], [0, 0]], [3, 0]) == [F(3, 2), 0]
     assert la.solve([[1, 1], [1, 1]], [1, 2]) is None
+
+
+def test_rref_and_solve_on_degenerate_systems():
+    # rows past full rank, duplicate rows, width 1 and a zero right-hand side
+    cases = [
+        [[1, 2], [3, 4], [5, 6], [F(1, 2), 7]],  # past full rank
+        [[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 1, 1], [0, 1, 1]],  # duplicates
+        [[2], [F(-3, 4)], [0], [5]],  # width 1, past full rank
+        [[0], [0]],  # width 1, zero
+        [[F(2, 3)]],  # 1 x 1
+        [[1, 2, 3], [2, 4, 6]],  # one independent row, duplicated up to scale
+    ]
+    for rows in cases:
+        assert la.rref(rows) == _gauss_jordan(rows)
+        zero = [0] * len(rows)
+        assert la.solve(rows, zero) == _reference_solve(rows, zero) == [0] * len(rows[0])
+        for x in ([1] * len(rows[0]), [F(k + 1, 3) for k in range(len(rows[0]))]):
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            got = la.solve(rows, rhs)
+            assert got == _reference_solve(rows, rhs)
+            assert [sum(a * b for a, b in zip(row, got)) for row in rows] == rhs
+    assert la.solve([[2], [4]], [1, 3]) is None  # width 1, inconsistent
+    assert la.solve([[1, 1], [1, 1], [1, 1]], [1, 1, 2]) is None  # a duplicate disagrees
+    assert la.solve([[3]], [2]) == [F(2, 3)]
+
+
+def _reference_inverse(square):
+    """Reference inverse: Fraction Gauss-Jordan of [M | I], read off the
+    identity block."""
+    n = len(square)
+    red, pivots = _gauss_jordan([list(row) + [int(i == j) for j in range(n)]
+                                 for i, row in enumerate(square)])
+    assert pivots[:n] == list(range(n))
+    return [row[n:] for row in red]
+
+
+def _check_inverse(square):
+    adj, den = la.inverse(square)
+    n = len(square)
+    assert type(den) is int and den > 0
+    assert all(type(x) is int for row in adj for x in row)
+    assert la.mat_mul(adj, square) == la.mat_mul(square, adj) == la.mat_scale(den, la.identity(n))
+    # den is least: no common factor of den and adj can be divided out
+    assert gcd(den, *[x for row in adj for x in row]) == 1
+    assert [[F(x, den) for x in row] for row in adj] == _reference_inverse(square)
+    assert den == lcm(*[x.denominator for row in _reference_inverse(square) for x in row])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_inverse_matches_fraction_gauss_jordan(seed):
+    rng = random.Random(seed)
+    n = 1 + seed % 6
+    while True:
+        square = _random_matrix(rng, n, n, n)
+        if seed % 2:  # int entries
+            square = [[int(x.numerator) for x in row] for row in square]
+        if la.rank(square) == n:
+            break
+    _check_inverse(square)
+
+
+@pytest.mark.parametrize("label,ranks", [("A", range(1, 8)), ("B", range(2, 7)),
+                                         ("C", range(2, 7)), ("D", range(3, 8)),
+                                         ("G2", [2])])
+def test_inverse_of_cartan_matrices(label, ranks):
+    for n in ranks:
+        _check_inverse(rd.build_root_system(label, n).cartan_matrix)
+
+
+def test_inverse_of_a_singular_matrix_raises():
+    for square in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(ValueError):
+            la.inverse(square)
+    assert la.inverse([[F(-2, 3)]]) == ([[-3]], 2)
+    assert la.inverse([[2]]) == ([[1]], 2)
+
+
+def test_rref_and_solve_do_not_call_add(monkeypatch):
+    # a wrapper of IncrementalRank.add (the benchmark's tracer) counts only
+    # the rank engine's own rows, not those of rref, solve and inverse
+    calls = []
+    add = la.IncrementalRank.add
+
+    def counting_add(self, row):
+        calls.append(row)
+        return add(self, row)
+
+    monkeypatch.setattr(la.IncrementalRank, "add", counting_add)
+    rows = [[1, 2, 3], [F(2, 3), F(4, 3), 2], [0, 1, F(-5, 7)]]
+    assert len(la.rref(rows)[1]) == 2
+    assert la.solve(rows, [1, F(2, 3), 0]) is not None
+    assert la.inverse([[2, 1], [1, 1]]) == ([[1, -1], [-1, 2]], 1)
+    assert calls == []
+    tracker = la.IncrementalRank(3)
+    assert [tracker.add(row) for row in rows] == [True, False, True]
+    assert len(calls) == 3

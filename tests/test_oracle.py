@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -670,9 +671,10 @@ MODEL_FORMS = ("su(1,1)", "su(2,1)", "su(2,2)", "su(3,1)", "su(3,2)", "su(4,2)",
 
 def _dense_ad(real, z):
     """ad z on the basis from matrix commutators and one solve per column."""
-    columns = [la.flatten(b) for b in real.basis]
+    columns = [[x for row in b for x in row] for b in real.basis]
     rows = [list(r) for r in zip(*columns)]
-    cols = [la.solve(rows, la.flatten(la.commutator(z, b))) for b in real.basis]
+    cols = [la.solve(rows, [x for row in la.commutator(z, b) for x in row])
+            for b in real.basis]
     return [list(r) for r in zip(*cols)]
 
 
@@ -925,3 +927,93 @@ def test_ad_layers_scale_a_fractional_diagonal_once():
         for layers in (oc.ad_layers, _scanned_layers):
             with pytest.raises(InputError):
                 layers(real, bad)
+
+
+# -- the Cartan dictionary -------------------------------------------------------------
+
+def _reference_cartan_element(real, h_values):
+    """Reference cartan_element_from_h: the per-type Fraction formulas the
+    matrix model used before its Cartan dictionary."""
+    n = real.n_e
+    t = real.rs.type_label
+    h = [F(x) for x in h_values]
+    a = [F(0)] * n
+    if t == "A":
+        for j in range(n - 2, -1, -1):
+            a[j] = a[j + 1] + h[j]
+        mean = sum(a) / n
+        a = [x - mean for x in a]
+    elif t == "C":
+        a[n - 1] = h[n - 1] / 2
+        for j in range(n - 2, -1, -1):
+            a[j] = a[j + 1] + h[j]
+    else:  # D
+        a[n - 2] = (h[n - 2] + h[n - 1]) / 2
+        a[n - 1] = (h[n - 1] - h[n - 2]) / 2
+        for j in range(n - 3, -1, -1):
+            a[j] = a[j + 1] + h[j]
+    a = [x.numerator if x.denominator == 1 else x for x in a]
+    m = la.zeros(real.msize, real.msize)
+    for j in range(n):
+        m[j][j] = a[j]
+        if real.family != "sl":
+            m[n + j][n + j] = -a[j]
+    return m
+
+
+def _reference_weight_of_functional(real, values):
+    """Reference weight_from_cartan_functional: the per-type formulas."""
+    t = real.rs.type_label
+    vals = [F(v) for v in values]
+    if t == "A":
+        return rd.Weight(tuple(vals))
+    n = real.n_e
+    fw = [vals[i] - vals[i + 1] for i in range(n - 1)]
+    if t == "C":
+        fw.append(vals[n - 1])
+    else:  # D
+        fw[-1] = vals[n - 2] - vals[n - 1]
+        fw.append(vals[n - 2] + vals[n - 1])
+    return rd.Weight(tuple(fw))
+
+
+def _typed(m):
+    return [[(type(x), x) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("name", MODEL_FORMS)
+def test_cartan_dictionary_matches_the_type_formulas(name):
+    real = oc.realize(name)
+    rank, ncartan = real.rs.rank, len(real.cartan_mats)
+    rng = random.Random(name)
+    entries = [-2, -1, 0, 1, 2, 3, F(1, 2), F(-3, 2), F(2, 3)]
+    box = list(product(range(3), repeat=rank)) if rank <= 5 else []
+    for h_values in box + [tuple(rng.choice(entries) for _ in range(rank))
+                           for _ in range(100)]:
+        h = real.cartan_element_from_h(h_values)
+        assert _typed(h) == _typed(_reference_cartan_element(real, h_values))
+        for r, value in zip(real.rs.simple_roots, h_values):  # alpha_i(H) = h_i
+            a, b, _ = real._entries[real._root_index[r.coords]][0]
+            assert h[a][a] - h[b][b] == value
+    for _ in range(100):  # the weights of half-integral values are half-integral
+        values = [rng.choice(entries[:-1]) for _ in range(ncartan)]
+        assert real.weight_from_cartan_functional(values) \
+            == _reference_weight_of_functional(real, values)
+
+
+@pytest.mark.parametrize("name", TABLE_A_FORMS)
+def test_confirmer_seeds_the_degree_two_p_basis_in_ad_layers_order(name, monkeypatch):
+    # the confirmer reads degree-2 p off the grading's roots; at every
+    # grading of the search box it tries the same four elements as when it
+    # read them off ad_layers, the seeded coefficients on the same indices
+    real = oc.realize(name)
+    tried = []
+    monkeypatch.setattr(oc, "dense_orbit_check", lambda real, h, x: tried.append(x))
+    confirm = oc.dense_confirmer(real, 7)
+    for hit in gr.search_even_gradings(real.rs, real.eps):
+        tried.clear()
+        assert confirm(gr.grade(real.rs, real.eps, hit.H.h_values)) is False
+        p2 = oc.ad_layers(real, real.cartan_element_from_h(hit.H.h_values))[2][1]
+        rng = random.Random("7-confirm-%s" % (hit.H.h_values,))
+        assert tried == [oc._basis_sum(real, p2, [1] * len(p2))] + [
+            oc._basis_sum(real, p2, [rng.randint(1, 5) for _ in p2]) for _ in range(3)]

@@ -499,8 +499,9 @@ def test_weyl_dimension_matches_kostant_count():
                          ids=lambda sub: "%s%d-%d" % (sub.rs.type_label, sub.rs.rank,
                                                       len(sub.positive_roots)))
 def test_coroot_coefficients_expand_every_positive_coroot(sub):
-    assert len(sub._coroot_coeffs) == len(sub._coroots)
-    for c, v in zip(sub._coroot_coeffs, sub._coroots):
+    coroots = [sub.rs.coroot_vector(r) for r in sub.positive_roots]
+    assert len(sub._coroot_coeffs) == len(coroots)
+    for c, v in zip(sub._coroot_coeffs, coroots):
         assert min(c, default=0) >= 0
         assert tuple(sum(ci * u[k] for ci, u in zip(c, sub._simple_coroots))
                      for k in range(sub.rs.rank)) == v
@@ -637,3 +638,42 @@ def test_weight_json_roundtrip():
     assert enc == {"basis": "fw", "coords": ["1/2", -3]}
     assert rd.Weight(tuple(F(c) for c in enc["coords"])) == lam
 
+
+
+def _adjugate(matrix):
+    """Reference (adj, det) of an integer matrix, matrix^-1 = adj / det: the
+    Fraction Gauss-Jordan that RootSystem used before la.inverse."""
+    n = len(matrix)
+    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    det = Fraction(1)
+    for c in range(n):
+        piv = next(i for i in range(c, n) if aug[i][c])
+        if piv != c:
+            aug[c], aug[piv] = aug[piv], aug[c]
+            det = -det
+        inv = aug[c][c]
+        det *= inv
+        aug[c] = [x / inv for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [tuple(int(det * x) for x in row[n:]) for row in aug], int(det)
+
+
+@pytest.mark.parametrize("label,rank", [("A", n) for n in range(1, 8)]
+                         + [("B", n) for n in range(2, 7)] + [("C", n) for n in range(2, 7)]
+                         + [("D", n) for n in range(3, 8)] + [("G2", 2)])
+def test_root_coordinates_agree_with_the_adjugate(label, rank):
+    rs = rd.build_root_system(label, rank)
+    adj, det = _adjugate(rs.cartan_matrix)
+    fundamental = [rd.weight(*[int(i == j) for j in range(rank)]) for i in range(rank)]
+    weights = [rs.root_fw(r) for r in rs.all_roots()] + fundamental + [rs.rho()]
+    for lam in weights:
+        want = tuple(Fraction(sum(map(mul, row, lam.d2)), 2 * det) for row in adj)
+        assert rs.root_coords_of_weight(lam) == want
+    for r in rs.all_roots():
+        assert rs.root_coords_of_weight(rs.root_fw(r)) == r.coords
+    # the scale of the integer coordinates divides the adjugate's
+    assert (2 * det) % rs._root_den == 0
