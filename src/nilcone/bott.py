@@ -23,8 +23,8 @@ returns until a caller reads a weight (see VirtualCharacter).
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .rootdata import (VirtualCharacter, Weight, _packed_character, _packing,
-                       _reach, make_dominant, require_integral)
+from .rootdata import (VirtualCharacter, _packed_character, _packing, _reach,
+                       make_dominant, require_integral)
 
 
 @dataclass
@@ -57,20 +57,20 @@ class _Table(dict):
 def euler_of_weights(weights, kd, shift=None, seen=None):
     """Signed Bott contribution summed over the multiset weights + shift.
 
-    weights is a list or a Counter (weight -> multiplicity) of Weights or of
-    their d2 int tuples; they are packed (see _Packing) with a width derived
-    from them and the shift.  seen, owned by the caller, maps the packed
-    simple-coroot pairings of a shifted weight to (its packed correction
-    w.lam - lam, sign), or to None on a wall; _Packing.regularize runs once
-    per key missing from it.  nilcone.series passes a _Table as seen and
-    weights already packed with its packing, as a dict of multiplicities.
+    weights is a list or a Counter (weight -> multiplicity) of Weights; they
+    are packed (see _Packing) with a width derived from them and the shift.
+    seen, owned by the caller, maps the packed simple-coroot pairings of a
+    shifted weight to (its packed correction w.lam - lam, sign), or to None
+    on a wall; _Packing.regularize runs once per key missing from it.
+    nilcone.series passes a _Table as seen and weights already packed with
+    its packing, as a dict of multiplicities.
     """
     sd2 = (0,) * kd.rs.rank if shift is None else shift.d2
     if seen.__class__ is _Table:
         packing, packed = seen.packing, weights
     else:
         counts = Counter(weights)
-        d2s = [lam.d2 if lam.__class__ is Weight else lam for lam in counts]
+        d2s = [lam.d2 for lam in counts]
         packing = _packing(kd, _reach(d2s) + _reach([sd2]))
         packed = {}
         for d2, mult in zip(d2s, counts.values()):

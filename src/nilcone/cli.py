@@ -27,7 +27,7 @@ from . import series as se
 from .errors import DiagnosticError, InputError, OutOfScopeError
 from .realform import (parse_form_config, principal_presentation,
                        standard_form_catalog)
-from .rootdata import Root, Weight, _weight_of, weight_to_json
+from .rootdata import Root, Weight, _weight_of, weight_to_json, zero_weight
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -52,13 +52,6 @@ def _resolve_form(args):
                                      "epsilon": _parse_ints(args.epsilon)})
         return "%s%d:%s" % (args.type, args.rank, args.epsilon), rs, eps
     raise InputError("specify --form or --type/--rank/--epsilon")
-
-
-def _weight_arg(text, rank):
-    coords = _parse_ints(text)
-    if len(coords) != rank:
-        raise InputError("weight needs %d coordinates" % rank)
-    return Weight(tuple(Fraction(c) for c in coords))
 
 
 def _emit(args, payload):
@@ -104,7 +97,7 @@ def cmd_grade(args):
 def cmd_bott(args):
     label, rs, eps = _resolve_form(args)
     kd = gr.grade(rs, eps, (0,) * rs.rank).k_root_datum()
-    lam = _weight_arg(args.weight, rs.rank)
+    lam = _integral_weight(_parse_ints(args.weight), rs.rank)
     res = bott_mod.line_cohomology(lam, kd)
     per_degree = {str(d): _vc_decomposition(vc) for d, vc in res.per_degree.items()}
     _emit(args, {"form": label, "weight": weight_to_json(lam),
@@ -122,7 +115,7 @@ def _series_context(args):
 
 def cmd_verify_vanishing(args):
     label, rs, eps, gd, kd = _series_context(args)
-    lam = _weight_arg(getattr(args, "lam"), rs.rank)
+    lam = _integral_weight(_parse_ints(args.lam), rs.rank)
     report = se.verify_vanishing(lam, gd, kd, args.N, form=label)
     payload = {
         "form": label,
@@ -142,11 +135,7 @@ def cmd_verify_vanishing(args):
                                for kk, w, m in report.violations if kk == k],
             })
     _emit(args, payload)
-    if report.status == se.PASS:
-        return EXIT_PASS
-    if report.status == se.FAIL:
-        return EXIT_FAIL
-    return EXIT_INPUT
+    return _exit_code(report.status)
 
 
 def cmd_hilbert(args):
@@ -163,8 +152,8 @@ def cmd_hilbert(args):
 
 def cmd_blattner(args):
     label, rs, eps, gd, kd = _series_context(args)
-    mu = _weight_arg(args.mu, rs.rank)
-    lam = _weight_arg(getattr(args, "lam"), rs.rank)
+    mu = _integral_weight(_parse_ints(args.mu), rs.rank)
+    lam = _integral_weight(_parse_ints(args.lam), rs.rank)
     m = se.blattner_multiplicity(mu, lam, gd, kd)
     _emit(args, {"form": label, "mu": weight_to_json(mu),
                  "lambda": weight_to_json(lam), "multiplicity": m})
@@ -228,7 +217,7 @@ def cmd_oracle(args):
         ok, detail = oc.verify_grading_dims(real, h, gd)
         _emit(args, {"form": label, "H": list(gd.H.h_values), "match": ok,
                      "layers": {str(d): v for d, v in detail.items()}})
-        return EXIT_PASS if ok else EXIT_FAIL
+        return _exit_code("PASS" if ok else "FAIL")
     raise InputError("unknown oracle subcommand")
 
 
@@ -272,14 +261,19 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
                 H=None, lam_list=None):
     """Run every check for a named form and assemble a report.
 
-    checks is anything parse_checks accepts.  Uses an explicit grading H
-    when supplied, else the principal-aligned presentation when one is
-    pinned for the form, else the best confirmed grading found by the
-    even-grading search.  lam_list, when given, replaces the sampled weight
+    checks is anything parse_checks accepts; N, seed and kmax are ints or
+    strings of one, and a negative N or kmax is refused.  Uses an explicit
+    grading H when supplied, else the principal-aligned presentation when
+    one is pinned for the form, else the best confirmed grading found by
+    the even-grading search.  lam_list, when given, replaces the sampled weight
     box of the vanishing check; it must list rank integers
     (fundamental-weight coordinates), since only an integral weight defines
     a line bundle.  Malformed input is rejected before any check runs.
     """
+    N, seed, kmax = _as_int(N, "N"), _as_int(seed, "seed"), _as_int(kmax, "kmax")
+    for value, what in ((N, "N"), (kmax, "kmax")):
+        if value < 0:
+            raise InputError("%s must be >= 0, got %d" % (what, value))
     checks = parse_checks(checks)
     rs, catalog_eps = standard_form_catalog(form)
     orbit_dims = None  # the searched gradings' orbit dims, which qct reports too
@@ -339,9 +333,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         results.append(entry)
 
     def check_grading():
-        for d in gd.degrees:
-            if gd.dims(d) != gd.dims(-d):
-                return "FAIL", {"degree": d}
+        # dims(d) == dims(-d) holds by construction: grade() raises otherwise
         ok, detail = oc.verify_grading_dims(real, h_mat, gd)
         return ("PASS" if ok else "FAIL"), {"matrix_match": ok}
 
@@ -401,9 +393,8 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         return "FAIL", {"series": dims, "oracle": oracle_dims}
 
     def check_blattner():
-        zero = Weight((Fraction(0),) * rs.rank)
-        ok, mismatches, count = se.blattner_series_identity(gd, kd, zero,
-                                                            min(N, 3), form=form)
+        ok, mismatches, count = se.blattner_series_identity(
+            gd, kd, zero_weight(rs.rank), min(N, 3), form=form)
         if ok:
             return "PASS", {"types_checked": count}
         return "FAIL", {"mismatches": [[weight_to_json(mu), c, b]
@@ -454,15 +445,16 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
 
 def _integral_weight(coords, rank):
     """The weight with the given fundamental-weight coordinates, which must
-    be rank integers (ints or strings such as "3")."""
+    be rank integers (ints or strings such as "3"): the one reader of a
+    weight given by a user, in a config or on the command line."""
     try:
         fw = tuple(Fraction(c) for c in coords)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError("malformed lambda %r" % (coords,)) from exc
+        raise InputError("malformed weight %r" % (coords,)) from exc
     if len(fw) != rank:
-        raise InputError("lambda needs %d coordinates, got %d" % (rank, len(fw)))
+        raise InputError("weight needs %d coordinates, got %d" % (rank, len(fw)))
     if any(c.denominator != 1 for c in fw):
-        raise InputError("lambda %s is not integral: O(lambda) needs integer "
+        raise InputError("weight %s is not integral: O(lambda) needs integer "
                          "fundamental-weight coordinates"
                          % [str(c) for c in fw])
     return Weight(fw)
@@ -499,19 +491,10 @@ def _json_data(value):
     return value
 
 
-def _exit_code(report):
-    if report["verdict"] == "PASS":
-        return EXIT_PASS
-    if report["verdict"] == "FAIL":
-        return EXIT_FAIL
-    return EXIT_INPUT
-
-
-def cmd_verify(args):
-    report = verify_form(args.form, N=args.N, seed=args.seed, kmax=args.kmax,
-                         checks=args.checks, timings=args.timings)
-    _emit(args, report)
-    return _exit_code(report)
+def _exit_code(verdict):
+    """0 for PASS, 1 for FAIL, 2 for anything else (INCONCLUSIVE,
+    HYPOTHESIS-UNMET)."""
+    return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INPUT)
 
 
 def run(config, timings=False):
@@ -523,9 +506,9 @@ def run(config, timings=False):
     if h_conf == "search":
         h_conf = None
     report = verify_form(form,
-                         N=_as_int(config.get("N", 6), "N"),
-                         seed=_as_int(config.get("seed", 7), "seed"),
-                         kmax=_as_int(config.get("kmax", 3), "kmax"),
+                         N=config.get("N", 6),
+                         seed=config.get("seed", 7),
+                         kmax=config.get("kmax", 3),
                          checks=config.get("checks", "all"),
                          timings=timings,
                          H=h_conf,
@@ -538,14 +521,19 @@ def run(config, timings=False):
 
 
 def cmd_run(args):
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputError("cannot read config %s: %s" % (args.config, exc)) from exc
+    """run --config, and verify, whose flags make the config."""
+    if args.cmd == "verify":
+        config = {"form": args.form, "N": args.N, "seed": args.seed,
+                  "kmax": args.kmax, "checks": args.checks}
+    else:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InputError("cannot read config %s: %s" % (args.config, exc)) from exc
     report = run(config, timings=args.timings)
     _emit(args, report)
-    return _exit_code(report)
+    return _exit_code(report["verdict"])
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +614,7 @@ def build_parser():
                    help="all, or a comma-separated subset of: %s" % ",".join(ALL_CHECKS))
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json-out", dest="json_out")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("run", help="execute a JSON job config")
     p.add_argument("--config", required=True)

@@ -14,6 +14,7 @@ is only asserted when H is dominant.
 
 from dataclasses import dataclass
 from itertools import product
+from operator import mul
 
 from .errors import ConsistencyError, InputError, OddGradingError
 from .realform import cartan_decomposition, k_root_datum
@@ -183,15 +184,12 @@ def is_QK_dominant(lam, pd, kd):
 
     The line in the irreducible V_lam is automatically stable under the
     Borel of K; stability under the Levi part needs lam to kill the coroots
-    of the degree-zero compact simple roots.
+    of the degree-zero compact simple roots: each doubled pairing, the int
+    dot product of the coroot vector with lam.d2, is 0.
     """
-    for b in kd.simple_roots:
-        if kd.rs.pairing(lam, b) < 0:
-            return False
-    for b in pd.simple_l_k_roots:
-        if kd.rs.pairing(lam, b) != 0:
-            return False
-    return True
+    coroot_vector = kd.rs.coroot_vector
+    return kd.is_dominant(lam) and not any(
+        sum(map(mul, coroot_vector(b), lam.d2)) for b in pd.simple_l_k_roots)
 
 
 @dataclass

@@ -788,8 +788,7 @@ def sample_orbit_points(real, x, count, rng):
     do not depend on x.
     """
     word = _word(real)
-    den = lcm(*[y.denominator for row in x for y in row])
-    xi = [[y.numerator * (den // y.denominator) for y in row] for row in x]
+    den, xi = _scaled_to_ints(x)
     pts = []
     for _ in range(count):
         params = [rng.randint(1, 1024) * rng.choice((1, -1)) for _ in word]
@@ -911,8 +910,11 @@ def coordinate_ring_dims(real, x, k_max, seed):
 
     The value in degree d is the OrbitSample's sum of exact block ranks in
     degree d, at most the Hilbert function of the closure in degree d and
-    equal to it once the points are generic.
+    equal to it once the points are generic.  A negative k_max raises
+    InputError.
     """
+    if k_max < 0:
+        raise InputError("degree bound k_max must be >= 0, got %d" % k_max)
     return OrbitSample(real, x, k_max, random.Random("%s-coordring" % (seed,))).dims
 
 

@@ -20,14 +20,16 @@ enumeration and Weyl dimension runs on ints; root coordinates of a weight
 are an integer matrix (the inverse Cartan matrix over its least common
 denominator, from nilcone.linalg.inverse) and one exact division.
 
-Sweeps into the dominant chamber (make_dominant, dominant_representative,
-each table miss of the Bott sum in nilcone.bott) and the Weyl-word BFS run
-on packed weights (_Packing): one int whose fixed-width slots hold a
-weight's doubled pairings with the simple coroots of a subsystem and its d2
-coordinates.  A simple reflection is one int update and a negative pairing
-is a clear top bit of its slot.  nilcone.bott and nilcone.series pack their
-weights with the same layout, and a VirtualCharacter from the Bott sum keeps
-its terms in it until a caller reads a weight.
+Every Weyl-group action runs on packed weights (_Packing): the sweeps into
+the dominant chamber (make_dominant, dominant_representative, each table
+miss of the Bott sum in nilcone.bott), the Weyl-word BFS, Subsystem.apply
+and the Blattner images of nilcone.series.  A packed weight is one int
+whose fixed-width slots hold a weight's doubled pairings with the simple
+coroots of a subsystem and its d2 coordinates.  A simple reflection is one
+int update and a negative pairing is a clear top bit of its slot.
+nilcone.bott and nilcone.series pack their weights with the same layout,
+and a VirtualCharacter from the Bott sum keeps its terms in it until a
+caller reads a weight.
 """
 
 import struct
@@ -384,20 +386,6 @@ class Subsystem:
         # bound, and the packings made so far, by slot width
         self._coroot_height = max(sum(rs.coroot_vector(r)) for r in rs.positive_roots)
         self._packings = {}
-        # -w0 as an int matrix on doubled coordinates, w0 being the word that
-        # takes -rho_sub to rho_sub (swept from lam = -2 rho_sub); -w0 maps a
-        # dominant weight to the dominant weight of its negative's orbit
-        minus_two_rho = tuple(-2 * x for x in rho2)
-        packing = _packing(self, _reach([minus_two_rho]))
-        word = packing.sweep(packing.pack(minus_two_rho) + packing.bias)[1]
-        self._w0_length = len(word)
-        columns = []
-        for j in range(rs.rank):
-            d2 = tuple(int(i == j) for i in range(rs.rank))
-            for i in word:
-                d2 = self._reflect2(d2, i)
-            columns.append(tuple(map(neg, d2)))
-        self._minus_w0 = tuple(zip(*columns))
 
     @property
     def rank(self):
@@ -432,11 +420,6 @@ class Subsystem:
             coeffs[r.coords] = tuple(c)
         return tuple(coeffs[r.coords] for r in self.positive_roots)
 
-    def _reflect2(self, d2, i):
-        """The i-th simple reflection of doubled coordinates d2."""
-        p = sum(map(mul, self._simple_coroots[i], d2))
-        return tuple(x - p * a for x, a in zip(d2, self._simple_fw[i]))
-
     def is_dominant(self, lam):
         d2 = lam.d2
         return all(sum(map(mul, v, d2)) >= 0 for v in self._simple_coroots)
@@ -448,11 +431,13 @@ class Subsystem:
         return _weight_of(packing.unpack(q))
 
     def apply(self, w, lam):
-        """Action of a WeylElement: s_{w[0]} s_{w[1]} ... applied to lam."""
-        d2 = lam.d2
+        """Action of a WeylElement: s_{w[0]} s_{w[1]} ... applied to lam,
+        packed with zero (the linear action) and unpacked once."""
+        packing = _packing(self, _reach([lam.d2]))
+        q = packing.pack(lam.d2) + packing.zero
         for i in reversed(w.word):
-            d2 = self._reflect2(d2, i)
-        return _weight_of(d2)
+            q = packing.reflect(q, i)
+        return _weight_of(packing.unpack(q))
 
 
 def full_subsystem(rs):
@@ -749,11 +734,12 @@ class VirtualCharacter:
         return sum(m * _weyl_product(sub, pairings(q)) for q, m in self._packed.items())
 
     def dual(self, sub):
-        """Contragredient: V_lam -> V_{-w0 lam}.  The series does not call
-        it: it dualizes by Serre duality (see nilcone.series)."""
+        """Contragredient: V_lam -> V_{-w0 lam}, -w0 lam being the dominant
+        weight in the orbit of -lam.  The series does not call it: it
+        dualizes by Serre duality (see nilcone.series)."""
         out = {}
         for w, m in self._terms.items():
-            d = _weight_of(tuple(sum(map(mul, row, w.d2)) for row in sub._minus_w0))
+            d = sub.dominant_representative(-w)
             out[d] = out.get(d, 0) + m
         return VirtualCharacter(out)
 

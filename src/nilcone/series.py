@@ -85,21 +85,29 @@ def sym_weights(weights, k):
 
 
 def _series(lams, gd, kd, N, form):
-    """The series of each twist in lams, yielded in order (see the module
-    docstring): one packed Sym^k(-(u cap p)) and one regularization table,
-    whose packing bounds every Sym^k weight plus every shift of the call."""
+    """An iterator over the series of each twist in lams, in order (see the
+    module docstring): one packed Sym^k(-(u cap p)) and one regularization
+    table, whose packing bounds every Sym^k weight plus every shift of the
+    call.  Each series is signed by (-1)^l(w0), l(w0) = |positive roots of
+    K|.  A negative N raises InputError here, before any series."""
+    if N < 0:
+        raise InputError("degree bound N must be >= 0, got %d" % N)
     gens = [tuple(map(neg, w.d2)) for w in gd.u_cap_p_weights()]
     two_rho = kd.rho + kd.rho
     shifts = [-lam - two_rho for lam in lams]
     table = _Table(_packing(kd, N * _reach(gens)
                             + _reach([s.d2 for s in shifts])))
     syms = _sym([table.packing.pack(g) for g in gens], N)
-    for lam, shift in zip(lams, shifts):
+    odd = len(kd.positive_roots) % 2
+
+    def series(lam, shift):
         chi = [euler_of_weights(sym, kd, shift=shift, seen=table) for sym in syms]
-        if kd._w0_length % 2:
+        if odd:
             chi = [-c for c in chi]
-        yield GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values,
-                                    form=form)
+        return GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values,
+                                     form=form)
+
+    return map(series, lams, shifts)
 
 
 def euler_series(lam, gd, kd, N, form=""):
@@ -205,13 +213,17 @@ def _weyl_images(kd, words, lam):
     """[kd.apply(w, lam) for w in words], one simple reflection per word.
 
     words lists every word (i,) + parent after its parent, as weyl_elements
-    does, so w(lam) = s_i(parent(lam)) reflects the parent's image once
-    (Casselman, as in weyl_elements)."""
+    does, so w(lam) = s_i(parent(lam)) reflects the parent's packed image
+    once (Casselman, as in weyl_elements); lam is packed once, with zero
+    (the linear action), and each image unpacked once."""
+    packing = _packing(kd, _reach([lam.d2]))
+    reflect, unpack = packing.reflect, packing.unpack
     image = {}
     for w in words:
         word = w.word
-        image[word] = kd._reflect2(image[word[1:]], word[0]) if word else lam.d2
-    return [_weight_of(image[w.word]) for w in words]
+        image[word] = (reflect(image[word[1:]], word[0]) if word
+                       else packing.pack(lam.d2) + packing.zero)
+    return [_weight_of(unpack(image[w.word])) for w in words]
 
 
 def _alternating_sum(mu, lam, kd, words, count):
@@ -239,17 +251,19 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
     """
     rs = gd.rs
     ups = gd.u_cap_p_weights()
-    heights = [sum(rs.root_coords_of_weight(w)) for w in ups]
-    min_h = min(heights) if heights else 1
+    # heights in root coordinates times rs._root_den: one positive scale, so
+    # floor(h / min_h) and the sign of h are those of the exact heights
+    heights = [sum(rs._root_num(w)) for w in ups]
+    min_h = min(heights, default=rs._root_den)
     words = weyl_elements(kd)
     base = euler_series(lam, gd, kd, max_degree, form=form)
     mus = {w for chi in base.chi for w, _ in chi.items()}
     needed = {}
     for mu in mus:
         mu_star = kd.dominant_representative(-mu)
-        hs = [sum(rs.root_coords_of_weight(image - kd.rho - lam))
+        hs = [sum(rs._root_num(image - kd.rho - lam))
               for image in _weyl_images(kd, words, mu_star + kd.rho)]
-        needed[mu] = max([int(h // min_h) for h in hs if h >= 0], default=0)
+        needed[mu] = max([h // min_h for h in hs if h >= 0], default=0)
     k_far = max([max_degree, *needed.values()])
     ext = euler_series(lam, gd, kd, k_far, form=form) if k_far > max_degree else base
     count = partition_counter(rs, ups)

@@ -205,17 +205,18 @@ def _k_of(name):
 
 @pytest.mark.parametrize("name", KERNEL_FORMS)
 def test_packed_kernel_matches_the_tuple_kernel(name):
-    # seeded multisets with repeats and negative coordinates, Weights and d2
-    # tuples, shifts of both signs and shifts that put weights on walls; one
-    # table per kernel shared over all shifts
+    # seeded multisets with repeats and negative coordinates, shifts of both
+    # signs and shifts that put weights on walls; one table per kernel shared
+    # over all shifts
     rs, kd = _k_of(name)
     rng = random.Random(47)
-    pool = [tuple(rng.randint(-6, 6) for _ in range(rs.rank)) for _ in range(10)]
+    pool = [rd._weight_of(tuple(rng.randint(-6, 6) for _ in range(rs.rank)))
+            for _ in range(10)]
     weights = [rng.choice(pool) for _ in range(30)]
-    weights += [rd._weight_of(d2) for d2 in pool[:3]]  # a Weight equal to a tuple
+    weights += pool[:3]
     shifts = [None, rd._weight_of(tuple(rng.randint(-9, 9) for _ in range(rs.rank)))]
     # pool[i] + shift + rho_K = 0 pairs to 0 with every coroot: a wall
-    shifts += [-rd._weight_of(d2) - kd.rho for d2 in pool[:2]]
+    shifts += [-lam - kd.rho for lam in pool[:2]]
     packed_seen, tuple_seen = {}, {}
     for shift in shifts + shifts[:2]:
         want = euler_of_tuples(weights, kd, shift=shift, seen=tuple_seen)
@@ -247,11 +248,11 @@ def test_packed_kernel_at_the_slot_bound(name):
         b = reach - a
         weights = [tuple(a * s for s in signs)
                    for signs in product((-1, 0, 1), repeat=min(rs.rank, 4))]
-        weights = [d2 + (0,) * (rs.rank - len(d2)) for d2 in weights]
+        weights = [rd._weight_of(d2 + (0,) * (rs.rank - len(d2))) for d2 in weights]
         shifts = [rd._weight_of((b,) * rs.rank), rd._weight_of((-b,) * rs.rank),
                   rd._weight_of(tuple(b * (-1) ** j for j in range(rs.rank)))]
         for shift in shifts:
-            assert rd._reach([shift.d2]) + rd._reach(weights) == reach
+            assert rd._reach([shift.d2]) + rd._reach([w.d2 for w in weights]) == reach
             got = bott.euler_of_weights(weights, kd, shift=shift)
             assert got == euler_of_tuples(weights, kd, shift=shift)
 
@@ -259,7 +260,8 @@ def test_packed_kernel_at_the_slot_bound(name):
 def test_slot_width_grows_past_64_bits():
     rs, kd = _k_of("su(2,2)")
     big = 3 ** 50  # well past a 64-bit slot
-    weights = [(big, -big, 2), (-big, 0, big), (1, 2, 3), (1, 2, 3)]
+    weights = [rd._weight_of(d2)
+               for d2 in [(big, -big, 2), (-big, 0, big), (1, 2, 3), (1, 2, 3)]]
     shift = rd._weight_of((4, -big, 0))
     assert rd._packing(kd, 2 * big).width == 128
     assert bott.euler_of_weights(weights, kd, shift=shift) == \
@@ -272,7 +274,7 @@ def test_a_shared_table_keeps_packings_apart():
     # in 16-bit slots with the same digit 8.  The width slot of the key keeps
     # the two table entries apart.
     rs, kd = _k_of("su(2,1)")
-    small, large = [(-61, -61)], [(-16381, -16381)]
+    small, large = [rd._weight_of((-61, -61))], [rd._weight_of((-16381, -16381))]
     assert rd._packing(kd, 61).width == 8 and rd._packing(kd, 16381).width == 16
     seen = {}
     for weights in (small, large, small):

@@ -256,7 +256,7 @@ def test_budget_exhausted_check_is_inconclusive(monkeypatch):
     assert verdicts["hilbert"]["detail"] == {
         "error": "evaluation ranks did not stabilize", "partial": [1, 4, 9]}
     assert report["verdict"] == "INCONCLUSIVE"
-    assert cli._exit_code(report) == 2
+    assert cli._exit_code(report["verdict"]) == 2
 
     # FAIL > INCONCLUSIVE > HYPOTHESIS-UNMET
     unmet = cli.verify_form("su(2,1)", kmax=3, checks=("vanishing", "hilbert"),
@@ -266,7 +266,7 @@ def test_budget_exhausted_check_is_inconclusive(monkeypatch):
     assert unmet["verdict"] == "INCONCLUSIVE"
     monkeypatch.setattr(oc, "verify_grading_dims", lambda *args: (False, {}))
     failed = cli.verify_form("su(2,1)", kmax=3, checks=("grading", "hilbert"))
-    assert failed["verdict"] == "FAIL" and cli._exit_code(failed) == 1
+    assert failed["verdict"] == "FAIL" and cli._exit_code(failed["verdict"]) == 1
 
 
 def test_qct_evidence_is_billed_to_qct(monkeypatch):
@@ -406,3 +406,50 @@ def test_int_twist_box_equals_the_benchmark_box(name):
             box = cli._qk_dominant_box(rs, pd, kd, bound=bound)
             assert box == workloads.qk_dominant_box(rs, pd, kd, bound=bound)
             assert box
+
+
+def test_negative_degree_bound_is_refused_before_any_check(monkeypatch):
+    # a negative degree bound leaves nothing to check, so verify_form
+    # refuses it before building the form
+    def no_form(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "standard_form_catalog", no_form)
+    for kwargs in ({"N": -1, "checks": ("vanishing",)},
+                   {"N": -2, "checks": ("blattner",)},
+                   {"kmax": -1, "checks": ("hilbert",)},
+                   {"N": "-1"}):
+        with pytest.raises(InputError):
+            cli.verify_form("su(2,1)", **kwargs)
+        with pytest.raises(InputError):
+            cli.run({"form": "su(2,1)", **kwargs})
+
+
+@pytest.mark.parametrize("argv", [
+    "verify --form su(1,1) --N -1 --checks vanishing",
+    "verify --form su(2,1) --N -2 --checks blattner",
+    "verify --form su(2,1) --kmax -1 --checks hilbert",
+    "verify-vanishing --form su(2,1) --H 2,2 --lambda 0,0 --N -1",
+    "hilbert --form su(2,1) --H 2,2 --N -3",
+    "components --form su(2,1) --H 2,2 --N -1",
+    "oracle hilbert --form su(2,1) --kmax -2",
+])
+def test_negative_degree_bound_exits_2(capsys, argv):
+    code, out, err = _run(capsys, *shlex.split(argv))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert ">= 0" in json.loads(err)["error"]
+
+
+def test_zero_degree_bounds_still_run(capsys):
+    report = cli.verify_form("su(2,1)", N=0, kmax=0,
+                             checks=("vanishing", "hilbert", "blattner"))
+    assert [c["verdict"] for c in report["checks"]] == ["PASS"] * 3
+    assert report["checks"][1]["detail"] == {"series": [1], "oracle": [1]}
+    assert report["checks"][2]["detail"] == {"types_checked": 1}
+    for argv, key, want in (
+            ("verify-vanishing --form su(2,1) --H 2,2 --lambda 0,0 --N 0", "verdict", "PASS"),
+            ("hilbert --form su(2,1) --H 2,2 --N 0", "dims", [1]),
+            ("components --form su(2,1) --H 2,2 --N 0", "total_dims", [1]),
+            ("oracle hilbert --form su(2,1) --kmax 0", "dims", [1])):
+        code, out, _ = _run(capsys, *shlex.split(argv))
+        assert code == 0 and json.loads(out)[key] == want

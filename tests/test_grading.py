@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from nilcone import grading as gr
 from nilcone import realform as rf
 from nilcone import rootdata as rd
-from nilcone.errors import InputError, OddGradingError
+from nilcone.errors import InputError, OddGradingError, OutOfScopeError
 
 
 def _form(name):
@@ -137,6 +138,52 @@ def test_is_qk_dominant_examples():
     assert not gr.is_QK_dominant(rd.weight(0, 1), pd2, kd2)
     assert gr.is_QK_dominant(rd.weight(0, 0), pd2, kd2)
     assert gr.is_QK_dominant(rd.weight(1, 0), pd2, kd2)
+
+
+_TABLE_A_FORMS = ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)", "su(3,1)", "sp(6,R)",
+                  "su(3,2)", "so*(8)", "su(4,2)", "su(3,3)", "so*(10)", "sp(2,2)",
+                  "sp(8,R)")
+
+
+def _qk_dominant_by_pairing(lam, pd, kd):
+    """Reference: is_QK_dominant as it ran on rs.pairing (Fractions for
+    half-integral pairings)."""
+    for b in kd.simple_roots:
+        if kd.rs.pairing(lam, b) < 0:
+            return False
+    for b in pd.simple_l_k_roots:
+        if kd.rs.pairing(lam, b) != 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", _TABLE_A_FORMS)
+def test_qk_dominance_matches_the_pairing_version(name):
+    # the integral +-2 box and seeded half-integral twists at the form's
+    # presentation, or at three gradings of a searched form, H = 0 (whose
+    # Levi holds every simple root of K) among them
+    rs, eps = rf.standard_form_catalog(name)
+    try:
+        presentations = [rf.principal_presentation(name)[1:]]
+    except OutOfScopeError:
+        presentations = [(eps, h) for h in ((0,) * rs.rank, (2,) + (0,) * (rs.rank - 1),
+                                            (0,) * (rs.rank - 1) + (2,))]
+    rng = random.Random(name)
+    levi_refused = 0
+    for eps, h in presentations:
+        gd = gr.grade(rs, eps, h)
+        kd, pd = gd.k_root_datum(), gr.parabolic(gd)
+        lams = [rd.Weight(c) for c in product(range(-2, 3), repeat=rs.rank)]
+        lams += [rd._weight_of(tuple(rng.randint(-5, 5) for _ in range(rs.rank)))
+                 for _ in range(200)]
+        for lam in lams:
+            want = _qk_dominant_by_pairing(lam, pd, kd)
+            assert gr.is_QK_dominant(lam, pd, kd) is want
+            levi_refused += kd.is_dominant(lam) and not want
+    # K-dominant twists that a Levi root refuses: every form but su(1,1)
+    # (K a torus) and the pinned forms whose Levi meets k in the torus
+    assert (levi_refused > 0) is (name not in ("su(1,1)", "su(2,1)", "sp(4,R)",
+                                               "su(2,2)"))
 
 
 def test_k_root_datum_is_built_once_on_demand(monkeypatch):

@@ -397,6 +397,16 @@ def test_coordinate_ring_zero_is_point():
     assert oc.coordinate_ring_dims(real, la.zeros(2, 2), 3, 7) == [1, 0, 0, 0]
 
 
+def test_coordinate_ring_negative_degree_bound_is_input_error():
+    # k_max = -1 would give [1], one degree more than asked for
+    real = oc.realize("su(1,1)")
+    x = real.root_vector(real.rs.simple_roots[0])
+    for k_max in (-1, -2):
+        with pytest.raises(InputError):
+            oc.coordinate_ring_dims(real, x, k_max, 7)
+    assert oc.coordinate_ring_dims(real, x, 0, 7) == [1]
+
+
 def test_coordinate_ring_su21_pinned_and_seed_stable():
     # values pinned from the first oracle runs; two seeds must agree
     real = oc.realize("su(2,1)")

@@ -358,6 +358,13 @@ def test_packed_sweep_matches_the_list_sweep(form):
     assert walls >= 15 if kd.rank else walls == 0
 
 
+def _reflect2(sub, d2, i):
+    """Reference: the i-th simple reflection of doubled coordinates d2, the
+    tuple kernel that Subsystem.apply ran on before the packed one."""
+    p = sum(map(mul, sub._simple_coroots[i], d2))
+    return tuple(x - p * a for x, a in zip(d2, sub._simple_fw[i]))
+
+
 def _tuple_weyl_words(sub):
     """Reference: weyl_elements' BFS as it ran on d2 tuples, one simple
     reflection per candidate, keyed on the image of rho_sub."""
@@ -367,7 +374,7 @@ def _tuple_weyl_words(sub):
         nxt = []
         for word, img in frontier:
             for i in range(sub.rank):
-                cand = sub._reflect2(img, i)
+                cand = _reflect2(sub, img, i)
                 if cand not in seen:
                     seen[cand] = (i,) + word
                     nxt.append(((i,) + word, cand))
@@ -379,6 +386,26 @@ def _tuple_weyl_words(sub):
 def test_packed_weyl_bfs_matches_the_tuple_bfs(form):
     kd = _k_datum(form)
     assert [w.word for w in rd.weyl_elements(kd)] == _tuple_weyl_words(kd)
+
+
+@pytest.mark.parametrize("form", _TABLE_A_FORMS + _LADDER_FORMS)
+def test_packed_apply_matches_the_tuple_kernel(form):
+    # every Weyl word of K on rho_K, 0, seeded half-integral weights and one
+    # past a 64-bit slot, against the tuple reflections applied right to left
+    kd = _k_datum(form)
+    rank = kd.rs.rank
+    rng = random.Random(form)
+    lams = [kd.rho, rd.zero_weight(rank), rd._weight_of((3 ** 45,) * rank)]
+    lams += [rd._weight_of(tuple(rng.randint(-9, 9) for _ in range(rank)))
+             for _ in range(2)]
+    words = rd.weyl_elements(kd)
+    for lam in lams:
+        for w in words:
+            want = lam.d2
+            for i in reversed(w.word):
+                want = _reflect2(kd, want, i)
+            got = kd.apply(w, lam)
+            assert got.__class__ is rd.Weight and got.d2 == want
 
 
 def test_weyl_element_length_is_inversions():
@@ -584,6 +611,47 @@ def test_dual_is_the_dominant_weight_of_the_negative(form):
         walked[d] = walked.get(d, 0) + m
     assert chi.dual(kd) == rd.VirtualCharacter(walked)
     assert chi.dual(kd).dual(kd) == chi
+
+
+def _minus_w0_dual(sub, chi):
+    """Reference: dual as it ran on the -w0 matrix, built from the word
+    that sweeps -2 rho_sub + rho_sub to rho_sub with the tuple kernel."""
+    minus_two_rho = tuple(-2 * x for x in sub.rho.d2)
+    packing = rd._packing(sub, rd._reach([minus_two_rho]))
+    word = packing.sweep(packing.pack(minus_two_rho) + packing.bias)[1]
+    assert len(word) == len(sub.positive_roots)
+    columns = []
+    for j in range(sub.rs.rank):
+        d2 = tuple(int(i == j) for i in range(sub.rs.rank))
+        for i in word:
+            d2 = _reflect2(sub, d2, i)
+        columns.append(tuple(-x for x in d2))
+    rows = tuple(zip(*columns))
+    out = {}
+    for w, m in chi.items():
+        d = rd._weight_of(tuple(sum(map(mul, row, w.d2)) for row in rows))
+        out[d] = out.get(d, 0) + m
+    return rd.VirtualCharacter(out)
+
+
+@pytest.mark.parametrize("form", _TABLE_A_FORMS + _LADDER_FORMS)
+def test_dual_matches_the_minus_w0_matrix(form):
+    # dominant terms, half-integral ones and a term past a 64-bit slot; the
+    # packed character of a Bott sum of integral weights too (its terms are
+    # dominant)
+    kd = _k_datum(form)
+    rank = kd.rs.rank
+    rng = random.Random(form)
+    terms = {kd.dominant_representative(rd._weight_of((3 ** 45,) * rank)): 2}
+    for _ in range(12):
+        lam = kd.dominant_representative(
+            rd._weight_of(tuple(rng.randint(-9, 9) for _ in range(rank))))
+        terms[lam] = terms.get(lam, 0) + rng.choice([-2, -1, 1, 3])
+    for chi in (rd.VirtualCharacter(terms),
+                euler_of_weights([rd._weight_of(tuple(2 * rng.randint(-3, 3)
+                                                      for _ in range(rank)))
+                                  for _ in range(8)], kd)):
+        assert chi.dual(kd) == _minus_w0_dual(kd, chi)
 
 
 # -- Kostant partition function ----------------------------------------------------

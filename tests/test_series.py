@@ -102,7 +102,7 @@ def _tuple_series(lams, gd, kd, N):
     for lam in lams:
         shift = -lam - kd.rho - kd.rho
         chi = [euler_of_tuples(sym, kd, shift=shift, seen=seen) for sym in syms]
-        yield [-c for c in chi] if kd._w0_length % 2 else chi
+        yield [-c for c in chi] if len(kd.positive_roots) % 2 else chi
 
 
 def test_euler_series_matches_the_tuple_kernel_on_a_box():
@@ -296,7 +296,9 @@ def test_serre_duality_series_is_the_dual_euler_characteristic(name, h):
     # dominant twists and on non-dominant ones
     from nilcone import bott
     rs, gd, kd, box = _box_context(name, h)
-    assert kd._w0_length == len(kd.positive_roots)
+    # the series signs by l(w0) = |positive roots of K|: w0 sweeps -rho_K
+    # to rho_K, one reflection per positive root
+    assert rd.make_dominant(kd, -kd.rho - kd.rho)[0].length == len(kd.positive_roots)
     pd = gr.parabolic(gd)
     outside = [lam for lam in (rd.Weight(c) for c in product(range(-2, 3),
                                                               repeat=rs.rank))
@@ -353,14 +355,14 @@ def test_weyl_images_reflect_once_per_word(name, h, monkeypatch):
     rng = random.Random(59)
     lams = [kd.rho, rd.Weight(tuple(F(rng.randint(-5, 5), 2) for _ in range(rs.rank)))]
     want = [[kd.apply(w, lam) for w in words] for lam in lams]
-    reflect2 = kd._reflect2
+    reflect = rd._Packing.reflect
     calls = []
 
-    def counted(d2, i):
+    def counted(packing, q, i):
         calls.append(i)
-        return reflect2(d2, i)
+        return reflect(packing, q, i)
 
-    monkeypatch.setattr(kd, "_reflect2", counted)
+    monkeypatch.setattr(rd._Packing, "reflect", counted)
     assert [se._weyl_images(kd, words, lam) for lam in lams] == want
     assert len(calls) == len(lams) * (len(words) - 1)
 
@@ -580,7 +582,7 @@ def test_odd_w0_series_negate_packed_characters():
             h = (2,) + (0,) * (rs.rank - 1)
         gd = gr.grade(rs, eps, h)
         kd = gd.k_root_datum()
-        if kd._w0_length % 2 == 0:
+        if len(kd.positive_roots) % 2 == 0:
             continue
         odd.append(name)
         lams = [rd.zero_weight(rs.rank)] + cli._qk_dominant_box(
@@ -607,3 +609,20 @@ def test_nonnegative_packed_character_builds_no_weight(monkeypatch):
     q = next(iter(mixed._packed))
     mixed._packed[q] = -mixed._packed[q]
     assert len(mixed.negatives()) == 1 and len(built) == 1
+
+
+def test_negative_degree_bound_is_input_error():
+    # the series refuses N < 0 when called, before any series is built; a
+    # box whose twists all lie outside the cone included
+    rs, gd, kd, box = _box_context("su(2,1)")
+    outside = rd.weight(-1, 0)
+    assert not gr.is_QK_dominant(outside, gr.parabolic(gd), kd)
+    for call in (lambda: se.euler_series(box[0], gd, kd, -1),
+                 lambda: se.hilbert_series(gd, kd, -3),
+                 lambda: se.verify_vanishing(box[0], gd, kd, -1),
+                 lambda: se.verify_vanishing_box([outside], gd, kd, -1),
+                 lambda: se.components_split([gd], kd, -1),
+                 lambda: se.blattner_series_identity(gd, kd, box[0], -2)):
+        with pytest.raises(InputError):
+            call()
+    assert se.hilbert_series(gd, kd, 0) == [1]
