@@ -39,7 +39,7 @@ INCONCLUSIVE = "INCONCLUSIVE"
 def _parse_ints(text):
     try:
         return tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise InputError("expected comma-separated integers, got %r" % text) from exc
 
 
@@ -177,18 +177,15 @@ def cmd_components(args):
 def cmd_qct(args):
     if not args.form:
         raise InputError("qct-report needs a named catalog form")
-    label, rs, eps = _resolve_form(args)
-    real = oc.realize(args.form)
-    evidence = oc.qct_evidence(real, args.seed)
-    _emit(args, se.qct_report(label, evidence))
+    evidence = oc.qct_evidence(oc.realize(args.form), args.seed)
+    _emit(args, se.qct_report(args.form, evidence))
     return EXIT_PASS
 
 
 def cmd_oracle(args):
     if not args.form:
         raise InputError("oracle subcommands need a named catalog form")
-    label, rs, eps = _resolve_form(args)
-    real = oc.realize(args.form)
+    label, real = args.form, oc.realize(args.form)
     if args.oracle_cmd == "triple":
         x = oc.principal_nilpotent_search(real, args.seed)
         triple = oc.ks_normalize(real, oc.jm_triple(real, x))
@@ -206,13 +203,15 @@ def cmd_oracle(args):
         })
         return EXIT_PASS
     if args.oracle_cmd == "hilbert":
+        if args.kmax < 0:  # refused before the search
+            raise InputError("kmax must be >= 0, got %d" % args.kmax)
         x = oc.principal_nilpotent_search(real, args.seed)
         dims = oc.coordinate_ring_dims(real, x, args.kmax, args.seed)
         _emit(args, {"form": label, "seed": args.seed, "kmax": args.kmax,
                      "dims": dims})
         return EXIT_PASS
     if args.oracle_cmd == "verify-grading":
-        gd = gr.grade(rs, eps, _parse_ints(args.H))
+        gd = gr.grade(real.rs, real.eps, _parse_ints(args.H))
         h = real.cartan_element_from_h(gd.H.h_values)
         ok, detail = oc.verify_grading_dims(real, h, gd)
         _emit(args, {"form": label, "H": list(gd.H.h_values), "match": ok,
@@ -261,25 +260,26 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
                 H=None, lam_list=None):
     """Run every check for a named form and assemble a report.
 
-    checks is anything parse_checks accepts; N, seed and kmax are ints or
-    strings of one, and a negative N or kmax is refused.  Uses an explicit
-    grading H when supplied, else the principal-aligned presentation when
-    one is pinned for the form, else the best confirmed grading found by
-    the even-grading search.  lam_list, when given, replaces the sampled weight
-    box of the vanishing check; it must list rank integers
-    (fundamental-weight coordinates), since only an integral weight defines
-    a line bundle.  Malformed input is rejected before any check runs.
+    Its defaults are the only ones a job has.  checks is anything
+    parse_checks accepts; N, seed and kmax are ints or strings of one, and
+    a negative N or kmax is refused.  H is the explicit grading when
+    supplied, else the form's pinned principal grading, else the best
+    confirmed grading found by the even-grading search.  lam_list, when
+    given, replaces the sampled weight box of the vanishing check; it must
+    list rank integers (fundamental-weight coordinates), since only an
+    integral weight defines a line bundle.  Malformed input is rejected
+    before any check runs.
     """
     N, seed, kmax = _as_int(N, "N"), _as_int(seed, "seed"), _as_int(kmax, "kmax")
     for value, what in ((N, "N"), (kmax, "kmax")):
         if value < 0:
             raise InputError("%s must be >= 0, got %d" % (what, value))
     checks = parse_checks(checks)
-    rs, catalog_eps = standard_form_catalog(form)
-    orbit_dims = None  # the searched gradings' orbit dims, which qct reports too
+    rs, eps = standard_form_catalog(form)
     lam_given = None if lam_list is None else _integral_weight(lam_list, rs.rank)
+    real = oc.realize(form)
+    orbit_dims = None  # the searched gradings' orbit dims, which qct reports too
     if H is not None:
-        eps = catalog_eps
         if not isinstance(H, (list, tuple)):
             raise InputError("H must be a list of integers or \"search\", got %r"
                              % (H,))
@@ -287,11 +287,10 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         presentation = "config"
     else:
         try:
-            rs, eps, h_values = principal_presentation(form)
+            h_values = principal_presentation(form)[2]
             presentation = "principal"
         except OutOfScopeError:
-            eps = catalog_eps
-            orbit_dims = oc.even_grading_orbit_dims(oc.realize(form, eps=eps), seed)
+            orbit_dims = oc.even_grading_orbit_dims(real, seed)
             if not orbit_dims:
                 raise InputError("no confirmed even grading found for %r" % form)
             # prefer gradings whose bundle dimension matches the orbit
@@ -302,7 +301,6 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
                 if orbit_dim == len(gd_c.u_cap_k) + len(gd_c.u_cap_p):
                     h_values = h_c
             presentation = "searched"
-    real = oc.realize(form, eps=eps)
     gd = gr.grade(rs, eps, h_values)
     kd = gd.k_root_datum()
     pd = gr.parabolic(gd)
@@ -497,22 +495,23 @@ def _exit_code(verdict):
     return {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL}.get(verdict, EXIT_INPUT)
 
 
+# A job config's keys and the verify_form parameters they set ("out" is a
+# file for the report)
+_JOB_KEYS = {"form": "form", "H": "H", "lambda": "lam_list", "N": "N",
+             "seed": "seed", "kmax": "kmax", "checks": "checks", "out": None}
+
+
 def run(config, timings=False):
-    """Execute a JobConfig dict: validate, run selected checks, return the report."""
+    """Run a job config dict, passing verify_form only the keys it has; any
+    other key is an InputError before a check runs."""
     if not isinstance(config, dict) or "form" not in config:
         raise InputError("pipeline runs need a named catalog form")
-    form = config["form"]
-    h_conf = config.get("H")
-    if h_conf == "search":
-        h_conf = None
-    report = verify_form(form,
-                         N=config.get("N", 6),
-                         seed=config.get("seed", 7),
-                         kmax=config.get("kmax", 3),
-                         checks=config.get("checks", "all"),
-                         timings=timings,
-                         H=h_conf,
-                         lam_list=config.get("lambda"))
+    unknown = set(config) - set(_JOB_KEYS)
+    if unknown:
+        raise InputError("unknown config keys %s" % sorted(map(str, unknown)))
+    params = {_JOB_KEYS[key]: value for key, value in config.items()
+              if _JOB_KEYS[key] and not (key == "H" and value == "search")}
+    report = verify_form(timings=timings, **params)
     out = config.get("out")
     if out:
         with open(out, "w") as fh:
@@ -523,8 +522,9 @@ def run(config, timings=False):
 def cmd_run(args):
     """run --config, and verify, whose flags make the config."""
     if args.cmd == "verify":
-        config = {"form": args.form, "N": args.N, "seed": args.seed,
-                  "kmax": args.kmax, "checks": args.checks}
+        # an unset flag is absent from args
+        config = {key: value for key, value in vars(args).items()
+                  if key in ("form", "N", "seed", "kmax", "checks")}
     else:
         try:
             with open(args.config) as fh:
@@ -607,10 +607,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run every check for a named form")
     p.add_argument("--form", required=True)
-    p.add_argument("--N", type=int, default=6)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--checks", default="all",
+    p.add_argument("--N", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--kmax", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--checks", default=argparse.SUPPRESS,
                    help="all, or a comma-separated subset of: %s" % ",".join(ALL_CHECKS))
     p.add_argument("--timings", action="store_true")
     p.add_argument("--json-out", dest="json_out")

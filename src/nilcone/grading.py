@@ -14,7 +14,7 @@ is only asserted when H is dominant.
 
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
+from operator import index, mul
 
 from .errors import ConsistencyError, InputError, OddGradingError
 from .realform import cartan_decomposition, k_root_datum
@@ -120,11 +120,15 @@ class ParabolicData:
 def grade(rs, eps, H, require_even=True):
     """Sort every root into its degree layer and sign.
 
-    With require_even (the main, in-scope case) any odd root degree raises
+    A non-integer entry of H is an InputError, never truncated.  With
+    require_even (the main, in-scope case) any odd root degree raises
     OddGradingError.
     """
     if isinstance(H, (tuple, list)):
-        H = GradingElement(tuple(int(h) for h in H))
+        try:
+            H = GradingElement(tuple(map(index, H)))
+        except TypeError as exc:
+            raise InputError("H entries must be integers, got %r" % (H,)) from exc
     if len(H.h_values) != rs.rank:
         raise InputError("grading element length %d != rank %d"
                          % (len(H.h_values), rs.rank))

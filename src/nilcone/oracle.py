@@ -43,8 +43,8 @@ from operator import mul
 
 from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
-from .realform import (EqualRankInvolution, cartan_decomposition,
-                       standard_form_catalog)
+from .realform import (EqualRankInvolution, _normalize_name,
+                       cartan_decomposition, standard_form_catalog)
 from .rootdata import Root, Weight
 
 F = Fraction
@@ -433,6 +433,7 @@ def realize(name, eps=None):
         eps = catalog_eps
     elif not isinstance(eps, EqualRankInvolution):
         eps = EqualRankInvolution(tuple(eps))
+    name = _normalize_name(name)
     key = (name, eps.epsilon)
     if key in _REALIZE_CACHE:
         return _REALIZE_CACHE[key]

@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from .errors import ConsistencyError, InputError, OutOfScopeError
 from .rootdata import Subsystem, build_root_system
 
-# Forms whose principal nilpotent admits a dominant even grading in the
-# listed sign convention.  The catalog entry for a form is its standard
-# (Vogan-diagram / matrix-model) convention, which for some forms differs
-# from the principal-aligned one; keep both.
+# The pinned principal grading H of four forms.  The catalog gives them the
+# principal-aligned convention, every simple root noncompact, so each form
+# has one sign convention in every command.
 _PRINCIPAL_PRESENTATIONS = {
-    "su(1,1)": ((-1,), (2,)),
-    "su(2,1)": ((-1, -1), (2, 2)),
-    "su(2,2)": ((-1, -1, -1), (2, 2, 2)),
-    "sp(4,R)": ((-1, -1), (2, 2)),
+    "su(1,1)": (2,),
+    "su(2,1)": (2, 2),
+    "su(2,2)": (2, 2, 2),
+    "sp(4,R)": (2, 2),
 }
 
 
@@ -86,7 +85,7 @@ def k_root_datum(cd):
 def _normalize_name(name):
     name = name.strip().replace(" ", "")
     name = name.replace("ℝ", "R").replace("ℂ", "C").replace("ℍ", "H")
-    return name
+    return re.sub(r"(?i)^sp\((\d+),r\)$", r"sp(\1,R)", name)
 
 
 _OUT_OF_SCOPE_PATTERNS = (
@@ -101,77 +100,52 @@ _OUT_OF_SCOPE_PATTERNS = (
 def standard_form_catalog(name):
     """Named equal-rank real forms: su(p,q), sp(p,q), sp(2n,R), so*(2n).
 
-    Returns (RootSystem, EqualRankInvolution) in a pinned sign convention.
-    Non-equal-rank or unrecognized names raise OutOfScopeError.
+    Returns (RootSystem, EqualRankInvolution) in the form's one sign
+    convention: every simple root noncompact for a pinned form, else the
+    one noncompact simple root of its Vogan diagram.  Non-equal-rank or
+    unrecognized names raise OutOfScopeError.
     """
     norm = _normalize_name(name)
     for pattern, why in _OUT_OF_SCOPE_PATTERNS:
         if re.match(pattern, norm, re.IGNORECASE):
             raise OutOfScopeError("out of scope: %s (%s)" % (name, why))
 
-    m = re.match(r"^su\((\d+),(\d+)\)$", norm)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
+    if m := re.match(r"^su\((\d+),(\d+)\)$", norm):
+        p, q = int(m[1]), int(m[2])
         if p < 1 or q < 1:
             raise InputError("su(p,q) needs p, q >= 1")
-        rank = p + q - 1
-        rs = build_root_system("A", rank)
-        if (p, q) == (2, 1):
-            # principal-aligned convention pinned for this form
-            eps = (-1, -1)
-        else:
-            eps = tuple(-1 if i == p else 1 for i in range(1, rank + 1))
-        return rs, EqualRankInvolution(eps)
-
-    m = re.match(r"^sp\((\d+),R\)$", norm, re.IGNORECASE)
-    if m:
-        two_n = int(m.group(1))
+        rs, noncompact = build_root_system("A", p + q - 1), p
+    elif m := re.match(r"^sp\((\d+),R\)$", norm):
+        two_n = int(m[1])
         if two_n % 2 or two_n < 4:
             raise InputError("sp(2n,R) needs even 2n >= 4")
-        n = two_n // 2
-        rs = build_root_system("C", n)
-        eps = tuple([1] * (n - 1) + [-1])  # long simple root noncompact
-        return rs, EqualRankInvolution(eps)
-
-    m = re.match(r"^sp\((\d+),(\d+)\)$", norm)
-    if m:
-        p, q = int(m.group(1)), int(m.group(2))
+        rs, noncompact = build_root_system("C", two_n // 2), two_n // 2
+    elif m := re.match(r"^sp\((\d+),(\d+)\)$", norm):
+        p, q = int(m[1]), int(m[2])
         if p < 1 or q < 1:
             raise InputError("sp(p,q) needs p, q >= 1")
-        n = p + q
-        if n < 2:
-            raise InputError("sp(p,q) needs rank >= 2")
-        rs = build_root_system("C", n)
-        eps = tuple(-1 if i == p else 1 for i in range(1, n + 1))
-        return rs, EqualRankInvolution(eps)
-
-    m = re.match(r"^so\*\((\d+)\)$", norm)
-    if m:
-        two_n = int(m.group(1))
+        rs, noncompact = build_root_system("C", p + q), p
+    elif m := re.match(r"^so\*\((\d+)\)$", norm):
+        two_n = int(m[1])
         if two_n % 2 or two_n < 6:
             raise InputError("so*(2n) needs even 2n >= 6")
-        n = two_n // 2
-        rs = build_root_system("D", n)
-        eps = tuple([1] * (n - 1) + [-1])
-        return rs, EqualRankInvolution(eps)
-
-    raise OutOfScopeError("out of scope: unrecognized form %r" % (name,))
+        rs, noncompact = build_root_system("D", two_n // 2), two_n // 2
+    else:
+        raise OutOfScopeError("out of scope: unrecognized form %r" % (name,))
+    if norm in _PRINCIPAL_PRESENTATIONS:
+        eps = (-1,) * rs.rank
+    else:
+        eps = tuple(-1 if i == noncompact else 1 for i in range(1, rs.rank + 1))
+    return rs, EqualRankInvolution(eps)
 
 
 def principal_presentation(name):
-    """Sign convention and grading element aligned with the principal orbit.
-
-    Returns (RootSystem, EqualRankInvolution, h_values).  Only pinned for
-    the forms whose principal data this package ships; other forms should
-    go through the even-grading search.
-    """
-    norm = _normalize_name(name)
-    if norm not in _PRINCIPAL_PRESENTATIONS:
+    """The catalog's (RootSystem, EqualRankInvolution) and the pinned
+    h_values of a pinned form; others go through the even-grading search."""
+    h = _PRINCIPAL_PRESENTATIONS.get(_normalize_name(name))
+    if h is None:
         raise OutOfScopeError("no pinned principal presentation for %r" % (name,))
-    eps, h = _PRINCIPAL_PRESENTATIONS[norm]
-    rs, catalog_eps = standard_form_catalog(norm)
-    del catalog_eps
-    return rs, EqualRankInvolution(eps), h
+    return (*standard_form_catalog(name), h)
 
 
 def parse_form_config(config):

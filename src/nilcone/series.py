@@ -205,7 +205,9 @@ def blattner_multiplicity(mu, lam, gd, kd):
     if not kd.is_dominant(mu):
         raise InputError("mu must be K-dominant")
     require_integral(lam)
-    return _alternating_sum(mu, lam, kd, weyl_elements(kd),
+    words = weyl_elements(kd)
+    images = _weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
+    return _alternating_sum(words, images, kd.rho + lam,
                             partition_counter(gd.rs, gd.u_cap_p_weights()))
 
 
@@ -226,14 +228,12 @@ def _weyl_images(kd, words, lam):
     return [_weight_of(unpack(image[w.word])) for w in words]
 
 
-def _alternating_sum(mu, lam, kd, words, count):
+def _alternating_sum(words, images, off, count):
     """blattner_multiplicity's sum over the Weyl words of K, given as words
-    (see _weyl_images); count is a partition_counter of the weights of
-    u cap p."""
-    mu_star = kd.dominant_representative(-mu)
-    off = kd.rho + lam
+    with images w(mu* + rho_K) (see _weyl_images); off is rho_K + lam and
+    count a partition_counter of the weights of u cap p."""
     total = 0
-    for w, image in zip(words, _weyl_images(kd, words, mu_star + kd.rho)):
+    for w, image in zip(words, images):
         n = count(image - off)
         total += n if w.length % 2 == 0 else -n
     return total
@@ -256,13 +256,13 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
     heights = [sum(rs._root_num(w)) for w in ups]
     min_h = min(heights, default=rs._root_den)
     words = weyl_elements(kd)
+    off = kd.rho + lam
     base = euler_series(lam, gd, kd, max_degree, form=form)
     mus = {w for chi in base.chi for w, _ in chi.items()}
-    needed = {}
+    images, needed = {}, {}
     for mu in mus:
-        mu_star = kd.dominant_representative(-mu)
-        hs = [sum(rs._root_num(image - kd.rho - lam))
-              for image in _weyl_images(kd, words, mu_star + kd.rho)]
+        images[mu] = _weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
+        hs = [sum(rs._root_num(image - off)) for image in images[mu]]
         needed[mu] = max([h // min_h for h in hs if h >= 0], default=0)
     k_far = max([max_degree, *needed.values()])
     ext = euler_series(lam, gd, kd, k_far, form=form) if k_far > max_degree else base
@@ -270,7 +270,7 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
         cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
-        alternating = _alternating_sum(mu, lam, kd, words, count)
+        alternating = _alternating_sum(words, images[mu], off, count)
         if cumulative != alternating:
             mismatches.append((mu, cumulative, alternating))
     return not mismatches, mismatches, len(mus)

@@ -102,6 +102,12 @@ def test_oracle_verify_grading(capsys):
     assert json.loads(out)["match"] is True
 
 
+def test_oracle_verify_grading_without_H_is_input_error(capsys):
+    code, out, err = _run(capsys, "oracle", "verify-grading", "--form", "su(2,1)")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "comma-separated integers" in json.loads(err)["error"]
+
+
 def test_oracle_hilbert(capsys):
     code, out, _ = _run(capsys, "oracle", "hilbert", "--form", "su(2,1)",
                         "--kmax", "4")
@@ -162,6 +168,61 @@ def test_run_config(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "PASS"
     assert (tmp_path / "r.json").exists()
+
+
+def test_unknown_config_key_is_refused_before_any_check(tmp_path, monkeypatch, capsys):
+    # a misspelt key would otherwise run the default box and report PASS
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "verify_form", no_check)
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"form": "su(1,1)", "lamda": [1]}))
+    code, out, err = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "lamda" in json.loads(err)["error"]
+    for key in ("timings", "lam_list", "epsilon"):
+        with pytest.raises(InputError):
+            cli.run({"form": "su(1,1)", key: None})
+
+
+def test_verify_and_run_pass_on_only_what_was_given(monkeypatch, capsys):
+    # the defaults of a job are written only in verify_form's signature
+    seen = []
+
+    def recorded(form, **kwargs):
+        seen.append(dict(kwargs, form=form))
+        return {"verdict": "PASS"}
+
+    monkeypatch.setattr(cli, "verify_form", recorded)
+    assert cli.main(["verify", "--form", "su(1,1)"]) == cli.EXIT_PASS
+    assert cli.main(["verify", "--form", "su(1,1)", "--seed", "3",
+                     "--checks", "theta"]) == cli.EXIT_PASS
+    cli.run({"form": "su(1,1)", "H": "search", "lambda": [0], "kmax": 2})
+    cli.run({"form": "su(1,1)", "H": [2], "N": 4}, timings=True)
+    capsys.readouterr()
+    assert seen == [
+        {"form": "su(1,1)", "timings": False},
+        {"form": "su(1,1)", "seed": 3, "checks": "theta", "timings": False},
+        {"form": "su(1,1)", "lam_list": [0], "kmax": 2, "timings": False},
+        {"form": "su(1,1)", "H": [2], "N": 4, "timings": True},
+    ]
+
+
+@pytest.mark.parametrize("form", workloads.PINNED_FORMS)
+def test_a_report_reproduces_from_its_own_form_and_H(form, capsys):
+    # one sign convention per form: run with a verify report's form and H
+    # makes the same checks, and qct-report gives verify's qct detail
+    report = cli.verify_form(form)
+    rerun = cli.run({"form": report["form"], "H": report["H"]})
+    assert (report["presentation"], rerun["presentation"]) == ("principal", "config")
+    assert rerun["checks"] == report["checks"]
+    assert rerun["verdict"] == report["verdict"]
+    code, out, _ = _run(capsys, "qct-report", "--form", form,
+                        "--seed", str(report["seed"]))
+    qct = next(c for c in report["checks"] if c["check"] == "qct")
+    assert code == cli.EXIT_PASS
+    assert json.loads(out) == json.loads(json.dumps(qct["detail"]))
 
 
 def test_run_config_rejects_malformed(tmp_path, capsys):
@@ -375,9 +436,14 @@ def _readme_block(readme, lang, after):
 def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = _readme_block(readme, "sh", "## Command line").splitlines()
-    (tmp_path / "job.json").write_text(_readme_block(readme, "json", "`run` takes"))
+    job = _readme_block(readme, "json", "`run` takes")
+    (tmp_path / "job.json").write_text(job)
     monkeypatch.chdir(tmp_path)
     assert commands
+    # the example documents every key the reader takes, and only those
+    config = json.loads(job)
+    assert sorted(config) == sorted(cli._JOB_KEYS)
+    assert cli.run(config)["verdict"] == "PASS"
     for line in commands:
         argv = shlex.split(line)
         assert argv[0] == "nilcone", line
@@ -438,6 +504,17 @@ def test_negative_degree_bound_exits_2(capsys, argv):
     code, out, err = _run(capsys, *shlex.split(argv))
     assert code == cli.EXIT_INPUT and out == ""
     assert ">= 0" in json.loads(err)["error"]
+
+
+def test_oracle_hilbert_refuses_a_negative_kmax_before_the_search(monkeypatch, capsys):
+    def no_search(real, seed):
+        raise AssertionError("the principal search ran")
+
+    monkeypatch.setattr(oc, "principal_nilpotent_search", no_search)
+    code, out, err = _run(capsys, "oracle", "hilbert", "--form", "su(3,3)",
+                          "--kmax", "-2", "--seed", "0")
+    assert code == cli.EXIT_INPUT and out == ""
+    assert json.loads(err)["error"] == "kmax must be >= 0, got -2"
 
 
 def test_zero_degree_bounds_still_run(capsys):

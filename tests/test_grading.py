@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -30,6 +31,15 @@ def test_grade_su21():
     assert gd.dims(2) == (0, 2) and gd.dims(4) == (1, 0)
     assert {r.coords for r in gd.p2_roots} == {(1, 0), (0, 1)}
     assert {r.coords for r in gd.u_roots} == {(1, 0), (0, 1), (1, 1)}
+
+
+def test_grade_refuses_a_non_integer_entry():
+    # an entry is never truncated: 2.5 and 5/2 are not the grading (2, 2)
+    rs, eps = _form("su(2,1)")
+    for h in ((2.5, 2), (Fraction(5, 2), 2), ("2", 2), (None, 2)):
+        with pytest.raises(InputError):
+            gr.grade(rs, eps, h)
+    assert gr.grade(rs, eps, [2, 2]).H.h_values == (2, 2)
 
 
 def test_grade_zero_element():

@@ -44,6 +44,14 @@ def test_realize_dims_match_catalog(name, kdim, pdim):
     assert (cd.k_dim, cd.p_dim) == (kdim, pdim)
 
 
+def test_realize_builds_one_model_per_normalized_name():
+    real = oc.realize("su(2,1)")
+    assert oc.realize("su(2, 1)") is real and oc.realize(" su(2,1) ") is real
+    assert oc.realize("sp(4, ℝ)") is oc.realize("sp(4,R)")
+    assert oc.realize("su(2, 1)", eps=(-1, -1)) is real
+    assert oc.realize("sp(4,R)", eps=(1, -1)) is not oc.realize("sp(4,R)")
+
+
 def test_su11_model_is_two_by_two():
     real = oc.realize("su(1,1)")
     assert real.msize == 2 and real.dim == 3
@@ -289,7 +297,10 @@ def _sampled_nilcone_dimension(real, seed):
 
 @pytest.mark.parametrize("name,eps", (
     [(name, None) for name in TABLE_A_FORMS + ("so*(6)", "sp(1,2)")]
-    + [(name, rf.principal_presentation(name)[1].epsilon) for name in PINNED_FORMS]
+    # the pinned forms also in their standard conventions, where su(2,2) and
+    # sp(4,R) have one noncompact simple root
+    + [("su(1,1)", (-1,)), ("su(2,1)", (-1, -1)), ("su(2,2)", (1, -1, 1)),
+       ("sp(4,R)", (1, -1))]
     + [("su(1,1)", (1,))]))
 def test_nilcone_dimension_matches_the_sampled_bound(name, eps):
     # on these forms a sample is p-regular at both seeds, so the old lower
@@ -331,11 +342,14 @@ def test_principal_search_certified():
     assert oc.orbit_dimension(real, x) == 3
 
 
-@pytest.mark.parametrize("name,dim", [("su(2,1)", 3), ("sp(4,R)", 4)])
-def test_principal_search_refuses_an_inexact_cone_bound(monkeypatch, name, dim):
+@pytest.mark.parametrize("name,eps,dim", [
+    pytest.param("su(2,1)", None, 3, id="su(2,1)-3"),
+    pytest.param("sp(4,R)", (1, -1), 4, id="sp(4,R)-4")])
+def test_principal_search_refuses_an_inexact_cone_bound(monkeypatch, name, eps, dim):
     # the cone dimension is exact, so a sampled orbit above it is a defect:
-    # the search raises at that sample instead of running out its budget
-    real = oc.realize(name)
+    # the search raises at that sample instead of running out its budget.
+    # sp(4,R) in its standard convention, whose first sample is above dim - 1
+    real = oc.realize(name, eps=eps)
     calls = []
     orbit_dimension = oc.orbit_dimension
 

@@ -11,9 +11,9 @@ def test_catalog_pins():
     rs, eps = rf.standard_form_catalog("su(2,1)")
     assert (rs.rank, eps.epsilon) == (2, (-1, -1))
     rs, eps = rf.standard_form_catalog("su(2,2)")
-    assert (rs.rank, eps.epsilon) == (3, (1, -1, 1))
+    assert (rs.rank, eps.epsilon) == (3, (-1, -1, -1))
     rs, eps = rf.standard_form_catalog("sp(4,R)")
-    assert (rs.type_label, eps.epsilon) == ("C", (1, -1))
+    assert (rs.type_label, eps.epsilon) == ("C", (-1, -1))
     rs, eps = rf.standard_form_catalog("sp(1,1)")
     assert (rs.type_label, eps.epsilon) == ("C", (-1, 1))
     rs, eps = rf.standard_form_catalog("so*(6)")
@@ -22,7 +22,11 @@ def test_catalog_pins():
 
 def test_catalog_accepts_unicode_and_spacing():
     rs, eps = rf.standard_form_catalog("sp(4, ℝ)")
-    assert eps.epsilon == (1, -1)
+    assert eps.epsilon == (-1, -1)
+    # each spelling of a pinned form gets its one convention and its H
+    for name in ("sp(4,r)", "SP(4,R)"):
+        rs, eps, h = rf.principal_presentation(name)
+        assert (eps.epsilon, h) == ((-1, -1), (2, 2))
 
 
 @pytest.mark.parametrize("name", [

@@ -445,6 +445,30 @@ def test_blattner_series_identity(name, h):
     assert count > 0
 
 
+def test_blattner_identity_reflects_each_k_type_once(monkeypatch):
+    # each K-type's dual highest weight and Weyl images serve both the
+    # extension degree and the alternating sum
+    rs, gd, kd = _context("so*(8)", (0, 0, 0, 2))
+    want = se.blattner_series_identity(gd, kd, rd.zero_weight(4), 2)
+    calls = Counter()
+    weyl_images = se._weyl_images
+    dominant_representative = kd.dominant_representative
+
+    def counted_images(kd, words, lam):
+        calls["images"] += 1
+        return weyl_images(kd, words, lam)
+
+    def counted_dual(lam):
+        calls["dual"] += 1
+        return dominant_representative(lam)
+
+    monkeypatch.setattr(se, "_weyl_images", counted_images)
+    monkeypatch.setattr(kd, "dominant_representative", counted_dual)
+    got = se.blattner_series_identity(gd, kd, rd.zero_weight(4), 2)
+    assert got == want and want[0] and want[2] == 4
+    assert calls == {"images": 4, "dual": 4}
+
+
 def test_blattner_with_twist():
     rs, gd, kd = _context("su(2,1)", (2, 2))
     a1 = rs.root_fw(rs.simple_roots[0])
