@@ -189,13 +189,11 @@ def cmd_oracle(args):
     if args.oracle_cmd == "triple":
         x = oc.principal_nilpotent_search(real, args.seed)
         triple = oc.ks_normalize(real, oc.jm_triple(real, x))
-        # the search returns only an x whose orbit has the nilcone's dimension
-        orbit_dim = oc.orbit_dimension(real, x)
         _emit(args, {
             "form": label,
             "seed": args.seed,
-            "orbit_dim": orbit_dim,
-            "nilcone_dim": orbit_dim,
+            "orbit_dim": oc.orbit_dimension(real, x),
+            "nilcone_dim": oc.nilcone_dimension(real),
             "identities_exact": triple.normalized_identities_hold(real),
             "H": [[str(v) for v in row] for row in triple.H],
             "X": [[str(v) for v in row] for row in triple.X],
@@ -281,8 +279,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
     orbit_dims = None  # the searched gradings' orbit dims, which qct reports too
     if H is not None:
         if not isinstance(H, (list, tuple)):
-            raise InputError("H must be a list of integers or \"search\", got %r"
-                             % (H,))
+            raise InputError("H must be a list of integers, got %r" % (H,))
         h_values = tuple(_as_int(x, "H entry") for x in H)
         presentation = "config"
     else:
@@ -509,8 +506,7 @@ def run(config, timings=False):
     unknown = set(config) - set(_JOB_KEYS)
     if unknown:
         raise InputError("unknown config keys %s" % sorted(map(str, unknown)))
-    params = {_JOB_KEYS[key]: value for key, value in config.items()
-              if _JOB_KEYS[key] and not (key == "H" and value == "search")}
+    params = {_JOB_KEYS[key]: value for key, value in config.items() if _JOB_KEYS[key]}
     report = verify_form(timings=timings, **params)
     out = config.get("out")
     if out:

@@ -2,9 +2,9 @@
 
 Each catalog form gets a concrete realization of (g, theta) inside gl(n,Q):
 a basis of g made of the diagonal Cartan matrices and one root vector per
-root, and the involution as an entrywise sign mask (conjugation by a
-diagonal fourth root of unity, which acts rationally even when the element
-itself is imaginary).  That basis is an eigenbasis of theta and of ad H for
+root, each read off one list of its nonzero entries, and theta is
+conjugation by a diagonal +-1 matrix read off the simple root vectors (the
+I_{p,q} picture).  That basis is an eigenbasis of theta and of ad H for
 every diagonal H, so k, p and each graded piece are sets of basis indices,
 read off the basis rather than solved for.  Coordinates are read off a
 matrix's entries, and ad is a sum of the integer structure constants,
@@ -49,6 +49,8 @@ from .rootdata import Root, Weight
 
 F = Fraction
 
+_FAMILIES = {"A": "sl", "C": "sp", "D": "so"}  # the matrix model of each type
+
 
 def _e_coords_of_root(rs, root):
     """Euclidean coordinates of a root in the standard realization."""
@@ -89,6 +91,8 @@ class ClassicalRealization:
 
     Every basis matrix is a diagonal Cartan matrix or an off-diagonal root
     vector with int entries +-1, and no position belongs to two root vectors.
+    theta is conjugation by a diagonal +-1 matrix read off the simple root
+    vectors: it multiplies entry (a, b) by s[a] s[b].
     An element with integer coordinates is an int matrix, and its
     coordinates and ad matrix are ints; Fractions appear only in elements
     that have fractional entries, such as a half-integer Cartan element.
@@ -99,13 +103,15 @@ class ClassicalRealization:
     sum_i z_i C_i.
     """
 
-    def __init__(self, name, rs, eps, family, msize, tau):
+    def __init__(self, name, rs, eps):
+        if rs.type_label not in _FAMILIES:
+            raise OutOfScopeError("no matrix model for type %s" % rs.type_label)
         self.name = name
         self.rs = rs
         self.eps = eps
-        self.family = family
-        self.msize = msize
-        self._tau = tau  # exponent of i per matrix index; involution data
+        self.family = _FAMILIES[rs.type_label]
+        self.n_e = rs.rank + 1 if self.family == "sl" else rs.rank
+        self.msize = self.n_e if self.family == "sl" else 2 * self.n_e
         self._build_basis()
         self._build_coords()
         self._build_theta()
@@ -114,70 +120,42 @@ class ClassicalRealization:
 
     # -- construction ---------------------------------------------------------------
 
-    def _unit(self, a, b):
-        m = la.zeros(self.msize, self.msize)
-        m[a][b] = 1
-        return m
-
     def _build_basis(self):
-        rs = self.rs
-        n_e = rs.rank + 1 if rs.type_label == "A" else rs.rank
-        self.n_e = n_e
-        self.cartan_mats = []
-        if self.family == "sl":
-            for i in range(n_e - 1):
-                m = la.zeros(self.msize, self.msize)
-                m[i][i] = 1
-                m[i + 1][i + 1] = -1
-                self.cartan_mats.append(m)
-        else:
-            for j in range(n_e):
-                m = la.zeros(self.msize, self.msize)
-                m[j][j] = 1
-                m[n_e + j][n_e + j] = -1
-                self.cartan_mats.append(m)
-        self.roots_order = list(rs.all_roots())
-        self.basis = list(self.cartan_mats) + [
-            self._root_matrix(_e_coords_of_root(rs, r)) for r in self.roots_order]
-        self.dim = len(self.basis)
-        self._root_index = {r.coords: len(self.cartan_mats) + i
-                            for i, r in enumerate(self.roots_order)}
-        # the nonzero entries (a, b, v) of each basis matrix
-        self._entries = [[(a, b, x) for a, row in enumerate(m)
-                          for b, x in enumerate(row) if x] for m in self.basis]
-
-    def _root_matrix(self, ev):
         n = self.n_e
         if self.family == "sl":
-            a = next(i for i, x in enumerate(ev) if x == 1)
-            b = next(i for i, x in enumerate(ev) if x == -1)
-            return self._unit(a, b)
+            cartan = [[(i, i, 1), (i + 1, i + 1, -1)] for i in range(n - 1)]
+        else:
+            cartan = [[(j, j, 1), (n + j, n + j, -1)] for j in range(n)]
+        self.roots_order = list(self.rs.all_roots())
+        # the nonzero entries (a, b, v) of each basis matrix, row-major
+        self._entries = cartan + [self._root_entries(_e_coords_of_root(self.rs, r))
+                                  for r in self.roots_order]
+        self.basis = []
+        for entries in self._entries:
+            m = la.zeros(self.msize, self.msize)
+            for a, b, v in entries:
+                m[a][b] = v
+            self.basis.append(m)
+        self.cartan_mats = self.basis[:len(cartan)]
+        self.dim = len(self.basis)
+        self._root_index = {r.coords: len(cartan) + i
+                            for i, r in enumerate(self.roots_order)}
+
+    def _root_entries(self, ev):
+        """The entries (a, b, v) of the root vector of the root with Euclidean
+        coordinates ev, in row-major order (a < b for the sp/so pairs)."""
+        n = self.n_e
+        if 1 in ev and -1 in ev:  # e_a - e_b
+            a, b = ev.index(1), ev.index(-1)
+            return [(a, b, 1)] if self.family == "sl" else [(a, b, 1), (n + b, n + a, -1)]
         support = [i for i, x in enumerate(ev) if x]
-        if self.family in ("sp", "so"):
-            if len(support) == 1:  # +-2e_a, only in sp
-                a = support[0]
-                if ev[a] == 2:
-                    return self._unit(a, n + a)
-                return self._unit(n + a, a)
-            a, b = support
-            if ev[a] == 1 and ev[b] == -1:
-                m = self._unit(a, b)
-                m = la.mat_sub(m, self._unit(n + b, n + a))
-                return m
-            if ev[a] == -1 and ev[b] == 1:
-                m = self._unit(b, a)
-                m = la.mat_sub(m, self._unit(n + a, n + b))
-                return m
-            sign = 1 if self.family == "sp" else -1
-            if ev[a] == 1 and ev[b] == 1:  # e_a + e_b, a < b
-                m = self._unit(a, n + b)
-                m2 = self._unit(b, n + a)
-                return la.mat_add(m, la.mat_scale(sign, m2))
-            # -(e_a + e_b)
-            m = self._unit(n + a, b)
-            m2 = self._unit(n + b, a)
-            return la.mat_add(m, la.mat_scale(sign, m2))
-        raise ConsistencyError("unknown family %s" % self.family)
+        a, b = support[0], support[-1]  # a == b for +-2e_a, only in sp
+        sign = 1 if self.family == "sp" else -1
+        if ev[a] > 0:  # e_a + e_b
+            entries = [(a, n + b, 1), (b, n + a, sign)]
+        else:  # -(e_a + e_b)
+            entries = [(n + a, b, 1), (n + b, a, sign)]
+        return entries[:1] if a == b else entries
 
     def _build_coords(self):
         """What coords reads: the position of each off-diagonal basis entry,
@@ -229,27 +207,27 @@ class ClassicalRealization:
             self._coroot_read.append([_int_if_integral(scale * x) for x in c[:ncartan]])
 
     def _build_theta(self):
-        """The sign mask of theta; the basis matrices it fixes (k_index) and
-        negates (p_index), the basis being an eigenbasis of theta; and the
-        compact and noncompact roots."""
-        size = self.msize
-        tau = self._tau
-        self._mask = [[None] * size for _ in range(size)]
-        for a in range(size):
-            for b in range(size):
-                diff = (tau[a] - tau[b]) % 4
-                if diff % 2:
-                    raise ConsistencyError("involution mask not real")
-                self._mask[a][b] = 1 if diff == 0 else -1
-        self.k_index, self.p_index = [], []
-        for i, entries in enumerate(self._entries):
-            signs = {self._mask[a][b] for a, b, _ in entries}
-            if signs == {1}:
-                self.k_index.append(i)
-            elif signs == {-1}:
-                self.p_index.append(i)
-            else:
-                raise ConsistencyError("theta neither fixes nor negates a basis matrix")
+        """theta as conjugation by the diagonal sign matrix diag(s): s[0] = 1,
+        and s[a] s[b] = eps.sign(r) at each entry (a, b) of a simple root
+        vector, whose entries join every matrix index.  Every basis matrix is
+        then checked to be fixed (k_index) or negated (p_index) by its sign;
+        also the compact and noncompact roots."""
+        s = [0] * self.msize
+        s[0] = 1
+        links = [(a, b, self.eps.sign(r)) for r in self.rs.simple_roots
+                 for a, b, _ in self._entries[self._root_index[r.coords]]]
+        for _ in range(self.msize):  # each sweep signs at least one more index
+            for a, b, sign in links:
+                s[a] = s[a] or s[b] * sign
+                s[b] = s[b] or s[a] * sign
+        self._signs = s
+        signs = [1] * len(self.cartan_mats) + [self.eps.sign(r) for r in self.roots_order]
+        for entries, sign in zip(self._entries, signs):
+            if any(s[a] * s[b] != sign for a, b, _ in entries):
+                raise ConsistencyError("theta does not act on a basis matrix by "
+                                       "its root's sign")
+        self.k_index = [i for i, sign in enumerate(signs) if sign == 1]
+        self.p_index = [i for i, sign in enumerate(signs) if sign == -1]
         self.k_dim = len(self.k_index)
         self.p_dim = len(self.p_index)
         self._compact = [r for r in self.roots_order if self.eps.sign(r) == 1]
@@ -299,8 +277,8 @@ class ClassicalRealization:
     # -- primitives -----------------------------------------------------------------
 
     def theta(self, m):
-        return [[self._mask[a][b] * m[a][b] for b in range(self.msize)]
-                for a in range(self.msize)]
+        s = self._signs
+        return [[sa * sb * x for sb, x in zip(s, row)] for sa, row in zip(s, m)]
 
     def _coords(self, entries):
         """Coordinates of the matrix with nonzero entries {(a, b): x}, or None
@@ -364,8 +342,9 @@ class ClassicalRealization:
         return self._theta_sign_is(m, 1)
 
     def _theta_sign_is(self, m, sign):
-        return all(mask[b] == sign for row, mask in zip(m, self._mask)
-                   for b, x in enumerate(row) if x)
+        s = self._signs
+        return all(sa * sb == sign for sa, row in zip(s, m)
+                   for sb, x in zip(s, row) if x)
 
     def p_coords(self, m):
         """The p entries of coords(m), or None unless m is in p."""
@@ -404,25 +383,6 @@ class ClassicalRealization:
         return Weight(tuple(sum(map(mul, row, values)) for row in self._coroot_read))
 
 
-def _tau_for_sl(eps):
-    """Fourth-root-of-unity exponents realizing eps as a diagonal conjugation."""
-    tau = [0]
-    for e in eps.epsilon:
-        tau.append((tau[-1] + (0 if e == 1 else 2)) % 4)
-    return tau
-
-
-def _mask_sign(tau, rs, eps):
-    for r in rs.positive_roots:
-        ev = _e_coords_of_root(rs, r)
-        exp = sum(int(c) * tau[j] for j, c in enumerate(ev)) % 4
-        if exp % 2:
-            return False
-        if (1 if exp == 0 else -1) != eps.sign(r):
-            return False
-    return True
-
-
 _REALIZE_CACHE = {}
 
 
@@ -437,36 +397,9 @@ def realize(name, eps=None):
     key = (name, eps.epsilon)
     if key in _REALIZE_CACHE:
         return _REALIZE_CACHE[key]
-    real = _realize_uncached(name, rs, eps)
+    real = ClassicalRealization(name, rs, eps)
     _REALIZE_CACHE[key] = real
     return real
-
-
-def _realize_uncached(name, rs, eps):
-    t = rs.type_label
-    if t == "A":
-        return ClassicalRealization(name, rs, eps, "sl", rs.rank + 1,
-                                    _tau_for_sl(eps))
-    if t == "C":
-        tau = _tau_for_bc(rs, eps)
-        return ClassicalRealization(name, rs, eps, "sp", 2 * rs.rank, tau)
-    if t == "D":
-        tau = _tau_for_bc(rs, eps)
-        return ClassicalRealization(name, rs, eps, "so", 2 * rs.rank, tau)
-    raise OutOfScopeError("no matrix model for type %s" % t)
-
-
-def _tau_for_bc(rs, eps):
-    n = rs.rank
-    for start in (0, 1):
-        tau = [start]
-        for e in eps.epsilon[: n - 1]:
-            tau.append((tau[-1] + (0 if e == 1 else 2)) % 4)
-        full = tau + [(-t) % 4 for t in tau]
-        if _mask_sign(full, rs, eps):
-            return full
-    raise InputError("epsilon %r is not realizable by a diagonal involution"
-                     % (eps.epsilon,))
 
 
 # ---------------------------------------------------------------------------

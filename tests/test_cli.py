@@ -124,6 +124,18 @@ def test_oracle_triple(capsys):
     assert payload["orbit_dim"] == payload["nilcone_dim"] == 1
 
 
+def test_oracle_triple_reports_the_nilcone_dimension(monkeypatch, capsys):
+    # nilcone_dim comes from nilcone_dimension, not from the orbit it found
+    real = oc.realize("su(2,1)")
+    x = oc.pinned_principal(real, (2, 2))[1]
+    monkeypatch.setattr(oc, "principal_nilpotent_search", lambda real, seed: x)
+    monkeypatch.setattr(oc, "nilcone_dimension", lambda real, seed=None: "sentinel")
+    code, out, _ = _run(capsys, "oracle", "triple", "--form", "su(2,1)")
+    assert code == cli.EXIT_PASS
+    payload = json.loads(out)
+    assert payload["nilcone_dim"] == "sentinel" and payload["orbit_dim"] == 3
+
+
 def test_qct_report_command(capsys):
     code, out, _ = _run(capsys, "qct-report", "--form", "su(1,1)", "--seed", "7")
     assert code == 0
@@ -186,6 +198,21 @@ def test_unknown_config_key_is_refused_before_any_check(tmp_path, monkeypatch, c
             cli.run({"form": "su(1,1)", key: None})
 
 
+def test_run_refuses_h_search(tmp_path, monkeypatch, capsys):
+    # leaving H out lets verify pick it; "search" is not a grading
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(oc, "pinned_principal", no_check)
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"form": "su(2,1)", "H": "search"}))
+    code, out, err = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert json.loads(err)["error"] == "H must be a list of integers, got 'search'"
+    with pytest.raises(InputError, match="got 'search'"):
+        cli.run({"form": "su(2,1)", "H": "search"})
+
+
 def test_verify_and_run_pass_on_only_what_was_given(monkeypatch, capsys):
     # the defaults of a job are written only in verify_form's signature
     seen = []
@@ -198,7 +225,7 @@ def test_verify_and_run_pass_on_only_what_was_given(monkeypatch, capsys):
     assert cli.main(["verify", "--form", "su(1,1)"]) == cli.EXIT_PASS
     assert cli.main(["verify", "--form", "su(1,1)", "--seed", "3",
                      "--checks", "theta"]) == cli.EXIT_PASS
-    cli.run({"form": "su(1,1)", "H": "search", "lambda": [0], "kmax": 2})
+    cli.run({"form": "su(1,1)", "lambda": [0], "kmax": 2})
     cli.run({"form": "su(1,1)", "H": [2], "N": 4}, timings=True)
     capsys.readouterr()
     assert seen == [

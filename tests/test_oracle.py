@@ -88,6 +88,87 @@ def test_theta_is_involutive_automorphism():
         assert la.mat_eq(lhs, rhs)
 
 
+# Reference: the fourth-root-of-unity exponents tau that once realized eps,
+# theta being conjugation by diag(i^tau), which scales entry (a, b) by
+# i^(tau[a] - tau[b]).
+
+def _tau_for_sl(eps):
+    tau = [0]
+    for e in eps.epsilon:
+        tau.append((tau[-1] + (0 if e == 1 else 2)) % 4)
+    return tau
+
+
+def _mask_sign(tau, rs, eps):
+    for r in rs.positive_roots:
+        ev = oc._e_coords_of_root(rs, r)
+        exp = sum(int(c) * tau[j] for j, c in enumerate(ev)) % 4
+        if exp % 2:
+            return False
+        if (1 if exp == 0 else -1) != eps.sign(r):
+            return False
+    return True
+
+
+def _tau_for_bc(rs, eps):
+    n = rs.rank
+    for start in (0, 1):
+        tau = [start]
+        for e in eps.epsilon[: n - 1]:
+            tau.append((tau[-1] + (0 if e == 1 else 2)) % 4)
+        full = tau + [(-t) % 4 for t in tau]
+        if _mask_sign(full, rs, eps):
+            return full
+    raise InputError("epsilon %r is not realizable by a diagonal involution"
+                     % (eps.epsilon,))
+
+
+@pytest.mark.parametrize("name", ("su(1,1)", "su(2,2)", "sp(6,R)", "so*(8)",
+                                  "so*(10)", "sp(2,2)", "su(3,3)"))
+def test_theta_signs_match_the_fourth_root_reference(name):
+    # every eps of the form, not only the catalog's
+    rs, _ = rf.standard_form_catalog(name)
+    for epsilon in product((1, -1), repeat=rs.rank):
+        eps = rf.EqualRankInvolution(epsilon)
+        real = oc.ClassicalRealization(name, rs, eps)
+        tau = _tau_for_sl(eps) if rs.type_label == "A" else _tau_for_bc(rs, eps)
+        n = real.msize
+        mask = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                diff = (tau[a] - tau[b]) % 4
+                assert diff in (0, 2)
+                mask[a][b] = 1 if diff == 0 else -1
+                assert real._signs[a] * real._signs[b] == mask[a][b]
+        m = [[a * n + b + 1 for b in range(n)] for a in range(n)]
+        assert real.theta(m) == [[x * y for x, y in zip(row, signs)]
+                                 for row, signs in zip(m, mask)]
+
+
+@pytest.mark.parametrize("name", TABLE_A_FORMS + ("su(4,4)", "so*(12)", "sp(3,3)",
+                                                  "sp(10,R)"))
+def test_theta_is_an_automorphism_of_the_structure_constants(name):
+    # [k, k] and [p, p] lie in k, [k, p] in p: theta([b_i, b_j]) = [theta b_i, theta b_j]
+    real = oc.realize(name)
+    sign = [0] * real.dim
+    for i in real.k_index:
+        sign[i] = 1
+    for i in real.p_index:
+        sign[i] = -1
+    assert all(sign)
+    constants = [(i, j, k, c) for i, table in enumerate(real._ad_basis)
+                 for k, j, c in table]
+    assert constants
+    for i, j, k, c in constants:
+        assert c and sign[i] * sign[j] == sign[k]
+
+
+def test_only_types_a_c_d_have_a_matrix_model():
+    with pytest.raises(OutOfScopeError, match="type B"):
+        oc.ClassicalRealization("b2", rd.build_root_system("B", 2),
+                                rf.EqualRankInvolution((1, -1)))
+
+
 # -- sl(2) triples -----------------------------------------------------------------
 
 def test_jm_triple_sl2_pin():
