@@ -299,6 +299,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
                     h_values = h_c
             presentation = "searched"
     gd = gr.grade(rs, eps, h_values)
+    gr._require_borel_of_k(gd)
     kd = gd.k_root_datum()
     pd = gr.parabolic(gd)
     h_mat, x_mat = oc.pinned_principal(real, h_values)

@@ -9,7 +9,8 @@ the canonical-bundle weight 2rho(u cap p) - 2rho(u cap k).
 Dominant H (h_i >= 0) is the main case and makes q contain the standard
 Borel.  Non-dominant H is accepted so that opposite-chamber components of
 a reducible nilpotent cone can be handled; the Borel-containment invariant
-is only asserted when H is dominant.
+is only asserted when H is dominant.  The series and the Blattner sum
+refuse an H whose Q cap K does not contain the Borel of K.
 """
 
 from dataclasses import dataclass
@@ -183,6 +184,18 @@ def conormal_canonical_weight(rs, eps, H):
     return parabolic(gd).canonical_weight
 
 
+def _require_borel_of_k(gd):
+    """Raise InputError unless Q cap K contains the Borel of K, that is
+    unless every positive compact root has degree >= 0.  The series and
+    the Blattner sum read K x_{Q cap K} (u cap p) through the flag variety
+    of K, so they mean nothing for any other H."""
+    for r in gd._select("k", lambda d: d < 0):
+        if r.is_positive:
+            raise InputError("H = %s: the positive compact root %s has degree %d, "
+                             "so Q cap K does not contain the Borel of K"
+                             % (list(gd.H.h_values), list(r.coords), gd.degree_of(r)))
+
+
 def is_QK_dominant(lam, pd, kd):
     """Membership in the cone of weights whose highest-weight line is Q cap K stable.
 
@@ -202,24 +215,20 @@ class SearchHit:
     confirmed: bool
 
 
-_MAX_H = 2
-
-
 def search_even_gradings(rs, eps, confirm=None):
-    """All dominant H with entries in 0.._MAX_H, even root degrees, and p_2 != 0.
+    """All dominant H with entries in {0, 2} and p_2 != 0.
 
-    Results are in lexicographic order of h_values; hits are flagged
-    confirmed only when the supplied matrix-level density check passes.
-    Weyl-equivalent duplicates are not removed.
+    A simple root has degree h_i, so an even grading has even h_i, and
+    entries 0 and 2 make every root degree even.  Results are in
+    lexicographic order of h_values; hits are flagged confirmed only when
+    the supplied matrix-level density check passes.  Weyl-equivalent
+    duplicates are not removed.
     """
     hits = []
-    for h in product(range(_MAX_H + 1), repeat=rs.rank):
+    for h in product((0, 2), repeat=rs.rank):
         if not any(h):
             continue
-        try:
-            gd = grade(rs, eps, h)
-        except OddGradingError:
-            continue
+        gd = grade(rs, eps, h)
         if not gd.p2_roots:
             continue
         confirmed = bool(confirm(gd)) if confirm is not None else False

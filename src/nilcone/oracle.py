@@ -52,35 +52,6 @@ F = Fraction
 _FAMILIES = {"A": "sl", "C": "sp", "D": "so"}  # the matrix model of each type
 
 
-def _e_coords_of_root(rs, root):
-    """Euclidean coordinates of a root in the standard realization."""
-    c = root.coords
-    n = rs.rank
-    t = rs.type_label
-    if t == "A":
-        v = [0] * (n + 1)
-        for i in range(n):  # alpha_i = e_i - e_{i+1}
-            v[i] += c[i]
-            v[i + 1] -= c[i]
-        return tuple(v)
-    if t == "C":
-        v = [0] * n
-        for i in range(n - 1):
-            v[i] += c[i]
-            v[i + 1] -= c[i]
-        v[n - 1] += 2 * c[n - 1]
-        return tuple(v)
-    if t == "D":
-        v = [0] * n
-        for i in range(n - 1):
-            v[i] += c[i]
-            v[i + 1] -= c[i]
-        v[n - 2] += c[n - 1]
-        v[n - 1] += c[n - 1]
-        return tuple(v)
-    raise OutOfScopeError("no matrix model for type %s" % t)
-
-
 def _int_if_integral(x):
     """x as an int when it is one, so integer data stays int arithmetic."""
     return x.numerator if x.denominator == 1 else x
@@ -128,7 +99,7 @@ class ClassicalRealization:
             cartan = [[(j, j, 1), (n + j, n + j, -1)] for j in range(n)]
         self.roots_order = list(self.rs.all_roots())
         # the nonzero entries (a, b, v) of each basis matrix, row-major
-        self._entries = cartan + [self._root_entries(_e_coords_of_root(self.rs, r))
+        self._entries = cartan + [self._root_entries(self.rs._e_coords(r))
                                   for r in self.roots_order]
         self.basis = []
         for entries in self._entries:
@@ -635,7 +606,7 @@ def random_nilpotent(real, rng):
     noncompact = real.noncompact_roots()
     if not noncompact:
         raise InputError("p = 0: the form has no nilpotent directions")
-    patterns = [_e_coords_of_root(real.rs, r) for r in noncompact]
+    patterns = [real.rs._e_coords(r) for r in noncompact]
     index = [real._root_index[r.coords] for r in noncompact]
     while True:
         xi = [rng.randint(-6, 6) for _ in range(real.n_e)]

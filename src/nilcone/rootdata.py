@@ -1,20 +1,27 @@
 """Exact root-system, weight-lattice and Weyl-group combinatorics.
 
-Classical types A, B, C, D and G2 in the Bourbaki simple-root ordering:
+Classical types A, B, C, D and G2, each given by one table of Euclidean
+simple roots in the Bourbaki ordering (Lie Groups and Lie Algebras,
+ch. VI, plates I-IX):
 
-    A_n : alpha_i = e_i - e_{i+1}
+    A_n : alpha_i = e_i - e_{i+1}                     (in R^{n+1})
     B_n : alpha_i = e_i - e_{i+1} (i < n), alpha_n = e_n          (short last)
     C_n : alpha_i = e_i - e_{i+1} (i < n), alpha_n = 2 e_n        (long last)
     D_n : alpha_i = e_i - e_{i+1} (i < n), alpha_n = e_{n-1}+e_n
-    G2  : alpha_1 short, alpha_2 long
+    G2  : alpha_1 = e_1 - e_2 (short), alpha_2 = -2 e_1 + e_2 + e_3 (long)
+
+Everything else is read off that table: the Cartan matrix
+cartan[i][j] = <alpha_j, alpha_i^vee> = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i),
+the coroot of every root (an exact int division) and the Euclidean
+coordinates of each root, off which nilcone.oracle reads its matrix
+model's root vectors.
 
 Roots are stored in simple-root coordinates (integers).  A weight is stored
 as the int tuple ``d2`` of twice its fundamental-weight coordinates: the
 weights met here are half-integral at worst (rho_K of su(2,1) is), so
 doubling keeps every coordinate an integer.  ``Weight.fw`` reads the exact
-rationals back.  The Cartan matrix convention is
-cartan[i][j] = <alpha_j, alpha_i^vee>, so the degree of a root c under the
-i-th simple coroot is the i-th entry of cartan . c.  Coroots lie in the
+rationals back.  The degree of a root c under the i-th simple coroot is
+the i-th entry of cartan . c.  Coroots lie in the
 coroot lattice, so every pairing, reflection, dominance test, Weyl
 enumeration and Weyl dimension runs on ints; root coordinates of a weight
 are an integer matrix (the inverse Cartan matrix over its least common
@@ -161,39 +168,15 @@ def require_integral(lam):
                          % ", ".join(str(c) for c in lam.fw))
 
 
-def _cartan_data(type_label, rank):
-    """Cartan matrix (row convention of the module docstring) and half-norms
-    d_i = (alpha_i, alpha_i)/2."""
-    n = rank
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 2
-    if type_label == "A":
-        for i in range(n - 1):
-            a[i][i + 1] = a[i + 1][i] = -1
-        d = [F(1)] * n
-    elif type_label == "B":
-        for i in range(n - 1):
-            a[i][i + 1] = a[i + 1][i] = -1
-        a[n - 1][n - 2] = -2  # <alpha_{n-1}, alpha_n^vee>
-        d = [F(1)] * (n - 1) + [F(1, 2)]
-    elif type_label == "C":
-        for i in range(n - 1):
-            a[i][i + 1] = a[i + 1][i] = -1
-        a[n - 2][n - 1] = -2  # <alpha_n, alpha_{n-1}^vee>
-        d = [F(1)] * (n - 1) + [F(2)]
-    elif type_label == "D":
-        for i in range(n - 2):
-            a[i][i + 1] = a[i + 1][i] = -1
-        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
-        a[n - 2][n - 1] = a[n - 1][n - 2] = 0
-        d = [F(1)] * n
-    elif type_label == "G2":
-        a = [[2, -3], [-1, 2]]
-        d = [F(1), F(3)]
-    else:
-        raise InputError("unknown type label %r" % (type_label,))
-    return [tuple(row) for row in a], tuple(d)
+def _simple_roots(type_label, n):
+    """The Euclidean simple roots of the module docstring, as int tuples."""
+    if type_label == "G2":
+        return ((1, -1, 0), (-2, 1, 1))
+    last = {"A": {n - 1: 1, n: -1}, "B": {n - 1: 1}, "C": {n - 1: 2},
+            "D": {n - 2: 1, n - 1: 1}}[type_label]
+    terms = [{i: 1, i + 1: -1} for i in range(n - 1)] + [last]
+    dim = n + 1 if type_label == "A" else n
+    return tuple(tuple(t.get(k, 0) for k in range(dim)) for t in terms)
 
 
 class RootSystem:
@@ -211,13 +194,14 @@ class RootSystem:
             raise InputError("G2 has rank 2")
         self.type_label = type_label
         self.rank = rank
-        self.cartan_matrix, self._d = _cartan_data(type_label, rank)
+        self._simple_e = _simple_roots(type_label, rank)
+        gram = [[sum(map(mul, a, b)) for b in self._simple_e] for a in self._simple_e]
+        # cartan[i][j] = 2 (alpha_j, alpha_i) / (alpha_i, alpha_i), exact by the table
+        self.cartan_matrix = [tuple(2 * x // row[i] for x in row)
+                              for i, row in enumerate(gram)]
         # root coordinates of lam are (adj . lam.d2) / (2 den), cartan^-1 = adj / den
         self._adj, den = la.inverse(self.cartan_matrix)
         self._root_den = 2 * den
-        # twice the Gram matrix of the simple roots: 2 (a_i, a_j) = 2 d_i cartan[i][j]
-        self._gram2 = [tuple(int(2 * self._d[i]) * a for a in self.cartan_matrix[i])
-                       for i in range(rank)]
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = self.positive_roots[: rank]
         expected = _POSITIVE_COUNTS[type_label](rank)
@@ -225,8 +209,14 @@ class RootSystem:
             raise ConsistencyError("positive root count %d != %d for %s%d"
                                    % (len(self.positive_roots), expected, type_label, rank))
         self._all_roots = self.positive_roots + tuple(-r for r in self.positive_roots)
-        self._root_set = frozenset(r.coords for r in self._all_roots)
-        self._coroot_cache = {}
+        # root^vee = sum_j c_j (alpha_j, alpha_j) / (alpha, alpha) alpha_j^vee
+        self._coroots = {}
+        for r in self._all_roots:
+            norm = sum(x * x for x in self._e_coords(r))
+            v = [divmod(c * gram[j][j], norm) for j, c in enumerate(r.coords)]
+            if any(rem for _, rem in v):
+                raise ConsistencyError("coroot of %r is not integral" % (r,))
+            self._coroots[r.coords] = tuple(q for q, _ in v)
 
     def _generate_positive_roots(self):
         n = self.rank
@@ -259,7 +249,7 @@ class RootSystem:
     # -- membership and conversions -------------------------------------------------
 
     def is_root(self, root):
-        return root.coords in self._root_set
+        return root.coords in self._coroots
 
     def all_roots(self):
         """The positive roots, then their negatives: one tuple, built once."""
@@ -288,31 +278,24 @@ class RootSystem:
         coords = [F(c) for c in coords]
         return Weight(tuple(sum(map(mul, row, coords)) for row in self.cartan_matrix))
 
+    def _e_coords(self, root):
+        """Euclidean coordinates sum c_i alpha_i of a root (module docstring)."""
+        return tuple(sum(map(mul, root.coords, col)) for col in zip(*self._simple_e))
+
     def coroot_vector(self, root):
         """Int vector v with <lam, root^vee> = sum v_i lam.fw[i].
 
         Coroots lie in the coroot lattice, so v is integral and
         2 <lam, root^vee> = sum v_i lam.d2[i] is an integer.
         """
-        if root.coords in self._coroot_cache:
-            return self._coroot_cache[root.coords]
-        c = root.coords
-        # v_j = c_j d_j / ((c, c) / 2), with 2 (c, c) = c . gram2 . c
-        norm2 = sum(x * sum(map(mul, row, c)) for x, row in zip(c, self._gram2))
-        v = []
-        for j in range(self.rank):
-            q, r = divmod(4 * c[j] * self._d[j], norm2)
-            if r:
-                raise ConsistencyError("coroot of %r is not integral" % (root,))
-            v.append(int(q))
-        v = tuple(v)
-        self._coroot_cache[root.coords] = v
-        return v
+        try:
+            return self._coroots[root.coords]
+        except KeyError:
+            raise InputError("not a root of %s%d: %r"
+                             % (self.type_label, self.rank, root)) from None
 
     def pairing(self, lam, root):
         """<lam, root^vee>, exact (an int whenever it is integral)."""
-        if not self.is_root(root):
-            raise InputError("not a root of %s%d: %r" % (self.type_label, self.rank, root))
         v2 = sum(map(mul, self.coroot_vector(root), lam.d2))
         return v2 // 2 if v2 % 2 == 0 else F(v2, 2)
 
@@ -365,7 +348,7 @@ class Subsystem:
                 raise InputError("positive system contains a root and its negative")
         sums = {tuple(map(add, a.coords, b.coords))
                 for a in self.positive_roots for b in self.positive_roots}
-        if any(s in rs._root_set and s not in pos_set for s in sums):
+        if any(s in rs._coroots and s not in pos_set for s in sums):
             raise ConsistencyError("subsystem not closed under addition")
         self.simple_roots = tuple(r for r in self.positive_roots if r.coords not in sums)
         # 2 rho_sub is the sum of the positive roots, so rho_sub.d2 is that sum in fw

@@ -27,7 +27,7 @@ from operator import neg
 
 from .bott import _Table, euler_of_weights
 from .errors import InputError
-from .grading import is_QK_dominant, parabolic
+from .grading import _require_borel_of_k, is_QK_dominant, parabolic
 from .rootdata import (VirtualCharacter, _Packing, _packing, _reach, _weight_of,
                        _width, partition_counter, require_integral,
                        weyl_elements, zero_weight)
@@ -89,9 +89,11 @@ def _series(lams, gd, kd, N, form):
     module docstring): one packed Sym^k(-(u cap p)) and one regularization
     table, whose packing bounds every Sym^k weight plus every shift of the
     call.  Each series is signed by (-1)^l(w0), l(w0) = |positive roots of
-    K|.  A negative N raises InputError here, before any series."""
+    K|.  A negative N, or an H whose Q cap K does not contain the Borel of
+    K, raises InputError here, before any series."""
     if N < 0:
         raise InputError("degree bound N must be >= 0, got %d" % N)
+    _require_borel_of_k(gd)
     gens = [tuple(map(neg, w.d2)) for w in gd.u_cap_p_weights()]
     two_rho = kd.rho + kd.rho
     shifts = [-lam - two_rho for lam in lams]
@@ -205,6 +207,7 @@ def blattner_multiplicity(mu, lam, gd, kd):
     if not kd.is_dominant(mu):
         raise InputError("mu must be K-dominant")
     require_integral(lam)
+    _require_borel_of_k(gd)
     words = weyl_elements(kd)
     images = _weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
     return _alternating_sum(words, images, kd.rho + lam,

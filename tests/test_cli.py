@@ -332,6 +332,42 @@ def test_run_config_with_odd_grading_is_input_error(tmp_path, capsys):
     assert "odd orbit" in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("argv,root", [
+    (("hilbert", "--form", "su(2,1)", "--H=-2,-2", "--N", "3"), [1, 1]),
+    (("hilbert", "--form", "su(2,2)", "--H=-2,-2,-2"), [0, 1, 1]),
+    (("verify-vanishing", "--form", "su(2,1)", "--H=-2,-2", "--lambda", "0,0"), [1, 1]),
+    (("blattner", "--form", "su(2,1)", "--H=-2,-2", "--mu", "0,0", "--lambda", "0,0"),
+     [1, 1]),
+    (("components", "--form", "su(2,1)", "--H", "2,2", "--H=-2,-2", "--N", "2"), [1, 1]),
+])
+def test_an_H_whose_q_cap_k_misses_the_borel_of_k_is_refused(capsys, argv, root):
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert "positive compact root %s" % root in error and "Borel of K" in error
+
+
+def test_run_refuses_an_H_whose_q_cap_k_misses_the_borel_of_k(tmp_path, monkeypatch,
+                                                               capsys):
+    # refused before the matrix model builds H, so before any check runs:
+    # an unmet hypothesis is no violation
+    monkeypatch.setattr(oc, "pinned_principal", None)
+    with pytest.raises(InputError, match=r"root \[1, 1\] has degree -4"):
+        cli.run({"form": "su(2,1)", "H": [-2, -2]})
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"form": "su(2,1)", "H": [-2, -2]}))
+    code, out, err = _run(capsys, "run", "--config", str(cfg_path))
+    assert (code, out) == (2, "")
+    assert "Borel of K" in json.loads(err)["error"]
+
+
+def test_a_torus_k_takes_either_chamber(capsys):
+    # su(1,1) has no compact root, so H = -2 is graded and its series runs
+    code, out, _ = _run(capsys, "hilbert", "--form", "su(1,1)", "--H=-2", "--N", "3")
+    assert code == 0
+    assert json.loads(out)["dims"] == [1, 1, 1, 1]
+
+
 def test_budget_exhausted_check_is_inconclusive(monkeypatch):
     def stalls(*args, **kwargs):
         raise DiagnosticError("evaluation ranks did not stabilize", partial=[1, 4, 9])

@@ -223,7 +223,7 @@ def test_grade_layers_over_the_search_box(name):
     rs, eps = _form(name)
     roots = tuple(rs.positive_roots) + tuple(rd.Root(tuple(-c for c in r.coords))
                                              for r in rs.positive_roots)
-    for h in product(range(gr._MAX_H + 1), repeat=rs.rank):
+    for h in product(range(3), repeat=rs.rank):
         layers = {}
         for r in roots:
             deg = sum(c * x for c, x in zip(r.coords, h))

@@ -101,7 +101,7 @@ def _tau_for_sl(eps):
 
 def _mask_sign(tau, rs, eps):
     for r in rs.positive_roots:
-        ev = oc._e_coords_of_root(rs, r)
+        ev = rs._e_coords(r)
         exp = sum(int(c) * tau[j] for j, c in enumerate(ev)) % 4
         if exp % 2:
             return False
@@ -949,7 +949,7 @@ def _random_nilpotent_by_sums(real, rng):
     """Reference random_nilpotent: the same draws, x summed one scaled root
     vector at a time in Fraction arithmetic."""
     noncompact = real.noncompact_roots()
-    patterns = [oc._e_coords_of_root(real.rs, r) for r in noncompact]
+    patterns = [real.rs._e_coords(r) for r in noncompact]
     while True:
         xi = [rng.randint(-6, 6) for _ in range(real.n_e)]
         vals = [sum(F(x) * e for x, e in zip(xi, pat)) for pat in patterns]

@@ -8,6 +8,7 @@ from operator import add, mul
 
 import pytest
 
+from nilcone import linalg as la
 from nilcone import rootdata as rd
 from nilcone.bott import euler_of_weights
 from nilcone.errors import InputError
@@ -85,6 +86,128 @@ def test_all_roots_is_one_tuple_of_positives_then_negatives(label, rank):
     assert all(rs.is_root(r) for r in roots) and len(set(roots)) == 2 * len(pos)
 
 
+# -- the root table against hand-coded references ---------------------------------
+
+def _cartan_data(type_label, rank):
+    """Reference: the Cartan matrix (cartan[i][j] = <alpha_j, alpha_i^vee>)
+    and the half-norms d_i = (alpha_i, alpha_i)/2, written out by hand."""
+    n = rank
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 2
+    if type_label == "A":
+        for i in range(n - 1):
+            a[i][i + 1] = a[i + 1][i] = -1
+        d = [F(1)] * n
+    elif type_label == "B":
+        for i in range(n - 1):
+            a[i][i + 1] = a[i + 1][i] = -1
+        a[n - 1][n - 2] = -2  # <alpha_{n-1}, alpha_n^vee>
+        d = [F(1)] * (n - 1) + [F(1, 2)]
+    elif type_label == "C":
+        for i in range(n - 1):
+            a[i][i + 1] = a[i + 1][i] = -1
+        a[n - 2][n - 1] = -2  # <alpha_n, alpha_{n-1}^vee>
+        d = [F(1)] * (n - 1) + [F(2)]
+    elif type_label == "D":
+        for i in range(n - 2):
+            a[i][i + 1] = a[i + 1][i] = -1
+        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
+        a[n - 2][n - 1] = a[n - 1][n - 2] = 0
+        d = [F(1)] * n
+    else:
+        a = [[2, -3], [-1, 2]]
+        d = [F(1), F(3)]
+    return [tuple(row) for row in a], tuple(d)
+
+
+def _e_coords_of_root(rs, root):
+    """Reference: the Euclidean coordinates of an A, C or D root, written
+    out by hand."""
+    c = root.coords
+    n = rs.rank
+    t = rs.type_label
+    if t == "A":
+        v = [0] * (n + 1)
+        for i in range(n):  # alpha_i = e_i - e_{i+1}
+            v[i] += c[i]
+            v[i + 1] -= c[i]
+        return tuple(v)
+    v = [0] * n
+    for i in range(n - 1):
+        v[i] += c[i]
+        v[i + 1] -= c[i]
+    if t == "C":
+        v[n - 1] += 2 * c[n - 1]
+    else:
+        v[n - 2] += c[n - 1]
+        v[n - 1] += c[n - 1]
+    return tuple(v)
+
+
+def _reference_roots(cartan):
+    """Every root, as the orbit of the simple roots under the reflections
+    s_i(b) = b - <b, alpha_i^vee> alpha_i of the Cartan matrix."""
+    n = len(cartan)
+    frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = set(frontier)
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for i in range(n):
+                c = b[:i] + (b[i] - sum(map(mul, cartan[i], b)),) + b[i + 1:]
+                if c not in seen:
+                    seen.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
+_TABLE_TYPES = ([("A", n) for n in range(1, 10)] + [("B", n) for n in range(2, 10)]
+                + [("C", n) for n in range(2, 10)] + [("D", n) for n in range(3, 10)]
+                + [("G2", 2)])
+
+
+@pytest.mark.parametrize("label,rank", _TABLE_TYPES)
+def test_root_table_matches_the_hand_coded_references(label, rank):
+    rs = rd.build_root_system(label, rank)
+    cartan, d = _cartan_data(label, rank)
+    assert rs.cartan_matrix == cartan
+    # the simple roots, then the others by height and coordinates
+    pos = [r.coords for r in rs.positive_roots]
+    assert set(pos) == {c for c in _reference_roots(cartan) if min(c) >= 0}
+    assert pos[:rank] == [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    assert pos[rank:] == sorted(pos[rank:], key=lambda c: (sum(c), c))
+    adj, den = la.inverse(cartan)
+    assert (rs._adj, rs._root_den) == (adj, 2 * den)
+    # twice the Gram matrix of the simple roots: 2 (a_i, a_j) = 2 d_i cartan[i][j]
+    gram2 = [[2 * d[i] * a for a in cartan[i]] for i in range(rank)]
+    for r in rs.all_roots():
+        c = r.coords
+        norm2 = sum(x * sum(map(mul, row, c)) for x, row in zip(c, gram2))
+        v = rs.coroot_vector(r)
+        assert all(type(x) is int for x in v)
+        assert v == tuple(4 * c[j] * d[j] / norm2 for j in range(rank))
+        e = rs._e_coords(r)
+        assert 2 * sum(x * x for x in e) == norm2
+        if label in "ACD":
+            assert e == _e_coords_of_root(rs, r)
+
+
+def test_g2_euclidean_roots():
+    g2 = rd.build_root_system("G2", 2)
+    assert [g2._e_coords(r) for r in g2.simple_roots] == [(1, -1, 0), (-2, 1, 1)]
+    # the highest root 3 alpha_1 + 2 alpha_2 is long
+    assert g2._e_coords(g2.positive_roots[-1]) == (-1, -1, 2)
+    assert {sum(x * x for x in g2._e_coords(r)) for r in g2.all_roots()} == {2, 6}
+
+
+def test_coroot_vector_rejects_non_roots():
+    a2 = rd.build_root_system("A", 2)
+    with pytest.raises(InputError, match="not a root"):
+        a2.coroot_vector(rd.Root((2, 0)))
+
+
 # -- pairing -----------------------------------------------------------------------
 
 def test_pairing_examples():
@@ -160,7 +283,7 @@ def test_make_dominant_a1_examples():
 def _naive_make_dominant(rs, sub, lam):
     """The Bott step in Fraction fw coordinates, from the Cartan matrix alone."""
     n = rs.rank
-    cartan, d = rs.cartan_matrix, rs._d
+    cartan, d = _cartan_data(rs.type_label, rs.rank)
 
     def root_fw(c):
         return [sum(F(cartan[i][j] * c[j]) for j in range(n)) for i in range(n)]

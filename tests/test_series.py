@@ -23,6 +23,37 @@ def _context(name, h):
     return rs, gd, kd
 
 
+def test_series_and_blattner_refuse_an_H_whose_q_cap_k_misses_the_borel_of_k():
+    rs, gd, kd = _context("su(2,1)", (-2, -2))
+    zero = rd.zero_weight(2)
+    with pytest.raises(InputError, match="Borel of K"):
+        se.hilbert_series(gd, kd, 3)
+    with pytest.raises(InputError, match="Borel of K"):
+        next(se.verify_vanishing_box([zero], gd, kd, 2))
+    with pytest.raises(InputError, match="Borel of K"):
+        se.blattner_multiplicity(zero, zero, gd, kd)
+    # grading, the parabolic and the conormal weight take any H
+    assert gr.parabolic(gd).canonical_weight == gr.conormal_canonical_weight(
+        rs, gd.eps, (-2, -2))
+
+
+@pytest.mark.parametrize("name", ["su(2,1)", "sp(4,R)", "su(2,2)"])
+def test_the_borel_refusal_is_a_negative_compact_degree(name):
+    # over {-2, 0, 2}^rank, the series runs exactly when no positive
+    # compact root has negative degree
+    rs, eps = rf.standard_form_catalog(name)
+    for h in product((-2, 0, 2), repeat=rs.rank):
+        gd = gr.grade(rs, eps, h)
+        kd = gd.k_root_datum()
+        refused = any(gd.degree_of(r) < 0 for r in kd.positive_roots)
+        try:
+            se.hilbert_series(gd, kd, 1)
+        except InputError as exc:
+            assert refused and "Borel of K" in str(exc)
+        else:
+            assert not refused
+
+
 def test_sym_weights_examples():
     a = rd.weight(2)  # a stand-in for a root weight
     assert se.sym_weights([a], 0) == [rd.weight(0)]

@@ -15,16 +15,23 @@ def test_sources_compile_without_warnings():
             compile(path.read_text(), str(path), "exec")
 
 
+def _trees():
+    return [ast.parse(path.read_text())
+            for path in sorted(Path(nilcone.__file__).parent.glob("*.py"))]
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
 def test_every_private_definition_is_used():
     # a private function, class or method that nothing in the package names
     # is dead code
-    trees = [ast.parse(path.read_text())
-             for path in sorted(Path(nilcone.__file__).parent.glob("*.py"))]
     defined, named = set(), set()
-    for tree in trees:
+    for tree in _trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
+                if _private(node.name):
                     defined.add(node.name)
             elif isinstance(node, ast.Name):
                 named.add(node.id)
@@ -34,3 +41,27 @@ def test_every_private_definition_is_used():
                 named.add(node.name)
     assert defined
     assert sorted(defined - named) == []
+
+
+def test_every_private_name_stored_is_read():
+    # a private attribute that the package stores, or a private module-level
+    # name that it binds, and that nothing in the package reads is dead state
+    stored, read = set(), set()
+    for tree in _trees():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                stored.update(n.id for t in targets for n in ast.walk(t)
+                              if isinstance(n, ast.Name) and _private(n.id))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif _private(node.attr):
+                    stored.add(node.attr)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert stored
+    assert sorted(stored - read) == []
