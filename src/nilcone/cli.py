@@ -315,7 +315,8 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         try:
             verdict, detail = fn()
         except InputError as exc:
-            verdict, detail = "FAIL", {"error": str(exc)}
+            # a refusal inside a check: its hypothesis is unmet, nothing failed
+            verdict, detail = se.HYPOTHESIS_UNMET, {"error": str(exc)}
         except DiagnosticError as exc:
             verdict, detail = INCONCLUSIVE, {"error": str(exc),
                                              "partial": _json_data(exc.partial)}

@@ -234,7 +234,8 @@ def _weyl_images(kd, words, lam):
 def _alternating_sum(words, images, off, count):
     """blattner_multiplicity's sum over the Weyl words of K, given as words
     with images w(mu* + rho_K) (see _weyl_images); off is rho_K + lam and
-    count a partition_counter of the weights of u cap p."""
+    count the multiplicity of a weight in Sym(u cap p) (a
+    partition_counter) or in one Sym^k(u cap p)."""
     total = 0
     for w, image in zip(words, images):
         n = count(image - off)
@@ -243,39 +244,32 @@ def _alternating_sum(words, images, off, count):
 
 
 def blattner_series_identity(gd, kd, lam, max_degree, form=""):
-    """Cross-check the alternating sum against cumulative series multiplicities.
+    """Cross-check the series against the alternating sum, degree by degree.
 
-    The alternating sum counts every occurrence of a K-type in the full
-    (untruncated) series, and a type can recur across degrees whenever the
-    weights of u cap p have different heights.  For each type seen up to
-    max_degree, the series is therefore extended past the last degree that
-    could still contribute it before comparing.  Returns (ok, mismatches,
-    number of types checked).
+    Degree k of the series is dual(Euler(Sym^k(u cap p) + lam)), so the
+    multiplicity of V_mu there is blattner_multiplicity's sum with P
+    replaced by P_k, the multiplicity of a weight in Sym^k(u cap p).  For
+    each type seen in degrees 0..max_degree, its series multiplicity and
+    its alternating sum are compared at each of those degrees on its own.
+    No degree above max_degree is covered: comparing with
+    blattner_multiplicity's total over all degrees would need the series
+    extended to the last degree that could still hold the type.  Returns
+    (ok, mismatches, number of types checked), a mismatch being (mu,
+    series multiplicities by degree, alternating sums by degree).
     """
-    rs = gd.rs
-    ups = gd.u_cap_p_weights()
-    # heights in root coordinates times rs._root_den: one positive scale, so
-    # floor(h / min_h) and the sign of h are those of the exact heights
-    heights = [sum(rs._root_num(w)) for w in ups]
-    min_h = min(heights, default=rs._root_den)
     words = weyl_elements(kd)
     off = kd.rho + lam
-    base = euler_series(lam, gd, kd, max_degree, form=form)
-    mus = {w for chi in base.chi for w, _ in chi.items()}
-    images, needed = {}, {}
-    for mu in mus:
-        images[mu] = _weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
-        hs = [sum(rs._root_num(image - off)) for image in images[mu]]
-        needed[mu] = max([h // min_h for h in hs if h >= 0], default=0)
-    k_far = max([max_degree, *needed.values()])
-    ext = euler_series(lam, gd, kd, k_far, form=form) if k_far > max_degree else base
-    count = partition_counter(rs, ups)
+    chi = euler_series(lam, gd, kd, max_degree, form=form).chi
+    syms = sym_powers(gd.u_cap_p_weights(), max_degree, gd.rs.rank)
+    mus = {w for c in chi for w, _ in c.items()}
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
-        cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
-        alternating = _alternating_sum(words, images[mu], off, count)
-        if cumulative != alternating:
-            mismatches.append((mu, cumulative, alternating))
+        images = _weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
+        series = [c.mult(mu) for c in chi]
+        alternating = [_alternating_sum(words, images, off, sym.__getitem__)
+                       for sym in syms]
+        if series != alternating:
+            mismatches.append((mu, series, alternating))
     return not mismatches, mismatches, len(mus)
 
 

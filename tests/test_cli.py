@@ -11,6 +11,7 @@ from nilcone import cli
 from nilcone import grading as gr
 from nilcone import oracle as oc
 from nilcone import realform as rf
+from nilcone import series as se
 from nilcone.errors import DiagnosticError, InputError, OutOfScopeError
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -366,6 +367,48 @@ def test_a_torus_k_takes_either_chamber(capsys):
     code, out, _ = _run(capsys, "hilbert", "--form", "su(1,1)", "--H=-2", "--N", "3")
     assert code == 0
     assert json.loads(out)["dims"] == [1, 1, 1, 1]
+
+
+def test_a_torus_k_runs_the_blattner_identity_in_either_chamber():
+    # under H = -2 the weight of u cap p has negative height, which the
+    # graded identity does not need
+    report = cli.run({"form": "su(1,1)", "H": [-2]})
+    blattner = next(c for c in report["checks"] if c["check"] == "blattner")
+    assert blattner == {"check": "blattner", "verdict": "PASS",
+                        "detail": {"types_checked": 4}}
+    assert report["verdict"] == "PASS"
+
+
+# the engine call each check makes once the form is set up
+_CHECK_ENGINES = {
+    "grading": (oc, "verify_grading_dims"),
+    "theta": (cli, "Root"),
+    "dense": (oc, "dense_orbit_check"),
+    "canonical": (oc, "canonical_weight_from_matrices"),
+    "vanishing": (se, "verify_vanishing_box"),
+    "hilbert": (se, "hilbert_series"),
+    "blattner": (se, "blattner_series_identity"),
+    "components": (oc, "qct_evidence"),
+    "qct": (se, "qct_report"),
+}
+
+
+@pytest.mark.parametrize("check", cli.ALL_CHECKS)
+def test_a_refusal_inside_a_check_is_hypothesis_unmet(check, tmp_path, monkeypatch,
+                                                      capsys):
+    def refuses(*args, **kwargs):
+        raise InputError("refused inside %s" % check)
+
+    monkeypatch.setattr(*_CHECK_ENGINES[check], refuses)
+    report = cli.verify_form("su(2,1)", N=2, kmax=1, checks=(check,))
+    assert report["checks"] == [{"check": check, "verdict": "HYPOTHESIS-UNMET",
+                                 "detail": {"error": "refused inside %s" % check}}]
+    assert report["verdict"] == "HYPOTHESIS-UNMET"
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps({"form": "su(2,1)", "N": 2, "kmax": 1,
+                                    "checks": [check]}))
+    code, out, _ = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == 2 and json.loads(out)["verdict"] == "HYPOTHESIS-UNMET"
 
 
 def test_budget_exhausted_check_is_inconclusive(monkeypatch):

@@ -1,8 +1,10 @@
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from operator import add
+from pathlib import Path
 
 import pytest
 
@@ -477,8 +479,8 @@ def test_blattner_series_identity(name, h):
 
 
 def test_blattner_identity_reflects_each_k_type_once(monkeypatch):
-    # each K-type's dual highest weight and Weyl images serve both the
-    # extension degree and the alternating sum
+    # each K-type's dual highest weight and Weyl images serve the
+    # alternating sum of every degree
     rs, gd, kd = _context("so*(8)", (0, 0, 0, 2))
     want = se.blattner_series_identity(gd, kd, rd.zero_weight(4), 2)
     calls = Counter()
@@ -498,6 +500,122 @@ def test_blattner_identity_reflects_each_k_type_once(monkeypatch):
     got = se.blattner_series_identity(gd, kd, rd.zero_weight(4), 2)
     assert got == want and want[0] and want[2] == 4
     assert calls == {"images": 4, "dual": 4}
+
+
+def _ungraded_identity(gd, kd, lam, max_degree):
+    """The ungraded identity the series was once checked with: for each
+    type seen up to max_degree, its total over the series extended to the
+    last degree that could still hold it, against blattner_multiplicity's
+    untruncated sum.  Returns (ok, mismatches, types checked, the extension
+    degree k_far)."""
+    rs = gd.rs
+    ups = gd.u_cap_p_weights()
+    # heights in root coordinates times rs._root_den: one positive scale, so
+    # floor(h / min_h) and the sign of h are those of the exact heights
+    heights = [sum(rs._root_num(w)) for w in ups]
+    min_h = min(heights, default=rs._root_den)
+    words = rd.weyl_elements(kd)
+    off = kd.rho + lam
+    base = se.euler_series(lam, gd, kd, max_degree)
+    mus = {w for chi in base.chi for w, _ in chi.items()}
+    images, needed = {}, {}
+    for mu in mus:
+        images[mu] = se._weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
+        hs = [sum(rs._root_num(image - off)) for image in images[mu]]
+        needed[mu] = max([h // min_h for h in hs if h >= 0], default=0)
+    k_far = max([max_degree, *needed.values()])
+    ext = se.euler_series(lam, gd, kd, k_far) if k_far > max_degree else base
+    count = rd.partition_counter(rs, ups)
+    mismatches = []
+    for mu in sorted(mus, key=lambda w: w.d2):
+        cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
+        alternating = se._alternating_sum(words, images[mu], off, count)
+        if cumulative != alternating:
+            mismatches.append((mu, cumulative, alternating))
+    return not mismatches, mismatches, len(mus), k_far
+
+
+_SEARCHED = json.loads((Path(__file__).parent / "data" /
+                        "verify-searched.seed7.json").read_text())
+
+
+@pytest.mark.parametrize("name,eps,h", [
+    # the shipped verify presentations: the pinned four, the searched nine
+    *((name, None, None) for name in ("su(1,1)", "su(2,1)", "sp(4,R)", "su(2,2)")),
+    *((name, None, tuple(report["H"])) for name, report in sorted(_SEARCHED.items())),
+    # maximal presentations, where the ungraded identity extends the series
+    ("su(3,1)", (1, -1, -1), (0, 2, 2)),
+    ("sp(6,R)", (-1, -1, -1), (2, 2, 2)),
+    ("su(3,2)", (-1, -1, -1, -1), (2, 2, 2, 2)),
+    ("so*(8)", (-1, -1, 1, 1), (2, 2, 0, 0)),
+    ("sp(2,2)", (-1, 1, -1, 1), (0, 2, 0, 2)),
+])
+def test_graded_identity_agrees_with_the_ungraded_one(name, eps, h):
+    if eps is None:
+        rs, gd, kd, _ = _box_context(name, h)
+    else:
+        rs = rf.standard_form_catalog(name)[0]
+        gd = gr.grade(rs, rf.EqualRankInvolution(eps), h)
+        kd = gd.k_root_datum()
+    zero = rd.zero_weight(rs.rank)
+    ok, _, count, k_far = _ungraded_identity(gd, kd, zero, 3)
+    got = se.blattner_series_identity(gd, kd, zero, 3)
+    assert ok and (got[0], got[2]) == (ok, count)
+    # P = sum_k P_k: through the extension degree, each type's graded sums
+    # add up to its ungraded total
+    words = rd.weyl_elements(kd)
+    syms = se.sym_powers(gd.u_cap_p_weights(), k_far, rs.rank)
+    for mu in {w for c in se.euler_series(zero, gd, kd, 3).chi for w, _ in c.items()}:
+        images = se._weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
+        graded = [se._alternating_sum(words, images, kd.rho, sym.__getitem__)
+                  for sym in syms]
+        assert sum(graded) == se.blattner_multiplicity(mu, zero, gd, kd)
+
+
+def test_blattner_identity_reaches_rank_7():
+    # su(4,4) at a maximal presentation: the ungraded identity would extend
+    # the series to degree 21
+    rs = rf.standard_form_catalog("su(4,4)")[0]
+    gd = gr.grade(rs, rf.EqualRankInvolution((-1,) * 7), (2,) * 7)
+    kd = gd.k_root_datum()
+    assert se.blattner_series_identity(gd, kd, rd.zero_weight(7), 3) == (True, [], 28)
+
+
+def test_blattner_identity_builds_one_series_to_max_degree(monkeypatch):
+    rs, gd, kd = _context("so*(8)", (0, 0, 0, 2))
+    degrees = []
+    euler_series = se.euler_series
+
+    def counted(lam, gd, kd, N, form=""):
+        degrees.append(N)
+        return euler_series(lam, gd, kd, N, form=form)
+
+    monkeypatch.setattr(se, "euler_series", counted)
+    assert se.blattner_series_identity(gd, kd, rd.zero_weight(4), 3)[0]
+    assert degrees == [3]
+
+
+def test_blattner_mismatch_names_its_degree(monkeypatch):
+    # one extra weight in Sym^2 shifts the alternating sums of degree 2 only
+    rs, gd, kd = _context("su(2,1)", (2, 2))
+    sym_powers = se.sym_powers
+
+    def perturbed(weights, N, rank):
+        syms = sym_powers(weights, N, rank)
+        syms[2][rd.zero_weight(rank)] += 1
+        return syms
+
+    monkeypatch.setattr(se, "sym_powers", perturbed)
+    ok, mismatches, count = se.blattner_series_identity(gd, kd, rd.zero_weight(2), 3)
+    assert not ok and mismatches
+    for mu, series, alternating in mismatches:
+        assert len(series) == len(alternating) == 4
+        assert [k for k in range(4) if series[k] != alternating[k]] == [2]
+    report = cli.verify_form("su(2,1)", N=3, checks=("blattner",))
+    assert report["checks"] == [{
+        "check": "blattner", "verdict": "FAIL",
+        "detail": {"mismatches": [[rd.weight_to_json(mu), series, alternating]
+                                  for mu, series, alternating in mismatches]}}]
 
 
 def test_blattner_with_twist():

@@ -65,3 +65,17 @@ def test_every_private_name_stored_is_read():
                 read.add(node.name)
     assert stored
     assert sorted(stored - read) == []
+
+
+def test_the_weight_engines_import_no_fractions():
+    # their pairings and heights are int dot products; a Fraction enters
+    # only where a weight is read in or printed
+    root = Path(nilcone.__file__).parent
+    for name in ("bott.py", "series.py", "grading.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((root / name).read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert "fractions" not in imported, name
