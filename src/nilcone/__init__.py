@@ -14,10 +14,9 @@ __version__ = "0.1.0"
 from .errors import (ConsistencyError, DiagnosticError, InputError,
                      OddGradingError, OutOfScopeError)
 from .rootdata import (Root, RootSystem, Subsystem, VirtualCharacter, Weight,
-                       WeylElement, build_root_system, full_subsystem,
-                       kostant_partition, make_dominant, weight,
-                       weyl_dimension, weyl_elements)
-from .realform import (CartanDecomposition, EqualRankInvolution, KRootDatum,
+                       WeylElement, build_root_system, kostant_partition,
+                       make_dominant, weight, weyl_dimension, weyl_elements)
+from .realform import (CartanDecomposition, EqualRankInvolution,
                        cartan_decomposition, k_root_datum,
                        principal_presentation, standard_form_catalog)
 from .grading import (GradedDecomposition, GradingElement, ParabolicData,

@@ -42,7 +42,7 @@ def line_cohomology(lam, kd):
     w, dom, singular = make_dominant(kd, lam)
     if singular:
         return CohomologyResult({})
-    return CohomologyResult({w.length: VirtualCharacter.irreducible(dom)})
+    return CohomologyResult({w.length: VirtualCharacter({dom: 1})})
 
 
 class _Table(dict):

@@ -115,7 +115,6 @@ class ParabolicData:
     two_rho_u_k: object
     canonical_weight: object
     simple_l_k_roots: tuple
-    gd: GradedDecomposition
 
 
 def grade(rs, eps, H, require_even=True):
@@ -170,7 +169,6 @@ def parabolic(gd):
         two_rho_u_k=two_rho_u_k,
         canonical_weight=two_rho_u_p - two_rho_u_k,
         simple_l_k_roots=simple_l_k,
-        gd=gd,
     )
 
 

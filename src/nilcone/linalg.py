@@ -1,7 +1,7 @@
 """Dense linear algebra over the rationals.
 
 Matrices are lists of lists, and vectors lists, of ints and Fractions.  An
-int matrix stays an int matrix through zeros, identity, mat_add, mat_sub,
+int matrix stays an int matrix through zeros, mat_add, mat_sub,
 mat_scale by an int and mat_mul; rref and nullspace return Fractions, and
 solve eliminates integer rows and makes only its solution Fractions.  No
 floating point anywhere.  rref, rank, nullspace, solve, inverse,
@@ -27,13 +27,6 @@ F = Fraction
 
 def zeros(nrows, ncols):
     return [[0] * ncols for _ in range(nrows)]
-
-
-def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
 
 
 def mat_add(a, b):
@@ -282,6 +275,3 @@ class Span:
         if any(residual):
             return None
         return acc
-
-    def contains(self, v):
-        return self.coords(v) is not None

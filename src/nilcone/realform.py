@@ -49,18 +49,6 @@ class CartanDecomposition:
     p_dim: int
 
 
-class KRootDatum(Subsystem):
-    """Root datum of K: the +1 roots with the inherited positive system."""
-
-    def __init__(self, rs, eps, positive_k_roots):
-        super().__init__(rs, positive_k_roots)
-        self.eps = eps
-
-    @property
-    def rho_K(self):
-        return self.rho
-
-
 def cartan_decomposition(rs, eps):
     """Split all roots into compact (k) and noncompact (p) ones."""
     if len(eps.epsilon) != rs.rank:
@@ -73,13 +61,12 @@ def cartan_decomposition(rs, eps):
 
 
 def k_root_datum(cd):
-    """The inherited positive system on the compact roots, with rho_K."""
+    """The root datum of K: the compact roots, inherited positives; rho is rho_K."""
     positives = [r for r in cd.k_roots if r.is_positive]
     try:
-        kd = KRootDatum(cd.rs, cd.eps, positives)
+        return Subsystem(cd.rs, positives)
     except InputError as exc:  # should be impossible: inherited positives are valid
         raise ConsistencyError("inherited K positive system invalid: %s" % exc) from exc
-    return kd
 
 
 def _normalize_name(name):

@@ -23,14 +23,14 @@ doubling keeps every coordinate an integer.  ``Weight.fw`` reads the exact
 rationals back.  The degree of a root c under the i-th simple coroot is
 the i-th entry of cartan . c.  Coroots lie in the
 coroot lattice, so every pairing, reflection, dominance test, Weyl
-enumeration and Weyl dimension runs on ints; root coordinates of a weight
-are an integer matrix (the inverse Cartan matrix over its least common
-denominator, from nilcone.linalg.inverse) and one exact division.
+enumeration and Weyl dimension runs on ints, as do the root coordinates of
+a weight that the partition counter reads: an integer matrix (the inverse
+Cartan matrix times its least common denominator, from nilcone.linalg.inverse).
 
 Every Weyl-group action runs on packed weights (_Packing): the sweeps into
 the dominant chamber (make_dominant, dominant_representative, each table
-miss of the Bott sum in nilcone.bott), the Weyl-word BFS, Subsystem.apply
-and the Blattner images of nilcone.series.  A packed weight is one int
+miss of the Bott sum in nilcone.bott), the Weyl-word BFS and the Blattner
+images of nilcone.series.  A packed weight is one int
 whose fixed-width slots hold a weight's doubled pairings with the simple
 coroots of a subsystem and its d2 coordinates.  A simple reflection is one
 int update and a negative pairing is a clear top bit of its slot.
@@ -127,10 +127,6 @@ class Weight:
     def __neg__(self):
         return _weight_of(tuple(map(neg, self.d2)))
 
-    def scale(self, c):
-        c = F(c)
-        return Weight(tuple(F(x, 2) * c for x in self.d2))
-
     @property
     def is_integral(self):
         """True when every fundamental-weight coordinate is an integer."""
@@ -200,8 +196,7 @@ class RootSystem:
         self.cartan_matrix = [tuple(2 * x // row[i] for x in row)
                               for i, row in enumerate(gram)]
         # root coordinates of lam are (adj . lam.d2) / (2 den), cartan^-1 = adj / den
-        self._adj, den = la.inverse(self.cartan_matrix)
-        self._root_den = 2 * den
+        self._adj = la.inverse(self.cartan_matrix)[0]
         self.positive_roots = self._generate_positive_roots()
         self.simple_roots = self.positive_roots[: rank]
         expected = _POSITIVE_COUNTS[type_label](rank)
@@ -265,18 +260,9 @@ class RootSystem:
         return tuple(sum(map(mul, row, c)) for row in self.cartan_matrix)
 
     def _root_num(self, lam):
-        """Root coordinates of lam times _root_den, as an int tuple."""
+        """Root coordinates of lam times 2 den, as an int tuple."""
         d2 = lam.d2
         return tuple(sum(map(mul, row, d2)) for row in self._adj)
-
-    def root_coords_of_weight(self, lam):
-        """Exact rational coordinates of a weight over the simple roots."""
-        den = self._root_den
-        return tuple(F(x, den) for x in self._root_num(lam))
-
-    def weight_from_root_coords(self, coords):
-        coords = [F(c) for c in coords]
-        return Weight(tuple(sum(map(mul, row, coords)) for row in self.cartan_matrix))
 
     def _e_coords(self, root):
         """Euclidean coordinates sum c_i alpha_i of a root (module docstring)."""
@@ -299,9 +285,6 @@ class RootSystem:
         v2 = sum(map(mul, self.coroot_vector(root), lam.d2))
         return v2 // 2 if v2 % 2 == 0 else F(v2, 2)
 
-    def rho(self):
-        return _weight_of((2,) * self.rank)
-
 
 _ROOT_SYSTEM_CACHE = {}
 
@@ -320,7 +303,8 @@ def build_root_system(type_label, rank):
 
 @dataclass(frozen=True)
 class WeylElement:
-    """Reduced word in the simple reflections of a subsystem."""
+    """Reduced word in the simple reflections of a subsystem: the element
+    s_{word[0]} s_{word[1]} ..., so word[-1] acts first."""
 
     word: tuple
 
@@ -413,19 +397,6 @@ class Subsystem:
         q = packing.sweep(packing.pack(lam.d2) + packing.zero)[0]
         return _weight_of(packing.unpack(q))
 
-    def apply(self, w, lam):
-        """Action of a WeylElement: s_{w[0]} s_{w[1]} ... applied to lam,
-        packed with zero (the linear action) and unpacked once."""
-        packing = _packing(self, _reach([lam.d2]))
-        q = packing.pack(lam.d2) + packing.zero
-        for i in reversed(w.word):
-            q = packing.reflect(q, i)
-        return _weight_of(packing.unpack(q))
-
-
-def full_subsystem(rs):
-    return Subsystem(rs, rs.positive_roots)
-
 
 def make_dominant(sub, lam):
     """Bott regularization step for lam relative to the subsystem.
@@ -438,7 +409,7 @@ def make_dominant(sub, lam):
     q, word = packing.sweep(packing.pack(lam.d2) + packing.bias)
     if packing.on_wall(q):
         return WeylElement(tuple(word)), None, True
-    word.reverse()  # recorded right-to-left; apply() composes left on top
+    word.reverse()  # recorded in the order applied; a word lists the last first
     return WeylElement(tuple(word)), _weight_of(packing.unpack(q)), False
 
 
@@ -651,7 +622,7 @@ class VirtualCharacter:
     are biased packed weights of a _Packing of the subsystem (pairing slots
     holding the doubled pairings of lam + rho_sub), each with its nonzero
     multiplicity.  The dict of Weights is built on the first read of a
-    weight (items, mult, +, ==, repr, dual); negation, negatives() and
+    weight (items, mult, +, ==, repr); negation, negatives() and
     dimension() read the packed ints, and negatives() unpacks only the
     negative terms.
     """
@@ -671,10 +642,6 @@ class VirtualCharacter:
             unpack = self._packing.unpack
             self._weights = {_weight_of(unpack(q)): m for q, m in self._packed.items()}
         return self._weights
-
-    @classmethod
-    def irreducible(cls, lam, mult=1):
-        return cls({lam: mult})
 
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].d2)
@@ -715,16 +682,6 @@ class VirtualCharacter:
             return sum(m * weyl_dimension(sub, w) for w, m in self._terms.items())
         pairings = packing.pairings
         return sum(m * _weyl_product(sub, pairings(q)) for q, m in self._packed.items())
-
-    def dual(self, sub):
-        """Contragredient: V_lam -> V_{-w0 lam}, -w0 lam being the dominant
-        weight in the orbit of -lam.  The series does not call it: it
-        dualizes by Serre duality (see nilcone.series)."""
-        out = {}
-        for w, m in self._terms.items():
-            d = sub.dominant_representative(-w)
-            out[d] = out.get(d, 0) + m
-        return VirtualCharacter(out)
 
     def negatives(self):
         """The terms with negative multiplicity, sorted as items() is."""
@@ -783,7 +740,7 @@ def kostant_partition(rs, mu, gens):
 def partition_counter(rs, gens):
     """kostant_partition(rs, mu, gens) as a function of mu: one conversion of
     gens and one memo, whose keys do not depend on mu, serve every call."""
-    # root coordinates scaled by the same positive integer _root_den, so
+    # root coordinates scaled by the same positive integer (see _root_num), so
     # the recursion runs on ints and floor(h / gh) is unchanged
     gen_coords = []
     for g in gens:

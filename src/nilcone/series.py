@@ -126,10 +126,6 @@ class VanishingReport:
     violations: list = field(default_factory=list)
     series: GradedCharacterSeries = None
 
-    @property
-    def passed(self):
-        return self.status == PASS
-
 
 def verify_vanishing_box(lams, gd, kd, N, form=""):
     """The vanishing report of each twist in lams, yielded in input order.
@@ -215,7 +211,7 @@ def blattner_multiplicity(mu, lam, gd, kd):
 
 
 def _weyl_images(kd, words, lam):
-    """[kd.apply(w, lam) for w in words], one simple reflection per word.
+    """[w(lam) for w in words], one simple reflection per word.
 
     words lists every word (i,) + parent after its parent, as weyl_elements
     does, so w(lam) = s_i(parent(lam)) reflects the parent's packed image

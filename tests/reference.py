@@ -1,0 +1,35 @@
+"""Reference Weyl-group actions that several test modules compare against.
+
+Each is written on d2 tuples or on the public dominance walk, independently
+of the packed kernels the package runs on.
+"""
+
+from operator import mul
+
+from nilcone import rootdata as rd
+
+
+def reflect2(sub, d2, i):
+    """The i-th simple reflection of doubled coordinates d2, the tuple
+    kernel that the packed one replaced."""
+    p = sum(map(mul, sub._simple_coroots[i], d2))
+    return tuple(x - p * a for x, a in zip(d2, sub._simple_fw[i]))
+
+
+def apply_word(sub, w, lam):
+    """The WeylElement w = s_{w[0]} s_{w[1]} ... applied to lam, one tuple
+    reflection at a time from the right."""
+    d2 = lam.d2
+    for i in reversed(w.word):
+        d2 = reflect2(sub, d2, i)
+    return rd._weight_of(d2)
+
+
+def dual(sub, chi):
+    """The contragredient of a virtual character: V_lam -> V_{-w0 lam},
+    -w0 lam being the dominant weight in the orbit of -lam."""
+    out = {}
+    for lam, m in chi.items():
+        d = sub.dominant_representative(-lam)
+        out[d] = out.get(d, 0) + m
+    return rd.VirtualCharacter(out)

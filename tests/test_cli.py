@@ -39,6 +39,16 @@ def test_grade_explicit_type(capsys):
     assert json.loads(out)["canonical_weight"]["coords"] == [2]
 
 
+def test_grade_explicit_type_takes_a_dashed_epsilon_after_equals(capsys):
+    # README's example of an unnamed form: a value that starts with a dash
+    # is given as --epsilon=value, and it grades as the named form does
+    code, out, _ = _run(capsys, "grade", "--type", "A", "--rank", "2",
+                        "--epsilon=-1,-1", "--H", "2,2")
+    assert code == 0
+    _, named, _ = _run(capsys, "grade", "--form", "su(2,1)", "--H", "2,2")
+    assert json.loads(out)["layers"] == json.loads(named)["layers"]
+
+
 def test_malformed_epsilon_is_input_error(capsys):
     code, _, err = _run(capsys, "grade", "--type", "A", "--rank", "2",
                         "--epsilon", "-1", "--H", "2,2")
@@ -436,15 +446,21 @@ def test_budget_exhausted_check_is_inconclusive(monkeypatch):
     assert failed["verdict"] == "FAIL" and cli._exit_code(failed["verdict"]) == 1
 
 
-def test_qct_evidence_is_billed_to_qct(monkeypatch):
+def test_qct_evidence_is_billed_to_the_check_that_computes_it(monkeypatch):
     def slow_evidence(real, seed, grading_orbit_dims=None):
         time.sleep(0.2)
         return {"degenerate": True, "seed": seed}
 
     monkeypatch.setattr(oc, "qct_evidence", slow_evidence)
+    # each check's seconds is its own wall time: components runs first and
+    # computes the evidence, qct reuses it
     report = cli.verify_form("su(1,1)", checks=("components", "qct"), timings=True)
     seconds = {c["check"]: c["seconds"] for c in report["checks"]}
-    assert seconds["qct"] >= 0.2 > seconds["components"]
+    assert seconds["components"] >= 0.2 > seconds["qct"]
+    for only in ("components", "qct"):
+        report = cli.verify_form("su(1,1)", checks=(only,), timings=True)
+        assert [c["check"] for c in report["checks"]] == [only]
+        assert report["checks"][0]["seconds"] >= 0.2
     untimed = cli.verify_form("su(1,1)", checks=("components", "qct"))
     assert all("seconds" not in c for c in untimed["checks"])
 

@@ -27,6 +27,10 @@ def _mat(rows):
     return [[F(x) for x in row] for row in rows]
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 # -- realizations ------------------------------------------------------------------
 
 @pytest.mark.parametrize("name,kdim,pdim", [
@@ -66,7 +70,7 @@ def test_p_coords_are_the_p_entries_of_coords():
     compact = real.root_vector(rd.Root((1, 1)))
     assert real.in_k(compact) and real.p_coords(compact) is None
     assert real.p_coords(real.cartan_mats[0]) is None
-    assert real.p_coords(la.identity(3)) is None  # not in g
+    assert real.p_coords(_identity(3)) is None  # not in g
     x = la.mat_add(real.root_vector(real.rs.simple_roots[0]),
                    la.mat_scale(3, real.root_vector(real.rs.simple_roots[1])))
     c = real.coords(x)
@@ -247,7 +251,7 @@ def _reference_ks_triple(real, x):
                     [2 * c for c in real.coords(x)])
     hc = [sum(a * b for a, b in zip(row, w)) for row in adx]
     h = real.from_coords(hc)
-    shift = la.mat_scale(F(2), _mat(la.identity(real.dim)))
+    shift = la.mat_scale(F(2), _mat(_identity(real.dim)))
     yc = _rref_solve(adx + la.mat_add(_fraction_ad(real, h), shift),
                      hc + [F(0)] * real.dim)
     assert la.mat_eq(la.commutator(x, real.from_coords(yc)), h)
@@ -748,12 +752,12 @@ def test_centralizer_contained_in_parabolic():
         h_mat, x_mat = oc.pinned_principal(real, h)
         adx = real.ad_matrix(x_mat)
         centralizer = la.nullspace(adx)
-        identity = la.identity(real.dim)
+        identity = _identity(real.dim)
         nonneg = [identity[i] for d, (k, p) in oc.ad_layers(real, h_mat).items()
                   if d >= 0 for i in k + p]
         span = la.Span(nonneg)
         for v in centralizer:
-            assert span.contains(v)
+            assert span.coords(v) is not None
 
 
 def test_principal_search_su11_finds_a_line():
@@ -792,7 +796,7 @@ def test_ad_matrix_and_coords_against_dense_reference(name):
     assert real.coords(z) == vec
     assert la.mat_eq(real.from_coords(real.coords(z)), z)
     assert real.ad_matrix(z) == _dense_ad(real, z)
-    one = la.identity(real.msize)
+    one = _identity(real.msize)
     assert real.coords(one) is None
     with pytest.raises(InputError):
         real.ad_matrix(one)
@@ -826,13 +830,13 @@ def _dense_word(real, rng):
     the draws sample_orbit_points makes."""
     n = real.msize
     positive = [r for r in real.compact_roots() if r.is_positive]
-    g, gi = la.identity(n), la.identity(n)
+    g, gi = _identity(n), _identity(n)
     for r in positive + [-r for r in positive] + positive:
         c = rng.randint(1, 1024) * rng.choice((1, -1))
         e = real.root_vector(r)
         assert la.is_zero_matrix(la.mat_mul(e, e))  # exp(cE) = 1 + cE
-        g = la.mat_mul(g, la.mat_add(la.identity(n), la.mat_scale(c, e)))
-        gi = la.mat_mul(la.mat_add(la.identity(n), la.mat_scale(-c, e)), gi)
+        g = la.mat_mul(g, la.mat_add(_identity(n), la.mat_scale(c, e)))
+        gi = la.mat_mul(la.mat_add(_identity(n), la.mat_scale(-c, e)), gi)
     return g, gi
 
 
@@ -911,7 +915,7 @@ def test_theta_sign_tests_match_theta(name):
         return real.from_coords(vec)
 
     zero = la.zeros(real.msize, real.msize)
-    cases = [zero, la.identity(real.msize),
+    cases = [zero, _identity(real.msize),
              real.cartan_element_from_h((1,) * real.rs.rank)]
     for fractional in (False, True):
         for _ in range(3):
@@ -977,7 +981,7 @@ def test_random_nilpotent_keeps_its_draws(name):
 
 
 def _power(x, k):
-    out = la.identity(len(x))
+    out = _identity(len(x))
     for _ in range(k):
         out = la.mat_mul(out, x)
     return out

@@ -102,18 +102,19 @@ def test_k_root_datum_su11_is_torus():
 def test_k_root_datum_su21():
     rs, eps = rf.standard_form_catalog("su(2,1)")
     kd = rf.k_root_datum(rf.cartan_decomposition(rs, eps))
+    assert kd.__class__ is rd.Subsystem
     assert [r.coords for r in kd.positive_roots] == [(1, 1)]
     # rho_K is half the sum of the positive compact roots
     from fractions import Fraction as F
-    assert kd.rho_K == rd.Weight((F(1, 2), F(1, 2)))
-    assert kd.rho_K == rs.root_fw(rd.Root((1, 1))).scale(F(1, 2))
+    assert kd.rho == rd.Weight((F(1, 2), F(1, 2)))
+    assert kd.rho + kd.rho == rs.root_fw(rd.Root((1, 1)))
 
 
 def test_k_root_datum_compact_is_full():
     rs = rd.build_root_system("A", 2)
     kd = rf.k_root_datum(rf.cartan_decomposition(rs, rf.EqualRankInvolution((1, 1))))
     assert set(kd.positive_roots) == set(rs.positive_roots)
-    assert kd.rho == rs.rho()
+    assert kd.rho == rd.weight(1, 1)  # rho is the sum of the fundamental weights
 
 
 def test_principal_presentations():

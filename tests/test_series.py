@@ -14,6 +14,7 @@ from nilcone import realform as rf
 from nilcone import rootdata as rd
 from nilcone import series as se
 from nilcone.errors import InputError, OutOfScopeError
+from reference import apply_word, dual
 
 F = Fraction
 
@@ -311,7 +312,7 @@ def test_vanishing_box_regularizes_each_shifted_weight_once(monkeypatch):
     # the kernel's miss point: one call per pairing key missing from the table
     monkeypatch.setattr(rd._Packing, "regularize", counted)
     reports = list(se.verify_vanishing_box(box, gd, kd, 6, form="su(2,2)"))
-    assert all(r.passed for r in reports)
+    assert all(r.status == se.PASS for r in reports)
     # one call per distinct simple-coroot pairing vector of a shifted weight
     # (2,054 distinct shifted weights share these 211); one packing serves
     # the call, so distinct packed keys are distinct pairing vectors
@@ -341,7 +342,7 @@ def test_serre_duality_series_is_the_dual_euler_characteristic(name, h):
         series = se.euler_series(lam, gd, kd, 4)
         for k, sym in enumerate(syms):
             shifted = Counter({w + lam: m for w, m in sym.items()})
-            assert series.chi[k] == bott.euler_of_weights(shifted, kd).dual(kd)
+            assert series.chi[k] == dual(kd, bott.euler_of_weights(shifted, kd))
 
 
 def _alternating_args(kd, mus, lam):
@@ -350,7 +351,7 @@ def _alternating_args(kd, mus, lam):
     for mu in mus:
         mu_star = kd.dominant_representative(-mu)
         for w in words:
-            yield kd.apply(w, mu_star + kd.rho) - kd.rho - lam
+            yield apply_word(kd, w, mu_star + kd.rho) - kd.rho - lam
 
 
 def test_shared_partition_counter_matches_fresh_counts():
@@ -387,7 +388,7 @@ def test_weyl_images_reflect_once_per_word(name, h, monkeypatch):
     words = rd.weyl_elements(kd)
     rng = random.Random(59)
     lams = [kd.rho, rd.Weight(tuple(F(rng.randint(-5, 5), 2) for _ in range(rs.rank)))]
-    want = [[kd.apply(w, lam) for w in words] for lam in lams]
+    want = [[apply_word(kd, w, lam) for w in words] for lam in lams]
     reflect = rd._Packing.reflect
     calls = []
 
@@ -510,10 +511,10 @@ def _ungraded_identity(gd, kd, lam, max_degree):
     degree k_far)."""
     rs = gd.rs
     ups = gd.u_cap_p_weights()
-    # heights in root coordinates times rs._root_den: one positive scale, so
-    # floor(h / min_h) and the sign of h are those of the exact heights
+    # heights in root coordinates times one positive scale (rs._root_num),
+    # so floor(h / min_h) and the sign of h are those of the exact heights
     heights = [sum(rs._root_num(w)) for w in ups]
-    min_h = min(heights, default=rs._root_den)
+    min_h = min(heights, default=1)
     words = rd.weyl_elements(kd)
     off = kd.rho + lam
     base = se.euler_series(lam, gd, kd, max_degree)
@@ -703,7 +704,6 @@ def _assert_packed_reads_like_eager(chi, kd):
     assert _fresh(chi).dimension(kd) == want.dimension(kd)
     assert _fresh(chi).items() == want.items()
     assert repr(_fresh(chi)) == repr(want)
-    assert _fresh(chi).dual(kd) == want.dual(kd)
     absent = rd._weight_of(tuple(-1 - x for x in kd.rho.d2))  # not dominant
     for w in [w for w, _ in want.items()] + [absent]:
         assert _fresh(chi).mult(w) == want.mult(w)

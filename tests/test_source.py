@@ -24,23 +24,56 @@ def _private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
-def test_every_private_definition_is_used():
-    # a private function, class or method that nothing in the package names
-    # is dead code
+def _definitions_and_names():
+    """The names of the package's functions, classes and methods, and every
+    name the package mentions; an import in __init__.py (a re-export) is no
+    mention."""
     defined, named = set(), set()
-    for tree in _trees():
-        for node in ast.walk(tree):
+    for path in sorted(Path(nilcone.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if _private(node.name):
-                    defined.add(node.name)
+                defined.add(node.name)
             elif isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
-            elif isinstance(node, ast.alias):
+            elif isinstance(node, ast.alias) and path.name != "__init__.py":
                 named.add(node.name)
-    assert defined
-    assert sorted(defined - named) == []
+    return defined, named
+
+
+def test_every_private_definition_is_used():
+    # a private function, class or method that nothing in the package names
+    # is dead code
+    defined, named = _definitions_and_names()
+    private = {name for name in defined if _private(name)}
+    assert private
+    assert sorted(private - named) == []
+
+
+# Public definitions that nothing in the package names, each kept for a
+# reason outside it.  An entry that is deleted, or that gains a caller in
+# the package, must leave this table.
+_PUBLIC_ALLOWLIST = {
+    "Span": "perfbench/spans.py traces Span.coords (retired with its metric)",
+    "nullspace": "perfbench/spans.py traces it (retired with its metric)",
+    "kostant_partition": "perfbench/spans.py traces it (retired with its metric)",
+    "sym_weights": "perfbench/spans.py and perfbench/tests trace it (retired "
+                   "with its metric)",
+    "conormal_canonical_weight": "README's Scope documents it as the entry "
+                                 "that accepts odd gradings",
+}
+
+
+def test_every_public_definition_is_used_or_allowlisted():
+    # a public function, class or method that nothing in the package names
+    # is a second way to do a job the package's engines already do, unless
+    # the allowlist says why it stays
+    defined, named = _definitions_and_names()
+    unnamed = {name for name in defined if not name.startswith("_")} - named
+    assert sorted(unnamed - set(_PUBLIC_ALLOWLIST)) == []
+    # an entry that was deleted, or that the package now calls, is stale
+    assert sorted(set(_PUBLIC_ALLOWLIST) - unnamed) == []
 
 
 def test_every_private_name_stored_is_read():
