@@ -15,7 +15,7 @@ from .errors import (ConsistencyError, DiagnosticError, InputError,
                      OddGradingError, OutOfScopeError)
 from .rootdata import (Root, RootSystem, Subsystem, VirtualCharacter, Weight,
                        WeylElement, build_root_system, kostant_partition,
-                       make_dominant, weight, weyl_dimension, weyl_elements)
+                       make_dominant, weyl_dimension, weyl_elements)
 from .realform import (CartanDecomposition, EqualRankInvolution,
                        cartan_decomposition, k_root_datum,
                        principal_presentation, standard_form_catalog)

@@ -175,16 +175,12 @@ def cmd_components(args):
 
 
 def cmd_qct(args):
-    if not args.form:
-        raise InputError("qct-report needs a named catalog form")
     evidence = oc.qct_evidence(oc.realize(args.form), args.seed)
     _emit(args, se.qct_report(args.form, evidence))
     return EXIT_PASS
 
 
 def cmd_oracle(args):
-    if not args.form:
-        raise InputError("oracle subcommands need a named catalog form")
     label, real = args.form, oc.realize(args.form)
     if args.oracle_cmd == "triple":
         x = oc.principal_nilpotent_search(real, args.seed)
@@ -340,11 +336,17 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         return "PASS", {"pairs_checked": len(roots) ** 2}
 
     def check_dense():
+        # PASS needs x dense in its grading's p_{>=2} and an orbit of the
+        # cone's dimension: the closure of a smaller orbit is resolved, but
+        # it is no component of N_theta, so the hypothesis is unmet
         ok = oc.dense_orbit_check(real, h_mat, x_mat)
-        return ("PASS" if ok else "FAIL"), {
-            "orbit_dim": oc.orbit_dimension(real, x_mat),
-            "nilcone_dim": oc.nilcone_dimension(real),
-        }
+        detail = {"orbit_dim": oc.orbit_dimension(real, x_mat),
+                  "nilcone_dim": oc.nilcone_dimension(real)}
+        if ok and detail["orbit_dim"] == detail["nilcone_dim"]:
+            return "PASS", detail
+        if ok and detail["orbit_dim"] < detail["nilcone_dim"]:
+            return se.HYPOTHESIS_UNMET, detail
+        return "FAIL", detail
 
     def check_canonical():
         combinatorial = pd.canonical_weight
@@ -543,6 +545,10 @@ def build_parser():
                        "a value that starts with a dash needs =, as in --epsilon=-1,1")
         p.add_argument("--json-out", dest="json_out", help="also write JSON here")
 
+    def add_catalog_args(p):
+        p.add_argument("--form", required=True, help="catalog name, e.g. su(2,1)")
+        p.add_argument("--json-out", dest="json_out", help="also write JSON here")
+
     p = sub.add_parser("grade", help="graded decomposition and parabolic weights")
     add_form_args(p)
     p.add_argument("--H", required=True, help="comma-separated h_i values")
@@ -583,27 +589,26 @@ def build_parser():
     p.set_defaults(fn=cmd_components)
 
     p = sub.add_parser("qct-report", help="single-closure / even-dimension evidence")
-    add_form_args(p)
+    add_catalog_args(p)
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(fn=cmd_qct)
 
     p = sub.add_parser("oracle", help="matrix-model computations")
     p.add_argument("oracle_cmd", choices=["triple", "hilbert", "verify-grading"])
-    add_form_args(p)
+    add_catalog_args(p)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--H")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("verify", help="run every check for a named form")
-    p.add_argument("--form", required=True)
+    add_catalog_args(p)
     p.add_argument("--N", type=int, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--kmax", type=int, default=argparse.SUPPRESS)
     p.add_argument("--checks", default=argparse.SUPPRESS,
                    help="all, or a comma-separated subset of: %s" % ",".join(ALL_CHECKS))
     p.add_argument("--timings", action="store_true")
-    p.add_argument("--json-out", dest="json_out")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("run", help="execute a JSON job config")

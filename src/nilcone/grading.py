@@ -86,14 +86,6 @@ class GradedDecomposition:
         return self._select("k", lambda d: d > 0)
 
     @property
-    def u_roots(self):
-        return self._select("k", lambda d: d > 0) + self._select("p", lambda d: d > 0)
-
-    @property
-    def l_roots(self):
-        return self._select("k", lambda d: d == 0) + self._select("p", lambda d: d == 0)
-
-    @property
     def p2_roots(self):
         return self._select("p", lambda d: d == 2)
 
@@ -110,7 +102,6 @@ class GradedDecomposition:
 
 @dataclass
 class ParabolicData:
-    q_roots: tuple
     two_rho_u_p: object
     two_rho_u_k: object
     canonical_weight: object
@@ -149,11 +140,9 @@ def grade(rs, eps, H, require_even=True):
 def parabolic(gd):
     """The theta-stable parabolic data of a graded decomposition."""
     rs = gd.rs
-    q_roots = gd.l_roots + gd.u_roots
     if gd.H.is_dominant:
-        q_set = {r.coords for r in q_roots}
         for r in rs.positive_roots:
-            if r.coords not in q_set:
+            if gd.degree_of(r) < 0:
                 raise ConsistencyError("q does not contain the positive root %r" % (r,))
     two_rho_u_p = zero_weight(rs.rank)
     for r in gd.u_cap_p:
@@ -164,7 +153,6 @@ def parabolic(gd):
     kd = gd.k_root_datum()
     simple_l_k = tuple(b for b in kd.simple_roots if gd.degree_of(b) == 0)
     return ParabolicData(
-        q_roots=q_roots,
         two_rho_u_p=two_rho_u_p,
         two_rho_u_k=two_rho_u_k,
         canonical_weight=two_rho_u_p - two_rho_u_k,

@@ -74,10 +74,9 @@ class ClassicalRealization:
     sum_i z_i C_i.
     """
 
-    def __init__(self, name, rs, eps):
+    def __init__(self, rs, eps):
         if rs.type_label not in _FAMILIES:
             raise OutOfScopeError("no matrix model for type %s" % rs.type_label)
-        self.name = name
         self.rs = rs
         self.eps = eps
         self.family = _FAMILIES[rs.type_label]
@@ -364,11 +363,10 @@ def realize(name, eps=None):
         eps = catalog_eps
     elif not isinstance(eps, EqualRankInvolution):
         eps = EqualRankInvolution(tuple(eps))
-    name = _normalize_name(name)
-    key = (name, eps.epsilon)
+    key = (_normalize_name(name), eps.epsilon)
     if key in _REALIZE_CACHE:
         return _REALIZE_CACHE[key]
-    real = ClassicalRealization(name, rs, eps)
+    real = ClassicalRealization(rs, eps)
     _REALIZE_CACHE[key] = real
     return real
 
@@ -886,7 +884,7 @@ def _basis_sum(real, index, coeffs):
     return real.from_coords(vec)
 
 
-def dense_confirmer(real, seed=0):
+def dense_confirmer(real, seed):
     """Matrix-level density check usable as the grading-search confirmer:
     the sum of the degree-2 p basis, then three sums with random
     coefficients in 1..5.  The degree-2 p basis indices are those of the
@@ -915,7 +913,7 @@ def pinned_principal(real, h_values):
     return h, _basis_sum(real, p2, [1] * len(p2))
 
 
-def even_grading_orbit_dims(real, seed=0):
+def even_grading_orbit_dims(real, seed):
     """Orbit dimension of the dense element of every confirmed even grading.
 
     These are exactly the orbits whose resolutions the package constructs;

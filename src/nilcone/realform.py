@@ -42,22 +42,19 @@ class EqualRankInvolution:
 @dataclass
 class CartanDecomposition:
     rs: object
-    eps: EqualRankInvolution
     k_roots: tuple  # all roots with sign +1, both signs of the root
-    p_roots: tuple
     k_dim: int
     p_dim: int
 
 
 def cartan_decomposition(rs, eps):
-    """Split all roots into compact (k) and noncompact (p) ones."""
+    """The compact roots (those spanning k with the Cartan) and dim k, dim p."""
     if len(eps.epsilon) != rs.rank:
         raise InputError("epsilon length %d != rank %d" % (len(eps.epsilon), rs.rank))
-    k_roots, p_roots = [], []
-    for r in rs.all_roots():
-        (k_roots if eps.sign(r) == 1 else p_roots).append(r)
-    return CartanDecomposition(rs, eps, tuple(k_roots), tuple(p_roots),
-                               k_dim=rs.rank + len(k_roots), p_dim=len(p_roots))
+    roots = rs.all_roots()
+    k_roots = tuple(r for r in roots if eps.sign(r) == 1)
+    return CartanDecomposition(rs, k_roots, k_dim=rs.rank + len(k_roots),
+                               p_dim=len(roots) - len(k_roots))
 
 
 def k_root_datum(cd):

@@ -28,9 +28,9 @@ from operator import neg
 from .bott import _Table, euler_of_weights
 from .errors import InputError
 from .grading import _require_borel_of_k, is_QK_dominant, parabolic
-from .rootdata import (VirtualCharacter, _Packing, _packing, _reach, _weight_of,
-                       _width, partition_counter, require_integral,
-                       weyl_elements, zero_weight)
+from .rootdata import (_Packing, _packing, _reach, _weight_of, _width,
+                       partition_counter, require_integral, weyl_elements,
+                       zero_weight)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -39,10 +39,7 @@ HYPOTHESIS_UNMET = "HYPOTHESIS-UNMET"
 
 @dataclass
 class GradedCharacterSeries:
-    N: int
     chi: list  # chi[k] is a VirtualCharacter
-    lam: object
-    H: tuple
     form: str = ""
 
     def dims(self, kd):
@@ -102,14 +99,13 @@ def _series(lams, gd, kd, N, form):
     syms = _sym([table.packing.pack(g) for g in gens], N)
     odd = len(kd.positive_roots) % 2
 
-    def series(lam, shift):
+    def series(shift):
         chi = [euler_of_weights(sym, kd, shift=shift, seen=table) for sym in syms]
         if odd:
             chi = [-c for c in chi]
-        return GradedCharacterSeries(N=N, chi=chi, lam=lam, H=gd.H.h_values,
-                                     form=form)
+        return GradedCharacterSeries(chi=chi, form=form)
 
-    return map(series, lams, shifts)
+    return map(series, shifts)
 
 
 def euler_series(lam, gd, kd, N, form=""):
@@ -122,7 +118,6 @@ def euler_series(lam, gd, kd, N, form=""):
 class VanishingReport:
     status: str
     lam: object
-    N: int
     violations: list = field(default_factory=list)
     series: GradedCharacterSeries = None
 
@@ -142,16 +137,16 @@ def verify_vanishing_box(lams, gd, kd, N, form=""):
     inside = [is_QK_dominant(lam, pd, kd) for lam in lams]
     series = _series([lam for lam, ok in zip(lams, inside) if ok],
                      gd, kd, N, form)
-    return (_vanishing_report(lam, N, next(series) if ok else None)
+    return (_vanishing_report(lam, next(series) if ok else None)
             for lam, ok in zip(lams, inside))
 
 
-def _vanishing_report(lam, N, series):
+def _vanishing_report(lam, series):
     if series is None:
-        return VanishingReport(status=HYPOTHESIS_UNMET, lam=lam, N=N)
+        return VanishingReport(status=HYPOTHESIS_UNMET, lam=lam)
     violations = [(k, w, m) for k, chi in enumerate(series.chi)
                   for w, m in chi.negatives()]
-    return VanishingReport(status=FAIL if violations else PASS, lam=lam, N=N,
+    return VanishingReport(status=FAIL if violations else PASS, lam=lam,
                            violations=violations, series=series)
 
 
@@ -170,7 +165,6 @@ def hilbert_series(gd, kd, N, form=""):
 @dataclass
 class ComponentsResult:
     per_component: list
-    total_chi: list
     total_dims: list
 
 
@@ -179,14 +173,14 @@ def components_split(gds, kd, N):
 
     One graded decomposition per irreducible component; the normalization
     of a reducible cone is the disjoint union of the normalized components,
-    so the total series is the termwise sum.
+    so the total series is the termwise sum, and since a dimension is
+    linear in the character, its dims are the sums of the components' dims.
     """
     if not gds:
         raise InputError("components_split needs at least one component")
     per = [euler_series(zero_weight(gd.rs.rank), gd, kd, N) for gd in gds]
-    total = [sum((s.chi[k] for s in per), VirtualCharacter()) for k in range(N + 1)]
-    dims = [c.dimension(kd) for c in total]
-    return ComponentsResult(per_component=per, total_chi=total, total_dims=dims)
+    dims = [sum(d) for d in zip(*(s.dims(kd) for s in per))]
+    return ComponentsResult(per_component=per, total_dims=dims)
 
 
 def blattner_multiplicity(mu, lam, gd, kd):

@@ -330,9 +330,14 @@ def test_verify_su21_full_pipeline(capsys):
 
 
 def test_oracle_subcommand_requires_form(capsys):
-    code, _, err = _run(capsys, "oracle", "triple", "--type", "A", "--rank",
-                        "1", "--epsilon", "-1")
-    assert code == 2
+    # --form is required and --type/--rank/--epsilon are no options of
+    # qct-report or oracle: argparse exits 2 before any work
+    for argv in (["oracle", "triple", "--type", "A", "--rank", "1", "--epsilon=-1"],
+                 ["oracle", "triple"], ["qct-report"],
+                 ["qct-report", "--form", "su(1,1)", "--rank", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
 
 
 def test_run_config_with_odd_grading_is_input_error(tmp_path, capsys):
@@ -444,6 +449,19 @@ def test_budget_exhausted_check_is_inconclusive(monkeypatch):
     monkeypatch.setattr(oc, "verify_grading_dims", lambda *args: (False, {}))
     failed = cli.verify_form("su(2,1)", kmax=3, checks=("grading", "hilbert"))
     assert failed["verdict"] == "FAIL" and cli._exit_code(failed["verdict"]) == 1
+
+
+def test_dense_is_pass_only_at_the_cone_dimension(monkeypatch):
+    def dense():
+        return cli.verify_form("su(2,1)", checks=("dense",))["checks"][0]
+
+    assert dense() == {"check": "dense", "verdict": "PASS",
+                       "detail": {"orbit_dim": 3, "nilcone_dim": 3}}
+    # a dense X of a smaller orbit resolves no component of the cone
+    monkeypatch.setattr(oc, "nilcone_dimension", lambda real: 4)
+    assert dense()["verdict"] == "HYPOTHESIS-UNMET"
+    monkeypatch.setattr(oc, "dense_orbit_check", lambda real, h, x: False)
+    assert dense()["verdict"] == "FAIL"
 
 
 def test_qct_evidence_is_billed_to_the_check_that_computes_it(monkeypatch):

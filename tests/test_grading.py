@@ -30,7 +30,6 @@ def test_grade_su21():
     assert [r.coords for r in gd.u_cap_k] == [(1, 1)]
     assert gd.dims(2) == (0, 2) and gd.dims(4) == (1, 0)
     assert {r.coords for r in gd.p2_roots} == {(1, 0), (0, 1)}
-    assert {r.coords for r in gd.u_roots} == {(1, 0), (0, 1), (1, 1)}
 
 
 def test_grade_refuses_a_non_integer_entry():
@@ -45,7 +44,7 @@ def test_grade_refuses_a_non_integer_entry():
 def test_grade_zero_element():
     rs, eps = _form("su(2,1)")
     gd = gr.grade(rs, eps, (0, 0))
-    assert gd.u_roots == ()
+    assert gd.u_cap_p == gd.u_cap_k == ()
     assert gd.dims(0) == (4, 4)
 
 
@@ -93,9 +92,8 @@ def test_parabolic_contains_positive_roots():
         rs, eps = _form(name)
         for h in product(range(0, 3, 2), repeat=rs.rank):
             gd = gr.grade(rs, eps, h)
-            pd = gr.parabolic(gd)
-            q = {r.coords for r in pd.q_roots}
-            assert all(r.coords in q for r in rs.positive_roots)
+            gr.parabolic(gd)  # raises ConsistencyError if q misses one
+            assert all(gd.degree_of(r) >= 0 for r in rs.positive_roots)
 
 
 def test_canonical_weight_pins():

@@ -134,7 +134,7 @@ def test_theta_signs_match_the_fourth_root_reference(name):
     rs, _ = rf.standard_form_catalog(name)
     for epsilon in product((1, -1), repeat=rs.rank):
         eps = rf.EqualRankInvolution(epsilon)
-        real = oc.ClassicalRealization(name, rs, eps)
+        real = oc.ClassicalRealization(rs, eps)
         tau = _tau_for_sl(eps) if rs.type_label == "A" else _tau_for_bc(rs, eps)
         n = real.msize
         mask = [[None] * n for _ in range(n)]
@@ -169,7 +169,7 @@ def test_theta_is_an_automorphism_of_the_structure_constants(name):
 
 def test_only_types_a_c_d_have_a_matrix_model():
     with pytest.raises(OutOfScopeError, match="type B"):
-        oc.ClassicalRealization("b2", rd.build_root_system("B", 2),
+        oc.ClassicalRealization(rd.build_root_system("B", 2),
                                 rf.EqualRankInvolution((1, -1)))
 
 
@@ -324,7 +324,7 @@ def test_ad_grading_matches_combinatorial_grading():
         gd = gr.grade(real.rs, real.eps, h)
         hm = real.cartan_element_from_h(h)
         ok, detail = oc.verify_grading_dims(real, hm, gd)
-        assert ok, (real.name, h, detail)
+        assert ok, (real.eps, h, detail)
 
 
 def test_orbit_dimension_values():
@@ -710,12 +710,12 @@ def test_qct_evidence_su11_two_components():
 def test_dense_confirmer_drives_search():
     real = oc.realize("su(1,1)")
     hits = gr.search_even_gradings(real.rs, real.eps,
-                                   confirm=oc.dense_confirmer(real))
+                                   confirm=oc.dense_confirmer(real, 0))
     assert [(h.H.h_values, h.confirmed) for h in hits] == [((2,), True)]
 
     real2 = oc.realize("su(2,1)")
     hits2 = gr.search_even_gradings(real2.rs, real2.eps,
-                                    confirm=oc.dense_confirmer(real2))
+                                    confirm=oc.dense_confirmer(real2, 0))
     assert ((2, 2), True) in [(h.H.h_values, h.confirmed) for h in hits2]
 
 

@@ -433,8 +433,9 @@ def test_components_split_su11():
     kd = gd_plus.k_root_datum()
     result = se.components_split([gd_plus, gd_minus], kd, 4)
     assert result.total_dims == [2, 2, 2, 2, 2]
-    # degree zero of the direct sum sees one constant per component
-    assert result.total_chi[0] == rd.VirtualCharacter({rd.weight(0): 2})
+    # degree zero of each component is one constant
+    assert [s.chi[0] for s in result.per_component] == \
+        [rd.VirtualCharacter({rd.weight(0): 1})] * 2
 
 
 def test_components_split_single_is_identity():
@@ -673,7 +674,7 @@ def test_vanishing_on_searched_even_gradings():
     for name in ["su(2,2)", "sp(4,R)"]:
         rs, eps = rf.standard_form_catalog(name)
         real = oc.realize(name)
-        hits = gr.search_even_gradings(rs, eps, confirm=oc.dense_confirmer(real))
+        hits = gr.search_even_gradings(rs, eps, confirm=oc.dense_confirmer(real, 0))
         confirmed = [h for h in hits if h.confirmed]
         assert confirmed
         for hit in confirmed:
