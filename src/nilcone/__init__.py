@@ -25,8 +25,7 @@ from .grading import (GradedDecomposition, GradingElement, ParabolicData,
 from .bott import CohomologyResult, euler_of_weights, line_cohomology
 from .series import (GradedCharacterSeries, blattner_multiplicity,
                      components_split, euler_series, hilbert_series,
-                     qct_report, sym_weights, verify_vanishing,
-                     verify_vanishing_box)
+                     sym_weights, verify_vanishing, verify_vanishing_box)
 from . import oracle
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -545,14 +545,14 @@ def orbit_dimension(real, x):
     return _column_rank(real.ad_matrix(x), real.k_index)
 
 
-def dense_orbit_check(real, h, x):
-    """Density of the parabolic orbit of x in the degree >= 2 part of p.
+def dense_orbit_check(real, layers, x):
+    """Density of the parabolic orbit of x in the degree >= 2 part of p,
+    for the grading whose ad_layers are layers.
 
     True iff ad x maps the degree-0 part of k onto the degree-2 part of p
     and bracketing x with the positive-degree part of k spans the
     degree >= 3 part of p.
     """
-    layers = ad_layers(real, h)
     _, p2 = layers.get(2, ([], []))
     xc = real.coords(x)
     if xc is None or any(c for i, c in enumerate(xc) if i not in p2):
@@ -884,33 +884,32 @@ def _basis_sum(real, index, coeffs):
     return real.from_coords(vec)
 
 
-def dense_confirmer(real, seed):
-    """Matrix-level density check usable as the grading-search confirmer:
-    the sum of the degree-2 p basis, then three sums with random
-    coefficients in 1..5.  The degree-2 p basis indices are those of the
-    grading's p2_roots, in ascending order as ad_layers lists them."""
+def dense_element(real, h_values, seed):
+    """(H, X, dense) for the grading with simple-root values h_values: H
+    the Cartan element, X the element of degree-2 p that the resolution is
+    built from, and dense whether dense_orbit_check passes it.
 
-    def confirm(gd):
-        h = real.cartan_element_from_h(gd.H.h_values)
-        p2 = sorted(real._root_index[r.coords] for r in gd.p2_roots)
-        if not p2:
-            return False
-        rng = random.Random("%s-confirm-%s" % (seed, gd.H.h_values))
-        for attempt in range(4):
-            coeffs = [1] * len(p2) if attempt == 0 else [rng.randint(1, 5) for _ in p2]
-            if dense_orbit_check(real, h, _basis_sum(real, p2, coeffs)):
-                return True
-        return False
-
-    return confirm
-
-
-def pinned_principal(real, h_values):
-    """The pinned principal pair (H, X): H from h-values, X the sum of the
-    degree-2 p basis."""
+    X is the first that passes of the sum of the degree-2 p basis (in
+    ad_layers order), then three sums with seeded random coefficients in
+    1..5; when none passes, X is the first and dense is False.  H is
+    graded once for all four.
+    """
+    h_values = tuple(h_values)
     h = real.cartan_element_from_h(h_values)
-    p2 = ad_layers(real, h).get(2, ([], []))[1]
-    return h, _basis_sum(real, p2, [1] * len(p2))
+    layers = ad_layers(real, h)
+    p2 = layers.get(2, ([], []))[1]
+    first = _basis_sum(real, p2, [1] * len(p2))
+    rng = random.Random("%s-confirm-%s" % (seed, h_values))
+    for attempt in range(4):
+        x = first if attempt == 0 else _basis_sum(real, p2, [rng.randint(1, 5) for _ in p2])
+        if dense_orbit_check(real, layers, x):
+            return h, x, True
+    return h, first, False
+
+
+def dense_confirmer(real, seed):
+    """The grading-search confirmer: whether a grading has a dense element."""
+    return lambda gd: dense_element(real, gd.H.h_values, seed)[2]
 
 
 def even_grading_orbit_dims(real, seed):
@@ -920,13 +919,15 @@ def even_grading_orbit_dims(real, seed):
     the even-dimension condition is only meaningful (and checkable) there.
     """
     from .grading import search_even_gradings
-    confirm = dense_confirmer(real, seed)
-    out = []
-    for hit in search_even_gradings(real.rs, real.eps, confirm=confirm):
-        if hit.confirmed:
-            _, x = pinned_principal(real, hit.H.h_values)
-            out.append((hit.H.h_values, orbit_dimension(real, x)))
-    return out
+    elements = {}  # h_values -> the grading's element
+
+    def confirm(gd):
+        _, elements[gd.H.h_values], dense = dense_element(real, gd.H.h_values, seed)
+        return dense
+
+    return [(hit.H.h_values, orbit_dimension(real, elements[hit.H.h_values]))
+            for hit in search_even_gradings(real.rs, real.eps, confirm=confirm)
+            if hit.confirmed]
 
 
 _CLOSURE_DEG = 2
@@ -934,13 +935,18 @@ _QCT_SAMPLES = 14
 
 
 def qct_evidence(real, seed, grading_orbit_dims=None):
-    """Sampled evidence for the single-closure and even-dimension conditions.
+    """Sampled evidence for the single-closure (G1) and even-dimension (G2)
+    conditions, as a report.
 
-    grading_orbit_dims, when given, is even_grading_orbit_dims(real, seed),
-    already computed by the caller; otherwise it is computed here.
+    Everything here is labeled EVIDENCE: full orbit enumeration is out of
+    scope, so the report certifies non-membership where found and records
+    sampled data otherwise.  grading_orbit_dims, when given, is
+    even_grading_orbit_dims(real, seed), already computed by the caller;
+    otherwise it is computed here.
     """
     if real.p_dim == 0:
-        return {"degenerate": True, "seed": seed}
+        return {"label": "EVIDENCE", "degenerate": True,
+                "note": "p = 0: the cone is a point; both conditions are vacuous"}
     cone_dim = nilcone_dimension(real)
     principal = principal_nilpotent_search(real, seed)
     rng = random.Random("%s-qct" % (seed,))
@@ -963,12 +969,24 @@ def qct_evidence(real, seed, grading_orbit_dims=None):
             reps.append(s)
     if grading_orbit_dims is None:
         grading_orbit_dims = even_grading_orbit_dims(real, seed)
+    sampled = sorted(dims)
     return {
+        "label": "EVIDENCE",
         "degenerate": False,
         "seed": seed,
-        "nilcone_dim": cone_dim,
-        "principal_orbit_dim": dims[0],
-        "component_count": len(reps),
-        "sampled_orbit_dims": dims,
-        "even_grading_orbit_dims": grading_orbit_dims,
+        "G1_evidence": {
+            "principal_orbit_dim": dims[0],
+            "nilcone_dim": cone_dim,
+            "dims_equal": dims[0] == cone_dim,
+            "component_count_evidence": len(reps),
+            "single_component_evidence": len(reps) == 1,
+        },
+        "G2_evidence": {
+            # in-scope orbits: the dense elements of the confirmed even gradings
+            "even_grading_orbit_dims": [list(pair) for pair in grading_orbit_dims],
+            "even_grading_all_even": all(d % 2 == 0 for _, d in grading_orbit_dims),
+            # raw random nilpotents, reported but not asserted: odd orbits exist
+            "sampled_orbit_dims": sampled,
+            "parity_table": {d: sampled.count(d) for d in sorted(set(sampled))},
+        },
     }

@@ -131,16 +131,3 @@ def principal_presentation(name):
         raise OutOfScopeError("no pinned principal presentation for %r" % (name,))
     return (*standard_form_catalog(name), h)
 
-
-def parse_form_config(config):
-    """Config dicts: {"form": "su(2,1)"} or {"type": "A", "rank": 2, "epsilon": [-1,-1]}."""
-    if "form" in config:
-        return standard_form_catalog(config["form"])
-    try:
-        rs = build_root_system(config["type"], int(config["rank"]))
-        eps = EqualRankInvolution(tuple(int(e) for e in config["epsilon"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError("malformed form config: %r" % (config,)) from exc
-    if len(eps.epsilon) != rs.rank:
-        raise InputError("epsilon length %d != rank %d" % (len(eps.epsilon), rs.rank))
-    return rs, eps

@@ -262,43 +262,3 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
             mismatches.append((mu, series, alternating))
     return not mismatches, mismatches, len(mus)
 
-
-def qct_report(form, evidence):
-    """Assemble single-orbit-closure and even-dimension evidence.
-
-    Everything here is labeled EVIDENCE: full orbit enumeration is out of
-    scope, so the report certifies non-membership where found and records
-    sampled data otherwise.
-    """
-    if evidence.get("degenerate"):
-        return {
-            "form": form,
-            "label": "EVIDENCE",
-            "degenerate": True,
-            "note": "p = 0: the cone is a point; both conditions are vacuous",
-        }
-    g1 = {
-        "principal_orbit_dim": evidence["principal_orbit_dim"],
-        "nilcone_dim": evidence["nilcone_dim"],
-        "dims_equal": evidence["principal_orbit_dim"] == evidence["nilcone_dim"],
-        "component_count_evidence": evidence["component_count"],
-        "single_component_evidence": evidence["component_count"] == 1,
-    }
-    dims = sorted(evidence["sampled_orbit_dims"])
-    even_grading = evidence.get("even_grading_orbit_dims", [])
-    g2 = {
-        # in-scope orbits: the dense elements of the confirmed even gradings
-        "even_grading_orbit_dims": [list(pair) for pair in even_grading],
-        "even_grading_all_even": all(d % 2 == 0 for _, d in even_grading),
-        # raw random nilpotents, reported but not asserted: odd orbits exist
-        "sampled_orbit_dims": dims,
-        "parity_table": {d: dims.count(d) for d in sorted(set(dims))},
-    }
-    return {
-        "form": form,
-        "label": "EVIDENCE",
-        "degenerate": False,
-        "G1_evidence": g1,
-        "G2_evidence": g2,
-        "seed": evidence.get("seed"),
-    }

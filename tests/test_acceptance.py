@@ -35,7 +35,7 @@ def _principal_context(form):
     kd = gd.k_root_datum()
     pd = gr.parabolic(gd)
     real = oc.realize(form, eps=eps)
-    h_mat, x_mat = oc.pinned_principal(real, h)
+    h_mat, x_mat, _ = oc.dense_element(real, h, SEED)
     return rs, eps, gd, kd, pd, real, h_mat, x_mat
 
 
@@ -140,9 +140,10 @@ def test_criterion_6_dense_orbit_lemma():
     ok = True
     for form in FORMS:
         rs, eps, gd, kd, pd, real, h_mat, x_mat = _principal_context(form)
-        if not oc.dense_orbit_check(real, h_mat, x_mat):
+        layers = oc.ad_layers(real, h_mat)
+        if not oc.dense_orbit_check(real, layers, x_mat):
             ok = False
-        if oc.dense_orbit_check(real, h_mat, nonprincipal[form](real)):
+        if oc.dense_orbit_check(real, layers, nonprincipal[form](real)):
             ok = False
     _report("criterion 6: density holds for principal pairs, fails for the "
             "documented non-principal elements", ok)
@@ -196,14 +197,14 @@ def test_criterion_8_blattner_identity():
 
 def test_criterion_9_qct_evidence():
     real11 = oc.realize("su(1,1)")
-    rep11 = se.qct_report("su(1,1)", oc.qct_evidence(real11, SEED))
+    rep11 = oc.qct_evidence(real11, SEED)
     ok = rep11["label"] == "EVIDENCE"
     ok = ok and rep11["G1_evidence"]["component_count_evidence"] == 2
     ok = ok and rep11["G1_evidence"]["single_component_evidence"] is False
 
     rs, eps, h = rf.principal_presentation("su(2,2)")
     real22 = oc.realize("su(2,2)", eps=eps)
-    rep22 = se.qct_report("su(2,2)", oc.qct_evidence(real22, SEED))
+    rep22 = oc.qct_evidence(real22, SEED)
     ok = ok and rep22["label"] == "EVIDENCE"
     # evenness is asserted only for the pinned principal orbits; lower orbits
     # of su(2,2) are genuinely odd dimensional (3 and 5 occur), so the rest
@@ -214,7 +215,7 @@ def test_criterion_9_qct_evidence():
 
     rs, eps, h = rf.principal_presentation("sp(4,R)")
     real4 = oc.realize("sp(4,R)", eps=eps)
-    rep4 = se.qct_report("sp(4,R)", oc.qct_evidence(real4, SEED))
+    rep4 = oc.qct_evidence(real4, SEED)
     ok = ok and rep4["G1_evidence"]["principal_orbit_dim"] % 2 == 0
     _report("criterion 9: su(1,1) not a single closure (2 components); "
             "even principal orbit dims and parity tables reported for "

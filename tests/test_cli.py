@@ -49,6 +49,25 @@ def test_grade_explicit_type_takes_a_dashed_epsilon_after_equals(capsys):
     assert json.loads(out)["layers"] == json.loads(named)["layers"]
 
 
+def test_grade_reads_a_catalog_form_or_a_type_rank_and_epsilon(capsys):
+    # a catalog name takes the catalog's signs; an explicit type needs a
+    # rank and one sign per simple root
+    code, out, _ = _run(capsys, "grade", "--form", "su(2,1)", "--H", "2,2")
+    assert code == 0
+    layers = json.loads(out)["layers"]
+    assert layers["2"]["p_roots"] == [[1, 0], [0, 1]]
+    assert layers["4"]["k_roots"] == [[1, 1]]
+    code, out, _ = _run(capsys, "grade", "--type", "A", "--rank", "2",
+                        "--epsilon=-1,-1", "--H", "2,2")
+    assert code == 0
+    assert json.loads(out)["layers"] == layers
+    for argv in (["--type", "A", "--rank", "2", "--epsilon=-1"],
+                 ["--type", "A", "--epsilon=-1,-1"]):
+        code, out, err = _run(capsys, "grade", *argv, "--H", "2,2")
+        assert (code, out) == (2, "")
+        assert "error" in json.loads(err)
+
+
 def test_malformed_epsilon_is_input_error(capsys):
     code, _, err = _run(capsys, "grade", "--type", "A", "--rank", "2",
                         "--epsilon", "-1", "--H", "2,2")
@@ -138,7 +157,7 @@ def test_oracle_triple(capsys):
 def test_oracle_triple_reports_the_nilcone_dimension(monkeypatch, capsys):
     # nilcone_dim comes from nilcone_dimension, not from the orbit it found
     real = oc.realize("su(2,1)")
-    x = oc.pinned_principal(real, (2, 2))[1]
+    x = oc.dense_element(real, (2, 2), 7)[1]
     monkeypatch.setattr(oc, "principal_nilpotent_search", lambda real, seed: x)
     monkeypatch.setattr(oc, "nilcone_dimension", lambda real, seed=None: "sentinel")
     code, out, _ = _run(capsys, "oracle", "triple", "--form", "su(2,1)")
@@ -214,7 +233,7 @@ def test_run_refuses_h_search(tmp_path, monkeypatch, capsys):
     def no_check(*args, **kwargs):
         raise AssertionError("a check ran")
 
-    monkeypatch.setattr(oc, "pinned_principal", no_check)
+    monkeypatch.setattr(oc, "dense_element", no_check)
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({"form": "su(2,1)", "H": "search"}))
     code, out, err = _run(capsys, "run", "--config", str(cfg_path))
@@ -330,10 +349,12 @@ def test_verify_su21_full_pipeline(capsys):
 
 
 def test_oracle_subcommand_requires_form(capsys):
-    # --form is required and --type/--rank/--epsilon are no options of
-    # qct-report or oracle: argparse exits 2 before any work
+    # --form is required, --type/--rank/--epsilon are no options of
+    # qct-report or oracle, and oracle takes one of its three subcommands:
+    # argparse exits 2 before any work
     for argv in (["oracle", "triple", "--type", "A", "--rank", "1", "--epsilon=-1"],
                  ["oracle", "triple"], ["qct-report"],
+                 ["oracle", "foo", "--form", "su(1,1)"],
                  ["qct-report", "--form", "su(1,1)", "--rank", "1"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -367,7 +388,7 @@ def test_run_refuses_an_H_whose_q_cap_k_misses_the_borel_of_k(tmp_path, monkeypa
                                                                capsys):
     # refused before the matrix model builds H, so before any check runs:
     # an unmet hypothesis is no violation
-    monkeypatch.setattr(oc, "pinned_principal", None)
+    monkeypatch.setattr(oc, "dense_element", None)
     with pytest.raises(InputError, match=r"root \[1, 1\] has degree -4"):
         cli.run({"form": "su(2,1)", "H": [-2, -2]})
     cfg_path = tmp_path / "job.json"
@@ -398,13 +419,13 @@ def test_a_torus_k_runs_the_blattner_identity_in_either_chamber():
 _CHECK_ENGINES = {
     "grading": (oc, "verify_grading_dims"),
     "theta": (cli, "Root"),
-    "dense": (oc, "dense_orbit_check"),
+    "dense": (oc, "orbit_dimension"),
     "canonical": (oc, "canonical_weight_from_matrices"),
     "vanishing": (se, "verify_vanishing_box"),
     "hilbert": (se, "hilbert_series"),
     "blattner": (se, "blattner_series_identity"),
     "components": (oc, "qct_evidence"),
-    "qct": (se, "qct_report"),
+    "qct": (oc, "qct_evidence"),
 }
 
 
@@ -460,14 +481,29 @@ def test_dense_is_pass_only_at_the_cone_dimension(monkeypatch):
     # a dense X of a smaller orbit resolves no component of the cone
     monkeypatch.setattr(oc, "nilcone_dimension", lambda real: 4)
     assert dense()["verdict"] == "HYPOTHESIS-UNMET"
-    monkeypatch.setattr(oc, "dense_orbit_check", lambda real, h, x: False)
+    monkeypatch.setattr(oc, "dense_orbit_check", lambda real, layers, x: False)
     assert dense()["verdict"] == "FAIL"
+
+
+def test_dense_reads_the_gradings_dense_element(tmp_path, capsys):
+    # su(3,3) at (0,0,2,0,0): the sum of the degree-2 p basis is not dense
+    # (orbit dim 5), a seeded sum is; its orbit is below the cone's, so the
+    # hypothesis is unmet, and nothing failed
+    config = {"form": "su(3,3)", "H": [0, 0, 2, 0, 0], "checks": ["dense"]}
+    report = cli.run(config)
+    assert report["checks"] == [{"check": "dense", "verdict": "HYPOTHESIS-UNMET",
+                                 "detail": {"orbit_dim": 9, "nilcone_dim": 15}}]
+    assert report["verdict"] == "HYPOTHESIS-UNMET"
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, _ = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == 2 and json.loads(out) == report
 
 
 def test_qct_evidence_is_billed_to_the_check_that_computes_it(monkeypatch):
     def slow_evidence(real, seed, grading_orbit_dims=None):
         time.sleep(0.2)
-        return {"degenerate": True, "seed": seed}
+        return {"label": "EVIDENCE", "degenerate": True}
 
     monkeypatch.setattr(oc, "qct_evidence", slow_evidence)
     # each check's seconds is its own wall time: components runs first and

@@ -332,21 +332,23 @@ def test_orbit_dimension_values():
     assert oc.orbit_dimension(real, _mat([[0, 1], [0, 0]])) == 1
     assert oc.orbit_dimension(real, la.zeros(2, 2)) == 0
     real2 = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real2, (2, 2))
+    _, x, _ = oc.dense_element(real2, (2, 2), 7)
     assert oc.orbit_dimension(real2, x) == 3
 
 
 def test_dense_orbit_checks():
     real = oc.realize("su(1,1)")
-    h, x = oc.pinned_principal(real, (2,))
-    assert oc.dense_orbit_check(real, h, x)
-    assert not oc.dense_orbit_check(real, h, la.zeros(2, 2))
+    h, x, dense = oc.dense_element(real, (2,), 7)
+    layers = oc.ad_layers(real, h)
+    assert dense and oc.dense_orbit_check(real, layers, x)
+    assert not oc.dense_orbit_check(real, layers, la.zeros(2, 2))
 
     real2 = oc.realize("su(2,1)")
-    h2, x2 = oc.pinned_principal(real2, (2, 2))
-    assert oc.dense_orbit_check(real2, h2, x2)
+    h2, x2, dense2 = oc.dense_element(real2, (2, 2), 7)
+    layers2 = oc.ad_layers(real2, h2)
+    assert dense2 and oc.dense_orbit_check(real2, layers2, x2)
     single = real2.root_vector(real2.rs.simple_roots[0])
-    assert not oc.dense_orbit_check(real2, h2, single)
+    assert not oc.dense_orbit_check(real2, layers2, single)
 
 
 @pytest.mark.parametrize("name,dim", [
@@ -509,7 +511,7 @@ def test_coordinate_ring_negative_degree_bound_is_input_error():
 def test_coordinate_ring_su21_pinned_and_seed_stable():
     # values pinned from the first oracle runs; two seeds must agree
     real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
+    _, x, _ = oc.dense_element(real, (2, 2), 7)
     assert oc.coordinate_ring_dims(real, x, 4, 7) == [1, 4, 9, 16, 25]
     assert oc.coordinate_ring_dims(real, x, 4, 11) == [1, 4, 9, 16, 25]
 
@@ -526,7 +528,7 @@ def test_coordinate_ring_compact_form_is_a_point():
 ])
 def test_coordinate_ring_at_maximal_presentations(name, eps, h, dims):
     real = oc.realize(name, eps=eps)
-    _, x = oc.pinned_principal(real, h)
+    _, x, _ = oc.dense_element(real, h, 7)
     assert oc.coordinate_ring_dims(real, x, 3, 7) == dims
 
 
@@ -556,7 +558,7 @@ def test_block_ranks_sum_to_the_whole_rank_on_k_orbit_points(name, k_max):
     try:
         _, eps, h = rf.principal_presentation(name)
         real = oc.realize(name, eps=eps)
-        _, x = oc.pinned_principal(real, h)
+        _, x, _ = oc.dense_element(real, h, 7)
     except OutOfScopeError:
         real = oc.realize(name)
         x = oc.random_nilpotent(real, random.Random(1))
@@ -570,7 +572,7 @@ def test_block_ranks_sum_to_the_whole_rank_on_k_orbit_points(name, k_max):
 
 def test_non_generic_points_are_inconclusive(monkeypatch):
     real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
+    _, x, _ = oc.dense_element(real, (2, 2), 7)
     calls = []
     original = oc.sample_orbit_points
 
@@ -593,7 +595,7 @@ def test_gap_degree_exact_rank_is_the_rank_over_q():
     rs, eps, h = rf.principal_presentation("sp(4,R)")
     real = oc.realize("sp(4,R)", eps=eps)
     gd = gr.grade(rs, eps, h)
-    _, x = oc.pinned_principal(real, h)
+    _, x, _ = oc.dense_element(real, h, 7)
     sample = oc.OrbitSample(real, x, 3, random.Random("7-coordring"))
     # the points the sample was fed, drawn again from the same stream
     rng = random.Random("7-coordring")
@@ -613,7 +615,7 @@ def test_gap_degree_exact_rank_is_the_rank_over_q():
 
 def test_feeding_a_point_twice_changes_nothing():
     real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
+    _, x, _ = oc.dense_element(real, (2, 2), 7)
     sample = oc.OrbitSample(real, x, 2, random.Random(7))
     pt = oc.sample_orbit_points(real, x, 1, random.Random("another"))[0]
     sample.feed([pt])
@@ -647,7 +649,7 @@ class _Rising(la.IncrementalRank):
 def test_exhausted_sample_raises_with_its_last_ranks(monkeypatch):
     monkeypatch.setattr(la, "IncrementalRank", _Rising)
     real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
+    _, x, _ = oc.dense_element(real, (2, 2), 7)
     with pytest.raises(DiagnosticError) as info:
         oc.OrbitSample(real, x, 2, random.Random(7))
     blocks = oc._weight_blocks(real, oc._monomial_steps(real.p_dim, 2))
@@ -680,7 +682,7 @@ def test_so8_closure_references_saturate(monkeypatch):
 
     monkeypatch.setattr(oc, "OrbitSample", Recorded)
     real = oc.realize("so*(8)")
-    assert oc.qct_evidence(real, 7)["component_count"] == 1
+    assert oc.qct_evidence(real, 7)["G1_evidence"]["component_count_evidence"] == 1
     assert built
     for x, ref in built:
         dims = ref.dims
@@ -692,19 +694,33 @@ def test_so8_closure_references_saturate(monkeypatch):
 
 def test_canonical_weight_from_matrices_pins():
     real = oc.realize("su(1,1)")
-    h, _ = oc.pinned_principal(real, (2,))
+    h = real.cartan_element_from_h((2,))
     assert oc.canonical_weight_from_matrices(real, h) == rd.weight(2)
     real2 = oc.realize("su(2,1)")
-    h2, _ = oc.pinned_principal(real2, (2, 2))
+    h2 = real2.cartan_element_from_h((2, 2))
     assert oc.canonical_weight_from_matrices(real2, h2) == rd.weight(0, 0)
 
 
 def test_qct_evidence_su11_two_components():
-    real = oc.realize("su(1,1)")
-    ev = oc.qct_evidence(real, 7)
-    assert ev["nilcone_dim"] == 1
-    assert ev["component_count"] == 2
-    assert ev["even_grading_orbit_dims"] == [((2,), 1)]
+    ev = oc.qct_evidence(oc.realize("su(1,1)"), 7)
+    assert ev["label"] == "EVIDENCE" and ev["degenerate"] is False and ev["seed"] == 7
+    assert ev["G1_evidence"] == {"principal_orbit_dim": 1, "nilcone_dim": 1,
+                                 "dims_equal": True, "component_count_evidence": 2,
+                                 "single_component_evidence": False}
+    # every nonzero nilpotent of su(1,1) spans a line, of orbit dim 1
+    assert ev["G2_evidence"] == {"even_grading_orbit_dims": [[(2,), 1]],
+                                 "even_grading_all_even": False,
+                                 "sampled_orbit_dims": [1] * 15,
+                                 "parity_table": {1: 15}}
+
+
+def test_qct_evidence_of_a_p0_form_is_degenerate():
+    compact = oc.ClassicalRealization(rd.build_root_system("A", 1),
+                                      rf.EqualRankInvolution((1,)))
+    assert compact.p_dim == 0
+    assert oc.qct_evidence(compact, 7) == {
+        "label": "EVIDENCE", "degenerate": True,
+        "note": "p = 0: the cone is a point; both conditions are vacuous"}
 
 
 def test_dense_confirmer_drives_search():
@@ -719,6 +735,41 @@ def test_dense_confirmer_drives_search():
     assert ((2, 2), True) in [(h.H.h_values, h.confirmed) for h in hits2]
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_even_grading_orbit_dims_read_each_gradings_dense_element(seed):
+    # the sum of the degree-2 p basis is not dense at these gradings (its
+    # orbit dims are 5 and 7); the seeded sum that is dense gives 9 and 10
+    assert ((0, 0, 2, 0, 0), 9) in oc.even_grading_orbit_dims(oc.realize("su(3,3)"), seed)
+    assert ((0, 0, 0, 2), 10) in oc.even_grading_orbit_dims(oc.realize("sp(8,R)"), seed)
+
+
+@pytest.mark.parametrize("name", ["su(3,2)", "so*(8)", "sp(6,R)"])
+def test_every_grading_orbit_dim_is_that_of_a_dense_element(name):
+    real = oc.realize(name)
+    dims = oc.even_grading_orbit_dims(real, 7)
+    assert dims
+    for h_values, dim in dims:
+        h, x, dense = oc.dense_element(real, h_values, 7)
+        assert dense and oc.dense_orbit_check(real, oc.ad_layers(real, h), x)
+        assert oc.orbit_dimension(real, x) == dim
+
+
+def test_choosing_a_gradings_element_grades_it_once(monkeypatch):
+    # su(3,2)'s search box holds 15 gradings, and some take more than one
+    # candidate before one is dense (or none is)
+    real = oc.realize("su(3,2)")
+    calls = {"ad_layers": 0, "dense_orbit_check": 0}
+    for name in calls:
+        def counted(*args, name=name, original=getattr(oc, name)):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(oc, name, counted)
+    oc.even_grading_orbit_dims(real, 7)
+    searched = len(gr.search_even_gradings(real.rs, real.eps))
+    assert calls["ad_layers"] == searched == 15
+    assert calls["dense_orbit_check"] > searched
+
+
 def test_oracle_hilbert_bounded_by_series_with_nonnormal_gap():
     # the series computes functions on the normalization; the oracle computes
     # functions on the closure itself.  They agree for su(2,1) and differ for
@@ -729,7 +780,7 @@ def test_oracle_hilbert_bounded_by_series_with_nonnormal_gap():
     gd = gr.grade(rs, eps, h)
     kd = gd.k_root_datum()
     series = se.hilbert_series(gd, kd, 2)
-    h_mat, x_mat = oc.pinned_principal(real, h)
+    h_mat, x_mat, _ = oc.dense_element(real, h, 7)
     oracle_dims = oc.coordinate_ring_dims(real, x_mat, 2, 7)
     assert oracle_dims[1] <= real.p_dim
     assert all(o <= s for o, s in zip(oracle_dims, series))
@@ -738,7 +789,7 @@ def test_oracle_hilbert_bounded_by_series_with_nonnormal_gap():
 
 def test_degree_one_rank_equals_p_dim_iff_spanning():
     real = oc.realize("su(2,1)")
-    _, x = oc.pinned_principal(real, (2, 2))
+    _, x, _ = oc.dense_element(real, (2, 2), 7)
     assert oc.coordinate_ring_dims(real, x, 1, 7)[1] == real.p_dim  # spans p
     real11 = oc.realize("su(1,1)")
     e12 = real11.root_vector(real11.rs.simple_roots[0])
@@ -749,7 +800,7 @@ def test_centralizer_contained_in_parabolic():
     # Lie-algebra level: g^X sits inside the nonnegative part of the grading
     for form, h in [("su(1,1)", (2,)), ("su(2,1)", (2, 2))]:
         real = oc.realize(form)
-        h_mat, x_mat = oc.pinned_principal(real, h)
+        h_mat, x_mat, _ = oc.dense_element(real, h, 7)
         adx = real.ad_matrix(x_mat)
         centralizer = la.nullspace(adx)
         identity = _identity(real.dim)
@@ -1010,7 +1061,7 @@ def test_pivot_counted_ranks_equal_the_rref_rank(name):
     # IncrementalRank pivots, against la.rank of the same columns
     real = oc.realize(name)
     rng = random.Random(name)
-    h, dense_x = oc.pinned_principal(real, (2,) + (0,) * (real.rs.rank - 1))
+    h, dense_x, _ = oc.dense_element(real, (2,) + (0,) * (real.rs.rank - 1), 7)
     layers = oc.ad_layers(real, h)
     k0 = layers[0][0]
     uk = [i for d, (k, _) in layers.items() if d >= 1 for i in k]
@@ -1112,17 +1163,21 @@ def test_cartan_dictionary_matches_the_type_formulas(name):
 
 @pytest.mark.parametrize("name", TABLE_A_FORMS)
 def test_confirmer_seeds_the_degree_two_p_basis_in_ad_layers_order(name, monkeypatch):
-    # the confirmer reads degree-2 p off the grading's roots; at every
-    # grading of the search box it tries the same four elements as when it
-    # read them off ad_layers, the seeded coefficients on the same indices
+    # at every grading of the search box, dense_element tries the sum of
+    # the degree-2 p basis in ad_layers order, then three sums with seeded
+    # coefficients on the same indices; the confirmer reads its flag
     real = oc.realize(name)
     tried = []
-    monkeypatch.setattr(oc, "dense_orbit_check", lambda real, h, x: tried.append(x))
+    monkeypatch.setattr(oc, "dense_orbit_check",
+                        lambda real, layers, x: tried.append(x))
     confirm = oc.dense_confirmer(real, 7)
     for hit in gr.search_even_gradings(real.rs, real.eps):
         tried.clear()
-        assert confirm(gr.grade(real.rs, real.eps, hit.H.h_values)) is False
-        p2 = oc.ad_layers(real, real.cartan_element_from_h(hit.H.h_values))[2][1]
+        h, x, dense = oc.dense_element(real, hit.H.h_values, 7)
+        p2 = oc.ad_layers(real, h)[2][1]
         rng = random.Random("7-confirm-%s" % (hit.H.h_values,))
-        assert tried == [oc._basis_sum(real, p2, [1] * len(p2))] + [
+        first = oc._basis_sum(real, p2, [1] * len(p2))
+        assert tried == [first] + [
             oc._basis_sum(real, p2, [rng.randint(1, 5) for _ in p2]) for _ in range(3)]
+        assert (x, dense) == (first, False)
+        assert confirm(gr.grade(real.rs, real.eps, hit.H.h_values)) is False

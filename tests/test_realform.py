@@ -124,14 +124,3 @@ def test_principal_presentations():
     assert rf.principal_presentation("sp(4,R)")[2] == (2, 2)
     with pytest.raises(OutOfScopeError):
         rf.principal_presentation("so*(6)")
-
-
-def test_parse_form_config():
-    rs, eps = rf.parse_form_config({"form": "su(2,1)"})
-    assert eps.epsilon == (-1, -1)
-    rs, eps = rf.parse_form_config({"type": "A", "rank": 2, "epsilon": [-1, -1]})
-    assert rs.rank == 2 and eps.epsilon == (-1, -1)
-    with pytest.raises(InputError):
-        rf.parse_form_config({"type": "A", "rank": 2, "epsilon": [-1]})
-    with pytest.raises(InputError):
-        rf.parse_form_config({"rank": 2})

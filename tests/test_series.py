@@ -627,24 +627,6 @@ def test_blattner_with_twist():
     assert ok, mismatches
 
 
-def test_qct_report_shapes():
-    degenerate = se.qct_report("compact", {"degenerate": True})
-    assert degenerate["label"] == "EVIDENCE" and degenerate["degenerate"]
-    evidence = {
-        "degenerate": False,
-        "seed": 7,
-        "nilcone_dim": 1,
-        "principal_orbit_dim": 1,
-        "component_count": 2,
-        "sampled_orbit_dims": [1, 1, 1],
-        "even_grading_orbit_dims": [((2,), 1)],
-    }
-    rep = se.qct_report("su(1,1)", evidence)
-    assert rep["label"] == "EVIDENCE"
-    assert rep["G1_evidence"]["single_component_evidence"] is False
-    assert rep["G2_evidence"]["parity_table"] == {1: 3}
-
-
 def test_positivity_is_falsifiable_outside_the_cone():
     # outside the stabilized-line cone nothing protects positivity, and a
     # negative multiplicity appears immediately; the PASS verdicts above are
@@ -663,7 +645,7 @@ def test_su22_series_matches_oracle_coordinate_ring():
     kd = gd.k_root_datum()
     series = se.hilbert_series(gd, kd, 2)
     real = oc.realize("su(2,2)", eps=eps)
-    _, x = oc.pinned_principal(real, h)
+    _, x, _ = oc.dense_element(real, h, 7)
     assert series == oc.coordinate_ring_dims(real, x, 2, 7) == [1, 8, 34]
 
 

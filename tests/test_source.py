@@ -115,6 +115,8 @@ _PUBLIC_ALLOWLIST = {
                                    "calls kd.rs.pairing",
     "series.sym_weights": "perfbench/spans.py and perfbench/tests trace it "
                           "(retired with its metric)",
+    "oracle.dense_confirmer": "perfbench/workloads.py's catalog-search passes "
+                              "it to search_even_gradings",
     "grading.conormal_canonical_weight": "README's Scope documents it as the "
                                          "entry that accepts odd gradings",
 }
