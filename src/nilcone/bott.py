@@ -7,24 +7,25 @@ contributes ch V_{w.lam} in degree length(w).  Euler characteristics of
 weight multisets are the signed sums of these contributions, which is the
 additive extension of the Weyl character formula numerator.  w.lam - lam
 depends only on lam's pairings with the simple coroots of K, so one table
-keyed on those pairings, shared by a caller over many shifted multisets (a
-box of twists, every degree of a series), regularizes each pairing once.
+keyed on those pairings, a dict that the caller passes with its packing
+over many shifted multisets (a box of twists, every degree of a series),
+regularizes each pairing once.
 
-The sum runs on packed ints (_Packing, in nilcone.rootdata): a weight is
-one int whose slots hold its doubled pairings with the simple coroots of K
-and its d2 coordinates.  Packing is linear, so a shift is one int add, the
-pairing key is one mask, the table stores w.lam - lam packed and the
-dominant term is one more add.  A table miss sweeps its key with the packed
-reflection kernel that make_dominant uses, and its sign counts the
-reflections.  The sum's terms stay packed in the VirtualCharacter it
-returns until a caller reads a weight (see VirtualCharacter).
+euler_of_weights takes one form, the multiset packed (_Packing, in
+nilcone.rootdata) as nilcone.series builds Sym^k: a weight is one int
+whose slots hold its doubled pairings with the simple coroots of K and its
+d2 coordinates.  Packing is linear, so a shift is one int add, the pairing
+key is one mask, the table stores w.lam - lam packed and the dominant term
+is one more add.  A table miss sweeps its key with the packed reflection
+kernel that make_dominant uses, and its sign counts the reflections.  The
+sum's terms stay packed in the VirtualCharacter it returns until a caller
+reads a weight (see VirtualCharacter).
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
-from .rootdata import (VirtualCharacter, _packed_character, _packing, _reach,
-                       make_dominant, require_integral)
+from .rootdata import (VirtualCharacter, _packed_character, make_dominant,
+                       require_integral)
 
 
 @dataclass
@@ -45,40 +46,17 @@ def line_cohomology(lam, kd):
     return CohomologyResult({w.length: VirtualCharacter({dom: 1})})
 
 
-class _Table(dict):
-    """A regularization table bound to the packing of its keys: given as
-    seen, it tells euler_of_weights that the weights come packed with it."""
+def euler_of_weights(packed, shift, packing, seen):
+    """Signed Bott contribution summed over the multiset packed + shift.
 
-    def __init__(self, packing):
-        super().__init__()
-        self.packing = packing
-
-
-def euler_of_weights(weights, kd, shift=None, seen=None):
-    """Signed Bott contribution summed over the multiset weights + shift.
-
-    weights is a list or a Counter (weight -> multiplicity) of Weights; they
-    are packed (see _Packing) with a width derived from them and the shift.
-    seen, owned by the caller, maps the packed simple-coroot pairings of a
-    shifted weight to (its packed correction w.lam - lam, sign), or to None
-    on a wall; _Packing.regularize runs once per key missing from it.
-    nilcone.series passes a _Table as seen and weights already packed with
-    its packing, as a dict of multiplicities.
+    packed maps weights packed with packing (see _Packing) to their
+    multiplicities, and shift is a Weight; packing's width must hold every
+    shifted weight.  seen, a dict the caller owns for one K (a key's width
+    slot keeps packings apart), maps the packed pairings of a shifted
+    weight to (its packed correction w.lam - lam, sign), or to None on a
+    wall; packing.regularize runs once per key missing from it.
     """
-    sd2 = (0,) * kd.rs.rank if shift is None else shift.d2
-    if seen.__class__ is _Table:
-        packing, packed = seen.packing, weights
-    else:
-        counts = Counter(weights)
-        d2s = [lam.d2 for lam in counts]
-        packing = _packing(kd, _reach(d2s) + _reach([sd2]))
-        packed = {}
-        for d2, mult in zip(d2s, counts.values()):
-            nu = packing.pack(d2)
-            packed[nu] = packed.get(nu, 0) + mult
-        if seen is None:
-            seen = {}
-    base = packing.pack(sd2) + packing.bias
+    base = packing.pack(shift.d2) + packing.bias
     mask = packing.key_mask
     total = {}
     for nu, mult in packed.items():

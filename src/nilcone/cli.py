@@ -2,10 +2,10 @@
 
 Subcommands mirror the library: grade, bott, verify-vanishing, hilbert,
 blattner, components, qct-report, oracle (triple / hilbert / verify-grading),
-verify (everything for one form), run (config file).  JSON is the only
-machine-readable output.  Exit codes: 0 all checks pass, 1 a violation was
-found, 2 inconclusive (a search ran out of budget), hypothesis unmet or
-input error.
+verify (everything for one form), run (config file).  Output is JSON, and
+hilbert --csv-out also writes a k,dim table.  Exit codes: 0 all checks
+pass, 1 a violation was found, 2 inconclusive (a search ran out of budget),
+hypothesis unmet or input error (an unwritable output path included).
 
 Reports are bit-identical for identical (config, seed, version); wall-clock
 timings are only included when --timings is passed.
@@ -58,13 +58,25 @@ def _resolve_form(args):
     raise InputError("specify --form or --type/--rank/--epsilon")
 
 
+def _write(path, text):
+    """The one writer of an output file; an unwritable path is an InputError."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError("cannot write %s: %s" % (path, exc)) from exc
+
+
+def _json(payload):
+    """A report as stdout, --json-out and a job's out file hold it."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _emit(args, payload):
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    out = getattr(args, "json_out", None)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+    text = _json(payload)
+    if getattr(args, "json_out", None):
+        _write(args.json_out, text)
+    print(text, end="")
 
 
 def _vc_decomposition(vc):
@@ -146,10 +158,8 @@ def cmd_hilbert(args):
     label, rs, eps, gd, kd = _series_context(args)
     dims = se.hilbert_series(gd, kd, args.N, form=label)
     if getattr(args, "csv_out", None):
-        with open(args.csv_out, "w") as fh:
-            fh.write("k,dim\n")
-            for k, d in enumerate(dims):
-                fh.write("%d,%d\n" % (k, d))
+        _write(args.csv_out, "k,dim\n" + "".join("%d,%d\n" % row
+                                                  for row in enumerate(dims)))
     _emit(args, {"form": label, "H": list(gd.H.h_values), "N": args.N, "dims": dims})
     return EXIT_PASS
 
@@ -363,7 +373,7 @@ def verify_form(form, N=6, seed=7, kmax=3, checks=ALL_CHECKS, timings=False,
         if lam_given is not None:
             lams = [lam_given]
         else:
-            lams = _qk_dominant_box(rs, pd, kd, bound=2)
+            lams = _qk_dominant_box(rs, pd, kd)
         worst = "PASS"
         bad = []
         for rep in se.verify_vanishing_box(lams, gd, kd, N, form=form):
@@ -453,10 +463,10 @@ def _integral_weight(coords, rank):
     return Weight(fw)
 
 
-def _qk_dominant_box(rs, pd, kd, bound=2):
+def _qk_dominant_box(rs, pd, kd):
     """The Q cap K dominant twists with fundamental-weight coordinates in
-    [-bound, bound] and pairings at most 2 bound with the simple coroots of
-    K, in product order.
+    [-2, 2] and pairings at most 4 with the simple coroots of K, in product
+    order: the sampled weight box of verify's vanishing check.
 
     <lam, beta^vee> is the dot product of beta's coroot vector with lam's
     fundamental-weight coordinates, so each candidate is tested as an int
@@ -465,10 +475,10 @@ def _qk_dominant_box(rs, pd, kd, bound=2):
     levi = {b.coords for b in pd.simple_l_k_roots}
     tests = [(kd.rs.coroot_vector(b), b.coords in levi) for b in kd.simple_roots]
     out = []
-    for coords in product(range(-bound, bound + 1), repeat=rs.rank):
+    for coords in product(range(-2, 3), repeat=rs.rank):
         for v, in_levi in tests:
             p = sum(map(mul, v, coords))
-            if p < 0 or p > 2 * bound or (in_levi and p):
+            if p < 0 or p > 4 or (in_levi and p):
                 break
         else:
             out.append(_weight_of(tuple(2 * c for c in coords)))
@@ -496,20 +506,21 @@ _JOB_KEYS = {"form": "form", "H": "H", "lambda": "lam_list", "N": "N",
              "seed": "seed", "kmax": "kmax", "checks": "checks", "out": None}
 
 
-def run(config, timings=False):
-    """Run a job config dict, passing verify_form only the keys it has; any
-    other key is an InputError before a check runs."""
-    if not isinstance(config, dict) or "form" not in config:
+def run(config, timings):
+    """Run a job config dict, passing verify_form only the keys it has.  An
+    unknown key, or a form or out that is no string, is an InputError
+    before a check runs."""
+    if not isinstance(config, dict) or not isinstance(config.get("form"), str):
         raise InputError("pipeline runs need a named catalog form")
     unknown = set(config) - set(_JOB_KEYS)
     if unknown:
         raise InputError("unknown config keys %s" % sorted(map(str, unknown)))
+    if not isinstance(config.get("out", ""), str):
+        raise InputError("out must be a file name, got %r" % (config["out"],))
     params = {_JOB_KEYS[key]: value for key, value in config.items() if _JOB_KEYS[key]}
     report = verify_form(timings=timings, **params)
-    out = config.get("out")
-    if out:
-        with open(out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+    if config.get("out"):
+        _write(config["out"], _json(report))
     return report
 
 

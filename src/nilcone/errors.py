@@ -20,6 +20,6 @@ class ConsistencyError(RuntimeError):
 class DiagnosticError(RuntimeError):
     """A randomized search exhausted its budget; carries partial data."""
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial):
         super().__init__(message)
         self.partial = partial

@@ -111,15 +111,14 @@ class ParabolicData:
 def grade(rs, eps, H, require_even=True):
     """Sort every root into its degree layer and sign.
 
-    A non-integer entry of H is an InputError, never truncated.  With
-    require_even (the main, in-scope case) any odd root degree raises
-    OddGradingError.
+    H is the sequence of the h_i; a non-integer entry is an InputError,
+    never truncated.  With require_even (the main, in-scope case) any odd
+    root degree raises OddGradingError.
     """
-    if isinstance(H, (tuple, list)):
-        try:
-            H = GradingElement(tuple(map(index, H)))
-        except TypeError as exc:
-            raise InputError("H entries must be integers, got %r" % (H,)) from exc
+    try:
+        H = GradingElement(tuple(map(index, H)))
+    except TypeError as exc:
+        raise InputError("H entries must be integers, got %r" % (H,)) from exc
     if len(H.h_values) != rs.rank:
         raise InputError("grading element length %d != rank %d"
                          % (len(H.h_values), rs.rank))
@@ -201,13 +200,13 @@ class SearchHit:
     confirmed: bool
 
 
-def search_even_gradings(rs, eps, confirm=None):
+def search_even_gradings(rs, eps, confirm):
     """All dominant H with entries in {0, 2} and p_2 != 0.
 
     A simple root has degree h_i, so an even grading has even h_i, and
     entries 0 and 2 make every root degree even.  Results are in
     lexicographic order of h_values; hits are flagged confirmed only when
-    the supplied matrix-level density check passes.  Weyl-equivalent
+    confirm, the matrix-level density check, passes.  Weyl-equivalent
     duplicates are not removed.
     """
     hits = []
@@ -217,6 +216,5 @@ def search_even_gradings(rs, eps, confirm=None):
         gd = grade(rs, eps, h)
         if not gd.p2_roots:
             continue
-        confirmed = bool(confirm(gd)) if confirm is not None else False
-        hits.append(SearchHit(GradingElement(h), confirmed))
+        hits.append(SearchHit(GradingElement(h), bool(confirm(gd))))
     return hits

@@ -43,8 +43,8 @@ from operator import mul
 
 from . import linalg as la
 from .errors import ConsistencyError, DiagnosticError, InputError, OutOfScopeError
-from .realform import (EqualRankInvolution, _normalize_name,
-                       cartan_decomposition, standard_form_catalog)
+from .realform import (_normalize_name, cartan_decomposition,
+                       standard_form_catalog)
 from .rootdata import Root, Weight
 
 F = Fraction
@@ -357,12 +357,11 @@ _REALIZE_CACHE = {}
 
 
 def realize(name, eps=None):
-    """Matrix model of a named catalog form, optionally in another sign convention."""
+    """Matrix model of a named catalog form in eps, an EqualRankInvolution,
+    or in the catalog's sign convention when eps is None."""
     rs, catalog_eps = standard_form_catalog(name)
     if eps is None:
         eps = catalog_eps
-    elif not isinstance(eps, EqualRankInvolution):
-        eps = EqualRankInvolution(tuple(eps))
     key = (_normalize_name(name), eps.epsilon)
     if key in _REALIZE_CACHE:
         return _REALIZE_CACHE[key]
@@ -512,11 +511,6 @@ def ad_layers(real, h):
     return {d: ([i for i in real.k_index if degree[i] == d],
                 [i for i in real.p_index if degree[i] == d])
             for d in sorted(set(degree))}
-
-
-def ad_grading_dims(real, h):
-    """Exact (dim k_i, dim p_i) per ad H eigenvalue i, read off ad_layers."""
-    return {d: (len(k), len(p)) for d, (k, p) in ad_layers(real, h).items()}
 
 
 def _columns(mat, index):
@@ -862,18 +856,12 @@ def canonical_weight_from_matrices(real, h):
 
 
 def verify_grading_dims(real, h, gd):
-    """Exact agreement of matrix and combinatorial graded dimensions."""
-    matrix_side = ad_grading_dims(real, h)
-    degrees = set(matrix_side) | set(gd.degrees)
-    detail = {}
-    ok = True
-    for d in sorted(degrees):
-        ms = matrix_side.get(d, (0, 0))
-        cs = gd.dims(d)
-        detail[d] = {"matrix": ms, "combinatorial": cs}
-        if ms != cs:
-            ok = False
-    return ok, detail
+    """Exact agreement of matrix and combinatorial graded dimensions, the
+    matrix side read off ad_layers."""
+    matrix_side = {d: (len(k), len(p)) for d, (k, p) in ad_layers(real, h).items()}
+    detail = {d: {"matrix": matrix_side.get(d, (0, 0)), "combinatorial": gd.dims(d)}
+              for d in sorted(set(matrix_side) | set(gd.degrees))}
+    return all(v["matrix"] == v["combinatorial"] for v in detail.values()), detail
 
 
 def _basis_sum(real, index, coeffs):

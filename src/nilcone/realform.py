@@ -67,6 +67,8 @@ def k_root_datum(cd):
 
 
 def _normalize_name(name):
+    if not isinstance(name, str):
+        raise InputError("a form name must be a string, got %r" % (name,))
     name = name.strip().replace(" ", "")
     name = name.replace("ℝ", "R").replace("ℂ", "C").replace("ℍ", "H")
     return re.sub(r"(?i)^sp\((\d+),r\)$", r"sp(\1,R)", name)

@@ -627,13 +627,9 @@ class VirtualCharacter:
     negative terms.
     """
 
-    def __init__(self, terms=None):
+    def __init__(self, terms):
         self._packing = self._packed = None
-        self._weights = {}
-        if terms:
-            for w, m in terms.items():
-                if m:
-                    self._weights[w] = int(m)
+        self._weights = {w: int(m) for w, m in terms.items() if m}
 
     @property
     def _terms(self):

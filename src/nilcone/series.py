@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import neg
 
-from .bott import _Table, euler_of_weights
+from .bott import euler_of_weights
 from .errors import InputError
 from .grading import _require_borel_of_k, is_QK_dominant, parabolic
 from .rootdata import (_Packing, _packing, _reach, _weight_of, _width,
@@ -94,13 +94,13 @@ def _series(lams, gd, kd, N, form):
     gens = [tuple(map(neg, w.d2)) for w in gd.u_cap_p_weights()]
     two_rho = kd.rho + kd.rho
     shifts = [-lam - two_rho for lam in lams]
-    table = _Table(_packing(kd, N * _reach(gens)
-                            + _reach([s.d2 for s in shifts])))
-    syms = _sym([table.packing.pack(g) for g in gens], N)
+    packing = _packing(kd, N * _reach(gens) + _reach([s.d2 for s in shifts]))
+    syms = _sym([packing.pack(g) for g in gens], N)
+    seen = {}
     odd = len(kd.positive_roots) % 2
 
     def series(shift):
-        chi = [euler_of_weights(sym, kd, shift=shift, seen=table) for sym in syms]
+        chi = [euler_of_weights(sym, shift, packing, seen) for sym in syms]
         if odd:
             chi = [-c for c in chi]
         return GradedCharacterSeries(chi=chi, form=form)

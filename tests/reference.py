@@ -1,11 +1,14 @@
 """Reference Weyl-group actions that several test modules compare against.
 
 Each is written on d2 tuples or on the public dominance walk, independently
-of the packed kernels the package runs on.
+of the packed kernels the package runs on; euler packs a list of Weights
+for the Bott sum, whose one entry takes a packed multiset.
 """
 
+from collections import Counter
 from operator import mul
 
+from nilcone import bott
 from nilcone import rootdata as rd
 
 
@@ -33,3 +36,15 @@ def dual(sub, chi):
         d = sub.dominant_representative(-lam)
         out[d] = out.get(d, 0) + m
     return rd.VirtualCharacter(out)
+
+
+def euler(weights, kd, shift=None, seen=None):
+    """bott.euler_of_weights of the multiset of Weights weights + shift
+    (zero when None), packed as nilcone.series packs Sym^k, with the slot
+    width that the weights and the shift need; seen is a fresh table when
+    None."""
+    shift = rd.zero_weight(kd.rs.rank) if shift is None else shift
+    d2s = [w.d2 for w in weights]
+    packing = rd._packing(kd, rd._reach(d2s) + rd._reach([shift.d2]))
+    return bott.euler_of_weights(Counter(map(packing.pack, d2s)), shift, packing,
+                                 {} if seen is None else seen)

@@ -225,7 +225,7 @@ def test_unknown_config_key_is_refused_before_any_check(tmp_path, monkeypatch, c
     assert "lamda" in json.loads(err)["error"]
     for key in ("timings", "lam_list", "epsilon"):
         with pytest.raises(InputError):
-            cli.run({"form": "su(1,1)", key: None})
+            cli.run({"form": "su(1,1)", key: None}, timings=False)
 
 
 def test_run_refuses_h_search(tmp_path, monkeypatch, capsys):
@@ -240,7 +240,7 @@ def test_run_refuses_h_search(tmp_path, monkeypatch, capsys):
     assert code == cli.EXIT_INPUT and out == ""
     assert json.loads(err)["error"] == "H must be a list of integers, got 'search'"
     with pytest.raises(InputError, match="got 'search'"):
-        cli.run({"form": "su(2,1)", "H": "search"})
+        cli.run({"form": "su(2,1)", "H": "search"}, timings=False)
 
 
 def test_verify_and_run_pass_on_only_what_was_given(monkeypatch, capsys):
@@ -255,7 +255,7 @@ def test_verify_and_run_pass_on_only_what_was_given(monkeypatch, capsys):
     assert cli.main(["verify", "--form", "su(1,1)"]) == cli.EXIT_PASS
     assert cli.main(["verify", "--form", "su(1,1)", "--seed", "3",
                      "--checks", "theta"]) == cli.EXIT_PASS
-    cli.run({"form": "su(1,1)", "lambda": [0], "kmax": 2})
+    cli.run({"form": "su(1,1)", "lambda": [0], "kmax": 2}, timings=False)
     cli.run({"form": "su(1,1)", "H": [2], "N": 4}, timings=True)
     capsys.readouterr()
     assert seen == [
@@ -271,7 +271,7 @@ def test_a_report_reproduces_from_its_own_form_and_H(form, capsys):
     # one sign convention per form: run with a verify report's form and H
     # makes the same checks, and qct-report gives verify's qct detail
     report = cli.verify_form(form)
-    rerun = cli.run({"form": report["form"], "H": report["H"]})
+    rerun = cli.run({"form": report["form"], "H": report["H"]}, timings=False)
     assert (report["presentation"], rerun["presentation"]) == ("principal", "config")
     assert rerun["checks"] == report["checks"]
     assert rerun["verdict"] == report["verdict"]
@@ -295,6 +295,65 @@ def test_hilbert_csv_export(tmp_path, capsys):
                         "--N", "3", "--csv-out", str(csv_path))
     assert code == 0
     assert csv_path.read_text() == "k,dim\n0,1\n1,4\n2,9\n3,16\n"
+
+
+@pytest.mark.parametrize("config", [
+    {"form": 5}, {"form": None}, {"form": ["su(1,1)"]},
+    {"form": "su(1,1)", "out": 7}, {"form": "su(1,1)", "out": ["a"]},
+    {"form": "su(1,1)", "out": True}],
+    ids=["form-int", "form-null", "form-list", "out-int", "out-list", "out-true"])
+def test_a_config_form_or_out_that_is_no_string_exits_2(config, tmp_path, monkeypatch,
+                                                          capsys):
+    # refused before any check: an int out would be a file descriptor and
+    # True is fd 1, which the report would be written into and closed
+    def no_check(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(oc, "dense_element", no_check)
+    cfg_path = tmp_path / "job.json"
+    cfg_path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, "run", "--config", str(cfg_path))
+    assert code == cli.EXIT_INPUT and out == ""
+    assert "error" in json.loads(err)
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_a_form_name_that_is_no_string_is_an_input_error():
+    for form in (5, None, ["su(1,1)"]):
+        for call in (cli.verify_form, oc.realize, rf.standard_form_catalog):
+            with pytest.raises(InputError, match="must be a string"):
+                call(form)
+
+
+@pytest.mark.parametrize("argv", [
+    ("grade", "--form", "su(2,1)", "--H", "2,2", "--json-out", "{missing}"),
+    ("hilbert", "--form", "su(2,1)", "--H", "2,2", "--N", "2", "--csv-out", "{missing}"),
+    ("verify", "--form", "su(1,1)", "--checks", "theta", "--json-out", "{dir}"),
+    ("run", "--config", "{config}")],
+    ids=["grade-json-out", "hilbert-csv-out", "verify-json-out-dir", "run-out"])
+def test_an_unwritable_output_path_exits_2(argv, tmp_path, capsys):
+    # the one writer turns the OSError into an input error, for --json-out,
+    # --csv-out and a job's out alike (the last after every check has run)
+    missing = tmp_path / "missing" / "x"
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"form": "su(1,1)", "checks": "theta",
+                                  "out": str(missing)}))
+    argv = [a.format(missing=missing, dir=tmp_path, config=config) for a in argv]
+    code, out, err = _run(capsys, *argv)
+    assert code == cli.EXIT_INPUT and out == ""
+    assert json.loads(err)["error"].startswith("cannot write ")
+    assert sorted(tmp_path.iterdir()) == [config]
+
+
+def test_a_jobs_out_and_json_out_are_byte_equal_to_stdout(tmp_path, capsys):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"form": "su(1,1)", "checks": "theta,grading",
+                                  "out": str(tmp_path / "out.json")}))
+    code, out, _ = _run(capsys, "run", "--config", str(config),
+                        "--json-out", str(tmp_path / "json-out.json"))
+    assert code == cli.EXIT_PASS and out.endswith("}\n")
+    assert (tmp_path / "out.json").read_text() == out
+    assert (tmp_path / "json-out.json").read_text() == out
 
 
 def test_verify_writes_nothing_to_home(tmp_path, monkeypatch, capsys):
@@ -390,7 +449,7 @@ def test_run_refuses_an_H_whose_q_cap_k_misses_the_borel_of_k(tmp_path, monkeypa
     # an unmet hypothesis is no violation
     monkeypatch.setattr(oc, "dense_element", None)
     with pytest.raises(InputError, match=r"root \[1, 1\] has degree -4"):
-        cli.run({"form": "su(2,1)", "H": [-2, -2]})
+        cli.run({"form": "su(2,1)", "H": [-2, -2]}, timings=False)
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({"form": "su(2,1)", "H": [-2, -2]}))
     code, out, err = _run(capsys, "run", "--config", str(cfg_path))
@@ -408,7 +467,7 @@ def test_a_torus_k_takes_either_chamber(capsys):
 def test_a_torus_k_runs_the_blattner_identity_in_either_chamber():
     # under H = -2 the weight of u cap p has negative height, which the
     # graded identity does not need
-    report = cli.run({"form": "su(1,1)", "H": [-2]})
+    report = cli.run({"form": "su(1,1)", "H": [-2]}, timings=False)
     blattner = next(c for c in report["checks"] if c["check"] == "blattner")
     assert blattner == {"check": "blattner", "verdict": "PASS",
                         "detail": {"types_checked": 4}}
@@ -490,7 +549,7 @@ def test_dense_reads_the_gradings_dense_element(tmp_path, capsys):
     # (orbit dim 5), a seeded sum is; its orbit is below the cone's, so the
     # hypothesis is unmet, and nothing failed
     config = {"form": "su(3,3)", "H": [0, 0, 2, 0, 0], "checks": ["dense"]}
-    report = cli.run(config)
+    report = cli.run(config, timings=False)
     assert report["checks"] == [{"check": "dense", "verdict": "HYPOTHESIS-UNMET",
                                  "detail": {"orbit_dim": 9, "nilcone_dim": 15}}]
     assert report["verdict"] == "HYPOTHESIS-UNMET"
@@ -558,13 +617,13 @@ def test_checks_are_parsed_for_verify_and_run(tmp_path, capsys):
     code, out, err = _run(capsys, "verify", "--form", "su(1,1)", "--checks", "vanish")
     assert code == cli.EXIT_INPUT and out == ""
     assert "vanish" in json.loads(err)["error"]
-    report = cli.run({"form": "su(1,1)", "checks": "hilbert"})
+    report = cli.run({"form": "su(1,1)", "checks": "hilbert"}, timings=False)
     assert [c["check"] for c in report["checks"]] == ["hilbert"]
-    report = cli.run({"form": "su(1,1)", "checks": "grading, theta"})
+    report = cli.run({"form": "su(1,1)", "checks": "grading, theta"}, timings=False)
     assert [c["check"] for c in report["checks"]] == ["grading", "theta"]
     for checks in ([], "", ["grading", "vanish"], ["all", "theta"], 3, [None]):
         with pytest.raises(InputError):
-            cli.run({"form": "su(1,1)", "checks": checks})
+            cli.run({"form": "su(1,1)", "checks": checks}, timings=False)
     cfg_path = tmp_path / "job.json"
     cfg_path.write_text(json.dumps({"form": "su(1,1)", "checks": []}))
     code, out, err = _run(capsys, "run", "--config", str(cfg_path))
@@ -619,7 +678,7 @@ def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
     # the example documents every key the reader takes, and only those
     config = json.loads(job)
     assert sorted(config) == sorted(cli._JOB_KEYS)
-    assert cli.run(config)["verdict"] == "PASS"
+    assert cli.run(config, timings=False)["verdict"] == "PASS"
     for line in commands:
         argv = shlex.split(line)
         assert argv[0] == "nilcone", line
@@ -644,10 +703,9 @@ def test_int_twist_box_equals_the_benchmark_box(name):
     for eps, h in presentations:
         gd = gr.grade(rs, eps, h)
         kd, pd = gd.k_root_datum(), gr.parabolic(gd)
-        for bound in (1, 2):
-            box = cli._qk_dominant_box(rs, pd, kd, bound=bound)
-            assert box == workloads.qk_dominant_box(rs, pd, kd, bound=bound)
-            assert box
+        box = cli._qk_dominant_box(rs, pd, kd)
+        assert box == workloads.qk_dominant_box(rs, pd, kd, bound=2)
+        assert box
 
 
 def test_negative_degree_bound_is_refused_before_any_check(monkeypatch):
@@ -664,7 +722,7 @@ def test_negative_degree_bound_is_refused_before_any_check(monkeypatch):
         with pytest.raises(InputError):
             cli.verify_form("su(2,1)", **kwargs)
         with pytest.raises(InputError):
-            cli.run({"form": "su(2,1)", **kwargs})
+            cli.run({"form": "su(2,1)", **kwargs}, timings=False)
 
 
 @pytest.mark.parametrize("argv", [

@@ -203,7 +203,7 @@ def test_k_root_datum_is_built_once_on_demand(monkeypatch):
     monkeypatch.setattr(gr, "k_root_datum",
                         lambda cd: built.append(cd) or k_root_datum(cd))
     rs, eps = _form("su(2,2)")
-    assert len(gr.search_even_gradings(rs, eps)) > 1
+    assert len(gr.search_even_gradings(rs, eps, lambda gd: True)) > 1
     assert built == []
     gd = gr.grade(rs, eps, (0, 2, 0))
     assert built == []
@@ -231,20 +231,13 @@ def test_grade_layers_over_the_search_box(name):
         assert gr.grade(rs, eps, h, require_even=False).layers == layers
 
 
-def test_search_without_confirmer():
-    rs, eps = _form("su(2,1)")
-    hits = gr.search_even_gradings(rs, eps)
-    assert [h.H.h_values for h in hits] == [(0, 2), (2, 0), (2, 2)]
-    assert all(not h.confirmed for h in hits)
-
-
 def test_search_compact_form_is_empty():
     rs = rd.build_root_system("A", 2)
     eps = rf.EqualRankInvolution((1, 1))
-    assert gr.search_even_gradings(rs, eps) == []
+    assert gr.search_even_gradings(rs, eps, lambda gd: True) == []
 
 
 def test_search_su11():
     rs, eps = _form("su(1,1)")
-    hits = gr.search_even_gradings(rs, eps)
-    assert [h.H.h_values for h in hits] == [(2,)]
+    hits = gr.search_even_gradings(rs, eps, lambda gd: True)
+    assert [(h.H.h_values, h.confirmed) for h in hits] == [((2,), True)]

@@ -52,8 +52,9 @@ def test_realize_builds_one_model_per_normalized_name():
     real = oc.realize("su(2,1)")
     assert oc.realize("su(2, 1)") is real and oc.realize(" su(2,1) ") is real
     assert oc.realize("sp(4, ℝ)") is oc.realize("sp(4,R)")
-    assert oc.realize("su(2, 1)", eps=(-1, -1)) is real
-    assert oc.realize("sp(4,R)", eps=(1, -1)) is not oc.realize("sp(4,R)")
+    assert oc.realize("su(2, 1)", eps=rf.EqualRankInvolution((-1, -1))) is real
+    assert oc.realize("sp(4,R)", eps=rf.EqualRankInvolution((1, -1))) \
+        is not oc.realize("sp(4,R)")
 
 
 def test_su11_model_is_two_by_two():
@@ -290,25 +291,35 @@ def test_bracket_identities_fail_on_broken_triples():
 
 # -- gradings and orbits -----------------------------------------------------------
 
-def test_ad_grading_dims_su11():
+def test_verify_grading_dims_su11():
+    # the matrix side counts the k and p indices of each ad_layers degree
     real = oc.realize("su(1,1)")
-    h = real.cartan_element_from_h((2,))
-    assert oc.ad_grading_dims(real, h) == {2: (0, 1), 0: (1, 0), -2: (0, 1)}
-    assert oc.ad_grading_dims(real, la.zeros(2, 2)) == {0: (1, 2)}
+    for h_values, hm, matrix_side in (
+            ((2,), real.cartan_element_from_h((2,)), {-2: (0, 1), 0: (1, 0), 2: (0, 1)}),
+            ((0,), la.zeros(2, 2), {0: (1, 2)})):
+        ok, detail = oc.verify_grading_dims(real, hm, gr.grade(real.rs, real.eps, h_values))
+        assert ok
+        assert {d: v["matrix"] for d, v in detail.items()} == matrix_side
+        assert {d: (len(k), len(p)) for d, (k, p) in oc.ad_layers(real, hm).items()} \
+            == matrix_side
 
 
-def test_ad_grading_dims_rejects_non_integral():
+def test_ad_layers_rejects_non_integral():
     real = oc.realize("su(1,1)")
     h = _mat([[F(1, 3), 0], [0, F(-1, 3)]])
     with pytest.raises(InputError):
-        oc.ad_grading_dims(real, h)
+        oc.ad_layers(real, h)
+    with pytest.raises(InputError):
+        oc.verify_grading_dims(real, h, gr.grade(real.rs, real.eps, (2,)))
 
 
-def test_ad_grading_dims_rejects_a_nilpotent():
+def test_ad_layers_rejects_a_nilpotent():
     real = oc.realize("su(1,1)")
     e12 = real.root_vector(real.rs.simple_roots[0])  # not semisimple
     with pytest.raises(InputError):
-        oc.ad_grading_dims(real, e12)
+        oc.ad_layers(real, e12)
+    with pytest.raises(InputError):
+        oc.verify_grading_dims(real, e12, gr.grade(real.rs, real.eps, (2,)))
 
 
 def test_ad_grading_matches_combinatorial_grading():
@@ -386,9 +397,9 @@ def _sampled_nilcone_dimension(real, seed):
     [(name, None) for name in TABLE_A_FORMS + ("so*(6)", "sp(1,2)")]
     # the pinned forms also in their standard conventions, where su(2,2) and
     # sp(4,R) have one noncompact simple root
-    + [("su(1,1)", (-1,)), ("su(2,1)", (-1, -1)), ("su(2,2)", (1, -1, 1)),
-       ("sp(4,R)", (1, -1))]
-    + [("su(1,1)", (1,))]))
+    + [(name, rf.EqualRankInvolution(eps)) for name, eps in (
+        ("su(1,1)", (-1,)), ("su(2,1)", (-1, -1)), ("su(2,2)", (1, -1, 1)),
+        ("sp(4,R)", (1, -1)), ("su(1,1)", (1,)))]))
 def test_nilcone_dimension_matches_the_sampled_bound(name, eps):
     # on these forms a sample is p-regular at both seeds, so the old lower
     # bound was exact and must agree with dim p - dim a
@@ -431,7 +442,7 @@ def test_principal_search_certified():
 
 @pytest.mark.parametrize("name,eps,dim", [
     pytest.param("su(2,1)", None, 3, id="su(2,1)-3"),
-    pytest.param("sp(4,R)", (1, -1), 4, id="sp(4,R)-4")])
+    pytest.param("sp(4,R)", rf.EqualRankInvolution((1, -1)), 4, id="sp(4,R)-4")])
 def test_principal_search_refuses_an_inexact_cone_bound(monkeypatch, name, eps, dim):
     # the cone dimension is exact, so a sampled orbit above it is a defect:
     # the search raises at that sample instead of running out its budget.
@@ -469,7 +480,7 @@ def test_stalled_principal_search_keeps_its_best_sample_in_fractions(monkeypatch
 
 
 def test_principal_search_rejects_compact():
-    real = oc.realize("su(1,1)", eps=(1,))
+    real = oc.realize("su(1,1)", eps=rf.EqualRankInvolution((1,)))
     assert real.p_dim == 0
     with pytest.raises(InputError):
         oc.principal_nilpotent_search(real, 7)
@@ -517,14 +528,15 @@ def test_coordinate_ring_su21_pinned_and_seed_stable():
 
 
 def test_coordinate_ring_compact_form_is_a_point():
-    real = oc.realize("su(2,1)", eps=(1, 1))
+    real = oc.realize("su(2,1)", eps=rf.EqualRankInvolution((1, 1)))
     assert real.p_dim == 0
     assert oc.coordinate_ring_dims(real, la.zeros(3, 3), 3, 7) == [1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("name,eps,h,dims", [
-    ("su(3,2)", (-1, -1, -1, -1), (2, 2, 2, 2), [1, 12, 77, 352]),
-    ("so*(8)", (-1, -1, 1, 1), (2, 2, 0, 0), [1, 12, 76, 340]),
+    ("su(3,2)", rf.EqualRankInvolution((-1, -1, -1, -1)), (2, 2, 2, 2),
+     [1, 12, 77, 352]),
+    ("so*(8)", rf.EqualRankInvolution((-1, -1, 1, 1)), (2, 2, 0, 0), [1, 12, 76, 340]),
 ])
 def test_coordinate_ring_at_maximal_presentations(name, eps, h, dims):
     real = oc.realize(name, eps=eps)
@@ -765,7 +777,7 @@ def test_choosing_a_gradings_element_grades_it_once(monkeypatch):
             return original(*args)
         monkeypatch.setattr(oc, name, counted)
     oc.even_grading_orbit_dims(real, 7)
-    searched = len(gr.search_even_gradings(real.rs, real.eps))
+    searched = len(gr.search_even_gradings(real.rs, real.eps, lambda gd: False))
     assert calls["ad_layers"] == searched == 15
     assert calls["dense_orbit_check"] > searched
 
@@ -818,7 +830,7 @@ def test_principal_search_su11_finds_a_line():
 
 
 def test_nilcone_dimension_compact_is_zero():
-    real = oc.realize("su(1,1)", eps=(1,))
+    real = oc.realize("su(1,1)", eps=rf.EqualRankInvolution((1,)))
     assert oc.nilcone_dimension(real, 7) == 0
 
 
@@ -1171,7 +1183,7 @@ def test_confirmer_seeds_the_degree_two_p_basis_in_ad_layers_order(name, monkeyp
     monkeypatch.setattr(oc, "dense_orbit_check",
                         lambda real, layers, x: tried.append(x))
     confirm = oc.dense_confirmer(real, 7)
-    for hit in gr.search_even_gradings(real.rs, real.eps):
+    for hit in gr.search_even_gradings(real.rs, real.eps, lambda gd: False):
         tried.clear()
         h, x, dense = oc.dense_element(real, hit.H.h_values, 7)
         p2 = oc.ad_layers(real, h)[2][1]

@@ -168,3 +168,83 @@ def test_the_weight_engines_import_no_fractions():
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module)
         assert "fractions" not in imported, name
+
+
+def _defaults_and_calls():
+    """Every parameter default in the package, as (module.function.param,
+    called name, positional index or None for a keyword-only one), and every
+    call, as (called name, number of positional arguments, keyword names,
+    whether it passes *args or **kwargs).
+
+    A call is matched by bare or attribute name, as _Uses matches a use; a
+    method's self is not counted, and __init__ is called by its class's
+    name.
+    """
+    defaults, calls = [], []
+    for module, tree in _modules():
+        owner = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for f in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                    or any(k.arg is None for k in node.keywords)
+                calls.append((name, len(node.args), {k.arg for k in node.keywords},
+                              starred))
+            elif isinstance(node, ast.FunctionDef):
+                cls = owner.get(id(node))
+                called = cls.name if cls and node.name == "__init__" else node.name
+                where = ".".join([module] + ([cls.name] if cls else []) + [node.name])
+                args = node.args
+                params = (args.posonlyargs + args.args)[1 if cls else 0:]
+                first = len(params) - len(args.defaults)
+                defaults += [("%s.%s" % (where, p.arg), called, i)
+                             for i, p in enumerate(params) if i >= first]
+                defaults += [("%s.%s" % (where, p.arg), called, None)
+                             for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None]
+    return defaults, calls
+
+
+def _unused_defaults():
+    """The parameter defaults that no call in the package omits."""
+    defaults, calls = _defaults_and_calls()
+
+    def omits(call, param, index):
+        name, npos, keywords, starred = call
+        passed = param in keywords or (index is not None and index < npos)
+        return starred or not passed
+
+    return sorted(key for key, called, index in defaults
+                  if not any(call[0] == called
+                             and omits(call, key.rsplit(".", 1)[1], index)
+                             for call in calls))
+
+
+# Parameter defaults that every call in the package passes, each kept for a
+# reason outside it.  An entry whose default goes, or that a call in the
+# package omits, must leave this table.
+_DEFAULT_ALLOWLIST = {
+    "series.verify_vanishing.form": "perfbench's characters workload passes "
+                                    "form= (deleted with ROADMAP item 7)",
+    "series.verify_vanishing_box.form": "the series' form= that perfbench "
+                                        "passes (deleted with ROADMAP item 7)",
+    "series.hilbert_series.form": "perfbench's characters workload passes "
+                                  "form= (deleted with ROADMAP item 7)",
+    "series.blattner_series_identity.form": "perfbench's characters workload "
+                                            "passes form= (deleted with ROADMAP "
+                                            "item 7)",
+}
+
+
+def test_every_parameter_default_is_relied_on():
+    # a default that every call in the package overrides is a second entry
+    # form that only tests reach; a call with *args or **kwargs counts as
+    # omitting, so verify_form's defaults, which run relies on, pass
+    defaults, _ = _defaults_and_calls()
+    assert defaults
+    unused = _unused_defaults()
+    assert sorted(set(unused) - set(_DEFAULT_ALLOWLIST)) == []
+    # an entry whose default was deleted, or that a call now omits, is stale
+    assert sorted(set(_DEFAULT_ALLOWLIST) - set(unused)) == []
