@@ -17,14 +17,16 @@ whose slots hold its doubled pairings with the simple coroots of K and its
 d2 coordinates.  Packing is linear, so a shift is one int add, the pairing
 key is one mask, the table stores w.lam - lam packed and the dominant term
 is one more add.  A table miss sweeps its key with the packed reflection
-kernel that make_dominant uses, and its sign counts the reflections.  The
-sum's terms stay packed in the VirtualCharacter it returns until a caller
-reads a weight (see VirtualCharacter).
+kernel that make_dominant uses, and its sign counts the reflections.
+
+A character is packed from the moment it is built: the Bott sum's terms,
+and the one term of line_cohomology, are packed weights of a packing of K,
+held in a VirtualCharacter until a caller reads a weight.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .rootdata import (VirtualCharacter, _packed_character, make_dominant,
+from .rootdata import (VirtualCharacter, _packing, _reach, make_dominant,
                        require_integral)
 
 
@@ -32,18 +34,23 @@ from .rootdata import (VirtualCharacter, _packed_character, make_dominant,
 class CohomologyResult:
     """Cohomology of one line bundle: at most one nonzero degree."""
 
-    per_degree: dict = field(default_factory=dict)
+    per_degree: dict
 
     def total_dimension(self, sub):
         return sum(vc.dimension(sub) for vc in self.per_degree.values())
 
 
 def line_cohomology(lam, kd):
+    """H^*(K/B_K, O(lam)): the degree l(w) of make_dominant's w and its one
+    term w.lam, packed with the packing of kd that holds lam (_packing's
+    slot bound covers w(lam + rho_K) - rho_K), or nothing on a wall."""
     require_integral(lam)
     w, dom, singular = make_dominant(kd, lam)
     if singular:
         return CohomologyResult({})
-    return CohomologyResult({w.length: VirtualCharacter({dom: 1})})
+    packing = _packing(kd, _reach([lam.d2]))
+    return CohomologyResult(
+        {w.length: VirtualCharacter(packing, {packing.pack(dom.d2) + packing.bias: 1})})
 
 
 def euler_of_weights(packed, shift, packing, seen):
@@ -69,4 +76,4 @@ def euler_of_weights(packed, shift, packing, seen):
         if hit is not None:
             dom = q + hit[0]
             total[dom] = total.get(dom, 0) + hit[1] * mult
-    return _packed_character(packing, {dom: m for dom, m in total.items() if m})
+    return VirtualCharacter(packing, {dom: m for dom, m in total.items() if m})

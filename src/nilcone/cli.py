@@ -45,9 +45,9 @@ def _parse_ints(text):
 
 
 def _resolve_form(args):
-    if getattr(args, "form", None):
+    if args.form:
         return (args.form, *standard_form_catalog(args.form))
-    if getattr(args, "type", None):
+    if args.type:
         if args.rank is None:
             raise InputError("--type needs --rank")
         rs = build_root_system(args.type, args.rank)
@@ -74,7 +74,7 @@ def _json(payload):
 
 def _emit(args, payload):
     text = _json(payload)
-    if getattr(args, "json_out", None):
+    if args.json_out:
         _write(args.json_out, text)
     print(text, end="")
 
@@ -157,7 +157,7 @@ def cmd_verify_vanishing(args):
 def cmd_hilbert(args):
     label, rs, eps, gd, kd = _series_context(args)
     dims = se.hilbert_series(gd, kd, args.N, form=label)
-    if getattr(args, "csv_out", None):
+    if args.csv_out:
         _write(args.csv_out, "k,dim\n" + "".join("%d,%d\n" % row
                                                   for row in enumerate(dims)))
     _emit(args, {"form": label, "H": list(gd.H.h_values), "N": args.N, "dims": dims})

@@ -70,13 +70,19 @@ def mat_eq(a, b):
     return is_zero_matrix(mat_sub(a, b))
 
 
+def _scaled_to_ints(rows):
+    """(den, den rows) for the least positive int den that makes every
+    entry of rows (sequences of ints and Fractions) an integer."""
+    den = lcm(*[x.denominator for row in rows for x in row])
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+
+
 def primitive(row):
     """row scaled by a positive rational to coprime integers; zero stays zero.
 
     Entries are ints or Fractions.
     """
-    den = lcm(*[x.denominator for x in row])
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    ints = _scaled_to_ints([row])[1][0]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -183,9 +189,8 @@ def inverse(square):
     columns = [solve(square, [int(i == k) for i in range(n)]) for k in range(n)]
     if None in columns:
         raise ValueError("matrix is singular")
-    den = lcm(*[x.denominator for col in columns for x in col])
-    return [[x.numerator * (den // x.denominator) for x in row]
-            for row in zip(*columns)], den
+    den, adj = _scaled_to_ints(list(zip(*columns)))
+    return adj, den
 
 
 class IncrementalRank:

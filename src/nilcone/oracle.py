@@ -38,7 +38,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from operator import mul
 
 from . import linalg as la
@@ -323,13 +322,6 @@ class ClassicalRealization:
             return None
         return [c[i] for i in self.p_index]
 
-    def from_p_coords(self, vec):
-        """The element of p whose p_coords are vec."""
-        full = [0] * self.dim
-        for i, c in zip(self.p_index, vec):
-            full[i] = c
-        return self.from_coords(full)
-
     def root_vector(self, root):
         return self.basis[self._root_index[root.coords]]
 
@@ -374,13 +366,6 @@ def realize(name, eps=None):
 # sl(2) triples
 # ---------------------------------------------------------------------------
 
-def _scaled_to_ints(m):
-    """(d, d m) for the least positive int d that makes every entry of m an
-    integer."""
-    d = lcm(*[x.denominator for row in m for x in row])
-    return d, [[x.numerator * (d // x.denominator) for x in row] for row in m]
-
-
 def _add_to_diagonal(m, c):
     """m + c I, written into m, which is returned."""
     for i, row in enumerate(m):
@@ -399,9 +384,9 @@ class SL2Triple:
         matrices H' = d_h H, X' = d_x X and Y' = d_y Y: [H', X'] = 2 d_h X',
         d_h [X', Y'] = d_x d_y H' and [H', Y'] = -2 d_h Y'."""
         br = la.commutator
-        dh, h = _scaled_to_ints(self.H)
-        dx, x = _scaled_to_ints(self.X)
-        dy, y = _scaled_to_ints(self.Y)
+        dh, h = la._scaled_to_ints(self.H)
+        dx, x = la._scaled_to_ints(self.X)
+        dy, y = la._scaled_to_ints(self.Y)
         return (la.mat_eq(br(h, x), la.mat_scale(2 * dh, x))
                 and la.mat_eq(la.mat_scale(dh, br(x, y)), la.mat_scale(dx * dy, h))
                 and la.mat_eq(br(h, y), la.mat_scale(-2 * dh, y)))
@@ -442,8 +427,8 @@ def jm_triple(real, x):
     w = la.solve(la.mat_scale(-1, adx2), [2 * c for c in xc])
     if w is None:
         raise InputError("Jacobson-Morozov system inconsistent")
-    den = lcm(*[c.denominator for c in w])
-    dw = [(j, c.numerator * (den // c.denominator)) for j, c in enumerate(w) if c]
+    den, (iw,) = la._scaled_to_ints([w])
+    dw = [(j, c) for j, c in enumerate(iw) if c]
     dhc = [sum(row[j] * c for j, c in dw) for row in adx]  # coords of den H
     hc = [F(c, den) for c in dhc]
     h = real.from_coords(hc)
@@ -470,7 +455,7 @@ def ks_normalize(real, triple):
     if not real.in_p(triple.X):
         raise InputError("normalization needs X in p")
     hk = la.mat_scale(F(1, 2), la.mat_add(triple.H, real.theta(triple.H)))
-    den, dhk = _scaled_to_ints(hk)
+    den, dhk = la._scaled_to_ints(hk)
     if not la.mat_eq(la.commutator(dhk, triple.X), la.mat_scale(2 * den, triple.X)):
         raise ConsistencyError("k-part of H lost the [H, X] = 2X relation")
     adx = [[den * a for a in row] for row in real.ad_matrix(triple.X)]
@@ -479,7 +464,7 @@ def ks_normalize(real, triple):
     c = la.solve(stacked, real.coords(dhk) + [0] * real.dim)
     if c is None:
         raise ConsistencyError("no Y in p completes the normalized triple")
-    out = SL2Triple(H=hk, X=triple.X, Y=real.from_p_coords(c))
+    out = SL2Triple(H=hk, X=triple.X, Y=_basis_sum(real, real.p_index, c))
     if not out.normalized_identities_hold(real):
         raise ConsistencyError("normalized triple fails an identity")
     return out
@@ -499,8 +484,7 @@ def ad_layers(real, h):
     if any(x for a, row in enumerate(h) for b, x in enumerate(row) if a != b):
         raise InputError("H is not diagonal")
     diag = [row[a] for a, row in enumerate(h)]
-    den = lcm(*[x.denominator for x in diag])  # the diagonal, scaled to ints
-    diag = [x.numerator * (den // x.denominator) for x in diag]
+    den, (diag,) = la._scaled_to_ints([diag])
     degree = []
     for entries in real._entries:
         found = {diag[a] - diag[b] for a, b, _ in entries}
@@ -685,7 +669,7 @@ def sample_orbit_points(real, x, count, rng):
     do not depend on x.
     """
     word = _word(real)
-    den, xi = _scaled_to_ints(x)
+    den, xi = la._scaled_to_ints(x)
     pts = []
     for _ in range(count):
         params = [rng.randint(1, 1024) * rng.choice((1, -1)) for _ in word]

@@ -35,13 +35,14 @@ whose fixed-width slots hold a weight's doubled pairings with the simple
 coroots of a subsystem and its d2 coordinates.  A simple reflection is one
 int update and a negative pairing is a clear top bit of its slot.
 nilcone.bott and nilcone.series pack their weights with the same layout,
-and a VirtualCharacter from the Bott sum keeps its terms in it until a
-caller reads a weight.
+and a VirtualCharacter holds its terms in it from the moment it is built;
+a weight is unpacked only when a caller reads one.
 """
 
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul, neg, sub as minus
 
 from . import linalg as la
@@ -616,28 +617,27 @@ def weyl_elements(sub):
 # ---------------------------------------------------------------------------
 
 class VirtualCharacter:
-    """Integer-multiplicity map on dominant weights; zero terms are pruned.
+    """Integer-multiplicity map on dominant weights, held packed.
 
-    The Bott sum (nilcone.bott) returns its characters packed: the terms
-    are biased packed weights of a _Packing of the subsystem (pairing slots
-    holding the doubled pairings of lam + rho_sub), each with its nonzero
-    multiplicity.  The dict of Weights is built on the first read of a
-    weight (items, mult, +, ==, repr); negation, negatives() and
-    dimension() read the packed ints, and negatives() unpacks only the
-    negative terms.
+    The terms are biased packed weights of a _Packing of a subsystem
+    (pairing slots holding the doubled pairings of lam + rho_sub), each
+    with its nonzero multiplicity, from the moment the character is built
+    (the Bott sum and line_cohomology in nilcone.bott).  The dict of
+    Weights is built on the first read of a weight (items, mult, ==,
+    repr); negation, negatives() and dimension() read the packed ints, and
+    negatives() unpacks only the negative terms.
     """
 
-    def __init__(self, terms):
-        self._packing = self._packed = None
-        self._weights = {w: int(m) for w, m in terms.items() if m}
+    def __init__(self, packing, packed):
+        """packed, a dict of nonzero ints keyed by biased packed weights of
+        packing, is taken over unchecked."""
+        self._packing, self._packed = packing, packed
 
-    @property
+    @cached_property
     def _terms(self):
         """The terms as a dict Weight -> multiplicity, unpacked once."""
-        if self._weights is None:
-            unpack = self._packing.unpack
-            self._weights = {_weight_of(unpack(q)): m for q, m in self._packed.items()}
-        return self._weights
+        unpack = self._packing.unpack
+        return {_weight_of(unpack(q)): m for q, m in self._packed.items()}
 
     def items(self):
         return sorted(self._terms.items(), key=lambda kv: kv[0].d2)
@@ -645,56 +645,35 @@ class VirtualCharacter:
     def mult(self, lam):
         return self._terms.get(lam, 0)
 
-    def __add__(self, other):
-        out = dict(self._terms)
-        for w, m in other._terms.items():
-            out[w] = out.get(w, 0) + m
-        return VirtualCharacter(out)
-
     def __neg__(self):
-        if self._weights is None:
-            return _packed_character(self._packing,
-                                     {q: -m for q, m in self._packed.items()})
-        return VirtualCharacter({w: -m for w, m in self._terms.items()})
+        return VirtualCharacter(self._packing, {q: -m for q, m in self._packed.items()})
 
     def __eq__(self, other):
         return isinstance(other, VirtualCharacter) and self._terms == other._terms
 
     def __repr__(self):
-        if not self._terms:
+        if not self._packed:
             return "VirtualCharacter(0)"
         bits = ["%+d*V%s" % (m, tuple(str(c) for c in w.fw)) for w, m in self.items()]
         return "VirtualCharacter(%s)" % " ".join(bits)
 
     def dimension(self, sub):
-        """Sum of multiplicity times Weyl dimension over the subsystem.
-
-        A packed character of sub's own packing reads each term's doubled
-        pairings with the simple coroots off its pairing slots (_weyl_product
-        takes them as they are), with no Weight built.
-        """
+        """Sum of multiplicity times Weyl dimension over the subsystem,
+        which must own the character's packing: each term's doubled
+        pairings with the simple coroots are read off its pairing slots
+        (_weyl_product takes them as they are), with no Weight built."""
         packing = self._packing
-        if packing is None or sub._packings.get(packing.width) is not packing:
-            return sum(m * weyl_dimension(sub, w) for w, m in self._terms.items())
+        if sub._packings.get(packing.width) is not packing:
+            raise ConsistencyError("the character is not packed for this subsystem")
         pairings = packing.pairings
         return sum(m * _weyl_product(sub, pairings(q)) for q, m in self._packed.items())
 
     def negatives(self):
         """The terms with negative multiplicity, sorted as items() is."""
-        if self._weights is None:
-            unpack = self._packing.unpack
-            return sorted(((_weight_of(unpack(q)), m)
-                           for q, m in self._packed.items() if m < 0),
-                          key=lambda wm: wm[0].d2)
-        return [(w, m) for w, m in self.items() if m < 0]
-
-
-def _packed_character(packing, packed):
-    """The VirtualCharacter whose terms are packed (a dict of nonzero ints
-    keyed by biased packed weights of packing, taken over), unchecked."""
-    vc = _new(VirtualCharacter)
-    vc._packing, vc._packed, vc._weights = packing, packed, None
-    return vc
+        unpack = self._packing.unpack
+        return sorted(((_weight_of(unpack(q)), m)
+                       for q, m in self._packed.items() if m < 0),
+                      key=lambda wm: wm[0].d2)
 
 
 def weyl_dimension(sub, lam):

@@ -40,7 +40,7 @@ HYPOTHESIS_UNMET = "HYPOTHESIS-UNMET"
 @dataclass
 class GradedCharacterSeries:
     chi: list  # chi[k] is a VirtualCharacter
-    form: str = ""
+    form: str
 
     def dims(self, kd):
         return [c.dimension(kd) for c in self.chi]

@@ -2,7 +2,9 @@
 
 Each is written on d2 tuples or on the public dominance walk, independently
 of the packed kernels the package runs on; euler packs a list of Weights
-for the Bott sum, whose one entry takes a packed multiset.
+for the Bott sum, whose one entry takes a packed multiset.  A test writes
+an expected character as a dict Weight -> multiplicity and compares it
+with terms(chi).
 """
 
 from collections import Counter
@@ -28,14 +30,21 @@ def apply_word(sub, w, lam):
     return rd._weight_of(d2)
 
 
+def terms(chi):
+    """The terms of a character (or of a dict of them) as a dict Weight ->
+    multiplicity."""
+    return dict(chi.items())
+
+
 def dual(sub, chi):
-    """The contragredient of a virtual character: V_lam -> V_{-w0 lam},
-    -w0 lam being the dominant weight in the orbit of -lam."""
+    """The contragredient of a virtual character (or of a dict of terms) as
+    a dict of terms: V_lam -> V_{-w0 lam}, -w0 lam being the dominant weight
+    in the orbit of -lam."""
     out = {}
     for lam, m in chi.items():
         d = sub.dominant_representative(-lam)
         out[d] = out.get(d, 0) + m
-    return rd.VirtualCharacter(out)
+    return out
 
 
 def euler(weights, kd, shift=None, seen=None):

@@ -88,6 +88,54 @@ def test_bott_command(capsys):
     assert payload["total_dim"] == 3  # adjoint of the compact gl(2) factor
 
 
+# nilcone bott's stdout, byte for byte, on a regular dominant, a singular
+# and a non-dominant weight of each form
+_BOTT_PINS = [
+    ("su(2,1)", "2,2",  # regular
+     '{"form": "su(2,1)", "per_degree": {"0": [{"mult": 1, '
+     '"weight": {"basis": "fw", "coords": [2, 2]}}]}, "total_dim": 5, '
+     '"weight": {"basis": "fw", "coords": [2, 2]}}'),
+    ("su(2,1)", "-1,0",  # singular
+     '{"form": "su(2,1)", "per_degree": {}, "total_dim": 0, '
+     '"weight": {"basis": "fw", "coords": [-1, 0]}}'),
+    ("su(2,1)", "-2,-2",  # non-dominant
+     '{"form": "su(2,1)", "per_degree": {"1": [{"mult": 1, '
+     '"weight": {"basis": "fw", "coords": [1, 1]}}]}, "total_dim": 3, '
+     '"weight": {"basis": "fw", "coords": [-2, -2]}}'),
+    ("sp(4,R)", "2,2",  # regular
+     '{"form": "sp(4,R)", "per_degree": {"0": [{"mult": 1, '
+     '"weight": {"basis": "fw", "coords": [2, 2]}}]}, "total_dim": 7, '
+     '"weight": {"basis": "fw", "coords": [2, 2]}}'),
+    ("sp(4,R)", "-1,0",  # singular
+     '{"form": "sp(4,R)", "per_degree": {}, "total_dim": 0, '
+     '"weight": {"basis": "fw", "coords": [-1, 0]}}'),
+    ("sp(4,R)", "-2,-2",  # non-dominant
+     '{"form": "sp(4,R)", "per_degree": {"1": [{"mult": 1, '
+     '"weight": {"basis": "fw", "coords": [-2, 3]}}]}, "total_dim": 5, '
+     '"weight": {"basis": "fw", "coords": [-2, -2]}}'),
+    ("so*(8)", "2,2,2,0",  # regular
+     '{"form": "so*(8)", "per_degree": {"0": [{"mult": 1, '
+     '"weight": {"basis": "fw", "coords": [2, 2, 2, 0]}}]}, '
+     '"total_dim": 729, "weight": {"basis": "fw", "coords": [2, 2, 2, '
+     '0]}}'),
+    ("so*(8)", "-1,0,0,0",  # singular
+     '{"form": "so*(8)", "per_degree": {}, "total_dim": 0, '
+     '"weight": {"basis": "fw", "coords": [-1, 0, 0, 0]}}'),
+    ("so*(8)", "-2,-2,-2,0",  # non-dominant
+     '{"form": "so*(8)", "per_degree": {"6": [{"mult": 1, '
+     '"weight": {"basis": "fw", "coords": [0, 0, 0, -4]}}]}, '
+     '"total_dim": 1, "weight": {"basis": "fw", "coords": [-2, -2, -2, '
+     '0]}}'),
+]
+
+
+@pytest.mark.parametrize("form,weight,pin", _BOTT_PINS)
+def test_bott_stdout_is_pinned(capsys, form, weight, pin):
+    code, out, _ = _run(capsys, "bott", "--form", form, "--weight=" + weight)
+    assert code == 0
+    assert out == json.dumps(json.loads(pin), indent=2, sort_keys=True) + "\n"
+
+
 def test_verify_vanishing_pass_and_gate(capsys):
     code, out, _ = _run(capsys, "verify-vanishing", "--form", "su(2,1)",
                         "--H", "2,2", "--lambda", "0,0", "--N", "6")

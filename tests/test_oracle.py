@@ -76,7 +76,7 @@ def test_p_coords_are_the_p_entries_of_coords():
                    la.mat_scale(3, real.root_vector(real.rs.simple_roots[1])))
     c = real.coords(x)
     assert real.p_coords(x) == [c[i] for i in real.p_index]
-    assert la.mat_eq(real.from_p_coords(real.p_coords(x)), x)
+    assert la.mat_eq(oc._basis_sum(real, real.p_index, real.p_coords(x)), x)
     mixed = la.mat_add(x, compact)
     assert real.coords(mixed) is not None and real.p_coords(mixed) is None
 
@@ -260,7 +260,7 @@ def _reference_ks_triple(real, x):
     rows = adx + la.mat_add(_fraction_ad(real, hk), shift)
     c = _rref_solve([[row[j] for j in real.p_index] for row in rows],
                     real.coords(hk) + [F(0)] * real.dim)
-    return hk, x, real.from_p_coords(c)
+    return hk, x, oc._basis_sum(real, real.p_index, c)
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -386,7 +386,8 @@ def _sampled_nilcone_dimension(real, seed):
     rng = random.Random("%s-nilcone" % (seed,))
     found = []
     while len(found) < 3:
-        s = real.from_p_coords([F(rng.randint(-4, 4)) for _ in range(real.p_dim)])
+        s = oc._basis_sum(real, real.p_index,
+                          [F(rng.randint(-4, 4)) for _ in range(real.p_dim)])
         if not la.is_zero_matrix(s):
             adp = oc._columns(real.ad_matrix(s), real.p_index)
             found.append(real.p_dim - la.rank(adp))
@@ -427,7 +428,8 @@ def test_orbit_dimensions_are_bounded_by_the_nilcone_dimension(name):
     cone_dim = oc.nilcone_dimension(real)
     rng = random.Random(name)
     for _ in range(6):
-        s = real.from_p_coords([F(rng.randint(-3, 3)) for _ in range(real.p_dim)])
+        s = oc._basis_sum(real, real.p_index,
+                          [F(rng.randint(-3, 3)) for _ in range(real.p_dim)])
         assert oc.orbit_dimension(real, s) <= cone_dim
         assert oc.orbit_dimension(real, oc.random_nilpotent(real, rng)) <= cone_dim
     x = oc.principal_nilpotent_search(real, 7)

@@ -14,7 +14,7 @@ from nilcone import realform as rf
 from nilcone import rootdata as rd
 from nilcone import series as se
 from nilcone.errors import InputError, OutOfScopeError
-from reference import apply_word, dual, euler
+from reference import apply_word, dual, euler, terms
 
 F = Fraction
 
@@ -128,7 +128,8 @@ def test_sym_powers_match_the_tuple_builder():
 
 def _tuple_series(lams, gd, kd, N):
     """The reference for _series: tuple Sym^k(-(u cap p)), the tuple Bott
-    kernel and one table shared over every twist and degree."""
+    kernel and one table shared over every twist and degree, each degree a
+    dict of terms."""
     from test_bott import euler_of_tuples
     rank = gd.rs.rank
     syms = _tuple_sym_powers([(-w).d2 for w in gd.u_cap_p_weights()], N, rank)
@@ -136,7 +137,8 @@ def _tuple_series(lams, gd, kd, N):
     for lam in lams:
         shift = -lam - kd.rho - kd.rho
         chi = [euler_of_tuples(sym, kd, shift=shift, seen=seen) for sym in syms]
-        yield [-c for c in chi] if len(kd.positive_roots) % 2 else chi
+        yield ([{w: -m for w, m in c.items()} for c in chi]
+               if len(kd.positive_roots) % 2 else chi)
 
 
 def test_euler_series_matches_the_tuple_kernel_on_a_box():
@@ -144,10 +146,10 @@ def test_euler_series_matches_the_tuple_kernel_on_a_box():
     assert len(box) == 55
     want = list(_tuple_series(box, gd, kd, 6))
     for lam, chi in zip(box, want):
-        assert se.euler_series(lam, gd, kd, 6).chi == chi
+        assert list(map(terms, se.euler_series(lam, gd, kd, 6).chi)) == chi
     # the box as one call: one packing and one table for all 55 twists
     got = list(se.verify_vanishing_box(box, gd, kd, 6))
-    assert [r.series.chi for r in got] == want
+    assert [list(map(terms, r.series.chi)) for r in got] == want
 
 
 @pytest.mark.parametrize("name,h", [("su(2,2)", None), ("so*(8)", (0, 0, 0, 2))])
@@ -182,7 +184,7 @@ def test_euler_series_at_the_slot_bound():
         edges += [c, c + step]
     lams = [rd.weight(c, -c, c) for c in edges]
     for lam, chi in zip(lams, _tuple_series(lams, gd, kd, N)):
-        assert se.euler_series(lam, gd, kd, N).chi == chi
+        assert list(map(terms, se.euler_series(lam, gd, kd, N).chi)) == chi
 
 
 def test_sym_powers_without_generators():
@@ -207,7 +209,7 @@ def test_euler_series_su11_line():
     s = se.euler_series(rd.weight(0), gd, kd, 6)
     for k, chi in enumerate(s.chi):
         # functions on a line scaled with weight -alpha
-        assert chi == rd.VirtualCharacter({rd.weight(-2 * k): 1})
+        assert terms(chi) == {rd.weight(-2 * k): 1}
 
 
 def test_euler_series_su21_degree_one():
@@ -215,9 +217,9 @@ def test_euler_series_su21_degree_one():
     s = se.euler_series(rd.weight(0, 0), gd, kd, 2)
     a1 = rs.root_fw(rs.simple_roots[0])
     a2 = rs.root_fw(rs.simple_roots[1])
-    assert s.chi[1] == rd.VirtualCharacter({a1: 1, a2: 1})
+    assert terms(s.chi[1]) == {a1: 1, a2: 1}
     assert s.chi[1].dimension(kd) == 4
-    assert s.chi[0] == rd.VirtualCharacter({rd.weight(0, 0): 1})
+    assert terms(s.chi[0]) == {rd.weight(0, 0): 1}
 
 
 def test_chi0_is_contragredient_of_lambda():
@@ -225,10 +227,10 @@ def test_chi0_is_contragredient_of_lambda():
     a1 = rs.root_fw(rs.simple_roots[0])
     a2 = rs.root_fw(rs.simple_roots[1])
     s = se.euler_series(a1, gd, kd, 0)
-    assert s.chi[0] == rd.VirtualCharacter({a2: 1})  # dual flips a1 <-> a2
+    assert terms(s.chi[0]) == {a2: 1}  # dual flips a1 <-> a2
     # self-dual twist: chi_0 is the character itself
     s2 = se.euler_series(a1 + a2, gd, kd, 0)
-    assert s2.chi[0] == rd.VirtualCharacter({a1 + a2: 1})
+    assert terms(s2.chi[0]) == {a1 + a2: 1}
 
 
 def test_verify_vanishing_pass_and_gate():
@@ -341,7 +343,7 @@ def test_serre_duality_series_is_the_dual_euler_characteristic(name, h):
         series = se.euler_series(lam, gd, kd, 4)
         for k, sym in enumerate(syms):
             shifted = [w + lam for w in sym.elements()]
-            assert series.chi[k] == dual(kd, euler(shifted, kd))
+            assert terms(series.chi[k]) == dual(kd, euler(shifted, kd))
 
 
 def _alternating_args(kd, mus, lam):
@@ -433,8 +435,8 @@ def test_components_split_su11():
     result = se.components_split([gd_plus, gd_minus], kd, 4)
     assert result.total_dims == [2, 2, 2, 2, 2]
     # degree zero of each component is one constant
-    assert [s.chi[0] for s in result.per_component] == \
-        [rd.VirtualCharacter({rd.weight(0): 1})] * 2
+    assert [terms(s.chi[0]) for s in result.per_component] == \
+        [{rd.weight(0): 1}] * 2
 
 
 def test_components_split_single_is_identity():
@@ -668,36 +670,44 @@ def test_vanishing_on_searched_even_gradings():
 # -- packed characters ----------------------------------------------------------------
 
 def _fresh(chi):
-    """A packed copy of chi that no read has unpacked yet."""
-    assert chi._packing is not None
-    return rd._packed_character(chi._packing, dict(chi._packed))
+    """A copy of chi that no read has unpacked yet."""
+    return rd.VirtualCharacter(chi._packing, dict(chi._packed))
 
 
 def _eager(chi):
-    """chi as a character built from Weights, without reading chi."""
+    """chi's terms as a dict Weight -> multiplicity, unpacked without
+    reading chi."""
     unpack = chi._packing.unpack
-    return rd.VirtualCharacter({rd._weight_of(unpack(q)): m
-                                for q, m in chi._packed.items()})
+    return {rd._weight_of(unpack(q)): m for q, m in chi._packed.items()}
+
+
+def _weyl_sum(terms, kd):
+    return sum(m * rd.weyl_dimension(kd, w) for w, m in terms.items())
 
 
 def _assert_packed_reads_like_eager(chi, kd):
     want = _eager(chi)
-    assert _fresh(chi).negatives() == want.negatives()
-    assert _fresh(chi).dimension(kd) == want.dimension(kd)
-    assert _fresh(chi).items() == want.items()
-    assert repr(_fresh(chi)) == repr(want)
+    items = sorted(want.items(), key=lambda wm: wm[0].d2)
+    assert _fresh(chi).negatives() == [(w, m) for w, m in items if m < 0]
+    assert _fresh(chi).dimension(kd) == _weyl_sum(want, kd)
+    assert _fresh(chi).items() == items
+    assert repr(_fresh(chi)) == "VirtualCharacter(%s)" % (" ".join(
+        "%+d*V%s" % (m, tuple(str(c) for c in w.fw)) for w, m in items) or 0)
     absent = rd._weight_of(tuple(-1 - x for x in kd.rho.d2))  # not dominant
-    for w in [w for w, _ in want.items()] + [absent]:
-        assert _fresh(chi).mult(w) == want.mult(w)
-    assert _fresh(chi) == want and want == _fresh(chi)
-    assert _fresh(chi) != want + rd.VirtualCharacter({kd.rho: 1})
+    for w in list(want) + [absent]:
+        assert _fresh(chi).mult(w) == want.get(w, 0)
+    assert _fresh(chi) == chi and chi == _fresh(chi)
+    packing = chi._packing
+    more = dict(chi._packed)
+    rho = packing.pack(kd.rho.d2) + packing.bias
+    more[rho] = more.get(rho, 0) + 1
+    assert _fresh(chi) != rd.VirtualCharacter(packing, {q: m for q, m in more.items() if m})
     negated = -_fresh(chi)
-    assert negated._weights is None  # negation stays packed
-    assert negated == -want and negated.negatives() == (-want).negatives()
-    assert negated.dimension(kd) == -want.dimension(kd)
-    assert _fresh(chi) + want == want + want
-    assert want + _fresh(chi) == want + want
-    assert (_fresh(chi) + (-_fresh(chi))).items() == []
+    assert "_terms" not in negated.__dict__  # negation stays packed
+    assert terms(negated) == {w: -m for w, m in want.items()}
+    assert negated.negatives() == [(w, -m) for w, m in items if m > 0]
+    assert negated.dimension(kd) == -_weyl_sum(want, kd)
+    assert -negated == chi
 
 
 @pytest.mark.parametrize("name,h", [("su(2,2)", None), ("so*(8)", (0, 0, 0, 2))])
@@ -715,7 +725,7 @@ def test_packed_hilbert_series_of_su44_reads_like_eager():
     series = se.euler_series(rd.zero_weight(rs.rank), gd, kd, 6)
     for chi in series.chi:
         _assert_packed_reads_like_eager(chi, kd)
-    assert series.dims(kd) == [_eager(chi).dimension(kd) for chi in series.chi] \
+    assert series.dims(kd) == [_weyl_sum(_eager(chi), kd) for chi in series.chi] \
         == se.hilbert_series(gd, kd, 6) == [1, 16, 136, 816, 3876, 15504, 54264]
 
 
@@ -759,8 +769,8 @@ def test_nonnegative_packed_character_builds_no_weight(monkeypatch):
     weight_of = rd._weight_of
     monkeypatch.setattr(rd, "_weight_of", lambda d2: built.append(d2) or weight_of(d2))
     for c in chi:
-        assert c.negatives() == [] and c._weights is None
-        assert c.dimension(kd) > 0 and c._weights is None
+        assert c.negatives() == [] and "_terms" not in c.__dict__
+        assert c.dimension(kd) > 0 and "_terms" not in c.__dict__
     assert built == []
     # a negative term is built, and only that one
     mixed = _fresh(chi[2])

@@ -111,6 +111,8 @@ _PUBLIC_ALLOWLIST = {
     "rootdata.kostant_partition": "perfbench/spans.py traces it (retired with "
                                   "its metric)",
     "rootdata.weight": "perfbench/tests/test_perfbench.py imports it",
+    "rootdata.weyl_dimension": "perfbench/spans.py traces it (retired with "
+                               "its metric)",
     "rootdata.RootSystem.pairing": "perfbench/workloads.py's qk_dominant_box "
                                    "calls kd.rs.pairing",
     "series.sym_weights": "perfbench/spans.py and perfbench/tests trace it "
@@ -178,7 +180,8 @@ def _defaults_and_calls():
 
     A call is matched by bare or attribute name, as _Uses matches a use; a
     method's self is not counted, and __init__ is called by its class's
-    name.
+    name, as is a dataclass, whose fields are its constructor's parameters
+    in field order (a field default is module.Class.field).
     """
     defaults, calls = [], []
     for module, tree in _modules():
@@ -192,6 +195,14 @@ def _defaults_and_calls():
                     or any(k.arg is None for k in node.keywords)
                 calls.append((name, len(node.args), {k.arg for k in node.keywords},
                               starred))
+            elif isinstance(node, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                    == "dataclass" for d in node.decorator_list):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                          and isinstance(f.target, ast.Name)]
+                defaults += [("%s.%s.%s" % (module, node.name, f.target.id),
+                              node.name, i)
+                             for i, f in enumerate(fields) if f.value is not None]
             elif isinstance(node, ast.FunctionDef):
                 cls = owner.get(id(node))
                 called = cls.name if cls and node.name == "__init__" else node.name
@@ -207,8 +218,20 @@ def _defaults_and_calls():
     return defaults, calls
 
 
+def _hidden_defaults():
+    """Every getattr(obj, "name", default) in the package, as
+    module.getattr.name: a default that no signature shows, so no call can
+    be seen to rely on it."""
+    return ["%s.getattr.%s" % (module, node.args[1].value)
+            for module, tree in _modules() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr" and len(node.args) == 3
+            and isinstance(node.args[1], ast.Constant)]
+
+
 def _unused_defaults():
-    """The parameter defaults that no call in the package omits."""
+    """The parameter defaults that no call in the package omits, and the
+    hidden ones."""
     defaults, calls = _defaults_and_calls()
 
     def omits(call, param, index):
@@ -216,10 +239,10 @@ def _unused_defaults():
         passed = param in keywords or (index is not None and index < npos)
         return starred or not passed
 
-    return sorted(key for key, called, index in defaults
-                  if not any(call[0] == called
-                             and omits(call, key.rsplit(".", 1)[1], index)
-                             for call in calls))
+    return sorted([key for key, called, index in defaults
+                   if not any(call[0] == called
+                              and omits(call, key.rsplit(".", 1)[1], index)
+                              for call in calls)] + _hidden_defaults())
 
 
 # Parameter defaults that every call in the package passes, each kept for a
@@ -240,8 +263,9 @@ _DEFAULT_ALLOWLIST = {
 
 def test_every_parameter_default_is_relied_on():
     # a default that every call in the package overrides is a second entry
-    # form that only tests reach; a call with *args or **kwargs counts as
-    # omitting, so verify_form's defaults, which run relies on, pass
+    # form that only tests reach, and so is a getattr default; a call with
+    # *args or **kwargs counts as omitting, so verify_form's defaults, which
+    # run relies on, pass
     defaults, _ = _defaults_and_calls()
     assert defaults
     unused = _unused_defaults()
