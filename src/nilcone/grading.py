@@ -48,6 +48,7 @@ class GradedDecomposition:
         self.H = H
         self.layers = layers  # degree -> (tuple of k roots, tuple of p roots)
         self._kd = None  # the root datum of K, built on first use
+        self._pd = None  # the parabolic data, built on first use
         self._check_symmetry()
 
     def _check_symmetry(self):
@@ -137,7 +138,10 @@ def grade(rs, eps, H, require_even=True):
 
 
 def parabolic(gd):
-    """The theta-stable parabolic data of a graded decomposition."""
+    """The theta-stable parabolic data of a graded decomposition, built on
+    the first call and kept on gd, as its root datum of K is."""
+    if gd._pd is not None:
+        return gd._pd
     rs = gd.rs
     if gd.H.is_dominant:
         for r in rs.positive_roots:
@@ -151,12 +155,13 @@ def parabolic(gd):
         two_rho_u_k = two_rho_u_k + rs.root_fw(r)
     kd = gd.k_root_datum()
     simple_l_k = tuple(b for b in kd.simple_roots if gd.degree_of(b) == 0)
-    return ParabolicData(
+    gd._pd = ParabolicData(
         two_rho_u_p=two_rho_u_p,
         two_rho_u_k=two_rho_u_k,
         canonical_weight=two_rho_u_p - two_rho_u_k,
         simple_l_k_roots=simple_l_k,
     )
+    return gd._pd
 
 
 def conormal_canonical_weight(rs, eps, H):

@@ -441,9 +441,9 @@ class _Packing:
     rho_sub's doubled pairing: pack(lam.d2) + bias holds the pairings of
     lam + rho_sub and the coordinates of lam.  The caller picks W so that
     every slot value it packs is below 2^(W-1) in absolute value (_width of
-    its bound; see _packing).  The middle slot is in the key (low slots),
-    so keys of two packings of one subsystem never coincide and a table
-    shared across calls never mixes packings.
+    its bound; see _packing).  table, the Bott sum's regularization table
+    (see regularize), lives with the packing: every Bott sum on the packing
+    shares it, and each packing of a subsystem keeps its own.
 
     With fws, the fundamental-weight coordinates of the simple roots beta_i
     whose coroots are coroots, the simple reflection s_i acts on a packed
@@ -456,6 +456,7 @@ class _Packing:
         half = 1 << (width - 1)
         nk = len(coroots)
         self.width = width
+        self.table = {}
         self._half, self._digit = half, (1 << width) - 1
         self.key_mask = (1 << (width * (nk + 1))) - 1
         self._units = [sum(v[j] << (width * i) for i, v in enumerate(coroots))
@@ -544,12 +545,13 @@ class _Packing:
         return bool(((q & self._pairings_mask) - self._walls) & self._tops)
 
     def regularize(self, key):
-        """The table entry of a pairing key of the Bott sum: (w.lam - lam
-        packed, (-1)^l(w)), or None when lam + rho_sub lies on a wall."""
+        """The table entry of a pairing key of the Bott sum: one int,
+        (w.lam - lam packed) << 1 | l(w) % 2, or None when lam + rho_sub
+        lies on a wall."""
         q, word = self.sweep(key)
         if self.on_wall(q):
             return None
-        return q - key, -1 if len(word) % 2 else 1
+        return (q - key) << 1 | len(word) & 1
 
 
 def _reach(d2s):

@@ -13,8 +13,9 @@ of Sym^k(-(u cap p)) shifted by -lam' - 2 rho_K, with no dualization.
 Sym^0..Sym^N(-(u cap p)) is built once per call on weights packed as
 single ints (see nilcone.bott), with a slot width derived from N, the
 weights of u cap p and every twist of the call; a box of twists shares it
-(verify_vanishing_box), and one table of Bott regularizations, keyed on
-packed simple-coroot pairings, serves every twist and degree of the call.
+(verify_vanishing_box), and the packing's table of Bott regularizations,
+keyed on packed simple-coroot pairings, serves every twist and degree of
+the call and every later call on the same K and slot width.
 
 Higher-cohomology vanishing is verified through its falsifiable consequence:
 every graded Euler characteristic must have nonnegative multiplicities.
@@ -83,11 +84,11 @@ def sym_weights(weights, k):
 
 def _series(lams, gd, kd, N, form):
     """An iterator over the series of each twist in lams, in order (see the
-    module docstring): one packed Sym^k(-(u cap p)) and one regularization
-    table, whose packing bounds every Sym^k weight plus every shift of the
-    call.  Each series is signed by (-1)^l(w0), l(w0) = |positive roots of
-    K|.  A negative N, or an H whose Q cap K does not contain the Borel of
-    K, raises InputError here, before any series."""
+    module docstring): one packed Sym^k(-(u cap p)), on a packing of K that
+    bounds every Sym^k weight plus every shift of the call and whose table
+    regularizes them.  Each series is signed by (-1)^l(w0), l(w0) =
+    |positive roots of K|.  A negative N, or an H whose Q cap K does not
+    contain the Borel of K, raises InputError here, before any series."""
     if N < 0:
         raise InputError("degree bound N must be >= 0, got %d" % N)
     _require_borel_of_k(gd)
@@ -96,11 +97,10 @@ def _series(lams, gd, kd, N, form):
     shifts = [-lam - two_rho for lam in lams]
     packing = _packing(kd, N * _reach(gens) + _reach([s.d2 for s in shifts]))
     syms = _sym([packing.pack(g) for g in gens], N)
-    seen = {}
     odd = len(kd.positive_roots) % 2
 
     def series(shift):
-        chi = [euler_of_weights(sym, shift, packing, seen) for sym in syms]
+        chi = [euler_of_weights(sym, shift, packing) for sym in syms]
         if odd:
             chi = [-c for c in chi]
         return GradedCharacterSeries(chi=chi, form=form)

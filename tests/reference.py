@@ -47,13 +47,13 @@ def dual(sub, chi):
     return out
 
 
-def euler(weights, kd, shift=None, seen=None):
+def euler(weights, kd, shift=None):
     """bott.euler_of_weights of the multiset of Weights weights + shift
     (zero when None), packed as nilcone.series packs Sym^k, with the slot
-    width that the weights and the shift need; seen is a fresh table when
-    None."""
+    width that the weights and the shift need; that packing of kd, and its
+    table, is kept on kd, so a test that wants a cold table builds a fresh
+    K."""
     shift = rd.zero_weight(kd.rs.rank) if shift is None else shift
     d2s = [w.d2 for w in weights]
     packing = rd._packing(kd, rd._reach(d2s) + rd._reach([shift.d2]))
-    return bott.euler_of_weights(Counter(map(packing.pack, d2s)), shift, packing,
-                                 {} if seen is None else seen)
+    return bott.euler_of_weights(Counter(map(packing.pack, d2s)), shift, packing)

@@ -80,31 +80,35 @@ def _counting_regularize(monkeypatch, calls, kd):
 
 
 def test_shared_table_gives_the_shifted_multiset(monkeypatch):
-    # one table reused across shifts: the result is the Euler characteristic
-    # of the shifted multiset, and the kernel regularizes once per distinct
-    # simple-coroot pairing vector of a shifted weight over all calls
+    # the packing's table reused across shifts: the result is the Euler
+    # characteristic of the shifted multiset, and the kernel regularizes
+    # once per distinct simple-coroot pairing vector of a shifted weight
+    # over all calls.  The reference runs on a second K, so that its
+    # misses neither fill the counted table nor count.
     rng = random.Random(43)
-    a2 = rd.build_root_system("A", 2)
-    sp4, eps = rf.standard_form_catalog("sp(4,R)")
-    systems = [_a1(), (a2, rd.Subsystem(a2, a2.positive_roots)),
-               (sp4, rf.k_root_datum(rf.cartan_decomposition(sp4, eps)))]
+
+    def a2():
+        rs = rd.build_root_system("A", 2)
+        return rs, rd.Subsystem(rs, rs.positive_roots)
+
     calls = []
-    for rs, kd in systems:
+    for system in (_a1, a2, lambda: _k_of("sp(4,R)")):
+        (rs, kd), (_, ref) = system(), system()
         pool = [rd.Weight(tuple(F(rng.randint(-4, 4)) for _ in range(rs.rank)))
                 for _ in range(16)]
         weights = pool[:12] + pool[:4]  # with repeats
         shifts = pool[12:] + pool[12:14]  # a shift seen before costs nothing
-        seen = {}
         calls.clear()
         for shift in shifts:
-            want = euler([w + shift for w in weights], kd)
+            want = euler([w + shift for w in weights], ref)
             regularize = _counting_regularize(monkeypatch, calls, kd)
-            got = euler(weights, kd, shift=shift, seen=seen)
-            assert got == euler(weights, kd, shift=shift, seen=seen)  # a full table
+            got = euler(weights, kd, shift=shift)
+            assert got == euler(weights, kd, shift=shift)  # a full table
             monkeypatch.setattr(rd._Packing, "regularize", regularize)
             assert got == want
         distinct = {_pairing_key(kd, w + s) for w in weights for s in shifts}
-        assert len(calls) == len(set(calls)) == len(distinct) == len(seen)
+        (table,) = [p.table for p in kd._packings.values() if p.table]
+        assert len(calls) == len(set(calls)) == len(distinct) == len(table)
         # the recorded pairings are those of the shifted weights plus rho_K
         assert set(calls) == {tuple(2 * x + 2 for x in k) for k in distinct}
         # a K of smaller rank than G shares one pairing among many weights
@@ -212,20 +216,21 @@ def test_packed_kernel_matches_the_tuple_kernel(name):
     shifts = [None, rd._weight_of(tuple(rng.randint(-9, 9) for _ in range(rs.rank)))]
     # pool[i] + shift + rho_K = 0 pairs to 0 with every coroot: a wall
     shifts += [-lam - kd.rho for lam in pool[:2]]
-    packed_seen, tuple_seen = {}, {}
+    tuple_seen = {}
     for shift in shifts + shifts[:2]:
         want = euler_of_tuples(weights, kd, shift=shift, seen=tuple_seen)
         assert want == euler_of_tuples(weights, kd, shift=shift)
-        got = euler(weights, kd, shift=shift, seen=packed_seen)
+        got = euler(weights, kd, shift=shift)
         assert terms(got) == want
-        assert terms(euler(weights, kd, shift=shift)) == want  # a fresh table
-    # calls of two slot widths share the table: one entry per pairing key
-    # and width, since the width is part of the key
-    assert len(packed_seen) >= len(tuple_seen)
+        assert terms(euler(weights, _k_of(name)[1], shift=shift)) == want  # a fresh K
+    # each slot width has its own packing and table: one entry per pairing
+    # key and width
+    tables = [p.table for p in kd._packings.values() if p.table]
+    assert sum(map(len, tables)) >= len(tuple_seen)
     if kd.rank:
-        assert None in packed_seen.values()
+        assert any(None in t.values() for t in tables)
     else:
-        assert list(packed_seen.values()) == [(0, 1)]
+        assert [list(t.values()) for t in tables] == [[0]]
 
 
 @pytest.mark.parametrize("name", KERNEL_FORMS)
@@ -266,19 +271,51 @@ def test_slot_width_grows_past_64_bits():
 def test_a_shared_table_keeps_packings_apart():
     # su(2,1): K's simple coroot is G's highest coroot, so the key digit of
     # (-r, -r) is 2^(W-1) - 2r + 2; r = 61 packs in 8-bit slots and r = 16381
-    # in 16-bit slots with the same digit 8.  The width slot of the key keeps
-    # the two table entries apart.
+    # in 16-bit slots with the same digit 8.  Each packing's own table keeps
+    # the two entries apart.
     rs, kd = _k_of("su(2,1)")
     small, large = [rd._weight_of((-61, -61))], [rd._weight_of((-16381, -16381))]
-    assert rd._packing(kd, 61).width == 8 and rd._packing(kd, 16381).width == 16
-    seen = {}
+    narrow, wide = rd._packing(kd, 61), rd._packing(kd, 16381)
+    assert (narrow.width, wide.width) == (8, 16)
     for weights in (small, large, small):
-        assert terms(euler(weights, kd, seen=seen)) == \
-            euler_of_tuples(weights, kd)
-    assert len(seen) == 2
-    # the digits coincide: only the width slot tells the keys apart
-    digits = {key & 0xff if key < 1 << 16 else key & 0xffff for key in seen}
-    assert digits == {8}
+        assert terms(euler(weights, kd)) == euler_of_tuples(weights, kd)
+    # two packings, two tables, one entry each
+    assert narrow.table is not wide.table
+    assert len(narrow.table) == len(wide.table) == 1
+    # the pairing digits coincide: a table shared by the widths would mix them
+    assert {key & 0xff for key in narrow.table} == \
+        {key & 0xffff for key in wide.table} == {8}
+
+
+@pytest.mark.parametrize("name", KERNEL_FORMS)
+def test_each_slot_width_of_a_k_keeps_its_own_table(name):
+    # Bott sums at the widest 8-bit packing and one step past it, on one K:
+    # each width fills its own table, every key there carries its width in
+    # the middle slot, and every entry is what regularize recomputes, the
+    # packed correction to the sweep's dominant image shifted past the
+    # parity of l(w)
+    rs, kd = _k_of(name)
+    edge = 0
+    while rd._packing(kd, edge + 1).width == 8:
+        edge += 1
+    rng = random.Random(59)
+    for reach in (edge, edge + 1, edge):
+        weights = [rd._weight_of(tuple(rng.randint(-reach, reach) for _ in range(rs.rank)))
+                   for _ in range(12)]
+        weights.append(rd._weight_of((reach,) * rs.rank))
+        assert terms(euler(weights, kd)) == euler_of_tuples(weights, kd)
+    narrow, wide = rd._packing(kd, edge), rd._packing(kd, edge + 1)
+    assert [p for p in kd._packings.values() if p.table] == [narrow, wide]
+    for packing in (narrow, wide):
+        nk, width = kd.rank, packing.width
+        for key, entry in packing.table.items():
+            assert key >> (width * nk) == width
+            assert entry == packing.regularize(key)
+            q, word = packing.sweep(key)
+            if entry is None:
+                assert packing.on_wall(q)
+            else:
+                assert (key + (entry >> 1), entry & 1) == (q, len(word) % 2)
 
 
 @pytest.mark.parametrize("name", ("su(2,2)", "so*(8)", "su(4,4)"))

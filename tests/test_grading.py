@@ -214,6 +214,25 @@ def test_k_root_datum_is_built_once_on_demand(monkeypatch):
     assert len(built) == 1 and gd.k_root_datum() is kd
 
 
+def test_parabolic_data_is_built_once_per_grading(monkeypatch):
+    # every vanishing call reads the parabolic data of its graded
+    # decomposition; the first build serves them all, and a fresh grading
+    # of the same H builds equal data
+    from nilcone import series as se
+    built = []
+    data = gr.ParabolicData
+    monkeypatch.setattr(gr, "ParabolicData",
+                        lambda **fields: built.append(fields) or data(**fields))
+    rs, eps = _form("su(2,2)")
+    gd = gr.grade(rs, eps, (0, 2, 0))
+    kd = gd.k_root_datum()
+    pd = gr.parabolic(gd)
+    for lam in (rd.weight(0, 0, 0), rd.weight(1, 0, 1)):
+        assert se.verify_vanishing(lam, gd, kd, 2).status == se.PASS
+    assert len(built) == 1 and gr.parabolic(gd) is pd
+    assert gr.parabolic(gr.grade(rs, eps, (0, 2, 0))) == pd
+
+
 @pytest.mark.parametrize("name", ["su(3,1)", "so*(6)", "sp(1,2)", "sp(6,R)", "su(3,2)"])
 def test_grade_layers_over_the_search_box(name):
     # every H of the search box, odd ones too, graded from the stored root

@@ -317,9 +317,50 @@ def test_vanishing_box_regularizes_each_shifted_weight_once(monkeypatch):
     assert all(r.status == se.PASS for r in reports)
     # one call per distinct simple-coroot pairing vector of a shifted weight
     # (2,054 distinct shifted weights share these 211); one packing serves
-    # the call, so distinct packed keys are distinct pairing vectors
+    # the call, so distinct packed keys are distinct pairing vectors.  The
+    # table lives on the packing of K, so the count needs the K that
+    # _box_context has just built: a warm table would lower it.
     keys = set(calls)
     assert len(calls) == len(keys) == 211
+
+
+def test_per_twist_calls_share_the_table_of_k(monkeypatch):
+    # the 55 one-twist calls over su(2,2)'s box, on one K, regularize as
+    # often as one box call on a freshly built K, and report the same
+    calls = []
+    regularize = rd._Packing.regularize
+
+    def counted(packing, key):
+        calls.append(key)
+        return regularize(packing, key)
+
+    monkeypatch.setattr(rd._Packing, "regularize", counted)
+    rs, gd, kd, box = _box_context("su(2,2)")
+    assert len(box) == 55
+    one_at_a_time = [se.verify_vanishing(lam, gd, kd, 6, form="su(2,2)")
+                     for lam in box]
+    per_twist = len(calls)
+    calls.clear()
+    rs, gd, kd, box = _box_context("su(2,2)")
+    assert one_at_a_time == list(se.verify_vanishing_box(box, gd, kd, 6, form="su(2,2)"))
+    assert per_twist == len(calls) == 211
+
+
+@pytest.mark.parametrize("name,h", [
+    ("su(2,2)", None), ("so*(8)", (0, 0, 0, 2)), ("su(3,2)", (2, 0, 0, 0)),
+])
+def test_warm_and_cold_tables_give_the_same_series(name, h):
+    # a Hilbert series on a K whose tables a vanishing box has filled, and
+    # on a freshly built K.  The box of su(2,2) and su(3,2) packs in 8-bit
+    # slots and N = 14 in 16-bit ones; so*(8) packs both in 16-bit slots,
+    # so its series starts from the box's table.
+    rs, gd, kd, box = _box_context(name, h)
+    assert all(r.status == se.PASS for r in se.verify_vanishing_box(box, gd, kd, 6))
+    warm = se.hilbert_series(gd, kd, 14)
+    assert sorted(p.width for p in kd._packings.values() if p.table) == \
+        ([16] if name == "so*(8)" else [8, 16])
+    rs, gd, kd, box = _box_context(name, h)
+    assert warm == se.hilbert_series(gd, kd, 14)
 
 
 @pytest.mark.parametrize("name,h", [
