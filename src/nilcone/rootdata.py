@@ -30,7 +30,7 @@ Cartan matrix times its least common denominator, from nilcone.linalg.inverse).
 Every Weyl-group action runs on packed weights (_Packing): the sweeps into
 the dominant chamber (make_dominant, dominant_representative, each table
 miss of the Bott sum in nilcone.bott), the Weyl-word BFS and the Blattner
-images of nilcone.series.  A packed weight is one int
+walk of nilcone.series.  A packed weight is one int
 whose fixed-width slots hold a weight's doubled pairings with the simple
 coroots of a subsystem and its d2 coordinates.  A simple reflection is one
 int update and a negative pairing is a clear top bit of its slot.

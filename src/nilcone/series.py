@@ -24,13 +24,13 @@ Twists must be integral weights: only those define a line bundle O(lam).
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import neg
+from operator import mul, neg
 
 from .bott import euler_of_weights
-from .errors import InputError
+from .errors import ConsistencyError, InputError
 from .grading import _require_borel_of_k, is_QK_dominant, parabolic
-from .rootdata import (_Packing, _packing, _reach, _weight_of, _width,
-                       partition_counter, require_integral, weyl_elements,
+from .rootdata import (_MATERIALIZE_LIMIT, _Packing, _packing, _reach,
+                       _weight_of, _width, partition_counter, require_integral,
                        zero_weight)
 
 PASS = "PASS"
@@ -192,45 +192,69 @@ def blattner_multiplicity(mu, lam, gd, kd):
 
         m(mu) = sum_w (-1)^len(w) P( w(mu* + rho_K) - rho_K - lam )
 
-    where P counts partitions into the weights of u cap p.
+    where P counts partitions into the weights of u cap p.  The sum walks
+    W_K (_blattner_terms) from the identity up by length and skips every w
+    whose argument a(w) has phi(a(w)) < 0, phi = M (H-degree) + height
+    with M one more than the largest |height| of a weight of u cap p.  phi
+    is positive on every weight of u cap p, so P(a(w)) = 0 there, and it
+    only falls as the length rises, so every w whose term can be nonzero is
+    reached: at mu = lam = 0 only the identity is.
     """
     if not kd.is_dominant(mu):
         raise InputError("mu must be K-dominant")
     require_integral(lam)
     _require_borel_of_k(gd)
-    words = weyl_elements(kd)
-    images = _weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
-    return _alternating_sum(words, images, kd.rho + lam,
-                            partition_counter(gd.rs, gd.u_cap_p_weights()))
+    count = partition_counter(gd.rs, gd.u_cap_p_weights())
+    return sum(sign * count(arg) for arg, sign in _blattner_terms(mu, lam, gd, kd))
 
 
-def _weyl_images(kd, words, lam):
-    """[w(lam) for w in words], one simple reflection per word.
+def _blattner_terms(mu, lam, gd, kd):
+    """The terms (a(w), (-1)^l(w)), a(w) = w(mu* + rho_K) - rho_K - lam, of
+    the alternating sum over the w in W_K with phi(a(w)) >= 0 (see
+    blattner_multiplicity): P and every P_k vanish at every other a(w).
 
-    words lists every word (i,) + parent after its parent, as weyl_elements
-    does, so w(lam) = s_i(parent(lam)) reflects the parent's packed image
-    once (Casselman, as in weyl_elements); lam is packed once, with zero
-    (the linear action), and each image unpacked once."""
-    packing = _packing(kd, _reach([lam.d2]))
-    reflect, unpack = packing.reflect, packing.unpack
-    image = {}
-    for w in words:
-        word = w.word
-        image[word] = (reflect(image[word[1:]], word[0]) if word
-                       else packing.pack(lam.d2) + packing.zero)
-    return [_weight_of(unpack(image[w.word])) for w in words]
-
-
-def _alternating_sum(words, images, off, count):
-    """blattner_multiplicity's sum over the Weyl words of K, given as words
-    with images w(mu* + rho_K) (see _weyl_images); off is rho_K + lam and
-    count the multiplicity of a weight in Sym(u cap p) (a
-    partition_counter) or in one Sym^k(u cap p)."""
-    total = 0
-    for w, image in zip(words, images):
-        n = count(image - off)
-        total += n if w.length % 2 == 0 else -n
-    return total
+    The walk starts at x = mu* + rho_K and goes breadth first by length,
+    so the sign is the parity of the layer.  x is regular, so s_i w is
+    longer than w exactly when p = <w x, beta_i^vee> > 0, and a(s_i w) =
+    a(w) - p beta_i; phi(beta_i) > 0 (its degree is >= 0 under
+    _require_borel_of_k, its height >= 1), so phi falls along every
+    length-raising path, and each w with phi(a(w)) >= 0 is reached through
+    elements that have it too.  phi is an int dot product on d2 (rs._adj
+    is the inverse Cartan matrix times a positive integer), and a step
+    lowers it by 2p, read off the pairing slot, times its value on
+    fw(beta_i) (the d2 of beta_i is 2 fw(beta_i)), so a child is reflected
+    (_Packing.reflect; x is packed with zero, the linear action) only when
+    it is kept, and the next layer dedups on the packed image.  A walk
+    that keeps more than _MATERIALIZE_LIMIT images raises the
+    ConsistencyError of weyl_elements.
+    """
+    top = 1 + max((abs(sum(r.coords)) for r in gd.u_cap_p), default=0)
+    scale = [top * h + 1 for h in gd.H.h_values]
+    phi = [sum(map(mul, scale, col)) for col in zip(*gd.rs._adj)]
+    steps = [sum(map(mul, phi, fw)) for fw in kd._simple_fw]
+    mu_star = kd.dominant_representative(-mu)
+    off = kd.rho + lam
+    x = mu_star + kd.rho
+    packing = _packing(kd, _reach([x.d2]))
+    reflect, unpack, pairings = packing.reflect, packing.unpack, packing.pairings
+    start = sum(map(mul, phi, (mu_star - lam).d2))  # phi(a(1))
+    layer = {packing.pack(x.d2) + packing.zero: start} if start >= 0 else {}
+    terms, sign, kept = [], 1, 0
+    while layer:
+        kept += len(layer)
+        if kept > _MATERIALIZE_LIMIT:
+            raise ConsistencyError("refusing to materialize a Weyl group of "
+                                   "more than 10^6 elements")
+        nxt = {}
+        for q, f in layer.items():
+            terms.append((_weight_of(unpack(q)) - off, sign))
+            for i, p in enumerate(pairings(q)):
+                if p > 0:
+                    g = f - p * steps[i]
+                    if g >= 0:
+                        nxt[reflect(q, i)] = g
+        layer, sign = nxt, -sign
+    return terms
 
 
 def blattner_series_identity(gd, kd, lam, max_degree, form=""):
@@ -247,17 +271,14 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
     (ok, mismatches, number of types checked), a mismatch being (mu,
     series multiplicities by degree, alternating sums by degree).
     """
-    words = weyl_elements(kd)
-    off = kd.rho + lam
     chi = euler_series(lam, gd, kd, max_degree, form=form).chi
     syms = sym_powers(gd.u_cap_p_weights(), max_degree, gd.rs.rank)
     mus = {w for c in chi for w, _ in c.items()}
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
-        images = _weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
+        terms = _blattner_terms(mu, lam, gd, kd)
         series = [c.mult(mu) for c in chi]
-        alternating = [_alternating_sum(words, images, off, sym.__getitem__)
-                       for sym in syms]
+        alternating = [sum(sign * sym[arg] for arg, sign in terms) for sym in syms]
         if series != alternating:
             mismatches.append((mu, series, alternating))
     return not mismatches, mismatches, len(mus)

@@ -10,7 +10,6 @@ import pytest
 
 from nilcone import linalg as la
 from nilcone import rootdata as rd
-from nilcone import series as se
 from nilcone.errors import ConsistencyError, InputError
 from nilcone.grading import grade
 from nilcone.realform import standard_form_catalog
@@ -526,9 +525,10 @@ def test_packed_weyl_bfs_matches_the_tuple_bfs(form):
 
 @pytest.mark.parametrize("form", _TABLE_A_FORMS + _LADDER_FORMS)
 def test_packed_apply_matches_the_tuple_kernel(form):
-    # the Blattner images: every Weyl word of K on rho_K, 0, seeded
-    # half-integral weights and one past a 64-bit slot, against the tuple
-    # reflections applied right to left
+    # every Weyl word of K on rho_K, 0, seeded half-integral weights and one
+    # past a 64-bit slot, one packed reflection of its parent's image per
+    # word (lam packed with zero: the linear action, as the Blattner walk
+    # packs mu* + rho_K), against the tuple reflections applied right to left
     kd = _k_datum(form)
     rank = kd.rs.rank
     rng = random.Random(form)
@@ -537,8 +537,11 @@ def test_packed_apply_matches_the_tuple_kernel(form):
              for _ in range(2)]
     words = rd.weyl_elements(kd)
     for lam in lams:
-        got = se._weyl_images(kd, words, lam)
-        assert all(image.__class__ is rd.Weight for image in got)
+        packing = rd._packing(kd, rd._reach([lam.d2]))
+        image = {(): packing.pack(lam.d2) + packing.zero}
+        for w in words[1:]:
+            image[w.word] = packing.reflect(image[w.word[1:]], w.word[0])
+        got = [rd._weight_of(packing.unpack(image[w.word])) for w in words]
         assert got == [apply_word(kd, w, lam) for w in words]
 
 

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from operator import add
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -13,8 +13,9 @@ from nilcone import grading as gr
 from nilcone import realform as rf
 from nilcone import rootdata as rd
 from nilcone import series as se
-from nilcone.errors import InputError, OutOfScopeError
-from reference import apply_word, dual, euler, terms
+from nilcone.errors import ConsistencyError, InputError, OutOfScopeError
+from reference import (alternating_sum, apply_word, blattner_phi, blattner_terms,
+                       dual, euler, reflect2, terms)
 
 F = Fraction
 
@@ -420,17 +421,40 @@ def test_shared_partition_counter_matches_fresh_counts():
             rd.kostant_partition(a2, rd.weight(0, 0), gens)
 
 
+def _walked(gd, kd, mu, lam):
+    """What the Blattner walk at (mu, lam) must do, read off the full sum:
+    the terms with phi >= 0, as a dict argument -> sign, and the number of
+    edges between them that the walk reflects along, the pairs (w, i) with
+    w kept, <w x, beta_i^vee> > 0 (s_i raises the length) and s_i w kept."""
+    off = kd.rho + lam
+    kept = {arg: sign for arg, sign in blattner_terms(kd, mu, lam)
+            if blattner_phi(gd, arg) >= 0}
+    edges = 0
+    for arg in kept:
+        image = (arg + off).d2
+        for i, coroot in enumerate(kd._simple_coroots):
+            if sum(map(mul, coroot, image)) > 0 and \
+                    rd._weight_of(reflect2(kd, image, i)) - off in kept:
+                edges += 1
+    return kept, edges
+
+
 @pytest.mark.parametrize("name,h", [
     ("su(4,4)", (0, 0, 0, 2, 0, 0, 0)), ("so*(8)", (0, 0, 0, 2)),
     ("sp(4,R)", (2, 2)), ("su(1,1)", (2,)),
 ])
 def test_weyl_images_reflect_once_per_word(name, h, monkeypatch):
-    # su(1,1): K has no simple roots, its one word is the identity
+    # the walk keeps exactly the Weyl images whose phi is >= 0, each with
+    # its sign, and reflects once per edge walked between two of them; at
+    # lam = -2 rho_K and mu = 0 nothing is pruned (a(w) = w rho_K + rho_K),
+    # so it walks every word.  su(1,1): K has no simple roots, its one word
+    # is the identity
     rs, gd, kd = _context(name, h)
-    words = rd.weyl_elements(kd)
+    zero = rd.zero_weight(rs.rank)
     rng = random.Random(59)
-    lams = [kd.rho, rd.Weight(tuple(F(rng.randint(-5, 5), 2) for _ in range(rs.rank)))]
-    want = [[apply_word(kd, w, lam) for w in words] for lam in lams]
+    mu = kd.dominant_representative(
+        rd.Weight(tuple(rng.randint(-1, 1) for _ in range(rs.rank))))
+    low = -kd.rho - kd.rho
     reflect = rd._Packing.reflect
     calls = []
 
@@ -439,8 +463,16 @@ def test_weyl_images_reflect_once_per_word(name, h, monkeypatch):
         return reflect(packing, q, i)
 
     monkeypatch.setattr(rd._Packing, "reflect", counted)
-    assert [se._weyl_images(kd, words, lam) for lam in lams] == want
-    assert len(calls) == len(lams) * (len(words) - 1)
+    for m, lam in [(zero, zero), (mu, zero), (zero, low), (mu, low)]:
+        kept, edges = _walked(gd, kd, m, lam)
+        calls.clear()
+        assert dict(se._blattner_terms(m, lam, gd, kd)) == kept
+        assert len(calls) == edges
+    kept, edges = _walked(gd, kd, zero, low)
+    words = rd.weyl_elements(kd)
+    assert len(kept) == len(words)
+    # each w has rank(K) - (its left descents) raising steps: rank(K) / 2 on average
+    assert edges == len(words) * kd.rank // 2
 
 
 def test_verify_vanishing_levi_equality_gate():
@@ -523,49 +555,167 @@ def test_blattner_series_identity(name, h):
 
 
 def test_blattner_identity_reflects_each_k_type_once(monkeypatch):
-    # each K-type's dual highest weight and Weyl images serve the
-    # alternating sum of every degree
+    # each K-type's dual highest weight and one walk over W_K serve the
+    # alternating sum of every degree, and the walk reflects once per edge
     rs, gd, kd = _context("so*(8)", (0, 0, 0, 2))
-    want = se.blattner_series_identity(gd, kd, rd.zero_weight(4), 2)
+    zero = rd.zero_weight(4)
+    want = se.blattner_series_identity(gd, kd, zero, 2)
+    mus = {w for chi in se.euler_series(zero, gd, kd, 2).chi for w, _ in chi.items()}
+    edges = sum(_walked(gd, kd, mu, zero)[1] for mu in mus)
     calls = Counter()
-    weyl_images = se._weyl_images
+    blattner_terms = se._blattner_terms
     dominant_representative = kd.dominant_representative
+    reflect = rd._Packing.reflect
 
-    def counted_images(kd, words, lam):
-        calls["images"] += 1
-        return weyl_images(kd, words, lam)
+    def counted_walk(mu, lam, gd, kd):
+        calls["walks"] += 1
+        return blattner_terms(mu, lam, gd, kd)
 
     def counted_dual(lam):
         calls["dual"] += 1
         return dominant_representative(lam)
 
-    monkeypatch.setattr(se, "_weyl_images", counted_images)
+    def counted_reflect(packing, q, i):
+        calls["reflect"] += 1
+        return reflect(packing, q, i)
+
+    monkeypatch.setattr(se, "_blattner_terms", counted_walk)
     monkeypatch.setattr(kd, "dominant_representative", counted_dual)
-    got = se.blattner_series_identity(gd, kd, rd.zero_weight(4), 2)
+    monkeypatch.setattr(rd._Packing, "reflect", counted_reflect)
+    got = se.blattner_series_identity(gd, kd, zero, 2)
     assert got == want and want[0] and want[2] == 4
-    assert calls == {"images": 4, "dual": 4}
+    assert edges > 0 and calls == {"walks": 4, "dual": 4, "reflect": edges}
+
+
+@pytest.mark.parametrize("name,eps,h", [
+    ("su(1,1)", None, (-2,)),
+    ("su(2,1)", None, None),
+    ("sp(4,R)", None, None),
+    ("su(2,2)", None, None),
+    ("so*(8)", None, (0, 0, 0, 2)),
+    ("su(3,2)", (-1, -1, -1, -1), (2, 2, 2, 2)),
+    ("su(4,4)", None, (0, 0, 0, 2, 0, 0, 0)),
+])
+def test_blattner_walk_equals_the_full_sum(name, eps, h):
+    # the pruned walk against the sum over every word of W_K, at mu = 0,
+    # seeded K-dominant mu and every K-type of the series, lam = 0 and lam
+    # a simple root: each term it skips counts 0 in P and in every P_k, so
+    # blattner_multiplicity and each degree of blattner_series_identity are
+    # the full sum's.  su(1,1) at H = -2: u cap p is -alpha, of height -1,
+    # which the partition counter refuses, for the full sum as for the walk
+    if eps is None:
+        rs, gd, kd, _ = _box_context(name, h)
+    else:
+        rs = rf.standard_form_catalog(name)[0]
+        gd = gr.grade(rs, rf.EqualRankInvolution(eps), h)
+        kd = gd.k_root_datum()
+    zero = rd.zero_weight(rs.rank)
+    rng = random.Random(name)
+    seeded = [kd.dominant_representative(
+        rd.Weight(tuple(rng.randint(-1, 1) for _ in range(rs.rank)))) for _ in range(3)]
+    degree = 2 if rs.rank > 5 else 3
+    ups = gd.u_cap_p_weights()
+    syms = se.sym_powers(ups, degree, rs.rank)
+    try:
+        count = rd.partition_counter(rs, ups)
+    except InputError:
+        assert name == "su(1,1)"
+        count = None
+    for lam in (zero, rs.root_fw(rs.simple_roots[0])):
+        chi = se.euler_series(lam, gd, kd, degree).chi
+        types = sorted({w for c in chi for w, _ in c.items()}, key=lambda w: w.d2)
+        want = []
+        for mu in types:
+            series = [c.mult(mu) for c in chi]
+            full = blattner_terms(kd, mu, lam)
+            alternating = [alternating_sum(full, sym.__getitem__) for sym in syms]
+            if series != alternating:
+                want.append((mu, series, alternating))
+        assert se.blattner_series_identity(gd, kd, lam, degree) == \
+            (not want, want, len(types))
+        for mu in [zero] + seeded + types:
+            full = dict(blattner_terms(kd, mu, lam))
+            walked = dict(se._blattner_terms(mu, lam, gd, kd))
+            assert walked.items() <= full.items()
+            skipped = [arg for arg in full if arg not in walked]
+            assert not any(sym[arg] for sym in syms for arg in skipped)
+            if count is None:
+                with pytest.raises(InputError, match="positive height"):
+                    se.blattner_multiplicity(mu, lam, gd, kd)
+                continue
+            assert not any(count(arg) for arg in skipped)
+            assert se.blattner_multiplicity(mu, lam, gd, kd) == \
+                alternating_sum(full.items(), count)
+
+
+def test_blattner_walk_at_zero_keeps_only_the_identity(monkeypatch):
+    # su(4,4): at mu = lam = 0 every w != 1 has phi(w rho_K - rho_K) < 0, so
+    # the walk keeps 1 of the 576 elements of W_K, counts one partition and
+    # reflects at most rank(K) times
+    rs, gd, kd = _context("su(4,4)", (0, 0, 0, 2, 0, 0, 0))
+    zero = rd.zero_weight(7)
+    calls = Counter()
+    reflect = rd._Packing.reflect
+    partition_counter = se.partition_counter
+
+    def counted_reflect(packing, q, i):
+        calls["reflect"] += 1
+        return reflect(packing, q, i)
+
+    def counted_counter(rs, gens):
+        count = partition_counter(rs, gens)
+
+        def counted(mu):
+            calls["count"] += 1
+            return count(mu)
+        return counted
+
+    monkeypatch.setattr(rd._Packing, "reflect", counted_reflect)
+    monkeypatch.setattr(se, "partition_counter", counted_counter)
+    assert se.blattner_multiplicity(zero, zero, gd, kd) == 1
+    assert calls["count"] == 1 and calls["reflect"] <= kd.rank
+    assert len(rd.weyl_elements(kd)) == 576
+
+
+def test_blattner_walk_refuses_past_the_materialize_limit(monkeypatch):
+    # at mu = 0 and lam = -2 rho_K nothing is pruned, so the walk keeps all
+    # 24 elements of W_K for so*(8); one fewer allowed is weyl_elements'
+    # refusal, word for word
+    rs, gd, kd = _context("so*(8)", (0, 0, 0, 2))
+    zero = rd.zero_weight(4)
+    low = -kd.rho - kd.rho
+    monkeypatch.setattr(se, "_MATERIALIZE_LIMIT", 24)
+    assert len(se._blattner_terms(zero, low, gd, kd)) == 24
+    assert se.blattner_multiplicity(zero, low, gd, kd) == \
+        alternating_sum(blattner_terms(kd, zero, low),
+                        rd.partition_counter(rs, gd.u_cap_p_weights()))
+    monkeypatch.setattr(se, "_MATERIALIZE_LIMIT", 23)
+    monkeypatch.setattr(rd, "_MATERIALIZE_LIMIT", 23)
+    with pytest.raises(ConsistencyError) as walk:
+        se.blattner_multiplicity(zero, low, gd, kd)
+    with pytest.raises(ConsistencyError) as words:
+        rd.weyl_elements(kd)
+    assert str(walk.value) == str(words.value)
 
 
 def _ungraded_identity(gd, kd, lam, max_degree):
     """The ungraded identity the series was once checked with: for each
     type seen up to max_degree, its total over the series extended to the
-    last degree that could still hold it, against blattner_multiplicity's
-    untruncated sum.  Returns (ok, mismatches, types checked, the extension
-    degree k_far)."""
+    last degree that could still hold it, against the untruncated
+    alternating sum over all of W_K.  Returns (ok, mismatches, types
+    checked, the extension degree k_far)."""
     rs = gd.rs
     ups = gd.u_cap_p_weights()
     # heights in root coordinates times one positive scale (rs._root_num),
     # so floor(h / min_h) and the sign of h are those of the exact heights
     heights = [sum(rs._root_num(w)) for w in ups]
     min_h = min(heights, default=1)
-    words = rd.weyl_elements(kd)
-    off = kd.rho + lam
     base = se.euler_series(lam, gd, kd, max_degree)
     mus = {w for chi in base.chi for w, _ in chi.items()}
-    images, needed = {}, {}
+    full, needed = {}, {}
     for mu in mus:
-        images[mu] = se._weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
-        hs = [sum(rs._root_num(image - off)) for image in images[mu]]
+        full[mu] = blattner_terms(kd, mu, lam)
+        hs = [sum(rs._root_num(arg)) for arg, _ in full[mu]]
         needed[mu] = max([h // min_h for h in hs if h >= 0], default=0)
     k_far = max([max_degree, *needed.values()])
     ext = se.euler_series(lam, gd, kd, k_far) if k_far > max_degree else base
@@ -573,7 +723,7 @@ def _ungraded_identity(gd, kd, lam, max_degree):
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
         cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
-        alternating = se._alternating_sum(words, images[mu], off, count)
+        alternating = alternating_sum(full[mu], count)
         if cumulative != alternating:
             mismatches.append((mu, cumulative, alternating))
     return not mismatches, mismatches, len(mus), k_far
@@ -607,12 +757,10 @@ def test_graded_identity_agrees_with_the_ungraded_one(name, eps, h):
     assert ok and (got[0], got[2]) == (ok, count)
     # P = sum_k P_k: through the extension degree, each type's graded sums
     # add up to its ungraded total
-    words = rd.weyl_elements(kd)
     syms = se.sym_powers(gd.u_cap_p_weights(), k_far, rs.rank)
     for mu in {w for c in se.euler_series(zero, gd, kd, 3).chi for w, _ in c.items()}:
-        images = se._weyl_images(kd, words, kd.dominant_representative(-mu) + kd.rho)
-        graded = [se._alternating_sum(words, images, kd.rho, sym.__getitem__)
-                  for sym in syms]
+        full = blattner_terms(kd, mu, zero)
+        graded = [alternating_sum(full, sym.__getitem__) for sym in syms]
         assert sum(graded) == se.blattner_multiplicity(mu, zero, gd, kd)
 
 

@@ -113,6 +113,8 @@ _PUBLIC_ALLOWLIST = {
     "rootdata.weight": "perfbench/tests/test_perfbench.py imports it",
     "rootdata.weyl_dimension": "perfbench/spans.py traces it (retired with "
                                "its metric)",
+    "rootdata.weyl_elements": "perfbench/spans.py traces it (retired with "
+                              "its metric)",
     "rootdata.RootSystem.pairing": "perfbench/workloads.py's qk_dominant_box "
                                    "calls kd.rs.pairing",
     "series.sym_weights": "perfbench/spans.py and perfbench/tests trace it "
