@@ -23,20 +23,20 @@ doubling keeps every coordinate an integer.  ``Weight.fw`` reads the exact
 rationals back.  The degree of a root c under the i-th simple coroot is
 the i-th entry of cartan . c.  Coroots lie in the
 coroot lattice, so every pairing, reflection, dominance test, Weyl
-enumeration and Weyl dimension runs on ints, as do the root coordinates of
-a weight that the partition counter reads: an integer matrix (the inverse
-Cartan matrix times its least common denominator, from nilcone.linalg.inverse).
+enumeration and Weyl dimension runs on ints, as does _phi, a linear form in
+root coordinates: an int vector on d2, from the inverse Cartan matrix times
+its least common denominator (nilcone.linalg.inverse).
 
 Every Weyl-group action runs on packed weights (_Packing): the sweeps into
 the dominant chamber (make_dominant, dominant_representative, each table
 miss of the Bott sum in nilcone.bott), the Weyl-word BFS and the Blattner
-walk of nilcone.series.  A packed weight is one int
-whose fixed-width slots hold a weight's doubled pairings with the simple
-coroots of a subsystem and its d2 coordinates.  A simple reflection is one
-int update and a negative pairing is a clear top bit of its slot.
-nilcone.bott and nilcone.series pack their weights with the same layout,
-and a VirtualCharacter holds its terms in it from the moment it is built;
-a weight is unpacked only when a caller reads one.
+walk of nilcone.series; the partition counter packs its remainders too.
+A packed weight is one int whose fixed-width slots hold a weight's doubled
+pairings with the simple coroots of a subsystem and its d2 coordinates.  A
+simple reflection is one int update and a negative pairing is a clear top
+bit of its slot.  nilcone.bott and nilcone.series pack their weights with
+the same layout, and a VirtualCharacter holds its terms in it from the
+moment it is built; a weight is unpacked only when a caller reads one.
 """
 
 import struct
@@ -259,11 +259,6 @@ class RootSystem:
         """The fw coordinates of a root, as an int tuple (not doubled)."""
         c = root.coords
         return tuple(sum(map(mul, row, c)) for row in self.cartan_matrix)
-
-    def _root_num(self, lam):
-        """Root coordinates of lam times 2 den, as an int tuple."""
-        d2 = lam.d2
-        return tuple(sum(map(mul, row, d2)) for row in self._adj)
 
     def _e_coords(self, root):
         """Euclidean coordinates sum c_i alpha_i of a root (module docstring)."""
@@ -704,49 +699,54 @@ def _weyl_product(sub, pairings):
 # Kostant partition function
 # ---------------------------------------------------------------------------
 
+def _phi(rs, scale):
+    """sum_i scale_i (root coordinate i) times one positive integer, as an
+    int vector on d2 (see RootSystem._adj); scale 1, ..., 1 is the height."""
+    return [sum(map(mul, scale, col)) for col in zip(*rs._adj)]
+
+
 def kostant_partition(rs, mu, gens):
-    """Number of ways to write mu as a nonnegative integer combination of gens.
-
-    gens is a multiset of weights, each of which must have positive height in
-    root coordinates (true for the positive-root multisets this package
-    feeds in); that makes the count finite and the recursion terminate.
-    """
-    return partition_counter(rs, gens)(mu)
+    """Number of ways to write mu as a nonnegative integer combination of
+    gens, a multiset of weights: the height view of _partition_counts, so
+    each generator must have positive height (InputError otherwise)."""
+    return _partition_counts([g.d2 for g in gens], _phi(rs, [1] * rs.rank), [mu.d2])[0]
 
 
-def partition_counter(rs, gens):
-    """kostant_partition(rs, mu, gens) as a function of mu: one conversion of
-    gens and one memo, whose keys do not depend on mu, serve every call."""
-    # root coordinates scaled by the same positive integer (see _root_num), so
-    # the recursion runs on ints and floor(h / gh) is unchanged
-    gen_coords = []
-    for g in gens:
-        rc = rs._root_num(g)
-        h = sum(rc)
-        if h <= 0:
-            raise InputError("kostant_partition needs generators of positive height")
-        gen_coords.append((rc, h))
-    memo = {}
+def _partition_counts(gens, phi, args):
+    """P(a) for each d2 tuple a in args: the number of ways to write a as a
+    sum of the multiset gens of d2 tuples.  phi, an int vector on d2, must
+    be positive on each generator (InputError otherwise), so a partition of
+    a has at most phi(a) // min phi(g) parts and a branch whose remainder
+    has phi < 0 is dropped.  Remainders are packed (no coroot slots) wide
+    enough for any arg minus that many generators, where packing is
+    injective, so the memo, one dict per generator index keyed on the
+    packed remainder, is exact."""
+    steps = [sum(map(mul, phi, g)) for g in gens]
+    if any(s <= 0 for s in steps):
+        raise InputError("partition counting needs generators on which phi is positive")
+    values = [sum(map(mul, phi, a)) for a in args]
+    parts = max((v for v in values if v >= 0), default=0) // min(steps, default=1)
+    pack = _Packing(len(phi), _width(_reach(args) + parts * _reach(gens))).pack
+    gens = [(pack(g), s) for g, s in zip(gens, steps)]
+    last = len(gens)
+    memos = [{} for _ in gens]
 
-    def count(t, i):
-        if not any(t):
+    def count(t, f, i):
+        if not t:
             return 1
-        h = sum(t)
-        if h < 0 or i == len(gen_coords):
+        if i == last:
             return 0
-        key = (t, i)
-        if key in memo:
-            return memo[key]
-        g, gh = gen_coords[i]
-        total = 0
-        cur = t
-        for _ in range(h // gh + 1):
-            total += count(cur, i + 1)
-            cur = tuple(map(minus, cur, g))
-        memo[key] = total
+        memo = memos[i]
+        total = memo.get(t)
+        if total is None:
+            (g, s), r, total = gens[i], t, 0
+            while f >= 0:
+                total += count(r, f, i + 1)
+                r, f = r - g, f - s
+            memo[t] = total
         return total
 
-    return lambda mu: count(rs._root_num(mu), 0)
+    return [count(pack(a), v, 0) if v >= 0 else 0 for a, v in zip(args, values)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,26 +11,25 @@ Euler(-M - 2 rho_K), so the series is computed as the Euler characteristic
 of Sym^k(-(u cap p)) shifted by -lam' - 2 rho_K, with no dualization.
 
 Sym^0..Sym^N(-(u cap p)) is built once per call on weights packed as
-single ints (see nilcone.bott), with a slot width derived from N, the
-weights of u cap p and every twist of the call; a box of twists shares it
-(verify_vanishing_box), and the packing's table of Bott regularizations,
-keyed on packed simple-coroot pairings, serves every twist and degree of
-the call and every later call on the same K and slot width.
+single ints (see nilcone.bott), at a slot width derived from N, u cap p and
+every twist of the call; a box of twists and the Blattner identity's P_k
+read it, and the packing's table of Bott regularizations, keyed on packed
+simple-coroot pairings, serves every twist and degree of the call and
+every later call on the same K and slot width.
 
 Higher-cohomology vanishing is verified through its falsifiable consequence:
 every graded Euler characteristic must have nonnegative multiplicities.
 Twists must be integral weights: only those define a line bundle O(lam).
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import mul, neg
 
 from .bott import euler_of_weights
 from .errors import ConsistencyError, InputError
 from .grading import _require_borel_of_k, is_QK_dominant, parabolic
-from .rootdata import (_MATERIALIZE_LIMIT, _Packing, _packing, _reach,
-                       _weight_of, _width, partition_counter, require_integral,
+from .rootdata import (_MATERIALIZE_LIMIT, _Packing, _packing, _partition_counts,
+                       _phi, _reach, _weight_of, _width, require_integral,
                        zero_weight)
 
 PASS = "PASS"
@@ -63,32 +62,25 @@ def _sym(gens, N):
     return sym[:N + 1]
 
 
-def sym_powers(weights, N, rank):
-    """T-weights of Sym^0..Sym^N of a space with the given weight list, as
-    Counters (weight -> multiplicity); Sym^0 is the zero weight of rank."""
-    d2s = [w.d2 for w in weights]
-    packing = _Packing(rank, _width(N * _reach(d2s)))
-    bias, unpack = packing.bias, packing.unpack
-    return [Counter({_weight_of(unpack(nu + bias)): m for nu, m in sym.items()})
-            for sym in _sym([packing.pack(d2) for d2 in d2s], N)]
-
-
 def sym_weights(weights, k):
     """T-weights of Sym^k of a space with the given weight multiset, listed
     with multiplicity."""
     if k < 0:
         raise InputError("negative symmetric power")
-    rank = len(weights[0].d2) if weights else 0
-    return list(sym_powers(weights, k, rank)[k].elements())
+    d2s = [w.d2 for w in weights]
+    packing = _Packing(len(d2s[0]) if d2s else 0, _width(k * _reach(d2s)))
+    return [_weight_of(packing.unpack(nu + packing.bias))
+            for nu, m in _sym(map(packing.pack, d2s), k)[k].items() for _ in range(m)]
 
 
 def _series(lams, gd, kd, N, form):
-    """An iterator over the series of each twist in lams, in order (see the
-    module docstring): one packed Sym^k(-(u cap p)), on a packing of K that
-    bounds every Sym^k weight plus every shift of the call and whose table
-    regularizes them.  Each series is signed by (-1)^l(w0), l(w0) =
-    |positive roots of K|.  A negative N, or an H whose Q cap K does not
-    contain the Borel of K, raises InputError here, before any series."""
+    """(packing, syms, an iterator over the series of each twist in lams,
+    in order; see the module docstring): syms is the one packed
+    Sym^0..Sym^N(-(u cap p)), on a packing of K that bounds every Sym^k
+    weight plus every shift of the call and whose table regularizes them.
+    Each series is signed by (-1)^l(w0), l(w0) = |positive roots of K|.  A
+    negative N, or an H whose Q cap K does not contain the Borel of K,
+    raises InputError here, before any series."""
     if N < 0:
         raise InputError("degree bound N must be >= 0, got %d" % N)
     _require_borel_of_k(gd)
@@ -105,13 +97,13 @@ def _series(lams, gd, kd, N, form):
             chi = [-c for c in chi]
         return GradedCharacterSeries(chi=chi, form=form)
 
-    return map(series, shifts)
+    return packing, syms, map(series, shifts)
 
 
 def euler_series(lam, gd, kd, N, form=""):
     """chi_k = dual(Euler(Sym^k(u cap p) + lam)) for k = 0..N."""
     require_integral(lam)
-    return next(_series([lam], gd, kd, N, form))
+    return next(_series([lam], gd, kd, N, form)[2])
 
 
 @dataclass
@@ -136,7 +128,7 @@ def verify_vanishing_box(lams, gd, kd, N, form=""):
     pd = parabolic(gd)
     inside = [is_QK_dominant(lam, pd, kd) for lam in lams]
     series = _series([lam for lam, ok in zip(lams, inside) if ok],
-                     gd, kd, N, form)
+                     gd, kd, N, form)[2]
     return (_vanishing_report(lam, next(series) if ok else None)
             for lam, ok in zip(lams, inside))
 
@@ -198,14 +190,23 @@ def blattner_multiplicity(mu, lam, gd, kd):
     with M one more than the largest |height| of a weight of u cap p.  phi
     is positive on every weight of u cap p, so P(a(w)) = 0 there, and it
     only falls as the length rises, so every w whose term can be nonzero is
-    reached: at mu = lam = 0 only the identity is.
+    reached: at mu = lam = 0 only the identity is.  One call of
+    rootdata._partition_counts, pruned by the same phi, counts every P.
     """
     if not kd.is_dominant(mu):
         raise InputError("mu must be K-dominant")
     require_integral(lam)
     _require_borel_of_k(gd)
-    count = partition_counter(gd.rs, gd.u_cap_p_weights())
-    return sum(sign * count(arg) for arg, sign in _blattner_terms(mu, lam, gd, kd))
+    terms = _blattner_terms(mu, lam, gd, kd)
+    counts = _partition_counts([w.d2 for w in gd.u_cap_p_weights()], _walk_phi(gd),
+                               [arg.d2 for arg, _ in terms])
+    return sum(sign * p for (_, sign), p in zip(terms, counts))
+
+
+def _walk_phi(gd):
+    """phi of blattner_multiplicity, as an int vector on d2 (rootdata._phi)."""
+    top = 1 + max((abs(sum(r.coords)) for r in gd.u_cap_p), default=0)
+    return _phi(gd.rs, [top * h + 1 for h in gd.H.h_values])
 
 
 def _blattner_terms(mu, lam, gd, kd):
@@ -219,18 +220,13 @@ def _blattner_terms(mu, lam, gd, kd):
     a(w) - p beta_i; phi(beta_i) > 0 (its degree is >= 0 under
     _require_borel_of_k, its height >= 1), so phi falls along every
     length-raising path, and each w with phi(a(w)) >= 0 is reached through
-    elements that have it too.  phi is an int dot product on d2 (rs._adj
-    is the inverse Cartan matrix times a positive integer), and a step
-    lowers it by 2p, read off the pairing slot, times its value on
-    fw(beta_i) (the d2 of beta_i is 2 fw(beta_i)), so a child is reflected
+    elements that have it too.  A step lowers phi by 2p, read off the
+    pairing slot, times phi(fw(beta_i)), so a child is reflected
     (_Packing.reflect; x is packed with zero, the linear action) only when
-    it is kept, and the next layer dedups on the packed image.  A walk
-    that keeps more than _MATERIALIZE_LIMIT images raises the
-    ConsistencyError of weyl_elements.
+    it is kept; the next layer dedups on the packed image.  A walk keeping
+    more than _MATERIALIZE_LIMIT images raises weyl_elements' error.
     """
-    top = 1 + max((abs(sum(r.coords)) for r in gd.u_cap_p), default=0)
-    scale = [top * h + 1 for h in gd.H.h_values]
-    phi = [sum(map(mul, scale, col)) for col in zip(*gd.rs._adj)]
+    phi = _walk_phi(gd)
     steps = [sum(map(mul, phi, fw)) for fw in kd._simple_fw]
     mu_star = kd.dominant_representative(-mu)
     off = kd.rho + lam
@@ -262,24 +258,27 @@ def blattner_series_identity(gd, kd, lam, max_degree, form=""):
 
     Degree k of the series is dual(Euler(Sym^k(u cap p) + lam)), so the
     multiplicity of V_mu there is blattner_multiplicity's sum with P
-    replaced by P_k, the multiplicity of a weight in Sym^k(u cap p).  For
-    each type seen in degrees 0..max_degree, its series multiplicity and
-    its alternating sum are compared at each of those degrees on its own.
-    No degree above max_degree is covered: comparing with
-    blattner_multiplicity's total over all degrees would need the series
-    extended to the last degree that could still hold the type.  Returns
-    (ok, mismatches, number of types checked), a mismatch being (mu,
-    series multiplicities by degree, alternating sums by degree).
+    replaced by P_k(a), the multiplicity of pack(-a) in the series' own
+    packed Sym^k(-(u cap p)).  A term whose largest |d2| entry exceeds
+    max_degree times that of u cap p is skipped: no weight of Sym^k lies
+    that far out, and the packing is injective on the rest.  For each type
+    seen in degrees 0..max_degree, its series multiplicity and its
+    alternating sum are compared at each of those degrees on its own; no
+    higher degree is covered.  Returns (ok, mismatches, number of types
+    checked), a mismatch being (mu, series multiplicities by degree,
+    alternating sums by degree).
     """
-    chi = euler_series(lam, gd, kd, max_degree, form=form).chi
-    syms = sym_powers(gd.u_cap_p_weights(), max_degree, gd.rs.rank)
+    require_integral(lam)
+    packing, syms, one = _series([lam], gd, kd, max_degree, form)
+    chi = next(one).chi
+    bound = max_degree * _reach([w.d2 for w in gd.u_cap_p_weights()])
     mus = {w for c in chi for w, _ in c.items()}
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
-        terms = _blattner_terms(mu, lam, gd, kd)
+        keys = [(-packing.pack(a.d2), sign) for a, sign in _blattner_terms(mu, lam, gd, kd)
+                if _reach([a.d2]) <= bound]
         series = [c.mult(mu) for c in chi]
-        alternating = [sum(sign * sym[arg] for arg, sign in terms) for sym in syms]
+        alternating = [sum(sign * sym.get(key, 0) for key, sign in keys) for sym in syms]
         if series != alternating:
             mismatches.append((mu, series, alternating))
     return not mismatches, mismatches, len(mus)
-

@@ -5,16 +5,19 @@ of the packed kernels the package runs on; euler packs a list of Weights
 for the Bott sum, whose one entry takes a packed multiset.  A test writes
 an expected character as a dict Weight -> multiplicity and compares it
 with terms(chi).  blattner_terms is Blattner's alternating sum over all of
-W_K, which the package's pruned walk must equal.
+W_K, which the package's pruned walk must equal, and partition_counter the
+root-coordinate partition count, which the package's packed counter must
+equal.
 """
 
 from collections import Counter
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub as minus
 
 from nilcone import bott
 from nilcone import linalg as la
 from nilcone import rootdata as rd
+from nilcone.errors import InputError
 
 
 def reflect2(sub, d2, i):
@@ -78,12 +81,64 @@ def alternating_sum(terms, count):
     return sum(sign * count(arg) for arg, sign in terms)
 
 
-def blattner_phi(gd, a):
-    """M (H-degree) + height of the weight a in exact root coordinates
-    (solved from the Cartan matrix), M one more than the largest |height|
-    of a root of u cap p: positive on every weight of u cap p, so a
-    partition count into them is 0 wherever it is negative."""
-    rs = gd.rs
-    coords = la.solve(rs.cartan_matrix, [Fraction(c) for c in a.fw])
+def root_num(rs, lam):
+    """The root coordinates of lam times one positive integer (2 den,
+    cartan^-1 = adj / den), as an int tuple."""
+    return tuple(sum(map(mul, row, lam.d2)) for row in rs._adj)
+
+
+def partition_counter(rs, gens, scale=None):
+    """P, the number of ways to write a weight as a sum of the multiset of
+    weights gens, as a function of the weight: a recursion on root
+    coordinates (root_num), bounded by h = sum_i scale_i (root coordinate
+    i), the height when scale is None, so h must be positive on each
+    generator (InputError otherwise).  One memo serves every call."""
+    scale = [1] * rs.rank if scale is None else scale
+
+    def height(t):
+        return sum(map(mul, scale, t))
+
+    gen_coords = []
+    for g in gens:
+        rc = root_num(rs, g)
+        h = height(rc)
+        if h <= 0:
+            raise InputError("the reference counter needs generators of positive height")
+        gen_coords.append((rc, h))
+    memo = {}
+
+    def count(t, i):
+        if not any(t):
+            return 1
+        h = height(t)
+        if h < 0 or i == len(gen_coords):
+            return 0
+        key = (t, i)
+        if key in memo:
+            return memo[key]
+        g, gh = gen_coords[i]
+        total = 0
+        cur = t
+        for _ in range(h // gh + 1):
+            total += count(cur, i + 1)
+            cur = tuple(map(minus, cur, g))
+        memo[key] = total
+        return total
+
+    return lambda mu: count(root_num(rs, mu), 0)
+
+
+def blattner_scale(gd):
+    """The scale, over root coordinates, of M (H-degree) + height, M one
+    more than the largest |height| of a root of u cap p: positive on every
+    weight of u cap p, so a partition count into them is 0 wherever it is
+    negative."""
     top = 1 + max((abs(sum(r.coords)) for r in gd.u_cap_p), default=0)
-    return sum((top * h + 1) * c for h, c in zip(gd.H.h_values, coords))
+    return [top * h + 1 for h in gd.H.h_values]
+
+
+def blattner_phi(gd, a):
+    """M (H-degree) + height of the weight a (blattner_scale) in exact root
+    coordinates, solved from the Cartan matrix."""
+    coords = la.solve(gd.rs.cartan_matrix, [Fraction(c) for c in a.fw])
+    return sum(map(mul, blattner_scale(gd), coords))

@@ -512,6 +512,14 @@ def test_a_torus_k_takes_either_chamber(capsys):
     assert json.loads(out)["dims"] == [1, 1, 1, 1]
 
 
+def test_a_torus_k_counts_blattner_in_either_chamber(capsys):
+    # under H = -2 the weight of u cap p has negative height but positive phi
+    code, out, _ = _run(capsys, "blattner", "--form", "su(1,1)", "--H=-2",
+                        "--mu", "0", "--lambda", "0")
+    assert code == 0
+    assert json.loads(out)["multiplicity"] == 1
+
+
 def test_a_torus_k_runs_the_blattner_identity_in_either_chamber():
     # under H = -2 the weight of u cap p has negative height, which the
     # graded identity does not need

@@ -13,7 +13,7 @@ from nilcone import rootdata as rd
 from nilcone.errors import ConsistencyError, InputError
 from nilcone.grading import grade
 from nilcone.realform import standard_form_catalog
-from reference import apply_word, dual, euler, reflect2, terms
+from reference import apply_word, dual, euler, reflect2, root_num, terms
 
 F = Fraction
 
@@ -273,17 +273,19 @@ def test_weight_doubled_coordinates():
 
 
 def test_weight_roundtrip():
-    # the partition counter's integer root coordinates, mapped back to fw
-    # coordinates by the Cartan matrix, give the weight times their scale
+    # the reference partition counter's integer root coordinates, mapped
+    # back to fw coordinates by the Cartan matrix, give the weight times
+    # their scale; _phi at scale 1 sums them, the scaled height
     rng = random.Random(11)
     for label, rank in [("A", 2), ("B", 3), ("C", 2), ("D", 4), ("G2", 2)]:
         rs = rd.build_root_system(label, rank)
         scale = 2 * la.inverse(rs.cartan_matrix)[1]
         for _ in range(15):
             lam = rd.Weight(tuple(F(rng.randint(-6, 6)) for _ in range(rank)))
-            num = rs._root_num(lam)
+            num = root_num(rs, lam)
             assert tuple(sum(map(mul, row, num)) for row in rs.cartan_matrix) == \
                 tuple(scale * x for x in lam.fw)
+            assert sum(map(mul, rd._phi(rs, [1] * rank), lam.d2)) == sum(num)
 
 
 # -- dominance and Weyl elements ---------------------------------------------------
@@ -865,14 +867,15 @@ def _adjugate(matrix):
                          + [("B", n) for n in range(2, 7)] + [("C", n) for n in range(2, 7)]
                          + [("D", n) for n in range(3, 8)] + [("G2", 2)])
 def test_root_coordinates_agree_with_the_adjugate(label, rank):
-    # the partition counter's integer root coordinates over their scale
+    # the reference partition counter's integer root coordinates over
+    # their scale
     rs = rd.build_root_system(label, rank)
     det = _adjugate(rs.cartan_matrix)[1]
     scale = 2 * la.inverse(rs.cartan_matrix)[1]
     fundamental = [rd.weight(*[int(i == j) for j in range(rank)]) for i in range(rank)]
     weights = [rs.root_fw(r) for r in rs.all_roots()] + fundamental + [_full(rs).rho]
     for lam in weights:
-        assert tuple(Fraction(x, scale) for x in rs._root_num(lam)) == \
+        assert tuple(Fraction(x, scale) for x in root_num(rs, lam)) == \
             _root_coords(rs, lam)
     for r in rs.all_roots():
         assert _root_coords(rs, rs.root_fw(r)) == r.coords

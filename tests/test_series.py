@@ -14,8 +14,9 @@ from nilcone import realform as rf
 from nilcone import rootdata as rd
 from nilcone import series as se
 from nilcone.errors import ConsistencyError, InputError, OutOfScopeError
-from reference import (alternating_sum, apply_word, blattner_phi, blattner_terms,
-                       dual, euler, reflect2, terms)
+from reference import (alternating_sum, apply_word, blattner_phi, blattner_scale,
+                       blattner_terms, dual, euler, partition_counter, reflect2,
+                       root_num, terms)
 
 F = Fraction
 
@@ -80,7 +81,7 @@ def test_sym_powers_match_combinations():
                 for _ in range(rng.randint(1, 3))]
         weights = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
         N = rng.randint(0, 4)
-        powers = se.sym_powers(weights, N, rank)
+        powers = _packed_sym(weights, N, rank)
         assert len(powers) == N + 1
         for k, got in enumerate(powers):
             want = Counter()
@@ -105,6 +106,23 @@ def _tuple_sym_powers(gens, N, rank):
     return sym[:N + 1]
 
 
+def _sym_counters(weights, N, rank):
+    """Sym^0..Sym^N of the list of Weights weights, tuple-built, as
+    Counters Weight -> multiplicity."""
+    return [Counter({rd._weight_of(d2): m for d2, m in sym.items()})
+            for sym in _tuple_sym_powers([w.d2 for w in weights], N, rank)]
+
+
+def _packed_sym(weights, N, rank):
+    """se._sym of the Weights weights on a packing with no coroot slots, as
+    sym_weights packs them, read back as Counters Weight -> multiplicity."""
+    d2s = [w.d2 for w in weights]
+    packing = rd._Packing(rank, rd._width(N * rd._reach(d2s)))
+    return [Counter({rd._weight_of(packing.unpack(nu + packing.bias)): m
+                     for nu, m in sym.items()})
+            for sym in se._sym([packing.pack(d2) for d2 in d2s], N)]
+
+
 def test_sym_powers_match_the_tuple_builder():
     # the weights of u cap p and of its negative on four forms, and seeded
     # lists with repeats and half-integral coordinates, up to N = 8
@@ -121,10 +139,9 @@ def test_sym_powers_match_the_tuple_builder():
                 for _ in range(3)]
         cases.append(([rng.choice(pool) for _ in range(5)], rank))
     for weights, rank in cases:
-        want = _tuple_sym_powers([w.d2 for w in weights], 8, rank)
-        got = se.sym_powers(weights, 8, rank)
-        assert got == [Counter({rd._weight_of(d2): m for d2, m in sym.items()})
-                       for sym in want]
+        want = _sym_counters(weights, 8, rank)
+        assert _packed_sym(weights, 8, rank) == want
+        assert Counter(se.sym_weights(weights, 8)) == want[8]
 
 
 def _tuple_series(lams, gd, kd, N):
@@ -190,8 +207,9 @@ def test_euler_series_at_the_slot_bound():
 
 def test_sym_powers_without_generators():
     # Sym^0 of the zero space is one zero weight of the ambient rank
-    assert se.sym_powers([], 3, 2) == [Counter({rd.weight(0, 0): 1}),
-                                       Counter(), Counter(), Counter()]
+    assert se._sym([], 3) == [{0: 1}, {}, {}, {}]
+    assert _packed_sym([], 3, 2) == [Counter({rd.weight(0, 0): 1}),
+                                     Counter(), Counter(), Counter()]
 
 
 def test_non_integral_twist_is_input_error():
@@ -380,7 +398,7 @@ def test_serre_duality_series_is_the_dual_euler_characteristic(name, h):
     outside = [lam for lam in (rd.Weight(c) for c in product(range(-2, 3),
                                                               repeat=rs.rank))
                if not gr.is_QK_dominant(lam, pd, kd)][:4]
-    syms = se.sym_powers(gd.u_cap_p_weights(), 4, rs.rank)
+    syms = _sym_counters(gd.u_cap_p_weights(), 4, rs.rank)
     for lam in box[:8] + outside:
         series = se.euler_series(lam, gd, kd, 4)
         for k, sym in enumerate(syms):
@@ -399,7 +417,8 @@ def _alternating_args(kd, mus, lam):
 
 def test_shared_partition_counter_matches_fresh_counts():
     # su(4,4)'s mu = 0 alternating sum and so*(8)'s lam = 0 identity, every
-    # argument counted in order through one counter and by a fresh call
+    # argument counted in order by one counter call under the walk's phi,
+    # by a fresh call each, by the height view and by the reference
     for name, h in [("su(4,4)", (0, 0, 0, 2, 0, 0, 0)), ("so*(8)", (0, 0, 0, 2))]:
         rs, gd, kd = _context(name, h)
         zero = rd.zero_weight(rs.rank)
@@ -408,15 +427,17 @@ def test_shared_partition_counter_matches_fresh_counts():
             chis = se.euler_series(zero, gd, kd, 2).chi
             mus = sorted({w for chi in chis for w, _ in chi.items()}, key=lambda w: w.d2)
         ups = gd.u_cap_p_weights()
-        count = rd.partition_counter(rs, ups)
+        gens, phi = [w.d2 for w in ups], se._walk_phi(gd)
         args = list(_alternating_args(kd, mus, zero))
-        got = [count(arg) for arg in args]
+        got = rd._partition_counts(gens, phi, [arg.d2 for arg in args])
+        assert got == [rd._partition_counts(gens, phi, [arg.d2])[0] for arg in args]
         assert got == [rd.kostant_partition(rs, arg, ups) for arg in args]
+        assert got == list(map(partition_counter(rs, ups), args))
         assert any(got)
     a2 = rd.build_root_system("A", 2)
     for gens in ([rd.weight(0, 0)], [rd.weight(2, -1), rd.weight(-2, 1)]):
         with pytest.raises(InputError):
-            rd.partition_counter(a2, gens)
+            rd._partition_counts([g.d2 for g in gens], rd._phi(a2, [1, 1]), [])
         with pytest.raises(InputError):
             rd.kostant_partition(a2, rd.weight(0, 0), gens)
 
@@ -601,8 +622,8 @@ def test_blattner_walk_equals_the_full_sum(name, eps, h):
     # seeded K-dominant mu and every K-type of the series, lam = 0 and lam
     # a simple root: each term it skips counts 0 in P and in every P_k, so
     # blattner_multiplicity and each degree of blattner_series_identity are
-    # the full sum's.  su(1,1) at H = -2: u cap p is -alpha, of height -1,
-    # which the partition counter refuses, for the full sum as for the walk
+    # the full sum's.  The reference P is bounded by phi, not by height:
+    # su(1,1) at H = -2 has u cap p = -alpha, of height -1 but phi 6
     if eps is None:
         rs, gd, kd, _ = _box_context(name, h)
     else:
@@ -615,12 +636,8 @@ def test_blattner_walk_equals_the_full_sum(name, eps, h):
         rd.Weight(tuple(rng.randint(-1, 1) for _ in range(rs.rank)))) for _ in range(3)]
     degree = 2 if rs.rank > 5 else 3
     ups = gd.u_cap_p_weights()
-    syms = se.sym_powers(ups, degree, rs.rank)
-    try:
-        count = rd.partition_counter(rs, ups)
-    except InputError:
-        assert name == "su(1,1)"
-        count = None
+    syms = _sym_counters(ups, degree, rs.rank)
+    count = partition_counter(rs, ups, blattner_scale(gd))
     for lam in (zero, rs.root_fw(rs.simple_roots[0])):
         chi = se.euler_series(lam, gd, kd, degree).chi
         types = sorted({w for c in chi for w, _ in c.items()}, key=lambda w: w.d2)
@@ -639,41 +656,77 @@ def test_blattner_walk_equals_the_full_sum(name, eps, h):
             assert walked.items() <= full.items()
             skipped = [arg for arg in full if arg not in walked]
             assert not any(sym[arg] for sym in syms for arg in skipped)
-            if count is None:
-                with pytest.raises(InputError, match="positive height"):
-                    se.blattner_multiplicity(mu, lam, gd, kd)
-                continue
             assert not any(count(arg) for arg in skipped)
             assert se.blattner_multiplicity(mu, lam, gd, kd) == \
                 alternating_sum(full.items(), count)
 
 
+@pytest.mark.parametrize("name,eps,h", [
+    ("sp(4,R)", None, None),
+    ("su(3,2)", (-1, -1, -1, -1), (2, 2, 2, 2)),
+])
+def test_partition_counter_matches_the_reference(name, eps, h):
+    # at seeded K-dominant mu with fw entries in -2..2, lam = 0 and lam a
+    # simple root: the packed counter under the walk's phi, over every term
+    # of the full sum, equals the root-coordinate reference, and so does
+    # blattner_multiplicity's one call over the walk's terms
+    if eps is None:
+        rs, gd, kd, _ = _box_context(name, h)
+    else:
+        rs = rf.standard_form_catalog(name)[0]
+        gd = gr.grade(rs, rf.EqualRankInvolution(eps), h)
+        kd = gd.k_root_datum()
+    ups = gd.u_cap_p_weights()
+    count = partition_counter(rs, ups)
+    rng = random.Random(name)
+    for lam in (rd.zero_weight(rs.rank), rs.root_fw(rs.simple_roots[0])):
+        for _ in range(6):
+            mu = kd.dominant_representative(
+                rd.Weight(tuple(rng.randint(-2, 2) for _ in range(rs.rank))))
+            full = blattner_terms(kd, mu, lam)
+            got = rd._partition_counts([w.d2 for w in ups], se._walk_phi(gd),
+                                       [arg.d2 for arg, _ in full])
+            assert got == [count(arg) for arg, _ in full]
+            assert se.blattner_multiplicity(mu, lam, gd, kd) == \
+                alternating_sum(full, count)
+
+
+def test_blattner_runs_where_u_cap_p_has_negative_height():
+    # su(1,1) at H = -2: u cap p is -alpha, of height -1 but phi 6, so the
+    # sum runs; at mu = m alpha it is the series' total, which through
+    # degree 6 is 1, in degree m
+    rs, gd, kd = _context("su(1,1)", (-2,))
+    zero = rd.zero_weight(1)
+    chi = se.euler_series(zero, gd, kd, 6).chi
+    for m in range(5):
+        mu = rd.weight(2 * m)
+        assert [c.mult(mu) for c in chi] == [int(k == m) for k in range(7)]
+        assert se.blattner_multiplicity(mu, zero, gd, kd) == 1
+
+
 def test_blattner_walk_at_zero_keeps_only_the_identity(monkeypatch):
     # su(4,4): at mu = lam = 0 every w != 1 has phi(w rho_K - rho_K) < 0, so
-    # the walk keeps 1 of the 576 elements of W_K, counts one partition and
-    # reflects at most rank(K) times
+    # the walk keeps 1 of the 576 elements of W_K, counts one partition in
+    # one counter call and reflects at most rank(K) times
     rs, gd, kd = _context("su(4,4)", (0, 0, 0, 2, 0, 0, 0))
     zero = rd.zero_weight(7)
     calls = Counter()
     reflect = rd._Packing.reflect
-    partition_counter = se.partition_counter
+    partition_counts = se._partition_counts
 
     def counted_reflect(packing, q, i):
         calls["reflect"] += 1
         return reflect(packing, q, i)
 
-    def counted_counter(rs, gens):
-        count = partition_counter(rs, gens)
-
-        def counted(mu):
-            calls["count"] += 1
-            return count(mu)
-        return counted
+    def counted_counts(gens, phi, args):
+        calls["calls"] += 1
+        calls["count"] += len(args)
+        return partition_counts(gens, phi, args)
 
     monkeypatch.setattr(rd._Packing, "reflect", counted_reflect)
-    monkeypatch.setattr(se, "partition_counter", counted_counter)
+    monkeypatch.setattr(se, "_partition_counts", counted_counts)
     assert se.blattner_multiplicity(zero, zero, gd, kd) == 1
-    assert calls["count"] == 1 and calls["reflect"] <= kd.rank
+    assert calls["calls"] == calls["count"] == 1 and calls["reflect"] <= kd.rank
     assert len(rd.weyl_elements(kd)) == 576
 
 
@@ -688,7 +741,7 @@ def test_blattner_walk_refuses_past_the_materialize_limit(monkeypatch):
     assert len(se._blattner_terms(zero, low, gd, kd)) == 24
     assert se.blattner_multiplicity(zero, low, gd, kd) == \
         alternating_sum(blattner_terms(kd, zero, low),
-                        rd.partition_counter(rs, gd.u_cap_p_weights()))
+                        partition_counter(rs, gd.u_cap_p_weights()))
     monkeypatch.setattr(se, "_MATERIALIZE_LIMIT", 23)
     monkeypatch.setattr(rd, "_MATERIALIZE_LIMIT", 23)
     with pytest.raises(ConsistencyError) as walk:
@@ -706,20 +759,20 @@ def _ungraded_identity(gd, kd, lam, max_degree):
     checked, the extension degree k_far)."""
     rs = gd.rs
     ups = gd.u_cap_p_weights()
-    # heights in root coordinates times one positive scale (rs._root_num),
-    # so floor(h / min_h) and the sign of h are those of the exact heights
-    heights = [sum(rs._root_num(w)) for w in ups]
+    # heights in root coordinates times one positive scale (root_num), so
+    # floor(h / min_h) and the sign of h are those of the exact heights
+    heights = [sum(root_num(rs, w)) for w in ups]
     min_h = min(heights, default=1)
     base = se.euler_series(lam, gd, kd, max_degree)
     mus = {w for chi in base.chi for w, _ in chi.items()}
     full, needed = {}, {}
     for mu in mus:
         full[mu] = blattner_terms(kd, mu, lam)
-        hs = [sum(rs._root_num(arg)) for arg, _ in full[mu]]
+        hs = [sum(root_num(rs, arg)) for arg, _ in full[mu]]
         needed[mu] = max([h // min_h for h in hs if h >= 0], default=0)
     k_far = max([max_degree, *needed.values()])
     ext = se.euler_series(lam, gd, kd, k_far) if k_far > max_degree else base
-    count = rd.partition_counter(rs, ups)
+    count = partition_counter(rs, ups)
     mismatches = []
     for mu in sorted(mus, key=lambda w: w.d2):
         cumulative = sum(chi.mult(mu) for chi in ext.chi[: needed[mu] + 1])
@@ -757,7 +810,7 @@ def test_graded_identity_agrees_with_the_ungraded_one(name, eps, h):
     assert ok and (got[0], got[2]) == (ok, count)
     # P = sum_k P_k: through the extension degree, each type's graded sums
     # add up to its ungraded total
-    syms = se.sym_powers(gd.u_cap_p_weights(), k_far, rs.rank)
+    syms = _sym_counters(gd.u_cap_p_weights(), k_far, rs.rank)
     for mu in {w for c in se.euler_series(zero, gd, kd, 3).chi for w, _ in c.items()}:
         full = blattner_terms(kd, mu, zero)
         graded = [alternating_sum(full, sym.__getitem__) for sym in syms]
@@ -776,28 +829,74 @@ def test_blattner_identity_reaches_rank_7():
 def test_blattner_identity_builds_one_series_to_max_degree(monkeypatch):
     rs, gd, kd = _context("so*(8)", (0, 0, 0, 2))
     degrees = []
-    euler_series = se.euler_series
+    build = se._series
 
-    def counted(lam, gd, kd, N, form=""):
+    def counted(lams, gd, kd, N, form):
         degrees.append(N)
-        return euler_series(lam, gd, kd, N, form=form)
+        return build(lams, gd, kd, N, form)
 
-    monkeypatch.setattr(se, "euler_series", counted)
+    monkeypatch.setattr(se, "_series", counted)
     assert se.blattner_series_identity(gd, kd, rd.zero_weight(4), 3)[0]
     assert degrees == [3]
 
 
-def test_blattner_mismatch_names_its_degree(monkeypatch):
-    # one extra weight in Sym^2 shifts the alternating sums of degree 2 only
+def test_blattner_identity_builds_one_sym_per_call(monkeypatch):
+    # the alternating sums read the series' own Sym^k: one _sym per call
     rs, gd, kd = _context("su(2,1)", (2, 2))
-    sym_powers = se.sym_powers
+    calls = []
+    sym = se._sym
 
-    def perturbed(weights, N, rank):
-        syms = sym_powers(weights, N, rank)
-        syms[2][rd.zero_weight(rank)] += 1
-        return syms
+    def counted(gens, N):
+        calls.append(N)
+        return sym(gens, N)
 
-    monkeypatch.setattr(se, "sym_powers", perturbed)
+    monkeypatch.setattr(se, "_sym", counted)
+    for lam in (rd.zero_weight(2), rs.root_fw(rs.simple_roots[0])):
+        calls.clear()
+        assert se.blattner_series_identity(gd, kd, lam, 3)[0]
+        assert calls == [3]
+
+
+def test_blattner_identity_skips_terms_out_of_sym_reach():
+    # so*(8) at lam = (2, -2, -2, -2): some kept terms lie further out than
+    # max_degree times the reach of u cap p, where no Sym^k weight is; the
+    # identity equals the full sum over a tuple-built Sym, keyed by Weight,
+    # which no such term hits
+    rs, gd, kd = _context("so*(8)", (0, 0, 0, 2))
+    lam, degree = rd.weight(2, -2, -2, -2), 2
+    ups = gd.u_cap_p_weights()
+    bound = degree * rd._reach([w.d2 for w in ups])
+    syms = _sym_counters(ups, degree, rs.rank)
+    chi = se.euler_series(lam, gd, kd, degree).chi
+    types = sorted({w for c in chi for w, _ in c.items()}, key=lambda w: w.d2)
+    far, want = 0, []
+    for mu in types:
+        full = blattner_terms(kd, mu, lam)
+        far += sum(rd._reach([arg.d2]) > bound for arg, _ in se._blattner_terms(mu, lam, gd, kd))
+        assert not any(sym[arg] for sym in syms for arg, _ in full
+                       if rd._reach([arg.d2]) > bound)
+        series = [c.mult(mu) for c in chi]
+        alternating = [alternating_sum(full, sym.__getitem__) for sym in syms]
+        if series != alternating:
+            want.append((mu, series, alternating))
+    assert far > 0 and not want
+    assert se.blattner_series_identity(gd, kd, lam, degree) == (True, [], len(types))
+
+
+def test_blattner_mismatch_names_its_degree(monkeypatch):
+    # one extra zero weight in the Sym^2 that the alternating sums read,
+    # not in the one the series was built on, shifts the alternating sums
+    # of degree 2 only
+    rs, gd, kd = _context("su(2,1)", (2, 2))
+    build = se._series
+
+    def perturbed(lams, gd, kd, N, form):
+        packing, syms, one = build(lams, gd, kd, N, form)
+        syms = [dict(sym) for sym in syms]
+        syms[2][0] = syms[2].get(0, 0) + 1
+        return packing, syms, one
+
+    monkeypatch.setattr(se, "_series", perturbed)
     ok, mismatches, count = se.blattner_series_identity(gd, kd, rd.zero_weight(2), 3)
     assert not ok and mismatches
     for mu, series, alternating in mismatches:

@@ -108,8 +108,10 @@ _PUBLIC_ALLOWLIST = {
     "linalg.nullspace": "perfbench/spans.py traces it (retired with its metric)",
     "linalg.rank": "perfbench/spans.py traces it, and perfbench/tests asserts "
                    "that it calls rref (retired with its metric)",
-    "rootdata.kostant_partition": "perfbench/spans.py traces it (retired with "
-                                  "its metric)",
+    "rootdata.kostant_partition": "the height view of the one partition "
+                                  "counter, _partition_counts; perfbench/"
+                                  "spans.py traces it (retired with its "
+                                  "metric)",
     "rootdata.weight": "perfbench/tests/test_perfbench.py imports it",
     "rootdata.weyl_dimension": "perfbench/spans.py traces it (retired with "
                                "its metric)",
